@@ -2,10 +2,10 @@
 
 Every driver takes an ExperimentConfig, writes CSV (and optionally SVG) files
 into the output directory, and returns a summary dict.  Replications are
-seeded as (master seed, replication index) through numpy's SeedSequence, so
-results are independent of execution order and identical whether run serially
-or on a worker pool.  The BALKWISE_THREADS environment variable caps the pool
-size.
+seeded as (master seed, sample size, replication index), plus the price grid
+index where prices vary, through numpy's SeedSequence, so results are
+independent of execution order and identical whether run serially or on a
+worker pool.  The BALKWISE_THREADS environment variable caps the pool size.
 """
 
 from __future__ import annotations
@@ -20,11 +20,11 @@ from typing import Optional
 
 import numpy as np
 
-from .inference import fit_mle
+from .inference import fit_mle, log_likelihood, score
 from .model import ExponentialFamily, ModelConfig, ParamSpace, ValueFamily
 from .pricing import PricingConfig, run_pricing, trace_metrics
 from .simulator import SimOptions, simulate_path
-from .stationary import asymptotic_std, expected_revenue, theoretical_sigma
+from .stationary import asymptotic_std, expected_revenue, theoretical_sigma, write_curve_csv
 from . import svgplot
 
 EXPERIMENTS = (
@@ -188,29 +188,39 @@ def _pool_map(fn, jobs, workers: int):
         return list(pool.map(fn, jobs, chunksize=max(1, len(jobs) // (4 * workers))))
 
 
-def _fit_rep(job):
-    """Simulate one path and fit it; shared by several drivers."""
-    cfg_dict, lo, hi, theta0, k, master, rep, warmup = job
-    cfg = ModelConfig(**cfg_dict)
-    fam = ExponentialFamily(ParamSpace([lo], [hi]))
-    seed = rep_seed(master, k, rep)
-    path = simulate_path(
-        cfg,
-        fam,
-        [theta0],
-        SimOptions(steps=k, seed=seed, initial_state="stationary-warmup", warmup_steps=warmup),
-    )
-    fit = fit_mle(path, cfg, fam)
-    return rep, float(fit.theta_hat[0]), float(fit.score_norm), bool(fit.boundary)
-
-
-def _jobs(config: ExperimentConfig, k: int):
-    cfg_dict = dict(lam=config.lam, mu=config.mu, cost_c=config.cost_c, price=config.price)
+def _jobs(config: ExperimentConfig, k: int, reps: int, *key: int, price=None):
+    """One job per replication, seeded by (master seed, k, rep, *key)."""
+    cfg_dict = dict(lam=config.lam, mu=config.mu, cost_c=config.cost_c,
+                    price=config.price if price is None else price)
     return [
         (cfg_dict, config.theta_lower, config.theta_upper, config.theta0, k,
-         config.seed, rep, config.warmup_steps)
-        for rep in range(config.replications)
+         config.warmup_steps, (config.seed, k, rep, *key))
+        for rep in range(reps)
     ]
+
+
+def _simulate_and_fit(job):
+    """Simulate one replication's path after a stationary warm-up and fit it."""
+    cfg_dict, lo, hi, theta0, k, warmup, key = job
+    cfg = ModelConfig(**cfg_dict)
+    fam = ExponentialFamily(ParamSpace([lo], [hi]))
+    opts = SimOptions(steps=k, seed=rep_seed(*key), initial_state="stationary-warmup",
+                      warmup_steps=warmup)
+    path = simulate_path(cfg, fam, [theta0], opts)
+    return path, cfg, fam, fit_mle(path, cfg, fam)
+
+
+def _fit_rep(job):
+    """(theta_hat, boundary) of one replication; shared by several drivers."""
+    fit = _simulate_and_fit(job)[-1]
+    return float(fit.theta_hat[0]), bool(fit.boundary)
+
+
+def _fit_score_rep(job):
+    """_fit_rep plus the signed normalized score at the estimate."""
+    path, cfg, fam, fit = _simulate_and_fit(job)
+    value = float(score(path, fit.theta_hat, cfg, fam)[0])
+    return float(fit.theta_hat[0]), bool(fit.boundary), value
 
 
 def _out(config: ExperimentConfig, name: str) -> Path:
@@ -219,22 +229,12 @@ def _out(config: ExperimentConfig, name: str) -> Path:
     return out / name
 
 
-def _fit_score_rep(job):
-    cfg_dict, lo, hi, theta0, k, master, rep, warmup = job
-    cfg = ModelConfig(**cfg_dict)
-    fam = ExponentialFamily(ParamSpace([lo], [hi]))
-    seed = rep_seed(master, k, rep)
-    path = simulate_path(
-        cfg,
-        fam,
-        [theta0],
-        SimOptions(steps=k, seed=seed, initial_state="stationary-warmup", warmup_steps=warmup),
-    )
-    fit = fit_mle(path, cfg, fam)
-    from .inference import score
-
-    val = float(score(path, fit.theta_hat, cfg, fam)[0])
-    return rep, float(fit.theta_hat[0]), val, bool(fit.boundary)
+def _write_csv(path: Path, header, rows) -> None:
+    """CSV with a header row; floats are written in their shortest round-trip form."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
 
 
 def exp_score_convergence(config: ExperimentConfig) -> dict:
@@ -243,17 +243,12 @@ def exp_score_convergence(config: ExperimentConfig) -> dict:
     rows = []
     spreads = {}
     for k in config.sizes:
-        results = _pool_map(_fit_score_rep, _jobs(config, k), workers)
-        results.sort()
-        for rep, theta_hat, score_val, boundary in results:
+        results = _pool_map(_fit_score_rep, _jobs(config, k, config.replications), workers)
+        for rep, (theta_hat, _, score_val) in enumerate(results):
             rows.append((k, rep, theta_hat, score_val))
         spreads[k] = float(np.std([r[2] for r in results]))
     path = _out(config, "score_convergence.csv")
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["k", "rep", "theta_hat", "score"])
-        for row in rows:
-            w.writerow([row[0], row[1], repr(row[2]), repr(row[3])])
+    _write_csv(path, ["k", "rep", "theta_hat", "score"], rows)
     if config.fmt == "svg":
         svgplot.scatter(
             [(float(np.log10(r[0])), r[3]) for r in rows],
@@ -270,23 +265,16 @@ def exp_consistency(config: ExperimentConfig) -> dict:
     rows = []
     medians = {}
     for k in config.sizes:
-        results = _pool_map(_fit_rep, _jobs(config, k), workers)
-        results.sort()
+        results = _pool_map(_fit_rep, _jobs(config, k, config.replications), workers)
         errs = []
-        for rep, theta_hat, _, boundary in results:
+        for rep, (theta_hat, _) in enumerate(results):
             rows.append((k, rep, theta_hat, abs(theta_hat - config.theta0)))
             errs.append(abs(theta_hat - config.theta0))
         medians[k] = float(np.median(errs))
     path = _out(config, "consistency.csv")
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["k", "rep", "theta_hat", "abs_error"])
-        for row in rows:
-            w.writerow([row[0], row[1], repr(row[2]), repr(row[3])])
+    _write_csv(path, ["k", "rep", "theta_hat", "abs_error"], rows)
 
     # likelihood profile on one fixed path per sample size
-    from .inference import log_likelihood
-
     cfg, fam = config.model, config.value_family
     curve_path = _out(config, "loglik_profile.csv")
     thetas = np.linspace(config.theta_lower, min(config.theta_upper, 10 * config.theta0), 201)
@@ -303,12 +291,8 @@ def exp_consistency(config: ExperimentConfig) -> dict:
             )
             for t in thetas:
                 w.writerow([k, repr(float(t)), repr(log_likelihood(sim, [t], cfg, fam))])
-    summary_path = _out(config, "consistency_summary.csv")
-    with open(summary_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["k", "median_abs_error"])
-        for k in config.sizes:
-            w.writerow([k, repr(medians[k])])
+    _write_csv(_out(config, "consistency_summary.csv"), ["k", "median_abs_error"],
+               [(k, medians[k]) for k in config.sizes])
     return {"file": str(path), "median_abs_error_by_k": medians}
 
 
@@ -326,10 +310,9 @@ def exp_normality(config: ExperimentConfig) -> dict:
     for k in config.sizes:
         sigma = theoretical_sigma([config.theta0], cfg, fam)
         std_theory = 1.0 / np.sqrt(float(sigma[0, 0]))
-        results = _pool_map(_fit_rep, _jobs(config, k), workers)
-        results.sort()
+        results = _pool_map(_fit_rep, _jobs(config, k, config.replications), workers)
         z_vals, rel_errors, n_boundary = [], [], 0
-        for rep, theta_hat, _, boundary in results:
+        for rep, (theta_hat, boundary) in enumerate(results):
             z = float(np.sqrt(k) * (theta_hat - config.theta0) / std_theory)
             rel = (theta_hat - config.theta0) / config.theta0
             rows.append((k, rep, theta_hat, z, int(boundary)))
@@ -348,11 +331,7 @@ def exp_normality(config: ExperimentConfig) -> dict:
             "theoretical_std": float(std_theory),
         }
     path = _out(config, "normality.csv")
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["k", "rep", "theta_hat", "z", "boundary"])
-        for row in rows:
-            w.writerow([row[0], row[1], repr(row[2]), repr(row[3]), row[4]])
+    _write_csv(path, ["k", "rep", "theta_hat", "z", "boundary"], rows)
     with open(_out(config, "normality_summary.json"), "w") as fh:
         json.dump(verdicts, fh, indent=2)
     if config.fmt == "svg":
@@ -360,22 +339,6 @@ def exp_normality(config: ExperimentConfig) -> dict:
             zs = [r[3] for r in rows if r[0] == k and not r[4]]
             svgplot.histogram(zs, _out(config, f"normality_k{k}.svg"), bins=40)
     return {"file": str(path), "verdicts": verdicts}
-
-
-def _empirical_std_rep(job):
-    cfg_dict, lo, hi, theta0, k, master, rep, warmup, price = job
-    cfg = ModelConfig(**cfg_dict).with_price(price)
-    fam = ExponentialFamily(ParamSpace([lo], [hi]))
-    # price folded into the seed key so each grid point gets its own stream
-    seed = rep_seed(master, k, rep, int(price * 1000))
-    path = simulate_path(
-        cfg,
-        fam,
-        [theta0],
-        SimOptions(steps=k, seed=seed, initial_state="stationary-warmup", warmup_steps=warmup),
-    )
-    fit = fit_mle(path, cfg, fam)
-    return float(fit.theta_hat[0]), bool(fit.boundary)
 
 
 def exp_std_vs_price(config: ExperimentConfig) -> dict:
@@ -397,21 +360,15 @@ def exp_std_vs_price(config: ExperimentConfig) -> dict:
         except (ValueError, RuntimeError):
             theory.append(float("nan"))
     path = _out(config, "std_vs_price.csv")
-    from .stationary import write_curve_csv
-
     with open(path, "w", newline="") as fh:
         write_curve_csv(fh, prices, theory, "std")
 
     empirical_rows = []
-    cfg_dict = dict(lam=config.lam, mu=config.mu, cost_c=config.cost_c, price=config.price)
     for k in config.sizes if (config.k or config.k_list) else (1000,):
-        for p in prices:
-            jobs = [
-                (cfg_dict, config.theta_lower, config.theta_upper, config.theta0, k,
-                 config.seed, rep, config.warmup_steps, float(p))
-                for rep in range(config.empirical_reps)
-            ]
-            fits = _pool_map(_empirical_std_rep, jobs, workers)
+        for index, p in enumerate(prices):
+            # the grid index keys the seed, so every price point has its own stream
+            jobs = _jobs(config, k, config.empirical_reps, index, price=float(p))
+            fits = _pool_map(_fit_rep, jobs, workers)
             interior = [t for t, boundary in fits if not boundary]
             if len(interior) >= 2:
                 emp = float(np.std(np.sqrt(k) * (np.array(interior) - config.theta0), ddof=1))
@@ -419,11 +376,7 @@ def exp_std_vs_price(config: ExperimentConfig) -> dict:
                 emp = float("nan")
             empirical_rows.append((float(p), k, emp, len(interior)))
     emp_path = _out(config, "std_vs_price_empirical.csv")
-    with open(emp_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["price", "k", "empirical_std", "fits_used"])
-        for row in empirical_rows:
-            w.writerow([repr(row[0]), row[1], repr(row[2]), row[3]])
+    _write_csv(emp_path, ["price", "k", "empirical_std", "fits_used"], empirical_rows)
     if config.fmt == "svg":
         svgplot.line(
             list(zip(prices.tolist(), theory)),
@@ -446,8 +399,6 @@ def exp_revenue_vs_price(config: ExperimentConfig) -> dict:
         except (ValueError, RuntimeError):
             values.append(float("nan"))
     path = _out(config, "revenue_vs_price.csv")
-    from .stationary import write_curve_csv
-
     with open(path, "w", newline="") as fh:
         write_curve_csv(fh, prices, values, "revenue")
     if config.fmt == "svg":

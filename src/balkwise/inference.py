@@ -22,7 +22,7 @@ from statistics import NormalDist
 import numpy as np
 from scipy.optimize import minimize
 
-from .model import ModelConfig, ValueFamily
+from .model import ModelConfig, StateTable, ValueFamily, grid_then_golden
 from .simulator import QueuePath
 
 
@@ -96,92 +96,79 @@ class _Counts:
         return _Counts(n_up, n_down, len(path))
 
 
-def _state_tables(theta, cfg: ModelConfig, fam: ValueFamily, qmax: int):
-    """Transition probabilities and their derivatives for states 1..qmax.
-
-    Returns (p_up, p_down, dp, d2p, informative) where dp has shape
-    (qmax, dim) and d2p (qmax, dim, dim); row 0 corresponds to state 1.
-    """
-    qs = np.arange(1, qmax + 1)
-    thresholds = cfg.price + (qs + 1) * cfg.cost_c / cfg.mu
-    surv = np.asarray(fam.sf(thresholds, theta), dtype=float)
-    lam_q = cfg.lam * surv
-    denom = cfg.mu + lam_q
-    p_up = lam_q / denom
-    p_down = cfg.mu / denom
-
-    dim = fam.dim
-    grads = np.asarray(fam.grad_cdf(thresholds, theta), dtype=float).reshape(len(qs), dim)
-    hesses = np.asarray(fam.hess_cdf(thresholds, theta), dtype=float).reshape(len(qs), dim, dim)
-    dp = (-cfg.mu * cfg.lam / denom**2)[:, None] * grads
-    d2p = (-cfg.mu * cfg.lam / denom**3)[:, None, None] * (
-        hesses * denom[:, None, None]
-        + 2.0 * cfg.lam * np.einsum("qj,ql->qjl", grads, grads)
-    )
-    informative = (surv > 0.0) & (surv < 1.0)
-    return p_up, p_down, dp, d2p, informative
-
-
 # States whose up-probability is this small contribute less than double
 # precision can register to the score and information; including them only
 # manufactures 0/0 from underflowed intermediates.
 _P_FLOOR = 1e-150
 
 
-def _loglik(counts: _Counts, theta, cfg, fam) -> float:
-    qmax = len(counts.n_up) - 1
-    if qmax < 1:
-        return 0.0
-    p_up, p_down, _, _, informative = _state_tables(theta, cfg, fam, qmax)
+def _table(counts: _Counts, theta, cfg, fam):
+    """Join-rule table of states 1..qmax, their up/down counts and live mask.
+
+    A state is live when the path left it and it is informative.  None when
+    the path never left the empty queue.
+    """
+    if len(counts.n_up) < 2:
+        return None
+    tab = StateTable(np.arange(1, len(counts.n_up)), theta, cfg, fam)
     up, down = counts.n_up[1:], counts.n_down[1:]
+    return tab, up, down, tab.informative & ((up > 0) | (down > 0))
+
+
+def _floored(counts: _Counts, theta, cfg, fam):
+    """_table restricted to live states with p_up above _P_FLOOR; None if none are."""
+    table = _table(counts, theta, cfg, fam)
+    if table is None:
+        return None
+    tab, up, down, live = table
+    live = live & (tab.p_up > _P_FLOOR)
+    if not live.any():
+        return None
+    return tab, live, up[live], down[live], tab.p_up[live, None], tab.p_down[live, None]
+
+
+def _loglik(counts: _Counts, theta, cfg, fam) -> float:
+    table = _table(counts, theta, cfg, fam)
+    if table is None:
+        return 0.0
+    tab, up, down, live = table
     # an up-move from a state nobody joins is impossible under theta
-    if np.any((p_up == 0.0) & (up > 0)):
+    if np.any((tab.p_up == 0.0) & (up > 0)):
         return -np.inf
-    live = informative & ((up > 0) | (down > 0))
     return float(
-        np.sum(up[live] * np.log(p_up[live])) + np.sum(down[live] * np.log(p_down[live]))
+        np.sum(up[live] * np.log(tab.p_up[live])) + np.sum(down[live] * np.log(tab.p_down[live]))
     )
 
 
 def _score(counts: _Counts, theta, cfg, fam) -> np.ndarray:
-    qmax = len(counts.n_up) - 1
-    out = np.zeros(fam.dim)
-    if qmax < 1:
-        return out
-    p_up, p_down, dp, _, informative = _state_tables(theta, cfg, fam, qmax)
-    up, down = counts.n_up[1:], counts.n_down[1:]
-    live = informative & ((up > 0) | (down > 0)) & (p_up > _P_FLOOR)
-    if not live.any():
-        return out
-    per_up = dp[live] / p_up[live, None]
-    per_down = dp[live] / p_down[live, None]
-    return (up[live, None] * per_up - down[live, None] * per_down).sum(axis=0) / counts.k
+    floored = _floored(counts, theta, cfg, fam)
+    if floored is None:
+        return np.zeros(fam.dim)
+    tab, live, up, down, p_up, p_down = floored
+    dp = tab.dp[live]
+    return (up[:, None] * (dp / p_up) - down[:, None] * (dp / p_down)).sum(axis=0) / counts.k
 
 
 def _information(counts: _Counts, theta, cfg, fam) -> np.ndarray:
-    qmax = len(counts.n_up) - 1
-    if qmax < 1:
+    floored = _floored(counts, theta, cfg, fam)
+    if floored is None:
         return np.zeros((fam.dim, fam.dim))
-    p_up, p_down, dp, d2p, informative = _state_tables(theta, cfg, fam, qmax)
-    up, down = counts.n_up[1:], counts.n_down[1:]
-    live = informative & ((up > 0) | (down > 0)) & (p_up > _P_FLOOR)
-    if not live.any():
-        return np.zeros((fam.dim, fam.dim))
-    outer = np.einsum("qj,ql->qjl", dp[live], dp[live])
-    up_term = d2p[live] / p_up[live, None, None] - outer / p_up[live, None, None] ** 2
-    down_term = d2p[live] / p_down[live, None, None] + outer / p_down[live, None, None] ** 2
-    jac = (
-        up[live, None, None] * up_term - down[live, None, None] * down_term
-    ).sum(axis=0) / counts.k
+    tab, live, up, down, p_up, p_down = floored
+    p_up, p_down = p_up[..., None], p_down[..., None]
+    dp, d2p = tab.dp[live], tab.d2p[live]
+    outer = np.einsum("qj,ql->qjl", dp, dp)
+    up_term = d2p / p_up - outer / p_up**2
+    down_term = d2p / p_down + outer / p_down**2
+    jac = (up[:, None, None] * up_term - down[:, None, None] * down_term).sum(axis=0) / counts.k
     return -jac
 
 
 def _effective(counts: _Counts, theta, cfg, fam) -> int:
-    qmax = len(counts.n_up) - 1
-    if qmax < 1:
+    table = _table(counts, theta, cfg, fam)
+    if table is None:
         return 0
-    _, _, _, _, informative = _state_tables(theta, cfg, fam, qmax)
-    return int((counts.n_up[1:] + counts.n_down[1:])[informative].sum())
+    _, up, down, live = table
+    return int((up + down)[live].sum())
 
 
 def log_likelihood(path: QueuePath, theta, cfg: ModelConfig, fam: ValueFamily) -> float:
@@ -222,38 +209,15 @@ def score_outer_product(
     """
     theta = fam.param_space.require(theta)
     counts = _Counts.of(path)
-    qmax = len(counts.n_up) - 1
-    if qmax < 1:
+    floored = _floored(counts, theta, cfg, fam)
+    if floored is None:
         return np.zeros((fam.dim, fam.dim))
-    p_up, p_down, dp, _, informative = _state_tables(theta, cfg, fam, qmax)
-    up, down = counts.n_up[1:], counts.n_down[1:]
-    live = informative & ((up > 0) | (down > 0)) & (p_up > _P_FLOOR)
-    if not live.any():
-        return np.zeros((fam.dim, fam.dim))
-    per_up = dp[live] / p_up[live, None]
-    per_down = dp[live] / p_down[live, None]
+    tab, live, up, down, p_up, p_down = floored
+    per_up, per_down = tab.dp[live] / p_up, tab.dp[live] / p_down
     return (
-        np.einsum("q,qj,ql->jl", up[live].astype(float), per_up, per_up)
-        + np.einsum("q,qj,ql->jl", down[live].astype(float), per_down, per_down)
+        np.einsum("q,qj,ql->jl", up.astype(float), per_up, per_up)
+        + np.einsum("q,qj,ql->jl", down.astype(float), per_down, per_down)
     ) / counts.k
-
-
-def _golden_max_scalar(func, lo: float, hi: float, tol: float) -> float:
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = func(x1), func(x2)
-    while b - a > tol:
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = func(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = func(x1)
-    return 0.5 * (a + b)
 
 
 BOUNDARY_RTOL = 1e-6
@@ -292,12 +256,7 @@ def fit_mle(
         def f(x):
             return _loglik(counts, np.array([x]), cfg, fam)
 
-        # coarse bracket scan guards against a misleading golden start
-        grid = np.linspace(lo, hi, 65)
-        values = np.array([f(x) for x in grid])
-        best = int(np.argmax(values))
-        a, b = grid[max(best - 1, 0)], grid[min(best + 1, len(grid) - 1)]
-        x = _golden_max_scalar(f, a, b, PARAM_TOL * width)
+        x = grid_then_golden(f, lo, hi, 65, PARAM_TOL * width)
         if init is not None and f(float(probe[0])) > f(x):
             x = float(probe[0])
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -202,20 +203,96 @@ class ExponentialFamily(ValueFamily):
         return -np.log1p(-u) / theta
 
 
+def _threshold(q, cfg: ModelConfig):
+    # Naor's join rule: a customer who finds q others joins iff value >= this
+    return cfg.price + (q + 1) * cfg.cost_c / cfg.mu
+
+
 def offered_reward(q, cfg: ModelConfig):
     """Minimum service value that makes joining rational at queue length q."""
     q = np.asarray(q)
     if np.any(q < 0):
         raise ValueError("queue length must be nonnegative")
-    out = cfg.price + (q + 1) * cfg.cost_c / cfg.mu
+    out = _threshold(q, cfg)
     return float(out) if out.ndim == 0 else out
+
+
+class StateTable:
+    """The join rule tabulated over an array of queue lengths ``q``.
+
+    ``thresholds`` -> survival ``surv`` -> joining rate ``lam_q`` are
+    computed on construction; the up/down probabilities of the jump chain,
+    the cdf gradient ``grad`` at the thresholds and the parameter
+    derivatives ``dp``/``d2p`` of the up-probability are computed on first
+    access, so a caller that needs only joining rates never evaluates the
+    rest.  From the empty queue every transition is a join: there p_up is 1
+    and its derivatives are 0.  theta is not validated here; callers do it
+    once.  For m states, ``grad`` and ``dp`` have shape ``(m, dim)`` and
+    ``d2p`` has shape ``(m, dim, dim)``.
+    """
+
+    def __init__(self, q, theta, cfg: ModelConfig, fam: ValueFamily):
+        self.q = np.atleast_1d(q)
+        self.theta, self.cfg, self.fam = theta, cfg, fam
+        self.thresholds = _threshold(self.q, cfg)
+        self.surv = np.asarray(fam.sf(self.thresholds, theta), dtype=float)
+        self.lam_q = cfg.lam * self.surv
+
+    @cached_property
+    def informative(self) -> np.ndarray:
+        """Transitions out of q depend on theta: q > 0 and 0 < surv < 1 exactly.
+
+        Exact on purpose: families that attain 0 or 1 do so structurally
+        (bounded support), not through round-off.
+        """
+        return (self.q > 0) & (self.surv > 0.0) & (self.surv < 1.0)
+
+    @cached_property
+    def _denom(self) -> np.ndarray:
+        return self.cfg.mu + self.lam_q
+
+    @cached_property
+    def p_up(self) -> np.ndarray:
+        return np.where(self.q == 0, 1.0, self.lam_q / self._denom)
+
+    @cached_property
+    def p_down(self) -> np.ndarray:
+        return np.where(self.q == 0, 0.0, self.cfg.mu / self._denom)
+
+    @cached_property
+    def grad(self) -> np.ndarray:
+        g = self.fam.grad_cdf(self.thresholds, self.theta)
+        return np.asarray(g, dtype=float).reshape(self.q.size, self.fam.dim)
+
+    @cached_property
+    def dp(self) -> np.ndarray:
+        dp = (-self.cfg.mu * self.cfg.lam / self._denom**2)[:, None] * self.grad
+        dp[self.q == 0] = 0.0
+        return dp
+
+    @cached_property
+    def d2p(self) -> np.ndarray:
+        dim, lam, denom = self.fam.dim, self.cfg.lam, self._denom
+        hess = np.asarray(self.fam.hess_cdf(self.thresholds, self.theta), dtype=float)
+        d2p = (-self.cfg.mu * lam / denom**3)[:, None, None] * (
+            hess.reshape(self.q.size, dim, dim) * denom[:, None, None]
+            + 2.0 * lam * np.einsum("qj,ql->qjl", self.grad, self.grad)
+        )
+        d2p[self.q == 0] = 0.0
+        return d2p
+
+
+def _at(q, theta, cfg: ModelConfig, fam: ValueFamily) -> StateTable:
+    """Validated table behind the public per-state functions."""
+    if np.any(np.asarray(q) < 0):
+        raise ValueError("queue length must be nonnegative")
+    return StateTable(q, fam.param_space.require(theta), cfg, fam)
 
 
 def joining_rate(q, theta, cfg: ModelConfig, fam: ValueFamily):
     """Effective arrival rate at queue length q: lam * P(value >= threshold)."""
-    theta = fam.param_space.require(theta)
-    out = cfg.lam * fam.sf(offered_reward(q, cfg), theta)
-    return float(out) if np.ndim(out) == 0 else out
+    out = _at(q, theta, cfg, fam).lam_q
+    return float(out[0]) if np.ndim(q) == 0 else out
 
 
 def up_probability(q: int, theta, cfg: ModelConfig, fam: ValueFamily) -> float:
@@ -224,13 +301,7 @@ def up_probability(q: int, theta, cfg: ModelConfig, fam: ValueFamily) -> float:
     From an empty queue every observed transition is a join, so the
     probability is 1 regardless of the parameter.
     """
-    if q == 0:
-        fam.param_space.require(theta)
-        return 1.0
-    rate = joining_rate(q, theta, cfg, fam)
-    if rate == 0.0:
-        return 0.0
-    return rate / (rate + cfg.mu)
+    return float(_at(q, theta, cfg, fam).p_up[0])
 
 
 def up_prob_grad(q: int, theta, cfg: ModelConfig, fam: ValueFamily) -> np.ndarray:
@@ -240,39 +311,45 @@ def up_prob_grad(q: int, theta, cfg: ModelConfig, fam: ValueFamily) -> np.ndarra
     so the gradient there is exactly zero; this keeps sums over a whole path
     equal to sums over the informative steps.
     """
-    theta = fam.param_space.require(theta)
-    if q == 0:
-        return np.zeros(fam.dim)
-    r = offered_reward(q, cfg)
-    denom = cfg.mu + cfg.lam * fam.sf(r, theta)
-    return -cfg.mu * cfg.lam * fam.grad_cdf(r, theta) / denom**2
+    return _at(q, theta, cfg, fam).dp[0]
 
 
 def up_prob_hess(q: int, theta, cfg: ModelConfig, fam: ValueFamily) -> np.ndarray:
     """Parameter Hessian of the up-transition probability (zero matrix at q=0)."""
-    theta = fam.param_space.require(theta)
-    if q == 0:
-        return np.zeros((fam.dim, fam.dim))
-    r = offered_reward(q, cfg)
-    grad = fam.grad_cdf(r, theta)
-    denom = cfg.mu + cfg.lam * fam.sf(r, theta)
-    numer = fam.hess_cdf(r, theta) * denom + 2.0 * cfg.lam * np.outer(grad, grad)
-    return -cfg.mu * cfg.lam * numer / denom**3
+    return _at(q, theta, cfg, fam).d2p[0]
 
 
 def is_informative(q: int, theta, cfg: ModelConfig, fam: ValueFamily) -> bool:
     """Whether a transition out of state q tells us anything about theta.
 
     True iff q > 0 and the balking probability at q is strictly between 0 and
-    1.  The comparison is exact on purpose: families that attain 0 or 1 do so
-    structurally (bounded support), not through round-off, and a tolerance
-    would silently drop valid data.  Evaluated through the survival function
+    1 (see StateTable.informative).  Evaluated through the survival function
     so that a survival probability below machine epsilon (where 1 - cdf
     would round to zero) still counts as informative.
     """
-    if q < 0:
-        raise ValueError("queue length must be nonnegative")
-    if q == 0:
-        return False
-    surv = fam.sf(offered_reward(q, cfg), fam.param_space.require(theta))
-    return 0.0 < surv < 1.0
+    return bool(_at(q, theta, cfg, fam).informative[0])
+
+
+def grid_then_golden(func, lo: float, hi: float, grid: int, tol: float) -> float:
+    """Maximize func on [lo, hi]: grid scan, then golden section in the best bracket.
+
+    The grid guards against a misleading golden start; the search stops once
+    the bracket is narrower than tol * max(1, |a| + |b|).
+    """
+    points = np.linspace(lo, hi, grid)
+    best = int(np.argmax([func(p) for p in points]))
+    a, b = points[max(best - 1, 0)], points[min(best + 1, grid - 1)]
+    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    x1 = b - invphi * (b - a)
+    x2 = a + invphi * (b - a)
+    f1, f2 = func(x1), func(x2)
+    while b - a > tol * max(1.0, abs(a) + abs(b)):
+        if f1 < f2:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + invphi * (b - a)
+            f2 = func(x2)
+        else:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - invphi * (b - a)
+            f1 = func(x1)
+    return 0.5 * (a + b)

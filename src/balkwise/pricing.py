@@ -28,7 +28,7 @@ import numpy as np
 
 from .inference import fit_mle
 from .model import ModelConfig, ValueFamily
-from .simulator import QueuePath, _informative_mask, _walk, concat_paths
+from .simulator import QueuePath, build_path, concat_paths
 from .stationary import expected_revenue, optimal_price
 
 
@@ -57,24 +57,18 @@ class SimulatedSource:
         if steps < 1:
             raise ValueError("steps must be >= 1")
         cfg = self.cfg_base.with_price(price)
-        states, lam_tab = _walk(self.rng, steps, self.state, self.theta0, cfg, self.fam)
-        pre = states[:-1]
-        ups = states[1:] > pre
-        exit_rates = np.where(pre > 0, lam_tab[pre] + cfg.mu, lam_tab[0])
-        holds = self.rng.standard_exponential(steps) / exit_rates
-        self.state = int(states[-1])
-        return QueuePath(
-            states=states,
-            ups=ups,
-            holds=holds,
-            revenue=cfg.price * int(ups.sum()),
-            total_time=float(holds.sum()),
-            informative_mask=_informative_mask(pre, self.theta0, cfg, self.fam),
-        )
+        path = build_path(self.rng, self.state, 0, steps, self.theta0, cfg, self.fam)
+        self.state = int(path.states[-1])
+        return path
 
 
 _SCHEDULES = ("increment", "doubling", "custom")
 _BOUNDARY_POLICIES = ("retry", "skip")
+# Under the "retry" policy an iteration may buy at most this many times its
+# minimum observation count in retries (and at least boundary_retry_floor).
+BOUNDARY_RETRY_FACTOR = 10
+# Tail mass left out when the stationary law is truncated for a price search.
+TRUNC_EPS = 1e-12
 
 
 @dataclass(frozen=True)
@@ -94,12 +88,15 @@ class PricingConfig:
     boundary_policy says what a batch without an interior estimate (a
     boundary fit, or no informative transition) does.  "retry", the default,
     collects one more observation at a time and refits; the retries count
-    toward k_i and the budget, and are capped at boundary_retry_factor times
+    toward k_i and the budget, and are capped at BOUNDARY_RETRY_FACTOR times
     the iteration minimum, with a floor so tiny early batches still get
     enough room, after which the run raises RuntimeError.  "skip" records
     the batch as an iteration of exactly its nominal minimum whose estimate
     gets weight zero in the pool; the price is held until an interior fit
     exists.  The pricing-tables experiment driver uses "skip".
+
+    Each repricing searches optimal_price's default price range, with the
+    stationary law truncated at tail mass TRUNC_EPS.
     """
 
     initial_price: float
@@ -108,11 +105,8 @@ class PricingConfig:
     growth_multiplier: Optional[float] = None
     tol: float = 0.01
     max_iterations: int = 10_000
-    price_bounds: Optional[tuple[float, float]] = None
     max_observations: Optional[int] = None
-    boundary_retry_factor: int = 10
     boundary_retry_floor: int = 100
-    trunc_eps: float = 1e-12
     delta_mode: str = "iteration"
     grow_on: str = "actual"
     boundary_policy: str = "retry"
@@ -153,7 +147,9 @@ class IterationRecord:
     pooled says whether theta_i entered the pooled estimate; a batch skipped
     under the "skip" boundary policy has pooled=False and a theta_i that is
     its boundary fit, or NaN when the batch had no informative transition.
-    theta_pooled is NaN until some batch has entered the pool.
+    theta_pooled is NaN until some batch has entered the pool; delta is +inf
+    until then and whenever the gap revenue is zero.  The JSON form writes a
+    NaN estimate and an infinite delta as null.
     """
 
     index: int
@@ -207,7 +203,7 @@ class PricingTrace:
                         "theta_pooled": _theta_json(r.theta_pooled),
                         "price_used": r.price_used,
                         "price_next": r.price_next,
-                        "delta": r.delta,
+                        "delta": r.delta if math.isfinite(r.delta) else None,
                         "revenue": r.revenue_pi,
                         "time": r.time_ti,
                         "boundary_retries": r.boundary_retries,
@@ -300,7 +296,7 @@ def run_pricing(
         cfg_i = cfg_base.with_price(price)
         path = source.collect(price, k_min)
         retries = 0
-        retry_cap = max(pcfg.boundary_retry_factor * k_min, pcfg.boundary_retry_floor)
+        retry_cap = max(BOUNDARY_RETRY_FACTOR * k_min, pcfg.boundary_retry_floor)
         while True:
             try:
                 fit = fit_mle(path, cfg_i, fam)
@@ -334,9 +330,7 @@ def run_pricing(
         if interior or any(r.pooled for r in records):
             theta_pool = pooled_theta([*records, record])
             if interior:
-                price_next = optimal_price(
-                    theta_pool, cfg_base, fam, bounds=pcfg.price_bounds, eps=pcfg.trunc_eps
-                )
+                price_next = optimal_price(theta_pool, cfg_base, fam, eps=TRUNC_EPS)
             else:
                 price_next = price  # a skipped batch leaves the pool, so the price, as it was
             if pcfg.delta_mode == "cumulative":
@@ -345,7 +339,7 @@ def run_pricing(
             else:
                 gap_revenue, gap_time = path.revenue, path.total_time
             delta = revenue_gap(
-                gap_revenue, gap_time, theta_pool, price_next, cfg_base, fam, eps=pcfg.trunc_eps
+                gap_revenue, gap_time, theta_pool, price_next, cfg_base, fam, eps=TRUNC_EPS
             )
             record = replace(record, theta_pooled=theta_pool, price_next=price_next, delta=delta)
         records.append(record)

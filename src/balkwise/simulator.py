@@ -15,7 +15,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .model import ModelConfig, ValueFamily, offered_reward
+from .model import ModelConfig, StateTable, ValueFamily, offered_reward
 
 STATIONARY_WARMUP = "stationary-warmup"
 DEFAULT_WARMUP_STEPS = 1000
@@ -53,17 +53,21 @@ class QueuePath:
         return self.states[:-1]
 
     def validate(self) -> None:
-        """Check the structural invariants; raises AssertionError on breach."""
+        """Check the structural invariants; raises ValueError naming the first broken one."""
         k = len(self.ups)
-        assert self.states.shape == (k + 1,)
-        assert self.holds.shape == (k,)
+        if self.states.shape != (k + 1,) or self.holds.shape != (k,):
+            raise ValueError(f"a path of {k} transitions needs {k + 1} states and {k} holds")
         steps = np.diff(self.states)
-        assert np.all(np.abs(steps) == 1)
-        assert np.all(self.states >= 0)
-        assert np.all(self.ups == (steps > 0))
-        assert np.all(self.ups[self.pre_states == 0])
-        assert np.all(self.holds >= 0)
-        assert np.isclose(self.total_time, float(self.holds.sum()))
+        checks = (
+            (np.all(np.abs(steps) == 1), "each transition moves the state by exactly 1"),
+            (np.all(self.states >= 0), "states are nonnegative"),
+            (np.all(self.ups == (steps > 0)), "each up flag matches its state change"),
+            (np.all(self.holds >= 0), "holding times are nonnegative"),
+            (np.isclose(self.total_time, float(self.holds.sum())), "total time is the sum of holds"),
+        )
+        for ok, invariant in checks:
+            if not ok:
+                raise ValueError(f"invalid path: {invariant}")
 
     def to_csv(self, fileobj) -> None:
         """Serialize as ``step,state,up,hold``; row 0 carries the initial state."""
@@ -85,7 +89,8 @@ class QueuePath:
         """Rebuild a path from its CSV form.
 
         Revenue needs the price, so it is zero unless ``cfg`` is given; the
-        informative mask needs the family and a parameter as well.
+        informative mask needs the family and a parameter as well.  Raises
+        ValueError when the rows do not form a valid path.
         """
         reader = csv.reader(fileobj)
         header = next(reader)
@@ -103,8 +108,10 @@ class QueuePath:
         revenue = cfg.price * int(ups.sum()) if cfg is not None else 0.0
         mask = None
         if cfg is not None and fam is not None and theta is not None:
-            mask = _informative_mask(states[:-1], theta, cfg, fam)
-        return QueuePath(states, ups, holds, revenue, float(holds.sum()), mask)
+            mask = StateTable(states[:-1], theta, cfg, fam).informative
+        path = QueuePath(states, ups, holds, revenue, float(holds.sum()), mask)
+        path.validate()
+        return path
 
 
 def concat_paths(first: QueuePath, second: QueuePath) -> QueuePath:
@@ -159,30 +166,22 @@ class SimOptions:
         return int(self.initial_state), int(self.warmup_steps or 0)
 
 
-def _joining_rates(theta, cfg: ModelConfig, fam: ValueFamily, lo: int, hi: int) -> np.ndarray:
-    """Joining rate for states lo..hi-1, vectorized."""
-    q = np.arange(lo, hi)
-    thresholds = cfg.price + (q + 1) * cfg.cost_c / cfg.mu
-    return cfg.lam * np.asarray(fam.sf(thresholds, theta), dtype=float)
-
-
-def _informative_mask(pre_states, theta, cfg: ModelConfig, fam: ValueFamily) -> np.ndarray:
-    surv = np.asarray(fam.sf(offered_reward(pre_states, cfg), theta), dtype=float)
-    return (pre_states > 0) & (surv > 0.0) & (surv < 1.0)
-
-
 def _walk(rng, steps: int, start: int, theta, cfg: ModelConfig, fam: ValueFamily):
-    """Run the jump chain for ``steps`` transitions; returns (states, lam_table)."""
-    mu = cfg.mu
+    """Run the jump chain for ``steps`` transitions.
+
+    Returns the states and the per-state table columns (joining rate,
+    informative flag) over states 0..at least the highest one visited.
+    """
     lam_tab: list[float] = []
     pup: list[float] = []
+    informative: list[bool] = []
 
     def grow(upto: int) -> None:
         lo = len(lam_tab)
-        hi = max(upto, lo + 64)
-        rates = _joining_rates(theta, cfg, fam, lo, hi)
-        lam_tab.extend(rates.tolist())
-        pup.extend((rates / (rates + mu)).tolist())
+        tab = StateTable(np.arange(lo, max(upto, lo + 64)), theta, cfg, fam)
+        lam_tab.extend(tab.lam_q.tolist())
+        pup.extend(tab.p_up.tolist())
+        informative.extend(tab.informative.tolist())
 
     grow(start + 2)
     if lam_tab[0] <= 0.0:
@@ -204,7 +203,34 @@ def _walk(rng, steps: int, start: int, theta, cfg: ModelConfig, fam: ValueFamily
         else:
             q -= 1
         states[i + 1] = q
-    return states, np.asarray(lam_tab)
+    return states, np.asarray(lam_tab), np.asarray(informative)
+
+
+def build_path(
+    rng, start: int, warmup: int, steps: int, theta, cfg: ModelConfig, fam: ValueFamily
+) -> QueuePath:
+    """Walk ``warmup + steps`` transitions from ``start`` and keep the last ``steps``.
+
+    The jump chain consumes one uniform per transition, then the holding
+    times one standard exponential each, both from ``rng``; the caller owns
+    the generator, so consecutive calls continue one random stream.
+    """
+    all_states, lam_tab, informative = _walk(rng, warmup + steps, start, theta, cfg, fam)
+    states = all_states[warmup:]
+    pre = states[:-1]
+    ups = states[1:] > pre
+
+    exit_rates = np.where(pre > 0, lam_tab[pre] + cfg.mu, lam_tab[0])
+    holds = rng.standard_exponential(steps) / exit_rates
+
+    return QueuePath(
+        states=states,
+        ups=ups,
+        holds=holds,
+        revenue=cfg.price * int(ups.sum()),
+        total_time=float(holds.sum()),
+        informative_mask=informative[pre],
+    )
 
 
 def simulate_path(
@@ -220,24 +246,7 @@ def simulate_path(
     """
     theta0 = fam.param_space.require(theta0)
     start, warmup = opts.resolve()
-    rng = np.random.default_rng(opts.seed)
-
-    all_states, lam_tab = _walk(rng, warmup + opts.steps, start, theta0, cfg, fam)
-    states = all_states[warmup:]
-    pre = states[:-1]
-    ups = states[1:] > pre
-
-    exit_rates = np.where(pre > 0, lam_tab[pre] + cfg.mu, lam_tab[0])
-    holds = rng.standard_exponential(opts.steps) / exit_rates
-
-    return QueuePath(
-        states=states,
-        ups=ups,
-        holds=holds,
-        revenue=cfg.price * int(ups.sum()),
-        total_time=float(holds.sum()),
-        informative_mask=_informative_mask(pre, theta0, cfg, fam),
-    )
+    return build_path(np.random.default_rng(opts.seed), start, warmup, opts.steps, theta0, cfg, fam)
 
 
 def simulate_full_arrivals(
@@ -252,7 +261,7 @@ def simulate_full_arrivals(
     equivalence;prefer simulate_path for anything long.
     """
     theta0 = fam.param_space.require(theta0)
-    if float(fam.sf(offered_reward(0, cfg), theta0)) <= 0.0:
+    if StateTable(0, theta0, cfg, fam).surv[0] <= 0.0:
         raise AbsorbingStateError(
             "no customer ever joins the empty queue (joining rate 0 at state 0)"
         )
@@ -261,7 +270,6 @@ def simulate_full_arrivals(
     total = warmup + opts.steps
 
     states = np.empty(total + 1, dtype=np.int64)
-    ups = np.empty(total, dtype=bool)
     holds = np.empty(total, dtype=float)
 
     states[0] = q = start
@@ -276,36 +284,30 @@ def simulate_full_arrivals(
             now = next_arrival
             next_arrival = now + rng.exponential(1.0 / cfg.lam)
             value = fam.quantile(rng.random(), theta0)
-            if value >= offered_reward(q, cfg):
-                q += 1
-                if q == 1:
-                    next_departure = now + rng.exponential(1.0 / cfg.mu)
-                states[recorded + 1] = q
-                ups[recorded] = True
-                holds[recorded] = now - last_transition
-                last_transition = now
-                recorded += 1
+            if value < offered_reward(q, cfg):
+                continue  # a balking customer leaves no trace
+            q += 1
+            if q == 1:
+                next_departure = now + rng.exponential(1.0 / cfg.mu)
         else:
             now = next_departure
             q -= 1
             next_departure = now + rng.exponential(1.0 / cfg.mu) if q > 0 else np.inf
-            states[recorded + 1] = q
-            ups[recorded] = False
-            holds[recorded] = now - last_transition
-            last_transition = now
-            recorded += 1
+        states[recorded + 1] = q
+        holds[recorded] = now - last_transition
+        last_transition = now
+        recorded += 1
 
     states = states[warmup:]
-    ups = ups[warmup:]
     holds = holds[warmup:]
-    pre = states[:-1]
+    ups = states[1:] > states[:-1]
     return QueuePath(
         states=states,
         ups=ups,
         holds=holds,
         revenue=cfg.price * int(ups.sum()),
         total_time=float(holds.sum()),
-        informative_mask=_informative_mask(pre, theta0, cfg, fam),
+        informative_mask=StateTable(states[:-1], theta0, cfg, fam).informative,
     )
 
 

@@ -17,9 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelConfig, ValueFamily
+from .model import ModelConfig, StateTable, ValueFamily, grid_then_golden
 
 STATE_CAP = 10**6
+GOLDEN_TOL = 1e-9  # relative bracket width at which a price search stops
 
 
 class TruncationError(RuntimeError):
@@ -48,18 +49,12 @@ def stationary_weights(theta, cfg: ModelConfig, fam: ValueFamily, qmax: int) -> 
     iteratively, never re-multiplying full products.
     """
     theta = fam.param_space.require(theta)
-    rates = _joining_rates(theta, cfg, fam, 0, qmax + 1)
+    rates = StateTable(np.arange(qmax + 1), theta, cfg, fam).lam_q
     out = np.empty(qmax + 1)
     out[0] = 1.0
     if qmax >= 1:
         np.cumprod(rates[:-1] / cfg.mu, out=out[1:])
     return out
-
-
-def _joining_rates(theta, cfg: ModelConfig, fam: ValueFamily, lo: int, hi: int) -> np.ndarray:
-    q = np.arange(lo, hi)
-    thresholds = cfg.price + (q + 1) * cfg.cost_c / cfg.mu
-    return cfg.lam * np.asarray(fam.sf(thresholds, theta), dtype=float)
 
 
 def _truncated_tables(theta, cfg: ModelConfig, fam: ValueFamily, eps: float):
@@ -75,7 +70,7 @@ def _truncated_tables(theta, cfg: ModelConfig, fam: ValueFamily, eps: float):
         raise ValueError("tail tolerance must lie in (0, 1)")
     mu = cfg.mu
     size = 128
-    lam_q = _joining_rates(theta, cfg, fam, 0, size)
+    lam_q = StateTable(np.arange(size), theta, cfg, fam).lam_q
     if lam_q[0] <= 0.0:
         raise ValueError("joining rate at the empty queue is zero")
     while True:
@@ -94,9 +89,8 @@ def _truncated_tables(theta, cfg: ModelConfig, fam: ValueFamily, eps: float):
                 "the chain does not appear to balk"
             )
         new_size = min(2 * len(lam_q), STATE_CAP)
-        lam_q = np.concatenate(
-            [lam_q, _joining_rates(theta, cfg, fam, len(lam_q), new_size)]
-        )
+        more = StateTable(np.arange(len(lam_q), new_size), theta, cfg, fam).lam_q
+        lam_q = np.concatenate([lam_q, more])
 
 
 def stationary_distribution(
@@ -172,24 +166,22 @@ def theoretical_sigma(
     theta = fam.param_space.require(theta)
     dist = stationary_distribution(theta, cfg, fam, eps=eps, weighting=weighting)
     if accounting == "transition":
-        qs = np.arange(1, dist.qstar + 1)
         probs = dist.probs[1:]
-        thresholds = cfg.price + (qs + 1) * cfg.cost_c / cfg.mu
+        pre = np.arange(1, dist.qstar + 1)
     elif accounting == "occupancy":
-        qs = np.arange(0, dist.qstar + 1)
+        # the arrival that fills state q found q - 1 others (state 0: pre-state -1)
         probs = dist.probs
-        thresholds = cfg.price + qs * cfg.cost_c / cfg.mu
+        pre = np.arange(-1, dist.qstar)
     else:
         raise ValueError(f"unknown accounting {accounting!r}")
-    if qs.size == 0:
+    if pre.size == 0:
         return np.zeros((fam.dim, fam.dim))
-    surv = np.asarray(fam.sf(thresholds, theta), dtype=float)
-    grads = np.asarray(fam.grad_cdf(thresholds, theta), dtype=float).reshape(qs.size, fam.dim)
-    denom = cfg.mu + cfg.lam * surv
+    tab = StateTable(pre, theta, cfg, fam)
+    surv, denom = tab.surv, cfg.mu + tab.lam_q
     live = surv > 0.0
-    coeff = np.zeros(qs.size)
+    coeff = np.zeros(pre.size)
     coeff[live] = probs[live] * cfg.mu * cfg.lam / (surv[live] * denom[live] ** 2)
-    return np.einsum("q,qj,ql->jl", coeff, grads, grads)
+    return np.einsum("q,qj,ql->jl", coeff, tab.grad, tab.grad)
 
 
 def asymptotic_std(
@@ -222,31 +214,12 @@ def asymptotic_std(
     return np.sqrt(diag)
 
 
-def _golden_max(func, lo: float, hi: float, tol: float = 1e-9) -> float:
-    """Golden-section maximizer on [lo, hi] for a unimodal function."""
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = func(x1), func(x2)
-    while b - a > tol * max(1.0, abs(a) + abs(b)):
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = func(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = func(x1)
-    return 0.5 * (a + b)
-
-
 def price_upper_bound(theta, cfg: ModelConfig, fam: ValueFamily, frac: float = 1e-6) -> float:
     """Smallest price at which effectively nobody joins the empty queue."""
     theta = fam.param_space.require(theta)
 
     def rate0(p: float) -> float:
-        return _joining_rates(theta, cfg.with_price(p), fam, 0, 1)[0]
+        return StateTable(0, theta, cfg.with_price(p), fam).lam_q[0]
 
     target = frac * cfg.lam
     hi = 1.0
@@ -264,17 +237,6 @@ def price_upper_bound(theta, cfg: ModelConfig, fam: ValueFamily, frac: float = 1
     return hi
 
 
-def _grid_then_golden(func, bounds: tuple[float, float], grid: int = 256) -> float:
-    """Coarse grid scan followed by golden-section refinement in the best bracket."""
-    lo, hi = bounds
-    points = np.linspace(lo, hi, grid)
-    values = np.array([func(p) for p in points])
-    best = int(np.argmax(values))
-    a = points[max(best - 1, 0)]
-    b = points[min(best + 1, grid - 1)]
-    return _golden_max(func, a, b)
-
-
 def optimal_price(
     theta,
     cfg: ModelConfig,
@@ -286,8 +248,8 @@ def optimal_price(
     """Revenue-maximizing price for the given parameter."""
     if bounds is None:
         bounds = (0.01, price_upper_bound(theta, cfg, fam))
-    return _grid_then_golden(
-        lambda p: expected_revenue(p, theta, cfg, fam, eps=eps), bounds, grid
+    return grid_then_golden(
+        lambda p: expected_revenue(p, theta, cfg, fam, eps=eps), *bounds, grid, GOLDEN_TOL
     )
 
 
@@ -304,14 +266,15 @@ def min_std_price(
     """Price that minimizes the asymptotic estimation standard deviation."""
     if bounds is None:
         bounds = (0.01, price_upper_bound(theta, cfg, fam))
-    return _grid_then_golden(
+    return grid_then_golden(
         lambda p: -float(
             asymptotic_std(
                 p, theta, cfg, fam, eps=eps, weighting=weighting, accounting=accounting
             )[0]
         ),
-        bounds,
+        *bounds,
         grid,
+        GOLDEN_TOL,
     )
 
 

@@ -116,6 +116,21 @@ def test_validation_errors_exit_one(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "rows",
+    [
+        "0,0,,\n1,1,1,0.5\n2,3,1,0.2\n",  # the state jumps from 1 to 3
+        "0,0,,\n1,1,1,0.5\n2,2,0,-0.3\n",  # up flag contradicts the move, negative hold
+    ],
+    ids=["state-jump", "up-flag-and-negative-hold"],
+)
+def test_fit_rejects_invalid_path_csv(tmp_path, capsys, rows):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("step,state,up,hold\n" + rows)
+    assert run_cli(["fit", "--input", str(bad)]) == 1
+    assert "invalid path" in capsys.readouterr().err
+
+
 def test_runtime_errors_exit_two(monkeypatch, capsys):
     def boom(args):
         raise RuntimeError("engineered failure")

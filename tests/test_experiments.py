@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from balkwise import experiments
 from balkwise.experiments import (
     ExperimentConfig,
     TABLE_ROW_LABELS,
@@ -203,6 +204,22 @@ def test_std_vs_price_driver(tmp_path):
     # on average; check it is at least finite and positive here
     for row in erows[1:]:
         assert float(row[2]) > 0
+
+
+def test_std_vs_price_seeds_each_grid_point(tmp_path, monkeypatch):
+    # 10.0 and 10.0004 agree to three decimals; each still needs its own stream
+    seeds = []
+    simulate = experiments.simulate_path
+
+    def spy(cfg, fam, theta0, opts):
+        seeds.append(tuple(opts.seed.generate_state(4)))
+        return simulate(cfg, fam, theta0, opts)
+
+    monkeypatch.setattr(experiments, "simulate_path", spy)
+    _run(tmp_path, experiment="std-vs-price", price_grid=(10.0, 10.0004, 2), k=200,
+         empirical_reps=3, replications=1, seed=3)
+    assert len(seeds) == 6
+    assert len(set(seeds)) == 6
 
 
 def test_pricing_tables_driver(tmp_path):

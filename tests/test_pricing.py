@@ -240,13 +240,13 @@ def test_skipped_uninformative_batch_serializes(expo_worked):
     trace.to_csv(buf)
     assert len(buf.getvalue().splitlines()) == len(trace.records) + 1
 
-    def no_nan(token):
-        assert token != "NaN", "bare NaN in trace JSON"
-        return float(token)
+    def strict(token):
+        raise AssertionError(f"non-finite constant {token} in trace JSON")
 
-    payload = json.loads(trace.to_json(), parse_constant=no_nan)
+    payload = json.loads(trace.to_json(), parse_constant=strict)
     assert payload["records"][0]["theta_i"] == [None]
     assert payload["records"][0]["theta_pooled"] == [None]
+    assert payload["records"][0]["delta"] is None  # no pooled estimate yet: infinite gap
     assert [r.get("pooled", True) for r in payload["records"]] == [r.pooled for r in trace.records]
 
     m = trace_metrics(trace, [0.02], BASE, expo_worked)

@@ -178,6 +178,40 @@ def test_csv_rejects_bad_header():
         QueuePath.from_csv(io.StringIO("a,b,c\n"))
 
 
+def _raw_path(states=(0, 1, 2, 1), ups=(True, True, False), holds=(0.5, 0.2, 0.3), total_time=None):
+    holds = np.asarray(holds, dtype=float)
+    return QueuePath(
+        states=np.asarray(states, dtype=np.int64),
+        ups=np.asarray(ups, dtype=bool),
+        holds=holds,
+        revenue=0.0,
+        total_time=float(holds.sum()) if total_time is None else total_time,
+    )
+
+
+@pytest.mark.parametrize(
+    "change, invariant",
+    [
+        (dict(holds=(0.5, 0.2)), "needs 4 states and 3 holds"),
+        (dict(states=(0, 1, 3, 2)), "moves the state by exactly 1"),
+        (dict(states=(1, 0, -1, 0), ups=(False, False, True)), "states are nonnegative"),
+        (dict(ups=(True, False, False)), "up flag matches its state change"),
+        (dict(holds=(0.5, -0.2, 0.3)), "holding times are nonnegative"),
+        (dict(total_time=5.0), "total time is the sum of holds"),
+    ],
+)
+def test_validate_names_broken_invariant(change, invariant):
+    _raw_path().validate()
+    with pytest.raises(ValueError, match=invariant):
+        _raw_path(**change).validate()
+
+
+def test_csv_import_validates():
+    rows = "step,state,up,hold\n0,0,,\n1,1,1,0.5\n2,3,1,0.2\n"
+    with pytest.raises(ValueError, match="exactly 1"):
+        QueuePath.from_csv(io.StringIO(rows))
+
+
 def test_concat_paths(anchor_cfg, expo):
     a = make_path([0, 1, 2], price=15.0)
     b = make_path([2, 1, 0], price=15.0)

@@ -1,0 +1,173 @@
+"""Print one sha256 per seeded output of balkwise, to compare two checkouts.
+
+Runs the six experiment drivers at small configurations with workers=1, and
+hashes simulated paths, fits, information matrices, price searches and
+pricing-loop traces under both boundary policies.  Two checkouts whose
+outputs agree print the same lines, so a refactor that must keep seeded
+results byte-identical can be checked with
+
+    PYTHONPATH=src python tools/output_digest.py > new.txt
+    PYTHONPATH=<other checkout>/src python tools/output_digest.py > old.txt
+    diff old.txt new.txt
+
+``--dump DIR`` also writes each hashed output to DIR/<name>, so outputs that
+differ can be compared value by value.  Needs only the standard library and
+balkwise itself.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+import balkwise
+from balkwise import (
+    ExperimentConfig,
+    ExponentialFamily,
+    ModelConfig,
+    ParamSpace,
+    PricingConfig,
+    SimOptions,
+    SimulatedSource,
+    asymptotic_std,
+    expected_revenue,
+    fit_mle,
+    log_likelihood,
+    min_std_price,
+    observed_information,
+    optimal_price,
+    run_experiment,
+    run_pricing,
+    score,
+    score_outer_product,
+    simulate_full_arrivals,
+    simulate_path,
+    stationary_distribution,
+    theoretical_sigma,
+    up_prob_grad,
+    up_prob_hess,
+    up_probability,
+)
+
+CFG = ModelConfig(lam=1.0, mu=1.0, cost_c=1.0, price=15.0)
+FAM = ExponentialFamily(ParamSpace([1e-3], [5.0]))
+FAM_WORKED = ExponentialFamily(ParamSpace([0.01], [5.0]))
+
+DRIVER_CONFIGS = {
+    "score-convergence": dict(k_list=(200, 1000), replications=30),
+    "consistency": dict(k_list=(200, 1000), replications=20),
+    "normality": dict(k=2000, replications=25),
+    "std-vs-price": dict(k=500, price_grid=(5.0, 60.0, 6), empirical_reps=5),
+    "revenue-vs-price": dict(),
+    "pricing-tables": dict(pricing_runs=3),
+}
+
+
+def _path_bytes(path) -> bytes:
+    mask = b"" if path.informative_mask is None else path.informative_mask.tobytes()
+    return b"|".join([path.states.tobytes(), path.ups.tobytes(), path.holds.tobytes(), mask,
+                      repr((path.revenue, path.total_time)).encode()])
+
+
+def _array_bytes(*arrays) -> bytes:
+    return b"|".join(a.tobytes() for a in arrays)
+
+
+def outputs():
+    """Yield (name, bytes) for every seeded output this script covers."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, extra in DRIVER_CONFIGS.items():
+            out = Path(tmp) / name
+            run_experiment(ExperimentConfig(experiment=name, seed=3, workers=1,
+                                            out_dir=str(out), **extra))
+            for file in sorted(out.iterdir()):
+                yield f"experiment/{name}/{file.name}", file.read_bytes()
+
+    paths = {}
+    for theta0 in (0.02, 0.3, 1.0, 3.0):
+        for seed in (1, 2):
+            opts = SimOptions(steps=2000, seed=seed, initial_state="stationary-warmup")
+            path = simulate_path(CFG, FAM, [theta0], opts)
+            paths[theta0, seed] = path
+            yield f"path/theta{theta0}-seed{seed}", _path_bytes(path)
+    yield "path/full-arrivals", _path_bytes(
+        simulate_full_arrivals(CFG, FAM, [0.02], SimOptions(steps=500, seed=4, warmup_steps=50)))
+    source = SimulatedSource(CFG, FAM, [0.02], seed=5)
+    for i, (price, steps) in enumerate([(15.0, 50), (30.0, 1), (60.0, 200), (5.0, 20)]):
+        yield f"path/collect{i}", _path_bytes(source.collect(price, steps))
+
+    for (theta0, seed), path in paths.items():
+        fit = fit_mle(path, CFG, FAM)
+        yield f"fit/theta{theta0}-seed{seed}", fit.to_json().encode()
+        at = [theta0]
+        yield f"likelihood/theta{theta0}-seed{seed}", _array_bytes(
+            score(path, at, CFG, FAM), observed_information(path, at, CFG, FAM),
+            score_outer_product(path, at, CFG, FAM)) + repr(log_likelihood(path, at, CFG, FAM)).encode()
+
+    for theta in (0.02, 0.1, 0.5):
+        yield f"sigma/theta{theta}", _array_bytes(
+            theoretical_sigma([theta], CFG, FAM),
+            theoretical_sigma([theta], CFG, FAM, weighting="time", accounting="occupancy"),
+            asymptotic_std(30.0, [theta], CFG, FAM))
+        for weighting in ("time", "jump"):
+            dist = stationary_distribution([theta], CFG, FAM, weighting=weighting)
+            yield f"stationary/theta{theta}-{weighting}", dist.probs.tobytes() + repr(
+                (dist.qstar, dist.tail_bound)).encode()
+        yield f"price/theta{theta}", repr((
+            optimal_price([theta], CFG, FAM),
+            min_std_price([theta], CFG, FAM),
+            expected_revenue(20.0, [theta], CFG, FAM),
+        )).encode()
+
+    for theta in (0.02, 0.5):
+        per_state = [(up_probability(q, [theta], CFG, FAM), up_prob_grad(q, [theta], CFG, FAM),
+                      up_prob_hess(q, [theta], CFG, FAM)) for q in range(30)]
+        yield f"up_probability/theta{theta}", repr([p for p, _, _ in per_state]).encode()
+        yield f"up_prob_grad/theta{theta}", _array_bytes(*(g for _, g, _ in per_state))
+        yield f"up_prob_hess/theta{theta}", _array_bytes(*(h for _, _, h in per_state))
+
+    cases = [
+        ("increment", dict(initial_price=15.0, k1_min=2, schedule="increment",
+                           max_observations=400, grow_on="nominal", delta_mode="cumulative")),
+        ("doubling", dict(initial_price=100.0, k1_min=100, schedule="doubling",
+                          max_observations=1530, grow_on="nominal", delta_mode="cumulative")),
+        ("high-price", dict(initial_price=120.0, k1_min=2, schedule="increment",
+                            max_observations=300)),
+    ]
+    for name, kwargs in cases:
+        for policy in ("retry", "skip"):
+            for seed in (1, 2):
+                pcfg = PricingConfig(tol=0.01, boundary_policy=policy, **kwargs)
+                try:
+                    trace = run_pricing(CFG, FAM_WORKED, pcfg, theta0=[0.02], seed=seed)
+                except RuntimeError as exc:
+                    yield f"pricing/{name}-{policy}-seed{seed}", repr(exc).encode()
+                    continue
+                buf = io.StringIO()
+                trace.to_csv(buf)
+                yield f"pricing/{name}-{policy}-seed{seed}.json", trace.to_json().encode()
+                yield f"pricing/{name}-{policy}-seed{seed}.csv", buf.getvalue().encode()
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--dump", type=Path, default=None,
+                        help="also write each output to this directory")
+    args = parser.parse_args(argv)
+    print(f"# balkwise {balkwise.__version__} from {Path(balkwise.__file__).parent}",
+          file=sys.stderr)
+    for name, data in outputs():
+        if args.dump is not None:
+            target = args.dump / name
+            target.parent.mkdir(parents=True, exist_ok=True)
+            target.write_bytes(data)
+        print(f"{hashlib.sha256(data).hexdigest()}  {name}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
