@@ -177,7 +177,10 @@ def resolve_workers(requested: int) -> int:
     cap = os.environ.get("BALKWISE_THREADS")
     workers = max(1, requested)
     if cap is not None:
-        workers = min(workers, max(1, int(cap)))
+        try:
+            workers = min(workers, max(1, int(cap)))
+        except ValueError:
+            raise ValueError(f"BALKWISE_THREADS must be an integer, got {cap!r}") from None
     return min(workers, os.cpu_count() or 1)
 
 

@@ -79,7 +79,7 @@ class ParamSpace:
     def contains(self, theta) -> bool:
         t = np.atleast_1d(np.asarray(theta, dtype=float))
         return t.shape == self.lower.shape and bool(
-            np.all(t >= self.lower) and np.all(t <= self.upper)
+            (t >= self.lower).all() and (t <= self.upper).all()
         )
 
     def require(self, theta) -> np.ndarray:
@@ -106,7 +106,8 @@ class ValueFamily(ABC):
     """Parametric distribution of the customers' service value.
 
     Implementations must be immutable and safe to share across workers.
-    ``cdf`` accepts scalar or array ``r`` and evaluates elementwise;
+    ``cdf`` and ``sf`` accept scalar ``r`` or an array of any shape (the
+    price search passes a (price x state) table) and evaluate elementwise;
     ``grad_cdf``/``hess_cdf`` return shapes ``(dim,)`` / ``(dim, dim)`` for
     scalar ``r`` and ``(m, dim)`` / ``(m, dim, dim)`` for an array of length
     ``m``.  The cdf is 0 for r < 0 by convention, nondecreasing in r, and its
@@ -203,9 +204,9 @@ class ExponentialFamily(ValueFamily):
         return -np.log1p(-u) / theta
 
 
-def _threshold(q, cfg: ModelConfig):
+def _threshold(q, cfg: ModelConfig, price=None):
     # Naor's join rule: a customer who finds q others joins iff value >= this
-    return cfg.price + (q + 1) * cfg.cost_c / cfg.mu
+    return (cfg.price if price is None else price) + (q + 1) * cfg.cost_c / cfg.mu
 
 
 def offered_reward(q, cfg: ModelConfig):
@@ -229,12 +230,17 @@ class StateTable:
     and its derivatives are 0.  theta is not validated here; callers do it
     once.  For m states, ``grad`` and ``dp`` have shape ``(m, dim)`` and
     ``d2p`` has shape ``(m, dim, dim)``.
+
+    ``price`` replaces ``cfg.price`` without building a new config.  A column
+    of n prices (shape ``(n, 1)``) gives ``(n, m)`` thresholds, survivals and
+    joining rates, one row per price; the jump-chain properties are defined
+    for a single price only.
     """
 
-    def __init__(self, q, theta, cfg: ModelConfig, fam: ValueFamily):
+    def __init__(self, q, theta, cfg: ModelConfig, fam: ValueFamily, price=None):
         self.q = np.atleast_1d(q)
         self.theta, self.cfg, self.fam = theta, cfg, fam
-        self.thresholds = _threshold(self.q, cfg)
+        self.thresholds = _threshold(self.q, cfg, price)
         self.surv = np.asarray(fam.sf(self.thresholds, theta), dtype=float)
         self.lam_q = cfg.lam * self.surv
 
@@ -330,14 +336,17 @@ def is_informative(q: int, theta, cfg: ModelConfig, fam: ValueFamily) -> bool:
     return bool(_at(q, theta, cfg, fam).informative[0])
 
 
-def grid_then_golden(func, lo: float, hi: float, grid: int, tol: float) -> float:
+def grid_then_golden(func, lo: float, hi: float, grid: int, tol: float, scan=None) -> float:
     """Maximize func on [lo, hi]: grid scan, then golden section in the best bracket.
 
     The grid guards against a misleading golden start; the search stops once
-    the bracket is narrower than tol * max(1, |a| + |b|).
+    the bracket is narrower than tol * max(1, |a| + |b|).  ``scan``, when
+    given, maps the array of grid points to func's values in one call; only
+    the grid's argmax is taken from it, and the golden phase calls func.
     """
     points = np.linspace(lo, hi, grid)
-    best = int(np.argmax([func(p) for p in points]))
+    values = scan(points) if scan is not None else [func(p) for p in points]
+    best = int(np.argmax(values))
     a, b = points[max(best - 1, 0)], points[min(best + 1, grid - 1)]
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
     x1 = b - invphi * (b - a)

@@ -97,7 +97,9 @@ class QueuePath:
         if header != ["step", "state", "up", "hold"]:
             raise ValueError(f"unexpected path CSV header: {header}")
         states, ups, holds = [], [], []
-        for row in reader:
+        for line, row in enumerate(reader, start=2):
+            if len(row) != 4:
+                raise ValueError(f"path CSV line {line} has {len(row)} columns, expected 4")
             states.append(int(row[1]))
             if row[2] != "":
                 ups.append(int(row[2]) == 1)

@@ -8,6 +8,11 @@ space.  Two stationary weightings coexist: the continuous-time occupancy law
 (weight proportional to the product itself) and the transition-epoch law of
 the jump chain (product times the total exit rate).  Revenue accrues in
 continuous time; the score ergodics of the estimator live on the jump chain.
+
+The truncated tables have a price axis: one row of joining rates and
+weights per price.  Single-price quantities use a one-row table, and the
+revenue-maximizing price search scores its whole price grid on one table
+before refining the best grid point one price at a time.
 """
 
 from __future__ import annotations
@@ -57,40 +62,77 @@ def stationary_weights(theta, cfg: ModelConfig, fam: ValueFamily, qmax: int) -> 
     return out
 
 
-def _truncated_tables(theta, cfg: ModelConfig, fam: ValueFamily, eps: float):
-    """Weights and joining rates up to the truncation state.
+def _truncated_tables(prices, theta, cfg: ModelConfig, fam: ValueFamily, eps: float):
+    """Weights and joining rates up to the truncation state, one row per price.
 
-    The truncation state is the smallest q whose joining-to-service ratio has
-    dropped below 1/2 and whose weight is below eps times the accumulated
-    weight; past it the weights are dominated by a geometric sequence with
-    ratio < 1/2, which gives a provable tail bound.
+    The table has one row per price (``cfg.price`` is not used) and one
+    column per queue length.  A row's truncation state is the smallest q
+    whose joining-to-service ratio has dropped below 1/2 and whose weight is
+    below eps times the accumulated weight; past it the weights are
+    dominated by a geometric sequence with ratio < 1/2, which gives a
+    provable tail bound.  The table starts at 128 states and doubles until
+    every row is truncated.  Weights and accumulated weights are running
+    products and sums along a row, so a row does not depend on the table's
+    width or on the other rows: it equals the one-row table of its price.
+
+    Returns ``(weights, lam_q, totals, qstar)`` for the leading rows:
+    (rows, width) tables, valid in each row up to its ``qstar``, the
+    accumulated weight at ``qstar``, and ``qstar``.  Usually these are all
+    the rows.  The tables stop before the first price at which nobody joins
+    the empty queue, and before the first unfinished row once another row
+    cannot be truncated or growing every row would pass STATE_CAP entries;
+    the caller then calls again with the remaining prices.  Only a first
+    row raises: ValueError for a zero joining rate at the empty queue,
+    TruncationError when it cannot be truncated within STATE_CAP states.
+    So a scan meets the error of the first bad price, in order, and no
+    table grows past STATE_CAP entries, the most a single row may take.
     """
     theta = fam.param_space.require(theta)
     if not 0.0 < eps < 1.0:
         raise ValueError("tail tolerance must lie in (0, 1)")
     mu = cfg.mu
-    size = 128
-    lam_q = StateTable(np.arange(size), theta, cfg, fam).lam_q
-    if lam_q[0] <= 0.0:
+    prices = np.asarray(prices, dtype=float).reshape(-1, 1)
+    lam_q = StateTable(np.arange(128), theta, cfg, fam, price=prices).lam_q
+    zero = lam_q[:, 0] <= 0.0
+    if zero[0]:
         raise ValueError("joining rate at the empty queue is zero")
+    if zero.any():
+        end = int(np.argmax(zero))
+        prices, lam_q = prices[:end], lam_q[:end]
     while True:
-        weights = np.empty(len(lam_q))
-        weights[0] = 1.0
+        weights = np.empty_like(lam_q)
+        weights[:, 0] = 1.0
         with np.errstate(over="ignore"):
-            np.cumprod(lam_q[:-1] / mu, out=weights[1:])
-            partial = np.cumsum(weights)
+            np.cumprod(lam_q[:, :-1] / mu, axis=1, out=weights[:, 1:])
+            partial = np.cumsum(weights, axis=1)
         ok = (lam_q / mu < 0.5) & (weights < eps * partial)
-        if ok.any():
-            qstar = int(np.argmax(ok))
-            return weights[: qstar + 1], lam_q[: qstar + 1], partial[qstar]
-        if not np.isfinite(weights[-1]) or len(lam_q) >= STATE_CAP:
-            raise TruncationError(
-                f"no truncation state found within {STATE_CAP} states; "
-                "the chain does not appear to balk"
-            )
-        new_size = min(2 * len(lam_q), STATE_CAP)
-        more = StateTable(np.arange(len(lam_q), new_size), theta, cfg, fam).lam_q
-        lam_q = np.concatenate([lam_q, more])
+        done = ok.any(axis=1)
+        rows = len(done) if done.all() else int(np.argmin(done))
+        if rows < len(done):
+            size = lam_q.shape[1]
+            new_size = min(2 * size, STATE_CAP)
+            stuck = ~done & (~np.isfinite(weights[:, -1]) | (size >= STATE_CAP))
+            cut = stuck.any() or len(done) * new_size > STATE_CAP
+            if rows == 0 or not cut:  # grow all rows, or only the first when cut
+                if stuck[0]:
+                    raise TruncationError(
+                        f"no truncation state found within {STATE_CAP} states; "
+                        "the chain does not appear to balk"
+                    )
+                if cut:
+                    prices, lam_q = prices[:1], lam_q[:1]
+                more = StateTable(np.arange(size, new_size), theta, cfg, fam, price=prices).lam_q
+                lam_q = np.concatenate([lam_q, more], axis=1)
+                continue
+        qstar = np.argmax(ok[:rows], axis=1)
+        return weights[:rows], lam_q[:rows], partial[np.arange(rows), qstar], qstar
+
+
+def _truncated_row(price: float, theta, cfg: ModelConfig, fam: ValueFamily, eps: float):
+    """Weights, joining rates and accumulated weight of one price, to its truncation state."""
+    weights, lam_q, totals, qstar = _truncated_tables([price], theta, cfg, fam, eps)
+    end = int(qstar[0]) + 1
+    return weights[0, :end], lam_q[0, :end], totals[0]
 
 
 def stationary_distribution(
@@ -106,7 +148,7 @@ def stationary_distribution(
     the law of the state seen at transition epochs (weights multiplied by
     the total exit rate of each state).
     """
-    weights, lam_q, total = _truncated_tables(theta, cfg, fam, eps)
+    weights, lam_q, total = _truncated_row(cfg.price, theta, cfg, fam, eps)
     qstar = len(weights) - 1
     rho = lam_q[-1] / cfg.mu
     tail_weight = weights[-1] * rho / (1.0 - rho)
@@ -133,11 +175,31 @@ def expected_revenue(
     applies: price times the stationary mean of the joining rate.  The
     price stored in cfg is ignored in favor of the argument.
     """
-    if price < 0:
+    if not price >= 0:
         raise ValueError("price must be nonnegative")
-    cfg_p = cfg.with_price(price)
-    weights, lam_q, _ = _truncated_tables(theta, cfg_p, fam, eps)
+    weights, lam_q, _ = _truncated_row(price, theta, cfg, fam, eps)
     return price * float((weights * lam_q).sum() / weights.sum())
+
+
+def _revenue_scan(prices, theta, cfg: ModelConfig, fam: ValueFamily, eps: float) -> np.ndarray:
+    """expected_revenue at every price, from (price x state) tables.
+
+    Each row is summed over its first qstar + 1 states with the rest masked
+    out, so a value can differ from expected_revenue's in the last bits
+    (the summation order differs).  A negative price raises ValueError;
+    otherwise the scan raises what the first price that cannot be
+    tabulated raises.
+    """
+    prices = np.asarray(prices, dtype=float)
+    if not (prices >= 0).all():
+        raise ValueError("price must be nonnegative")
+    out = []
+    while len(out) < len(prices):
+        weights, lam_q, _, qstar = _truncated_tables(prices[len(out):], theta, cfg, fam, eps)
+        weights = np.where(np.arange(weights.shape[1]) <= qstar[:, None], weights, 0.0)
+        rows = prices[len(out) : len(out) + len(qstar)]
+        out.extend(rows * ((weights * lam_q).sum(axis=1) / weights.sum(axis=1)))
+    return np.asarray(out)
 
 
 def theoretical_sigma(
@@ -219,7 +281,7 @@ def price_upper_bound(theta, cfg: ModelConfig, fam: ValueFamily, frac: float = 1
     theta = fam.param_space.require(theta)
 
     def rate0(p: float) -> float:
-        return StateTable(0, theta, cfg.with_price(p), fam).lam_q[0]
+        return StateTable(0, theta, cfg, fam, price=p).lam_q[0]
 
     target = frac * cfg.lam
     hi = 1.0
@@ -230,6 +292,8 @@ def price_upper_bound(theta, cfg: ModelConfig, fam: ValueFamily, frac: float = 1
     lo = hi / 2.0 if hi > 1.0 else 0.0
     for _ in range(80):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break  # rate0 is a function of the price: no later step moves lo or hi
         if rate0(mid) >= target:
             lo = mid
         else:
@@ -245,11 +309,20 @@ def optimal_price(
     eps: float = 1e-12,
     grid: int = 256,
 ) -> float:
-    """Revenue-maximizing price for the given parameter."""
+    """Revenue-maximizing price for the given parameter.
+
+    The grid is scored on one (price x state) table; the golden phase calls
+    expected_revenue, so the result is that of a scan by expected_revenue
+    whenever both scans pick the same grid point.
+    """
     if bounds is None:
         bounds = (0.01, price_upper_bound(theta, cfg, fam))
     return grid_then_golden(
-        lambda p: expected_revenue(p, theta, cfg, fam, eps=eps), *bounds, grid, GOLDEN_TOL
+        lambda p: expected_revenue(p, theta, cfg, fam, eps=eps),
+        *bounds,
+        grid,
+        GOLDEN_TOL,
+        scan=lambda prices: _revenue_scan(prices, theta, cfg, fam, eps),
     )
 
 

@@ -131,6 +131,15 @@ def test_fit_rejects_invalid_path_csv(tmp_path, capsys, rows):
     assert "invalid path" in capsys.readouterr().err
 
 
+def test_fit_rejects_short_csv_row(tmp_path, capsys):
+    bad = tmp_path / "short.csv"
+    bad.write_text("step,state,up,hold\n0,0,,\n1,1\n")
+    assert run_cli(["fit", "--input", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "line 3 has 2 columns" in err
+
+
 def test_runtime_errors_exit_two(monkeypatch, capsys):
     def boom(args):
         raise RuntimeError("engineered failure")

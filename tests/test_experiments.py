@@ -86,6 +86,12 @@ def test_resolve_workers_env_cap(monkeypatch):
     assert resolve_workers(1) == 1
 
 
+def test_resolve_workers_rejects_non_integer_cap(monkeypatch):
+    monkeypatch.setenv("BALKWISE_THREADS", "two")
+    with pytest.raises(ValueError, match="BALKWISE_THREADS must be an integer, got 'two'"):
+        resolve_workers(4)
+
+
 def test_rep_seeds_are_distinct():
     a = np.random.default_rng(rep_seed(5, 1000, 0)).random(4)
     b = np.random.default_rng(rep_seed(5, 1000, 1)).random(4)

@@ -212,6 +212,12 @@ def test_csv_import_validates():
         QueuePath.from_csv(io.StringIO(rows))
 
 
+def test_csv_import_rejects_short_rows():
+    rows = "step,state,up,hold\n0,0,,\n1,1,1,0.5\n2,2\n"
+    with pytest.raises(ValueError, match="line 4 has 2 columns, expected 4"):
+        QueuePath.from_csv(io.StringIO(rows))
+
+
 def test_concat_paths(anchor_cfg, expo):
     a = make_path([0, 1, 2], price=15.0)
     b = make_path([2, 1, 0], price=15.0)

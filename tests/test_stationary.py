@@ -3,11 +3,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from balkwise.model import ExponentialFamily, ModelConfig, ParamSpace
+from balkwise.model import (
+    ExponentialFamily,
+    ModelConfig,
+    ParamSpace,
+    grid_then_golden,
+    joining_rate,
+)
 from balkwise.simulator import SimOptions, path_stats, simulate_path
 from balkwise.stationary import (
+    STATE_CAP,
     TruncationError,
+    _revenue_scan,
+    _truncated_tables,
     asymptotic_std,
     expected_revenue,
     min_std_price,
@@ -212,3 +223,145 @@ def test_curve_csv_headers(anchor_cfg, expo):
     buf = io.StringIO()
     write_curve_csv(buf, prices, [1.0, 2.0], "std")
     assert buf.getvalue().splitlines()[0] == "price,std"
+
+
+# --- the (price x state) table behind optimal_price's grid scan -------------
+
+ANCHOR = ModelConfig(lam=1.0, mu=1.0, cost_c=1.0, price=15.0)
+EXPO = ExponentialFamily(ParamSpace([1e-3], [5.0]))
+
+# arrival rate at most the service rate: the unnormalized weights then stay
+# below 1 (heavier traffic can overflow them before the chain balks, see
+# test_heavy_traffic_chain_that_balks_is_truncated)
+models = st.builds(
+    lambda rho, mu, cost_c, price: ModelConfig(rho * mu, mu, cost_c, price),
+    rho=st.floats(0.01, 1.0),
+    mu=st.floats(0.05, 20.0),
+    cost_c=st.floats(0.01, 10.0),
+    price=st.floats(0.0, 100.0),
+)
+
+table_settings = settings(derandomize=True, deadline=None, database=None, max_examples=40)
+
+
+@table_settings
+@given(theta=st.floats(1e-3, 5.0), lo=st.floats(0.0, 0.9), span=st.floats(0.01, 1.0))
+def test_grid_scan_matches_expected_revenue(theta, lo, span):
+    # bounds inside optimal_price's default range, where somebody joins the empty queue
+    top = price_upper_bound([theta], ANCHOR, EXPO)
+    prices = np.linspace(lo * top, (lo + span * (1.0 - lo)) * top, 64)
+    scan = _revenue_scan(prices, [theta], ANCHOR, EXPO, 1e-12)
+    scalar = np.array([expected_revenue(p, [theta], ANCHOR, EXPO) for p in prices])
+    np.testing.assert_allclose(scan, scalar, rtol=1e-13, atol=0.0)
+    assert np.argmax(scan) == np.argmax(scalar)
+
+
+@table_settings
+@given(theta=st.floats(1e-3, 0.5), price=st.floats(0.0, 100.0))
+def test_table_rows_follow_the_exponential_memoryless_oracle(theta, price):
+    # sf(p + x) = sf(p) sf(x): the joining rates at price p are sf(p) times those at price 0
+    _, lam_q, _, _ = _truncated_tables([0.0, price], [theta], ANCHOR, EXPO, 1e-12)
+    np.testing.assert_allclose(lam_q[1], EXPO.sf(price, [theta]) * lam_q[0], rtol=1e-12)
+
+
+@table_settings
+@given(cfg=models, theta=st.floats(2e-3, 4.9), eps=st.floats(1e-14, 1e-3))
+def test_time_stationary_mass_and_tail_bound(cfg, theta, eps):
+    assume(joining_rate(0, [theta], cfg, EXPO) > 0.0)
+    dist = stationary_distribution([theta], cfg, EXPO, eps=eps, weighting="time")
+    assert abs(dist.probs.sum() - 1.0) <= 1e-12
+    assert 0.0 <= dist.tail_bound < eps
+
+
+@pytest.mark.xfail(
+    raises=TruncationError,
+    strict=True,
+    reason="the unnormalized weights overflow before this heavy-traffic chain balks",
+)
+def test_heavy_traffic_chain_that_balks_is_truncated():
+    # lam/mu = 4, yet the joining rate falls below mu/2 after about 2100
+    # customers, so the stationary law exists; its weights peak near e^984
+    cfg = ModelConfig(lam=4.0, mu=1.0, cost_c=0.015625, price=0.0)
+    dist = stationary_distribution([0.0625], cfg, EXPO)
+    assert abs(dist.probs.sum() - 1.0) <= 1e-12
+
+
+def _price_upper_bound_80_steps(theta, cfg, fam, frac=1e-6):
+    """The bisection as it ran before it stopped at its fixed point."""
+
+    def rate0(p):
+        return joining_rate(0, theta, cfg.with_price(p), fam)
+
+    target = frac * cfg.lam
+    hi = 1.0
+    while rate0(hi) >= target:
+        hi *= 2.0
+    lo = hi / 2.0 if hi > 1.0 else 0.0
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if rate0(mid) >= target:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+@table_settings
+@given(cfg=models, theta=st.floats(1e-3, 5.0), frac=st.floats(1e-9, 0.5))
+def test_price_upper_bound_equals_full_bisection(cfg, theta, frac):
+    expected = _price_upper_bound_80_steps([theta], cfg, EXPO, frac)
+    assert price_upper_bound([theta], cfg, EXPO, frac) == expected
+
+
+def test_grid_scan_grows_wide_tables_row_by_row():
+    # light balking: the lowest price needs ~7e4 states, so 16 rows at that
+    # width would pass STATE_CAP and the table is grown for fewer rows
+    cfg = ModelConfig(lam=1.0, mu=1.0, cost_c=1.0, price=0.0)
+    fam = ExponentialFamily(ParamSpace([1e-14], [1.0]))
+    prices = np.linspace(0.01, 2e5, 16)
+    weights, _, _, qstar = _truncated_tables(prices, [1e-5], cfg, fam, 1e-12)
+    assert len(qstar) < len(prices) and len(prices) * weights.shape[1] > STATE_CAP
+    scan = _revenue_scan(prices, [1e-5], cfg, fam, 1e-12)
+    scalar = [expected_revenue(p, [1e-5], cfg, fam) for p in prices]
+    np.testing.assert_allclose(scan, scalar, rtol=1e-13, atol=0.0)
+
+
+def _raised(fn):
+    with pytest.raises(Exception) as info:
+        fn()
+    return info.value
+
+
+NON_BALKING = (
+    ModelConfig(lam=2.0, mu=1.0, cost_c=1.0, price=1.0),
+    UniformValueFamily(width=1.0, lower=10**7, upper=10**8),
+    [5 * 10**7],
+)
+NOBODY_JOINS = (
+    ModelConfig(lam=1.0, mu=1.0, cost_c=1.0, price=15.0),
+    UniformValueFamily(width=1.0, lower=0.0, upper=5.0),
+    [1.0],
+)
+
+
+@pytest.mark.parametrize(
+    "model, bounds, error",
+    [
+        ((ANCHOR, EXPO, [0.02]), (-1.0, 10.0), ValueError),
+        (NOBODY_JOINS, (0.01, 10.0), ValueError),
+        (NON_BALKING, (0.01, 100.0), TruncationError),
+        # no balking at the low prices, nobody joins at the high ones
+        (NON_BALKING, (0.01, 10.0**8), TruncationError),
+    ],
+    ids=["negative-price", "nobody-joins", "non-balking", "non-balking-then-nobody-joins"],
+)
+def test_grid_scan_raises_what_expected_revenue_raises(model, bounds, error):
+    cfg, fam, theta = model
+    grid = _raised(lambda: optimal_price(theta, cfg, fam, bounds=bounds))
+    by_scalar_scan = _raised(
+        lambda: grid_then_golden(
+            lambda p: expected_revenue(p, theta, cfg, fam), *bounds, 256, 1e-9
+        )
+    )
+    assert type(grid) is type(by_scalar_scan) is error
+    assert str(grid) == str(by_scalar_scan)
