@@ -4,6 +4,8 @@ Because the up/down law of the jump chain depends only on the pre-transition
 state, a path enters the likelihood solely through per-state counts of up and
 down moves.  Every function here reduces the path to those counts once, so a
 likelihood evaluation costs O(number of distinct states), not O(path length).
+A fit tabulates states, thresholds and counts once and scores the 65 theta
+of its bracket scan in one call on a (theta x state) table.
 
 Transitions out of the empty queue are certain and carry no information;
 states whose balking probability is exactly 0 or 1 carry none either.  Both
@@ -22,7 +24,7 @@ from statistics import NormalDist
 import numpy as np
 from scipy.optimize import minimize
 
-from .model import ModelConfig, StateTable, ValueFamily, grid_then_golden
+from .model import ModelConfig, StateTable, ValueFamily, _jump_law, _threshold, grid_then_golden
 from .simulator import QueuePath
 
 
@@ -77,23 +79,8 @@ def transition_counts(path: QueuePath) -> tuple[np.ndarray, np.ndarray]:
     """Per-state counts of up and down moves (indexed by pre-state)."""
     pre = path.pre_states
     size = int(pre.max()) + 1 if len(pre) else 1
-    n_up = np.bincount(pre[path.ups], minlength=size)
-    n_down = np.bincount(pre[~path.ups], minlength=size)
-    return n_up, n_down
-
-
-@dataclass(frozen=True)
-class _Counts:
-    """Sufficient statistics of a path for everything in this module."""
-
-    n_up: np.ndarray
-    n_down: np.ndarray
-    k: int
-
-    @staticmethod
-    def of(path: QueuePath) -> "_Counts":
-        n_up, n_down = transition_counts(path)
-        return _Counts(n_up, n_down, len(path))
+    counts = np.bincount(2 * pre + path.ups, minlength=2 * size)
+    return counts[1::2], counts[0::2]
 
 
 # States whose up-probability is this small contribute less than double
@@ -102,73 +89,84 @@ class _Counts:
 _P_FLOOR = 1e-150
 
 
-def _table(counts: _Counts, theta, cfg, fam):
-    """Join-rule table of states 1..qmax, their up/down counts and live mask.
+class _Likelihood:
+    """A path's likelihood on the states q >= 1 it left, tabulated once per fit.
 
-    A state is live when the path left it and it is informative.  None when
-    the path never left the empty queue.
+    Holds their thresholds and up/down counts; at each theta only the
+    survival is evaluated (the derivatives build a StateTable).  A state is
+    live when it is informative.  theta is validated by ``fam.sf``/``sf_rows``.
     """
-    if len(counts.n_up) < 2:
-        return None
-    tab = StateTable(np.arange(1, len(counts.n_up)), theta, cfg, fam)
-    up, down = counts.n_up[1:], counts.n_down[1:]
-    return tab, up, down, tab.informative & ((up > 0) | (down > 0))
 
+    def __init__(self, path: QueuePath, cfg: ModelConfig, fam: ValueFamily):
+        n_up, n_down = transition_counts(path)
+        self.q = np.flatnonzero(n_up[1:] + n_down[1:]) + 1
+        self.thresholds = _threshold(self.q, cfg)
+        self.up, self.down = n_up[self.q], n_down[self.q]
+        self.has_up = self.up > 0
+        self.k, self.cfg, self.fam = len(path), cfg, fam
 
-def _floored(counts: _Counts, theta, cfg, fam):
-    """_table restricted to live states with p_up above _P_FLOOR; None if none are."""
-    table = _table(counts, theta, cfg, fam)
-    if table is None:
-        return None
-    tab, up, down, live = table
-    live = live & (tab.p_up > _P_FLOOR)
-    if not live.any():
-        return None
-    return tab, live, up[live], down[live], tab.p_up[live, None], tab.p_down[live, None]
+    def _law(self, surv):
+        """p_up, p_down and the live mask, from survivals at the thresholds."""
+        surv = np.asarray(surv, dtype=float)
+        return _jump_law(self.cfg.lam * surv, surv, self.cfg.mu)
 
+    def loglik(self, theta) -> float:
+        p_up, p_down, live = self._law(self.fam.sf(self.thresholds, theta))
+        # an up-move from a state nobody joins is impossible under theta
+        if (p_up[self.has_up] == 0.0).any():
+            return -np.inf
+        return float(
+            (self.up[live] * np.log(p_up[live])).sum()
+            + (self.down[live] * np.log(p_down[live])).sum()
+        )
 
-def _loglik(counts: _Counts, theta, cfg, fam) -> float:
-    table = _table(counts, theta, cfg, fam)
-    if table is None:
-        return 0.0
-    tab, up, down, live = table
-    # an up-move from a state nobody joins is impossible under theta
-    if np.any((tab.p_up == 0.0) & (up > 0)):
-        return -np.inf
-    return float(
-        np.sum(up[live] * np.log(tab.p_up[live])) + np.sum(down[live] * np.log(tab.p_down[live]))
-    )
+    def scan(self, thetas) -> np.ndarray:
+        """loglik at each row of an (n, dim) array, from one (theta x state) table.
 
+        Row sums add loglik's terms in its order; a row with a state that is
+        not live is summed over its live states alone, as loglik sums it.
+        """
+        p_up, p_down, live = self._law(self.fam.sf_rows(self.thresholds, thetas))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            up, down = self.up * np.log(p_up), self.down * np.log(p_down)
+        out = up.sum(axis=1) + down.sum(axis=1)
+        for i in np.flatnonzero(~live.all(axis=1)):
+            out[i] = up[i][live[i]].sum() + down[i][live[i]].sum()
+        out[(p_up[:, self.has_up] == 0.0).any(axis=1)] = -np.inf
+        return out
 
-def _score(counts: _Counts, theta, cfg, fam) -> np.ndarray:
-    floored = _floored(counts, theta, cfg, fam)
-    if floored is None:
-        return np.zeros(fam.dim)
-    tab, live, up, down, p_up, p_down = floored
-    dp = tab.dp[live]
-    return (up[:, None] * (dp / p_up) - down[:, None] * (dp / p_down)).sum(axis=0) / counts.k
+    def effective(self, theta) -> int:
+        live = self._law(self.fam.sf(self.thresholds, theta))[2]
+        return int((self.up + self.down)[live].sum())
 
+    def floored(self, theta):
+        """Table and live states with p_up above _P_FLOOR, their counts and p_up/p_down; or None."""
+        tab = StateTable(self.q, theta, self.cfg, self.fam)
+        live = tab.informative & (tab.p_up > _P_FLOOR)
+        if not live.any():
+            return None
+        return tab, live, self.up[live], self.down[live], tab.p_up[live, None], tab.p_down[live, None]
 
-def _information(counts: _Counts, theta, cfg, fam) -> np.ndarray:
-    floored = _floored(counts, theta, cfg, fam)
-    if floored is None:
-        return np.zeros((fam.dim, fam.dim))
-    tab, live, up, down, p_up, p_down = floored
-    p_up, p_down = p_up[..., None], p_down[..., None]
-    dp, d2p = tab.dp[live], tab.d2p[live]
-    outer = np.einsum("qj,ql->qjl", dp, dp)
-    up_term = d2p / p_up - outer / p_up**2
-    down_term = d2p / p_down + outer / p_down**2
-    jac = (up[:, None, None] * up_term - down[:, None, None] * down_term).sum(axis=0) / counts.k
-    return -jac
+    def score(self, theta) -> np.ndarray:
+        floored = self.floored(theta)
+        if floored is None:
+            return np.zeros(self.fam.dim)
+        tab, live, up, down, p_up, p_down = floored
+        dp = tab.dp[live]
+        return (up[:, None] * (dp / p_up) - down[:, None] * (dp / p_down)).sum(axis=0) / self.k
 
-
-def _effective(counts: _Counts, theta, cfg, fam) -> int:
-    table = _table(counts, theta, cfg, fam)
-    if table is None:
-        return 0
-    _, up, down, live = table
-    return int((up + down)[live].sum())
+    def information(self, theta) -> np.ndarray:
+        floored = self.floored(theta)
+        if floored is None:
+            return np.zeros((self.fam.dim, self.fam.dim))
+        tab, live, up, down, p_up, p_down = floored
+        p_up, p_down = p_up[..., None], p_down[..., None]
+        dp, d2p = tab.dp[live], tab.d2p[live]
+        outer = np.einsum("qj,ql->qjl", dp, dp)
+        up_term = d2p / p_up - outer / p_up**2
+        down_term = d2p / p_down + outer / p_down**2
+        jac = (up[:, None, None] * up_term - down[:, None, None] * down_term).sum(axis=0) / self.k
+        return -jac
 
 
 def log_likelihood(path: QueuePath, theta, cfg: ModelConfig, fam: ValueFamily) -> float:
@@ -181,13 +179,13 @@ def log_likelihood(path: QueuePath, theta, cfg: ModelConfig, fam: ValueFamily) -
     -inf when the path is impossible under the parameter.
     """
     theta = fam.param_space.require(theta)
-    return _loglik(_Counts.of(path), theta, cfg, fam)
+    return _Likelihood(path, cfg, fam).loglik(theta)
 
 
 def score(path: QueuePath, theta, cfg: ModelConfig, fam: ValueFamily) -> np.ndarray:
     """Normalized score: gradient of log-likelihood over the full step count."""
     theta = fam.param_space.require(theta)
-    return _score(_Counts.of(path), theta, cfg, fam)
+    return _Likelihood(path, cfg, fam).score(theta)
 
 
 def observed_information(
@@ -195,7 +193,7 @@ def observed_information(
 ) -> np.ndarray:
     """Negative Jacobian of the normalized score at theta."""
     theta = fam.param_space.require(theta)
-    return _information(_Counts.of(path), theta, cfg, fam)
+    return _Likelihood(path, cfg, fam).information(theta)
 
 
 def score_outer_product(
@@ -208,8 +206,8 @@ def score_outer_product(
     information, this one is for comparison.
     """
     theta = fam.param_space.require(theta)
-    counts = _Counts.of(path)
-    floored = _floored(counts, theta, cfg, fam)
+    lik = _Likelihood(path, cfg, fam)
+    floored = lik.floored(theta)
     if floored is None:
         return np.zeros((fam.dim, fam.dim))
     tab, live, up, down, p_up, p_down = floored
@@ -217,7 +215,7 @@ def score_outer_product(
     return (
         np.einsum("q,qj,ql->jl", up.astype(float), per_up, per_up)
         + np.einsum("q,qj,ql->jl", down.astype(float), per_down, per_down)
-    ) / counts.k
+    ) / lik.k
 
 
 BOUNDARY_RTOL = 1e-6
@@ -237,36 +235,39 @@ def fit_mle(
     followed by a safeguarded Newton polish on the score; multivariate
     families use multi-start projected quasi-Newton (L-BFGS-B, five starts).
     A solution within 1e-6 of the box width of any bound is flagged as a
-    boundary fit rather than an error.
+    boundary fit rather than an error.  The 65-point scan is scored in one
+    call through ``fam.sf_rows``; its values equal log_likelihood's.
     """
     if len(path) == 0:
         raise ValueError("path has no transitions")
     space = fam.param_space
-    counts = _Counts.of(path)
+    lik = _Likelihood(path, cfg, fam)
     probe = space.clip(init) if init is not None else space.center
-    if _effective(counts, probe, cfg, fam) == 0:
+    if lik.effective(probe) == 0:
         raise ValueError("no informative transitions in the path")
 
-    k = counts.k
+    k = lik.k
 
     if fam.dim == 1:
         lo, hi = float(space.lower[0]), float(space.upper[0])
         width = hi - lo
 
         def f(x):
-            return _loglik(counts, np.array([x]), cfg, fam)
+            return lik.loglik(np.array([x]))
 
-        x = grid_then_golden(f, lo, hi, 65, PARAM_TOL * width)
+        x = grid_then_golden(
+            f, lo, hi, 65, PARAM_TOL * width, scan=lambda xs: lik.scan(xs[:, None])
+        )
         if init is not None and f(float(probe[0])) > f(x):
             x = float(probe[0])
 
         # Newton polish on the score, clamped to the box
         fx = f(x)
         for _ in range(60):
-            g = _score(counts, np.array([x]), cfg, fam)[0]
+            g = lik.score(np.array([x]))[0]
             if abs(g) <= SCORE_RTOL * max(1.0, abs(fx)):
                 break
-            h = _information(counts, np.array([x]), cfg, fam)[0, 0]
+            h = lik.information(np.array([x]))[0, 0]
             if h <= 0:
                 break
             x_new = min(max(x + g / h, lo), hi)
@@ -296,10 +297,10 @@ def fit_mle(
             starts.append(space.clip(init))
 
         def negloglik(t):
-            return -_loglik(counts, t, cfg, fam)
+            return -lik.loglik(t)
 
         def neggrad(t):
-            return -k * _score(counts, t, cfg, fam)
+            return -k * lik.score(t)
 
         best_res = None
         for start in starts:
@@ -315,9 +316,9 @@ def fit_mle(
         theta_hat = space.clip(best_res.x)
 
     boundary = space.on_boundary(theta_hat, rtol=BOUNDARY_RTOL)
-    final_loglik = _loglik(counts, theta_hat, cfg, fam)
-    final_score = _score(counts, theta_hat, cfg, fam)
-    info = _information(counts, theta_hat, cfg, fam)
+    final_loglik = lik.loglik(theta_hat)
+    final_score = lik.score(theta_hat)
+    info = lik.information(theta_hat)
     std_err = np.full(fam.dim, np.nan)
     try:
         cov = np.linalg.inv(info) / k
@@ -331,7 +332,7 @@ def fit_mle(
         loglik=final_loglik,
         score_norm=float(np.linalg.norm(final_score)),
         boundary=boundary,
-        effective_n=_effective(counts, theta_hat, cfg, fam),
+        effective_n=lik.effective(theta_hat),
         total_k=k,
         sigma_plugin=info,
         std_err=std_err,

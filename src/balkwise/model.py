@@ -92,6 +92,14 @@ class ParamSpace:
             )
         return t
 
+    def require_rows(self, thetas) -> np.ndarray:
+        """The parameter rows as an (n, dim) array; a row outside the box raises as in require."""
+        rows = np.asarray(thetas, dtype=float).reshape(-1, self.dim)
+        if not ((rows >= self.lower).all() and (rows <= self.upper).all()):
+            for row in rows:
+                self.require(row)
+        return rows
+
     def clip(self, theta) -> np.ndarray:
         return np.clip(np.atleast_1d(np.asarray(theta, dtype=float)), self.lower, self.upper)
 
@@ -112,6 +120,10 @@ class ValueFamily(ABC):
     scalar ``r`` and ``(m, dim)`` / ``(m, dim, dim)`` for an array of length
     ``m``.  The cdf is 0 for r < 0 by convention, nondecreasing in r, and its
     parameter derivatives must match finite differences (see the test suite).
+
+    ``sf_rows(r, thetas)`` is the batch-theta survival, of shape ``(n,) + shape(r)``
+    for an ``(n, dim)`` parameter array: ``sf`` row by row unless a family overrides
+    it with one broadcast evaluation.  A row outside the box raises as in require.
     """
 
     param_space: ParamSpace
@@ -127,6 +139,11 @@ class ValueFamily(ABC):
     def sf(self, r, theta):
         """Survival P(value > r); override when 1 - cdf loses precision."""
         return 1.0 - self.cdf(r, theta)
+
+    def sf_rows(self, r, thetas):
+        """Survival at r under each parameter row: shape (n,) + shape(r)."""
+        rows = self.param_space.require_rows(thetas)
+        return np.array([self.sf(r, row) for row in rows], dtype=float)
 
     @abstractmethod
     def grad_cdf(self, r, theta):
@@ -183,6 +200,11 @@ class ExponentialFamily(ValueFamily):
         out = np.where(r >= 0.0, np.exp(-theta * np.maximum(r, 0.0)), 1.0)
         return float(out) if out.ndim == 0 else out
 
+    def sf_rows(self, r, thetas):
+        r = np.asarray(r, dtype=float)
+        theta = self.param_space.require_rows(thetas).reshape((-1,) + (1,) * r.ndim)
+        return np.where(r >= 0.0, np.exp(-theta * np.maximum(r, 0.0)), 1.0)
+
     def grad_cdf(self, r, theta):
         theta = self.param_space.require(theta)[0]
         r = np.asarray(r, dtype=float)
@@ -218,6 +240,13 @@ def offered_reward(q, cfg: ModelConfig):
     return float(out) if out.ndim == 0 else out
 
 
+def _jump_law(lam_q, surv, mu):
+    """p_up, p_down and informativeness of jumps out of states q >= 1 with joining rates lam_q."""
+    # exactly 0 < surv < 1: bounded-support families attain 0 or 1 structurally
+    denom = mu + lam_q
+    return lam_q / denom, mu / denom, (surv > 0.0) & (surv < 1.0)
+
+
 class StateTable:
     """The join rule tabulated over an array of queue lengths ``q``.
 
@@ -245,13 +274,13 @@ class StateTable:
         self.lam_q = cfg.lam * self.surv
 
     @cached_property
-    def informative(self) -> np.ndarray:
-        """Transitions out of q depend on theta: q > 0 and 0 < surv < 1 exactly.
+    def _law(self):
+        return _jump_law(self.lam_q, self.surv, self.cfg.mu)
 
-        Exact on purpose: families that attain 0 or 1 do so structurally
-        (bounded support), not through round-off.
-        """
-        return (self.q > 0) & (self.surv > 0.0) & (self.surv < 1.0)
+    @cached_property
+    def informative(self) -> np.ndarray:
+        """Transitions out of q depend on theta: q > 0 and 0 < surv < 1 exactly."""
+        return (self.q > 0) & self._law[2]
 
     @cached_property
     def _denom(self) -> np.ndarray:
@@ -259,11 +288,11 @@ class StateTable:
 
     @cached_property
     def p_up(self) -> np.ndarray:
-        return np.where(self.q == 0, 1.0, self.lam_q / self._denom)
+        return np.where(self.q == 0, 1.0, self._law[0])
 
     @cached_property
     def p_down(self) -> np.ndarray:
-        return np.where(self.q == 0, 0.0, self.cfg.mu / self._denom)
+        return np.where(self.q == 0, 0.0, self._law[1])
 
     @cached_property
     def grad(self) -> np.ndarray:

@@ -74,6 +74,8 @@ def _truncated_tables(prices, theta, cfg: ModelConfig, fam: ValueFamily, eps: fl
     every row is truncated.  Weights and accumulated weights are running
     products and sums along a row, so a row does not depend on the table's
     width or on the other rows: it equals the one-row table of its price.
+    A row whose sum overflows (heavy traffic) is redone as a running sum of
+    logs, scaled by its largest weight: no ratio of weights changes.
 
     Returns ``(weights, lam_q, totals, qstar)`` for the leading rows:
     (rows, width) tables, valid in each row up to its ``qstar``, the
@@ -102,16 +104,23 @@ def _truncated_tables(prices, theta, cfg: ModelConfig, fam: ValueFamily, eps: fl
     while True:
         weights = np.empty_like(lam_q)
         weights[:, 0] = 1.0
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             np.cumprod(lam_q[:, :-1] / mu, axis=1, out=weights[:, 1:])
             partial = np.cumsum(weights, axis=1)
+        big = ~np.isfinite(partial[:, -1])
+        if big.any():  # redo an overflowing row in logs, scaled by its largest weight
+            with np.errstate(divide="ignore"):
+                logs = np.cumsum(np.log(lam_q[big, :-1] / mu), axis=1)
+            top = np.maximum(logs.max(axis=1, keepdims=True), 0.0)
+            weights[big] = np.exp(np.concatenate([np.zeros_like(top), logs], axis=1) - top)
+            partial[big] = np.cumsum(weights[big], axis=1)
         ok = (lam_q / mu < 0.5) & (weights < eps * partial)
         done = ok.any(axis=1)
         rows = len(done) if done.all() else int(np.argmin(done))
         if rows < len(done):
             size = lam_q.shape[1]
             new_size = min(2 * size, STATE_CAP)
-            stuck = ~done & (~np.isfinite(weights[:, -1]) | (size >= STATE_CAP))
+            stuck = ~done & (size >= STATE_CAP)
             cut = stuck.any() or len(done) * new_size > STATE_CAP
             if rows == 0 or not cut:  # grow all rows, or only the first when cut
                 if stuck[0]:

@@ -3,9 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from balkwise import inference
 from balkwise.inference import (
+    SCORE_RTOL,
     FitResult,
+    _Likelihood,
     confidence_interval,
     fit_mle,
     log_likelihood,
@@ -14,10 +19,18 @@ from balkwise.inference import (
     score_outer_product,
     transition_counts,
 )
-from balkwise.model import ModelConfig, up_probability, up_prob_grad
+from balkwise.model import (
+    ExponentialFamily,
+    ModelConfig,
+    ParamSpace,
+    ValueFamily,
+    grid_then_golden,
+    up_probability,
+    up_prob_grad,
+)
 from balkwise.simulator import SimOptions, simulate_path
 from balkwise.stationary import theoretical_sigma
-from helpers import make_path
+from helpers import UniformValueFamily, make_path
 
 WORKED_STATES = [0, 1, 0, 1, 2, 1, 0]
 WORKED_CFG = ModelConfig(lam=1.0, mu=1.0, cost_c=1.0, price=0.0)
@@ -77,8 +90,6 @@ def test_loglik_monotonicity_around_optimum(expo_worked):
 
 
 def test_loglik_impossible_path(anchor_cfg):
-    from helpers import UniformValueFamily
-
     fam = UniformValueFamily(width=1.0, lower=0.0, upper=40.0)
     # theta small: the support sits below the threshold at state 2, making
     # the observed up-move out of state 2 impossible
@@ -289,3 +300,90 @@ def test_observed_information_matches_sigma(anchor_cfg, expo):
     info = observed_information(path, [0.02], anchor_cfg, expo)[0, 0]
     sigma = theoretical_sigma([0.02], anchor_cfg, expo, weighting="jump")[0, 0]
     assert info == pytest.approx(sigma, rel=0.05)
+
+
+# --- the per-fit likelihood and its batch-theta scan ------------------------
+
+ANCHOR = ModelConfig(lam=1.0, mu=1.0, cost_c=1.0, price=15.0)
+# a box wide enough that exp(-theta * threshold) underflows at its top
+WIDE = ExponentialFamily(ParamSpace([1e-3], [100.0]))
+fit_settings = settings(derandomize=True, deadline=None, database=None, max_examples=40)
+
+
+def _scan_thetas(lik):
+    """fit_mle's 65-point grid plus, per state, a theta just past the underflow of its survival."""
+    lo, hi = WIDE.param_space.lower[0], WIDE.param_space.upper[0]
+    edges = 746.0 / lik.thresholds
+    return np.concatenate([np.linspace(lo, hi, 65), edges[edges < hi]])
+
+
+def _assert_scan_matches_scalar(path, thetas):
+    scan = _Likelihood(path, ANCHOR, WIDE).scan(thetas[:, None])
+    scalar = np.array([log_likelihood(path, [t], ANCHOR, WIDE) for t in thetas])
+    np.testing.assert_array_equal(np.isneginf(scan), np.isneginf(scalar))
+    np.testing.assert_allclose(scan, scalar, rtol=1e-13, atol=0.0)
+    assert np.argmax(scan) == np.argmax(scalar)
+
+
+@fit_settings
+@given(theta0=st.floats(0.005, 0.5), k=st.integers(20, 3000), seed=st.integers(0, 2**32 - 1))
+def test_scan_matches_log_likelihood_row_by_row(theta0, k, seed):
+    path = simulate_path(ANCHOR, WIDE, [theta0], SimOptions(steps=k, seed=seed))
+    _assert_scan_matches_scalar(path, _scan_thetas(_Likelihood(path, ANCHOR, WIDE)))
+
+
+def test_scan_sums_the_live_states_of_an_underflowed_row():
+    # state 2 is left only downwards: past its underflow edge the row is
+    # finite but has a state that is not live; past state 1's it is -inf
+    path = make_path([0, 1, 2, 1, 0, 1, 0])
+    thetas = _scan_thetas(_Likelihood(path, ANCHOR, WIDE))
+    _assert_scan_matches_scalar(path, thetas)
+    scan = _Likelihood(path, ANCHOR, WIDE).scan(thetas[:, None])
+    assert np.isfinite(scan[-1]) and np.isneginf(scan[-2])
+
+
+@fit_settings
+@given(theta0=st.floats(0.005, 1.0), k=st.integers(200, 5000), seed=st.integers(0, 2**32 - 1))
+def test_score_vanishes_at_an_interior_mle(theta0, k, seed):
+    fam = ExponentialFamily(ParamSpace([1e-3], [5.0]))
+    path = simulate_path(ANCHOR, fam, [theta0], SimOptions(steps=k, seed=seed))
+    fit = fit_mle(path, ANCHOR, fam)
+    assume(not fit.boundary)
+    # the Newton polish's own stopping rule
+    assert fit.score_norm <= SCORE_RTOL * max(1.0, abs(fit.loglik))
+
+
+def test_uniform_family_fits_through_the_row_by_row_scan(monkeypatch):
+    fam = UniformValueFamily(width=4.0, lower=0.5, upper=5.0)
+    assert UniformValueFamily.sf_rows is ValueFamily.sf_rows
+    cfg = ModelConfig(lam=1.0, mu=1.0, cost_c=1.0, price=0.0)
+    path = simulate_path(cfg, fam, [2.5], SimOptions(steps=3000, seed=2))
+    fit = fit_mle(path, cfg, fam)
+    # the same fit with its grid scored one theta at a time
+    monkeypatch.setattr(
+        inference, "grid_then_golden", lambda *args, scan=None: grid_then_golden(*args)
+    )
+    assert fit_mle(path, cfg, fam).to_json() == fit.to_json()
+
+
+@pytest.mark.parametrize(
+    "fam",
+    [WIDE, UniformValueFamily(width=4.0, lower=0.5, upper=5.0)],
+    ids=["exponential", "uniform"],
+)
+def test_batch_survival_rejects_rows_outside_the_box(fam):
+    lower, upper = fam.param_space.lower[0], fam.param_space.upper[0]
+    thresholds = np.array([1.0, 2.0, 3.0])
+    inside = np.array([[lower], [upper]])
+    np.testing.assert_array_equal(
+        fam.sf_rows(thresholds, inside), [fam.sf(thresholds, row) for row in inside]
+    )
+    for bad in (upper * 1.5, lower - 1.0, np.nan):
+        rows = np.array([[lower], [bad], [upper]])
+        with pytest.raises(ValueError) as batch:
+            fam.sf_rows(thresholds, rows)
+        with pytest.raises(ValueError) as single:
+            fam.param_space.require(rows[1])
+        assert str(batch.value) == str(single.value)
+        with pytest.raises(ValueError, match="outside the parameter space"):
+            log_likelihood(make_path([0, 1, 0]), [bad], ANCHOR, fam)

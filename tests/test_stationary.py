@@ -231,8 +231,8 @@ ANCHOR = ModelConfig(lam=1.0, mu=1.0, cost_c=1.0, price=15.0)
 EXPO = ExponentialFamily(ParamSpace([1e-3], [5.0]))
 
 # arrival rate at most the service rate: the unnormalized weights then stay
-# below 1 (heavier traffic can overflow them before the chain balks, see
-# test_heavy_traffic_chain_that_balks_is_truncated)
+# below 1 (heavier traffic, whose weights can overflow before the chain
+# balks, has its own test below)
 models = st.builds(
     lambda rho, mu, cost_c, price: ModelConfig(rho * mu, mu, cost_c, price),
     rho=st.floats(0.01, 1.0),
@@ -273,17 +273,32 @@ def test_time_stationary_mass_and_tail_bound(cfg, theta, eps):
     assert 0.0 <= dist.tail_bound < eps
 
 
-@pytest.mark.xfail(
-    raises=TruncationError,
-    strict=True,
-    reason="the unnormalized weights overflow before this heavy-traffic chain balks",
-)
 def test_heavy_traffic_chain_that_balks_is_truncated():
     # lam/mu = 4, yet the joining rate falls below mu/2 after about 2100
     # customers, so the stationary law exists; its weights peak near e^984
     cfg = ModelConfig(lam=4.0, mu=1.0, cost_c=0.015625, price=0.0)
     dist = stationary_distribution([0.0625], cfg, EXPO)
     assert abs(dist.probs.sum() - 1.0) <= 1e-12
+
+
+@table_settings
+@given(
+    cfg=st.builds(
+        lambda rho, mu, cost_c: ModelConfig(rho * mu, mu, cost_c, 0.0),
+        rho=st.floats(1.0, 8.0),
+        mu=st.floats(0.05, 20.0),
+        cost_c=st.floats(0.01, 1.0),
+    ),
+    theta=st.floats(0.05, 4.9),
+)
+def test_heavy_traffic_mass_and_tail_bound(cfg, theta):
+    # arrival rate above the service rate: the weights rise before they fall,
+    # past double precision for some draws, and are rescaled row by row
+    dist = stationary_distribution([theta], cfg, EXPO, weighting="time")
+    assert abs(dist.probs.sum() - 1.0) <= 1e-12
+    assert 0.0 <= dist.tail_bound < 1e-12
+    revenue = expected_revenue(cfg.price + 1.0, [theta], cfg, EXPO)
+    assert np.isfinite(revenue) and revenue > 0.0
 
 
 def _price_upper_bound_80_steps(theta, cfg, fam, frac=1e-6):

@@ -1,8 +1,10 @@
 """Print one sha256 per seeded output of balkwise, to compare two checkouts.
 
 Runs the six experiment drivers at small configurations with workers=1, and
-hashes simulated paths, fits, information matrices, price searches and
-pricing-loop traces under both boundary policies.  Two checkouts whose
+hashes simulated paths, fits (from the default start and from ``init``, a
+boundary fit on a hand-built path and one 10^5-step fit), information
+matrices, price searches and pricing-loop traces under both boundary
+policies.  Two checkouts whose
 outputs agree print the same lines, so a refactor that must keep seeded
 results byte-identical can be checked with
 
@@ -24,6 +26,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 import balkwise
 from balkwise import (
     ExperimentConfig,
@@ -31,6 +35,7 @@ from balkwise import (
     ModelConfig,
     ParamSpace,
     PricingConfig,
+    QueuePath,
     SimOptions,
     SimulatedSource,
     asymptotic_std,
@@ -77,6 +82,13 @@ def _array_bytes(*arrays) -> bytes:
     return b"|".join(a.tobytes() for a in arrays)
 
 
+def _hand_built_path(states) -> QueuePath:
+    states = np.asarray(states, dtype=np.int64)
+    ups = states[1:] > states[:-1]
+    holds = np.ones(len(ups))
+    return QueuePath(states=states, ups=ups, holds=holds, revenue=0.0, total_time=float(len(ups)))
+
+
 def outputs():
     """Yield (name, bytes) for every seeded output this script covers."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -107,6 +119,16 @@ def outputs():
         yield f"likelihood/theta{theta0}-seed{seed}", _array_bytes(
             score(path, at, CFG, FAM), observed_information(path, at, CFG, FAM),
             score_outer_product(path, at, CFG, FAM)) + repr(log_likelihood(path, at, CFG, FAM)).encode()
+    for init in (0.001, 0.5, 7.0):
+        fit = fit_mle(paths[0.3, 1], CFG, FAM, init=[init])
+        yield f"fit/theta0.3-seed1-init{init}", fit.to_json().encode()
+    # every informative move is down (up) from a state >= 1: the likelihood
+    # is monotone in theta and the fit sits on the upper (lower) bound
+    for name, states in (("all-down", [0, 1, 0, 1, 0, 1, 0]), ("all-up", [0, 1, 2, 3, 4, 5])):
+        fit = fit_mle(_hand_built_path(states), CFG, FAM)
+        yield f"fit/boundary-{name}", fit.to_json().encode()
+    long_path = simulate_path(CFG, FAM, [0.02], SimOptions(steps=100_000, seed=6))
+    yield "fit/theta0.02-steps100000", fit_mle(long_path, CFG, FAM).to_json().encode()
 
     for theta in (0.02, 0.1, 0.5):
         yield f"sigma/theta{theta}", _array_bytes(
