@@ -48,20 +48,26 @@ def _add_model_flags(p):
     p.add_argument("--theta-upper", type=float, default=None)
 
 
-def _add_common_flags(p):
+_SHARED_FLAGS = {  # each subcommand registers only the ones its handler reads
+    "seed": dict(type=int),
+    "out": dict(help="output directory"),
+    "replications": dict(type=int),
+    "format": dict(dest="fmt", choices=["csv", "svg"]),
+}
+
+
+def _add_common_flags(p, *names):
     p.add_argument("--config", type=str, default=None, help="JSON config with defaults")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", type=str, default=None, help="output directory")
-    p.add_argument("--replications", type=int, default=None)
-    p.add_argument("--format", dest="fmt", choices=["csv", "json", "svg"], default=None)
+    for name in names:
+        p.add_argument(f"--{name}", **_SHARED_FLAGS[name])
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="balkwise", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("simulate", parents=[], help="simulate a censored queue path")
-    _add_common_flags(p)
+    p = sub.add_parser("simulate", help="simulate a censored queue path")
+    _add_common_flags(p, "seed", "out")
     _add_model_flags(p)
     p.add_argument("--theta0", type=float, default=None)
     p.add_argument("--k", type=int, default=None, help="number of transitions")
@@ -69,20 +75,20 @@ def build_parser() -> _Parser:
     p.add_argument("--warmup", type=int, default=None)
 
     p = sub.add_parser("fit", help="fit the value distribution from a path CSV")
-    _add_common_flags(p)
+    _add_common_flags(p, "out")
     _add_model_flags(p)
     p.add_argument("--input", type=str, required=True, help="path CSV (step,state,up,hold)")
     p.add_argument("--level", type=float, default=None, help="also report a confidence interval")
 
     p = sub.add_parser("stationary", help="truncated stationary distribution")
-    _add_common_flags(p)
+    _add_common_flags(p, "out")
     _add_model_flags(p)
     p.add_argument("--theta", type=float, default=None)
     p.add_argument("--weighting", choices=["time", "jump"], default="time")
     p.add_argument("--eps", type=float, default=1e-12)
 
     p = sub.add_parser("revenue", help="stationary revenue at a price or over a grid")
-    _add_common_flags(p)
+    _add_common_flags(p, "out")
     _add_model_flags(p)
     p.add_argument("--theta", type=float, default=None)
     p.add_argument("--price-grid", type=str, default=None, help="lo:hi:n")
@@ -93,7 +99,7 @@ def build_parser() -> _Parser:
     p.add_argument("--theta", type=float, default=None)
 
     p = sub.add_parser("autoprice", help="run the iterative pricing loop (simulated)")
-    _add_common_flags(p)
+    _add_common_flags(p, "seed", "out")
     _add_model_flags(p)
     p.add_argument("--theta0", type=float, default=None)
     p.add_argument("--p1", type=float, default=None, help="initial price")
@@ -105,7 +111,7 @@ def build_parser() -> _Parser:
     p.add_argument("--max-iterations", type=int, default=None)
 
     p = sub.add_parser("experiment", help="run a named Monte-Carlo experiment")
-    _add_common_flags(p)
+    _add_common_flags(p, "seed", "out", "replications", "format")
     p.add_argument("name", choices=list(EXPERIMENTS))
 
     return parser

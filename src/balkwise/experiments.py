@@ -96,8 +96,8 @@ class ExperimentConfig:
             )
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
-        if self.fmt not in ("csv", "json", "svg"):
-            raise ValueError("format must be csv, json or svg")
+        if self.fmt not in ("csv", "svg"):
+            raise ValueError("format must be csv or svg")
         if self.family != "exponential":
             raise ValueError(f"unknown value family {self.family!r}")
         if not self.theta_lower < self.theta0 < self.theta_upper:

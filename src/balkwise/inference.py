@@ -7,9 +7,11 @@ likelihood evaluation costs O(number of distinct states), not O(path length).
 A fit tabulates states, thresholds and counts once and scores the 65 theta
 of its bracket scan in one call on a (theta x state) table.
 
-Transitions out of the empty queue are certain and carry no information;
-states whose balking probability is exactly 0 or 1 carry none either.  Both
-are excluded from the effective sample, matching the model module's
+Transitions out of the empty queue are certain and carry no information.
+The log-likelihood sums every other state somebody joins, the states
+everybody joins included (for a bounded-support family that set moves with
+theta).  The effective sample leaves out the states whose balking
+probability is exactly 0 or 1, matching the model module's
 ``is_informative``.  The score is normalized by the FULL number of
 transitions k (not the effective count), and the observed information and
 standard errors follow the same convention throughout.
@@ -93,8 +95,11 @@ class _Likelihood:
     """A path's likelihood on the states q >= 1 it left, tabulated once per fit.
 
     Holds their thresholds and up/down counts; at each theta only the
-    survival is evaluated (the derivatives build a StateTable).  A state is
-    live when it is informative.  theta is validated by ``fam.sf``/``sf_rows``.
+    survival is evaluated (the derivatives build a StateTable).  The
+    log-likelihood sums the states somebody joins (p_up > 0); a state nobody
+    joins adds log 1 = 0 per down-move, or makes an up-move impossible.  The
+    effective sample counts the informative states only.  theta is validated
+    by ``fam.sf``/``sf_rows``.
     """
 
     def __init__(self, path: QueuePath, cfg: ModelConfig, fam: ValueFamily):
@@ -111,27 +116,29 @@ class _Likelihood:
         return _jump_law(self.cfg.lam * surv, surv, self.cfg.mu)
 
     def loglik(self, theta) -> float:
-        p_up, p_down, live = self._law(self.fam.sf(self.thresholds, theta))
+        p_up, p_down, _ = self._law(self.fam.sf(self.thresholds, theta))
         # an up-move from a state nobody joins is impossible under theta
         if (p_up[self.has_up] == 0.0).any():
             return -np.inf
+        joins = p_up > 0.0
         return float(
-            (self.up[live] * np.log(p_up[live])).sum()
-            + (self.down[live] * np.log(p_down[live])).sum()
+            (self.up[joins] * np.log(p_up[joins])).sum()
+            + (self.down[joins] * np.log(p_down[joins])).sum()
         )
 
     def scan(self, thetas) -> np.ndarray:
         """loglik at each row of an (n, dim) array, from one (theta x state) table.
 
-        Row sums add loglik's terms in its order; a row with a state that is
-        not live is summed over its live states alone, as loglik sums it.
+        Row sums add loglik's terms in its order; a row with a state nobody
+        joins is summed over the other states alone, as loglik sums it.
         """
-        p_up, p_down, live = self._law(self.fam.sf_rows(self.thresholds, thetas))
+        p_up, p_down, _ = self._law(self.fam.sf_rows(self.thresholds, thetas))
         with np.errstate(divide="ignore", invalid="ignore"):
             up, down = self.up * np.log(p_up), self.down * np.log(p_down)
         out = up.sum(axis=1) + down.sum(axis=1)
-        for i in np.flatnonzero(~live.all(axis=1)):
-            out[i] = up[i][live[i]].sum() + down[i][live[i]].sum()
+        joins = p_up > 0.0
+        for i in np.flatnonzero(~joins.all(axis=1)):
+            out[i] = up[i][joins[i]].sum() + down[i][joins[i]].sum()
         out[(p_up[:, self.has_up] == 0.0).any(axis=1)] = -np.inf
         return out
 
@@ -172,11 +179,14 @@ class _Likelihood:
 def log_likelihood(path: QueuePath, theta, cfg: ModelConfig, fam: ValueFamily) -> float:
     """Log-likelihood of the parameter given an observed path.
 
-    Sum over informative transitions of the Bernoulli up/down terms.  The
-    parameter-free contributions (log mu per down-step, the certain moves out
-    of the empty queue, and states with balking probability 0) are omitted,
-    so values are comparable only across parameters on a fixed path.  Returns
-    -inf when the path is impossible under the parameter.
+    Sum of the Bernoulli up/down terms of the transitions out of states
+    q >= 1 that somebody joins, a state everybody joins (balking probability
+    0) included: whether a bounded-support family attains that depends on
+    theta, so its terms do too.  The parameter-free contributions (log mu
+    per down-step and the certain moves out of the empty queue) are omitted,
+    and a state nobody joins adds log 1 = 0 per down-step, so values are
+    comparable only across parameters on a fixed path.  Returns -inf when
+    the path is impossible under the parameter.
     """
     theta = fam.param_space.require(theta)
     return _Likelihood(path, cfg, fam).loglik(theta)
@@ -218,32 +228,28 @@ def score_outer_product(
     ) / lik.k
 
 
-BOUNDARY_RTOL = 1e-6
 PARAM_TOL = 1e-10
 SCORE_RTOL = 1e-8
 
 
-def fit_mle(
-    path: QueuePath,
-    cfg: ModelConfig,
-    fam: ValueFamily,
-    init=None,
-) -> FitResult:
+def fit_mle(path: QueuePath, cfg: ModelConfig, fam: ValueFamily) -> FitResult:
     """Maximize the log-likelihood over the parameter box.
 
     One-dimensional families use a bracket scan plus golden-section search
     followed by a safeguarded Newton polish on the score; multivariate
     families use multi-start projected quasi-Newton (L-BFGS-B, five starts).
-    A solution within 1e-6 of the box width of any bound is flagged as a
-    boundary fit rather than an error.  The 65-point scan is scored in one
-    call through ``fam.sf_rows``; its values equal log_likelihood's.
+    The search covers the whole box and takes no starting point: the
+    L-BFGS-B starts are the box center and four points drawn from a fixed
+    seed.  A solution within model.BOUNDARY_RTOL (1e-6) of the box width of
+    any bound is flagged as a boundary fit rather than an error.  The 65-point
+    scan is scored in one call through ``fam.sf_rows``; its values equal
+    log_likelihood's.
     """
     if len(path) == 0:
         raise ValueError("path has no transitions")
     space = fam.param_space
     lik = _Likelihood(path, cfg, fam)
-    probe = space.clip(init) if init is not None else space.center
-    if lik.effective(probe) == 0:
+    if lik.effective(space.center) == 0:
         raise ValueError("no informative transitions in the path")
 
     k = lik.k
@@ -258,8 +264,6 @@ def fit_mle(
         x = grid_then_golden(
             f, lo, hi, 65, PARAM_TOL * width, scan=lambda xs: lik.scan(xs[:, None])
         )
-        if init is not None and f(float(probe[0])) > f(x):
-            x = float(probe[0])
 
         # Newton polish on the score, clamped to the box
         fx = f(x)
@@ -293,8 +297,6 @@ def fit_mle(
         starts += [
             space.lower + (0.1 + 0.8 * rng.random(fam.dim)) * space.width for _ in range(4)
         ]
-        if init is not None:
-            starts.append(space.clip(init))
 
         def negloglik(t):
             return -lik.loglik(t)
@@ -315,7 +317,7 @@ def fit_mle(
                 best_res = res
         theta_hat = space.clip(best_res.x)
 
-    boundary = space.on_boundary(theta_hat, rtol=BOUNDARY_RTOL)
+    boundary = space.on_boundary(theta_hat)
     final_loglik = lik.loglik(theta_hat)
     final_score = lik.score(theta_hat)
     info = lik.information(theta_hat)

@@ -17,6 +17,9 @@ from functools import cached_property
 
 import numpy as np
 
+# A coordinate this close to a bound, relative to the box width, is on it.
+BOUNDARY_RTOL = 1e-6
+
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -103,10 +106,10 @@ class ParamSpace:
     def clip(self, theta) -> np.ndarray:
         return np.clip(np.atleast_1d(np.asarray(theta, dtype=float)), self.lower, self.upper)
 
-    def on_boundary(self, theta, rtol: float = 1e-6) -> bool:
-        """True when any coordinate sits within rtol * box width of a bound."""
+    def on_boundary(self, theta) -> bool:
+        """True when any coordinate sits within BOUNDARY_RTOL * box width of a bound."""
         t = np.atleast_1d(np.asarray(theta, dtype=float))
-        slack = rtol * self.width
+        slack = BOUNDARY_RTOL * self.width
         return bool(np.any(t - self.lower <= slack) or np.any(self.upper - t <= slack))
 
 

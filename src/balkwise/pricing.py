@@ -67,8 +67,6 @@ _BOUNDARY_POLICIES = ("retry", "skip")
 # Under the "retry" policy an iteration may buy at most this many times its
 # minimum observation count in retries (and at least boundary_retry_floor).
 BOUNDARY_RETRY_FACTOR = 10
-# Tail mass left out when the stationary law is truncated for a price search.
-TRUNC_EPS = 1e-12
 
 
 @dataclass(frozen=True)
@@ -95,8 +93,8 @@ class PricingConfig:
     gets weight zero in the pool; the price is held until an interior fit
     exists.  The pricing-tables experiment driver uses "skip".
 
-    Each repricing searches optimal_price's default price range, with the
-    stationary law truncated at tail mass TRUNC_EPS.
+    Each repricing is an optimal_price search, which fixes its own price
+    range and truncates the stationary law at stationary.TRUNC_EPS.
     """
 
     initial_price: float
@@ -247,7 +245,6 @@ def revenue_gap(
     price_hat: float,
     cfg_base: ModelConfig,
     fam: ValueFamily,
-    eps: float = 1e-12,
 ) -> float:
     """Relative gap between the realized revenue rate and the model prediction.
 
@@ -259,7 +256,7 @@ def revenue_gap(
     if revenue_pi <= 0.0:
         return float("inf")
     rate = revenue_pi / time_ti
-    predicted = expected_revenue(price_hat, theta_pooled, cfg_base, fam, eps=eps)
+    predicted = expected_revenue(price_hat, theta_pooled, cfg_base, fam)
     return abs(rate - predicted) / rate
 
 
@@ -330,7 +327,7 @@ def run_pricing(
         if interior or any(r.pooled for r in records):
             theta_pool = pooled_theta([*records, record])
             if interior:
-                price_next = optimal_price(theta_pool, cfg_base, fam, eps=TRUNC_EPS)
+                price_next = optimal_price(theta_pool, cfg_base, fam)
             else:
                 price_next = price  # a skipped batch leaves the pool, so the price, as it was
             if pcfg.delta_mode == "cumulative":
@@ -338,9 +335,7 @@ def run_pricing(
                 gap_time = path.total_time + sum(r.time_ti for r in records)
             else:
                 gap_revenue, gap_time = path.revenue, path.total_time
-            delta = revenue_gap(
-                gap_revenue, gap_time, theta_pool, price_next, cfg_base, fam, eps=TRUNC_EPS
-            )
+            delta = revenue_gap(gap_revenue, gap_time, theta_pool, price_next, cfg_base, fam)
             record = replace(record, theta_pooled=theta_pool, price_next=price_next, delta=delta)
         records.append(record)
 
@@ -371,7 +366,7 @@ class TraceMetrics:
 
 
 def trace_metrics(
-    trace: PricingTrace, theta0, cfg_base: ModelConfig, fam: ValueFamily, eps: float = 1e-12
+    trace: PricingTrace, theta0, cfg_base: ModelConfig, fam: ValueFamily
 ) -> TraceMetrics:
     """Stationary revenue metrics of a finished run (evaluation mode only).
 
@@ -383,19 +378,19 @@ def trace_metrics(
     whose estimate stayed out of the pool has no model prediction, so it is
     charged the true revenue gap at the price it held.
     """
-    p_star = optimal_price(theta0, cfg_base, fam, eps=eps)
-    rev_star = expected_revenue(p_star, theta0, cfg_base, fam, eps=eps)
+    p_star = optimal_price(theta0, cfg_base, fam)
+    rev_star = expected_revenue(p_star, theta0, cfg_base, fam)
 
-    final_rev = expected_revenue(trace.final_price, theta0, cfg_base, fam, eps=eps)
+    final_rev = expected_revenue(trace.final_price, theta0, cfg_base, fam)
     num = 0.0
     den = 0.0
     lost = 0.0
     for r in trace.records:
-        rev_at_used = expected_revenue(r.price_used, theta0, cfg_base, fam, eps=eps)
+        rev_at_used = expected_revenue(r.price_used, theta0, cfg_base, fam)
         num += r.time_ti * rev_at_used
         den += r.time_ti * rev_star
         if r.pooled:
-            rev_model = expected_revenue(r.price_used, r.theta_i, cfg_base, fam, eps=eps)
+            rev_model = expected_revenue(r.price_used, r.theta_i, cfg_base, fam)
         else:
             rev_model = rev_at_used
         lost += r.time_ti * (rev_star - rev_model)

@@ -12,7 +12,9 @@ continuous time; the score ergodics of the estimator live on the jump chain.
 The truncated tables have a price axis: one row of joining rates and
 weights per price.  Single-price quantities use a one-row table, and the
 revenue-maximizing price search scores its whole price grid on one table
-before refining the best grid point one price at a time.
+before refining the best grid point one price at a time.  The numerical
+settings are the module constants below; only stationary_distribution takes
+its own truncation eps.
 """
 
 from __future__ import annotations
@@ -26,6 +28,12 @@ from .model import ModelConfig, StateTable, ValueFamily, grid_then_golden
 
 STATE_CAP = 10**6
 GOLDEN_TOL = 1e-9  # relative bracket width at which a price search stops
+TRUNC_EPS = 1e-12  # tail mass left out when the stationary law is truncated
+PRICE_FLOOR = 0.01  # lowest price a price search considers
+PRICE_GRID = 256  # prices a search scores before its golden phase
+JOIN_FRAC = 1e-6  # price_upper_bound: share of lam still joining the empty queue
+# theoretical_sigma's accounting and the stationary weighting it averages over
+_SIGMA_WEIGHTING = {"transition": "jump", "occupancy": "time"}
 
 
 class TruncationError(RuntimeError):
@@ -148,14 +156,15 @@ def stationary_distribution(
     theta,
     cfg: ModelConfig,
     fam: ValueFamily,
-    eps: float = 1e-12,
+    eps: float = TRUNC_EPS,
     weighting: str = "time",
 ) -> StationaryDist:
     """Truncated stationary distribution of the queue length.
 
     weighting="time" gives the continuous-time occupancy law; "jump" gives
     the law of the state seen at transition epochs (weights multiplied by
-    the total exit rate of each state).
+    the total exit rate of each state).  eps is the tail tolerance of the
+    truncation; every other function here uses TRUNC_EPS.
     """
     weights, lam_q, total = _truncated_row(cfg.price, theta, cfg, fam, eps)
     qstar = len(weights) - 1
@@ -175,9 +184,7 @@ def stationary_distribution(
     return StationaryDist(probs=probs, qstar=qstar, tail_bound=float(tail_bound), weighting=weighting)
 
 
-def expected_revenue(
-    price: float, theta, cfg: ModelConfig, fam: ValueFamily, eps: float = 1e-12
-) -> float:
+def expected_revenue(price: float, theta, cfg: ModelConfig, fam: ValueFamily) -> float:
     """Stationary expected revenue per unit time at the given price.
 
     Revenue accrues in continuous time, so the time-weighted stationary law
@@ -186,11 +193,11 @@ def expected_revenue(
     """
     if not price >= 0:
         raise ValueError("price must be nonnegative")
-    weights, lam_q, _ = _truncated_row(price, theta, cfg, fam, eps)
+    weights, lam_q, _ = _truncated_row(price, theta, cfg, fam, TRUNC_EPS)
     return price * float((weights * lam_q).sum() / weights.sum())
 
 
-def _revenue_scan(prices, theta, cfg: ModelConfig, fam: ValueFamily, eps: float) -> np.ndarray:
+def _revenue_scan(prices, theta, cfg: ModelConfig, fam: ValueFamily) -> np.ndarray:
     """expected_revenue at every price, from (price x state) tables.
 
     Each row is summed over its first qstar + 1 states with the rest masked
@@ -204,7 +211,7 @@ def _revenue_scan(prices, theta, cfg: ModelConfig, fam: ValueFamily, eps: float)
         raise ValueError("price must be nonnegative")
     out = []
     while len(out) < len(prices):
-        weights, lam_q, _, qstar = _truncated_tables(prices[len(out):], theta, cfg, fam, eps)
+        weights, lam_q, _, qstar = _truncated_tables(prices[len(out):], theta, cfg, fam, TRUNC_EPS)
         weights = np.where(np.arange(weights.shape[1]) <= qstar[:, None], weights, 0.0)
         rows = prices[len(out) : len(out) + len(qstar)]
         out.extend(rows * ((weights * lam_q).sum(axis=1) / weights.sum(axis=1)))
@@ -212,39 +219,35 @@ def _revenue_scan(prices, theta, cfg: ModelConfig, fam: ValueFamily, eps: float)
 
 
 def theoretical_sigma(
-    theta,
-    cfg: ModelConfig,
-    fam: ValueFamily,
-    eps: float = 1e-12,
-    weighting: str = "jump",
-    accounting: str = "transition",
+    theta, cfg: ModelConfig, fam: ValueFamily, accounting: str = "transition"
 ) -> np.ndarray:
     """Asymptotic information matrix of the estimator at the given parameter.
 
     With accounting="transition" (the exact form, matching the ergodic limit
-    of the observed information): the stationary mean, under the chosen
-    weighting, of mu*lam*g(q)g(q)^T / ((1-F)(mu + lam*(1-F))^2) over
-    informative pre-states q >= 1, with g the cdf parameter gradient at the
+    of the observed information): the mean under the jump-chain stationary
+    law of mu*lam*g(q)g(q)^T / ((1-F)(mu + lam*(1-F))^2) over informative
+    pre-states q >= 1, with g the cdf parameter gradient at the
     offered-reward threshold of q.  The empty state contributes nothing; its
     transition probability does not depend on the parameter.
 
-    With accounting="occupancy": an alternative bookkeeping that attributes
-    to every occupied state, the empty one included, the information of the
-    arrival that fills it, i.e. the same summand evaluated at threshold
-    price + q*cost_c/mu.  This is the convention behind the std-vs-price
-    sensitivity curves; use the default for anything estimator-facing.
+    With accounting="occupancy": an alternative bookkeeping over the
+    time-stationary law that attributes to every occupied state, the empty
+    one included, the information of the arrival that fills it, i.e. the
+    same summand evaluated at threshold price + q*cost_c/mu.  This is the
+    convention behind the std-vs-price sensitivity curves; use the default
+    for anything estimator-facing.
     """
+    if accounting not in _SIGMA_WEIGHTING:
+        raise ValueError(f"unknown accounting {accounting!r}")
     theta = fam.param_space.require(theta)
-    dist = stationary_distribution(theta, cfg, fam, eps=eps, weighting=weighting)
+    dist = stationary_distribution(theta, cfg, fam, weighting=_SIGMA_WEIGHTING[accounting])
     if accounting == "transition":
         probs = dist.probs[1:]
         pre = np.arange(1, dist.qstar + 1)
-    elif accounting == "occupancy":
+    else:
         # the arrival that fills state q found q - 1 others (state 0: pre-state -1)
         probs = dist.probs
         pre = np.arange(-1, dist.qstar)
-    else:
-        raise ValueError(f"unknown accounting {accounting!r}")
     if pre.size == 0:
         return np.zeros((fam.dim, fam.dim))
     tab = StateTable(pre, theta, cfg, fam)
@@ -255,26 +258,16 @@ def theoretical_sigma(
     return np.einsum("q,qj,ql->jl", coeff, tab.grad, tab.grad)
 
 
-def asymptotic_std(
-    price: float,
-    theta,
-    cfg: ModelConfig,
-    fam: ValueFamily,
-    eps: float = 1e-12,
-    weighting: str = "time",
-    accounting: str = "occupancy",
-) -> np.ndarray:
+def asymptotic_std(price: float, theta, cfg: ModelConfig, fam: ValueFamily) -> np.ndarray:
     """Asymptotic standard deviation of the sqrt(k)-scaled estimation errors.
 
     Square root of the diagonal of the inverse information matrix, evaluated
-    with the queue operating at the given price.  Defaults to the occupancy
-    accounting over the time-stationary law, which is the convention the
-    std-vs-price sensitivity curves are drawn in; pass weighting="jump",
-    accounting="transition" for the estimator-exact value.
+    with the queue operating at the given price, in the occupancy accounting
+    over the time-stationary law: the convention the std-vs-price
+    sensitivity curves are drawn in.  The estimator-exact value is
+    theoretical_sigma's default (transition) accounting.
     """
-    sigma = theoretical_sigma(
-        theta, cfg.with_price(price), fam, eps=eps, weighting=weighting, accounting=accounting
-    )
+    sigma = theoretical_sigma(theta, cfg.with_price(price), fam, accounting="occupancy")
     try:
         inv = np.linalg.inv(sigma)
     except np.linalg.LinAlgError as exc:
@@ -285,14 +278,14 @@ def asymptotic_std(
     return np.sqrt(diag)
 
 
-def price_upper_bound(theta, cfg: ModelConfig, fam: ValueFamily, frac: float = 1e-6) -> float:
+def price_upper_bound(theta, cfg: ModelConfig, fam: ValueFamily) -> float:
     """Smallest price at which effectively nobody joins the empty queue."""
     theta = fam.param_space.require(theta)
 
     def rate0(p: float) -> float:
         return StateTable(0, theta, cfg, fam, price=p).lam_q[0]
 
-    target = frac * cfg.lam
+    target = JOIN_FRAC * cfg.lam
     hi = 1.0
     while rate0(hi) >= target:
         hi *= 2.0
@@ -310,79 +303,40 @@ def price_upper_bound(theta, cfg: ModelConfig, fam: ValueFamily, frac: float = 1
     return hi
 
 
-def optimal_price(
-    theta,
-    cfg: ModelConfig,
-    fam: ValueFamily,
-    bounds: tuple[float, float] | None = None,
-    eps: float = 1e-12,
-    grid: int = 256,
-) -> float:
+def optimal_price(theta, cfg: ModelConfig, fam: ValueFamily) -> float:
     """Revenue-maximizing price for the given parameter.
 
     The grid is scored on one (price x state) table; the golden phase calls
     expected_revenue, so the result is that of a scan by expected_revenue
     whenever both scans pick the same grid point.
     """
-    if bounds is None:
-        bounds = (0.01, price_upper_bound(theta, cfg, fam))
     return grid_then_golden(
-        lambda p: expected_revenue(p, theta, cfg, fam, eps=eps),
-        *bounds,
-        grid,
+        lambda p: expected_revenue(p, theta, cfg, fam),
+        PRICE_FLOOR,
+        price_upper_bound(theta, cfg, fam),
+        PRICE_GRID,
         GOLDEN_TOL,
-        scan=lambda prices: _revenue_scan(prices, theta, cfg, fam, eps),
+        scan=lambda prices: _revenue_scan(prices, theta, cfg, fam),
     )
 
 
-def min_std_price(
-    theta,
-    cfg: ModelConfig,
-    fam: ValueFamily,
-    bounds: tuple[float, float] | None = None,
-    eps: float = 1e-12,
-    grid: int = 256,
-    weighting: str = "time",
-    accounting: str = "occupancy",
-) -> float:
+def min_std_price(theta, cfg: ModelConfig, fam: ValueFamily) -> float:
     """Price that minimizes the asymptotic estimation standard deviation."""
-    if bounds is None:
-        bounds = (0.01, price_upper_bound(theta, cfg, fam))
     return grid_then_golden(
-        lambda p: -float(
-            asymptotic_std(
-                p, theta, cfg, fam, eps=eps, weighting=weighting, accounting=accounting
-            )[0]
-        ),
-        *bounds,
-        grid,
+        lambda p: -float(asymptotic_std(p, theta, cfg, fam)[0]),
+        PRICE_FLOOR,
+        price_upper_bound(theta, cfg, fam),
+        PRICE_GRID,
         GOLDEN_TOL,
     )
 
 
-def revenue_curve(prices, theta, cfg: ModelConfig, fam: ValueFamily, eps: float = 1e-12):
-    return np.array([expected_revenue(p, theta, cfg, fam, eps=eps) for p in prices])
+def revenue_curve(prices, theta, cfg: ModelConfig, fam: ValueFamily):
+    return np.array([expected_revenue(p, theta, cfg, fam) for p in prices])
 
 
-def std_curve(
-    prices,
-    theta,
-    cfg: ModelConfig,
-    fam: ValueFamily,
-    eps: float = 1e-12,
-    weighting: str = "time",
-    accounting: str = "occupancy",
-):
-    return np.array(
-        [
-            float(
-                asymptotic_std(
-                    p, theta, cfg, fam, eps=eps, weighting=weighting, accounting=accounting
-                )[0]
-            )
-            for p in prices
-        ]
-    )
+def std_curve(prices, theta, cfg: ModelConfig, fam: ValueFamily):
+    return np.array([float(asymptotic_std(p, theta, cfg, fam)[0]) for p in prices])
 
 
 def write_curve_csv(fileobj, prices, values, label: str) -> None:

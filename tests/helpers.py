@@ -61,3 +61,50 @@ class UniformValueFamily(ValueFamily):
     def quantile(self, u, theta):
         loc = self.param_space.require(theta)[0]
         return loc + u * self.width
+
+
+class WeibullValueFamily(ValueFamily):
+    """Weibull service values, theta = (shape, scale): sf = exp(-(r / scale)^shape).
+
+    A two-parameter family with closed-form cdf derivatives, for the
+    multivariate (L-BFGS-B) branch of the fit and for information matrices
+    with off-diagonal entries.
+    """
+
+    def __init__(self, lower, upper):
+        self.param_space = ParamSpace(lower, upper)
+
+    def _u(self, r, theta):
+        """shape, scale, r, u = (r/scale)^shape and log(r/scale), taken as 0 where u is 0."""
+        shape, scale = self.param_space.require(theta)
+        r = np.asarray(r, dtype=float)
+        ratio = r / scale
+        positive = ratio > 0.0
+        log_ratio = np.log(np.where(positive, ratio, 1.0))
+        u = np.where(positive, np.exp(shape * log_ratio), 0.0)
+        return shape, scale, r, u, log_ratio
+
+    def cdf(self, r, theta):
+        out = -np.expm1(-self._u(r, theta)[3])
+        return float(out) if out.ndim == 0 else out
+
+    def sf(self, r, theta):
+        out = np.exp(-self._u(r, theta)[3])
+        return float(out) if out.ndim == 0 else out
+
+    def grad_cdf(self, r, theta):
+        shape, scale, r, u, log_ratio = self._u(r, theta)
+        # d cdf = exp(-u) du, with du/dshape = u log(r/scale), du/dscale = -shape u / scale
+        g = np.exp(-u)[..., None] * np.stack([u * log_ratio, -shape * u / scale], axis=-1)
+        return g if r.ndim else g.reshape(2)
+
+    def hess_cdf(self, r, theta):
+        shape, scale, r, u, log_ratio = self._u(r, theta)
+        du = np.stack([u * log_ratio, -shape * u / scale], axis=-1)
+        d2u = np.empty(u.shape + (2, 2))
+        d2u[..., 0, 0] = u * log_ratio**2
+        d2u[..., 0, 1] = d2u[..., 1, 0] = -(u / scale) * (shape * log_ratio + 1.0)
+        d2u[..., 1, 1] = shape * (shape + 1.0) * u / scale**2
+        # d2 cdf = exp(-u) (d2u - du du^T)
+        h = np.exp(-u)[..., None, None] * (d2u - du[..., :, None] * du[..., None, :])
+        return h if r.ndim else h.reshape(2, 2)

@@ -214,7 +214,7 @@ def test_criterion_09_sigma_cross_validation():
         SimOptions(steps=10**5, seed=91, initial_state="stationary-warmup"),
     )
     info = observed_information(path, [THETA0], ANCHOR, EXPO)[0, 0]
-    sigma = theoretical_sigma([THETA0], ANCHOR, EXPO, weighting="jump")[0, 0]
+    sigma = theoretical_sigma([THETA0], ANCHOR, EXPO)[0, 0]
     rel = abs(info - sigma) / sigma
     report(9, "observed information matches the theoretical limit within 5%",
            rel <= 0.05, f"rel diff {rel:.4f}")

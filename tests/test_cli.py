@@ -117,6 +117,25 @@ def test_validation_errors_exit_one(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "args, message",
+    [
+        (["fit", "--input", "path.csv", "--seed", "1"], "unrecognized arguments"),
+        (["price-opt", "--theta", "0.02", "--out", "d"], "unrecognized arguments"),
+        (["stationary", "--theta", "0.02", "--replications", "5"], "unrecognized arguments"),
+        (["simulate", "--theta0", "0.02", "--k", "10", "--format", "csv"],
+         "unrecognized arguments"),
+        (["experiment", "revenue-vs-price", "--format", "json"], "invalid choice"),
+    ],
+    ids=["fit-seed", "price-opt-out", "stationary-replications", "simulate-format",
+         "experiment-json"],
+)
+def test_flags_a_subcommand_ignores_are_rejected(args, message, capsys):
+    assert run_cli(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+
+
+@pytest.mark.parametrize(
     "rows",
     [
         "0,0,,\n1,1,1,0.5\n2,3,1,0.2\n",  # the state jumps from 1 to 3

@@ -51,8 +51,9 @@ def test_config_validation():
         ExperimentConfig(experiment="consistency")  # no k
     with pytest.raises(ValueError):
         ExperimentConfig(experiment="normality", k=100, replications=0)
-    with pytest.raises(ValueError):
-        ExperimentConfig(experiment="normality", k=100, fmt="png")
+    for fmt in ("png", "json"):
+        with pytest.raises(ValueError):
+            ExperimentConfig(experiment="normality", k=100, fmt=fmt)
     cfg = ExperimentConfig(experiment="normality", k=100)
     assert cfg.sizes == (100,)
 

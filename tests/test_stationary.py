@@ -117,12 +117,24 @@ def test_expected_revenue_ignores_cfg_price(anchor_cfg, expo):
 
 
 def test_truncation_stability(anchor_cfg, expo):
-    rev_a = expected_revenue(50.0, [0.02], anchor_cfg, expo, eps=1e-12)
-    rev_b = expected_revenue(50.0, [0.02], anchor_cfg, expo, eps=5e-13)
+    # revenue (time law) and information (jump law) summed over the
+    # truncated laws at two tail tolerances
+    cfg = anchor_cfg.with_price(50.0)
+    values = []
+    for eps in (1e-12, 5e-13):
+        time = stationary_distribution([0.02], cfg, expo, eps=eps, weighting="time")
+        rates = joining_rate(np.arange(time.qstar + 1), [0.02], cfg, expo)
+        jump = stationary_distribution([0.02], anchor_cfg, expo, eps=eps, weighting="jump")
+        qs = np.arange(1, jump.qstar + 1)
+        r = anchor_cfg.price + (qs + 1) * anchor_cfg.cost_c / anchor_cfg.mu
+        surv = np.exp(-0.02 * r)
+        sigma = (jump.probs[1:] * r**2 * surv / (1.0 + surv) ** 2).sum()
+        values.append((50.0 * (time.probs * rates).sum(), sigma))
+    (rev_a, sig_a), (rev_b, sig_b) = values
     assert abs(rev_a - rev_b) <= 1e-8 * abs(rev_a)
-    sig_a = theoretical_sigma([0.02], anchor_cfg, expo, eps=1e-12)[0, 0]
-    sig_b = theoretical_sigma([0.02], anchor_cfg, expo, eps=5e-13)[0, 0]
     assert abs(sig_a - sig_b) <= 1e-8 * abs(sig_a)
+    assert rev_a == pytest.approx(expected_revenue(50.0, [0.02], anchor_cfg, expo), rel=1e-12)
+    assert sig_a == pytest.approx(theoretical_sigma([0.02], anchor_cfg, expo)[0, 0], rel=1e-12)
 
 
 def test_revenue_argmax_anchors(anchor_cfg, expo):
@@ -157,7 +169,7 @@ def test_sigma_summand_matches_direct_form(anchor_cfg, expo):
         * surv
         / (anchor_cfg.mu + anchor_cfg.lam * surv) ** 2
     ).sum()
-    got = theoretical_sigma([theta], anchor_cfg, expo, weighting="jump")[0, 0]
+    got = theoretical_sigma([theta], anchor_cfg, expo)[0, 0]
     assert got == pytest.approx(direct, rel=1e-12)
 
 
@@ -172,9 +184,7 @@ def test_sigma_occupancy_accounting(anchor_cfg, expo):
         dist.probs * anchor_cfg.mu * anchor_cfg.lam * r**2 * surv
         / (anchor_cfg.mu + anchor_cfg.lam * surv) ** 2
     ).sum()
-    got = theoretical_sigma(
-        [theta], anchor_cfg, expo, weighting="time", accounting="occupancy"
-    )[0, 0]
+    got = theoretical_sigma([theta], anchor_cfg, expo, accounting="occupancy")[0, 0]
     assert got == pytest.approx(direct, rel=1e-12)
 
 
@@ -199,11 +209,9 @@ def test_sigma_rate_scaling_recomputed(anchor_cfg, expo):
 
 def test_asymptotic_std_is_inverse_sqrt_sigma(anchor_cfg, expo):
     sigma = theoretical_sigma(
-        [0.02], anchor_cfg.with_price(40.0), expo, weighting="jump", accounting="transition"
+        [0.02], anchor_cfg.with_price(40.0), expo, accounting="occupancy"
     )[0, 0]
-    std = asymptotic_std(
-        40.0, [0.02], anchor_cfg, expo, weighting="jump", accounting="transition"
-    )[0]
+    std = asymptotic_std(40.0, [0.02], anchor_cfg, expo)[0]
     assert std == pytest.approx(1.0 / math.sqrt(sigma), rel=1e-12)
 
 
@@ -250,7 +258,7 @@ def test_grid_scan_matches_expected_revenue(theta, lo, span):
     # bounds inside optimal_price's default range, where somebody joins the empty queue
     top = price_upper_bound([theta], ANCHOR, EXPO)
     prices = np.linspace(lo * top, (lo + span * (1.0 - lo)) * top, 64)
-    scan = _revenue_scan(prices, [theta], ANCHOR, EXPO, 1e-12)
+    scan = _revenue_scan(prices, [theta], ANCHOR, EXPO)
     scalar = np.array([expected_revenue(p, [theta], ANCHOR, EXPO) for p in prices])
     np.testing.assert_allclose(scan, scalar, rtol=1e-13, atol=0.0)
     assert np.argmax(scan) == np.argmax(scalar)
@@ -301,13 +309,13 @@ def test_heavy_traffic_mass_and_tail_bound(cfg, theta):
     assert np.isfinite(revenue) and revenue > 0.0
 
 
-def _price_upper_bound_80_steps(theta, cfg, fam, frac=1e-6):
+def _price_upper_bound_80_steps(theta, cfg, fam):
     """The bisection as it ran before it stopped at its fixed point."""
 
     def rate0(p):
         return joining_rate(0, theta, cfg.with_price(p), fam)
 
-    target = frac * cfg.lam
+    target = 1e-6 * cfg.lam
     hi = 1.0
     while rate0(hi) >= target:
         hi *= 2.0
@@ -322,10 +330,10 @@ def _price_upper_bound_80_steps(theta, cfg, fam, frac=1e-6):
 
 
 @table_settings
-@given(cfg=models, theta=st.floats(1e-3, 5.0), frac=st.floats(1e-9, 0.5))
-def test_price_upper_bound_equals_full_bisection(cfg, theta, frac):
-    expected = _price_upper_bound_80_steps([theta], cfg, EXPO, frac)
-    assert price_upper_bound([theta], cfg, EXPO, frac) == expected
+@given(cfg=models, theta=st.floats(1e-3, 5.0))
+def test_price_upper_bound_equals_full_bisection(cfg, theta):
+    expected = _price_upper_bound_80_steps([theta], cfg, EXPO)
+    assert price_upper_bound([theta], cfg, EXPO) == expected
 
 
 def test_grid_scan_grows_wide_tables_row_by_row():
@@ -336,7 +344,7 @@ def test_grid_scan_grows_wide_tables_row_by_row():
     prices = np.linspace(0.01, 2e5, 16)
     weights, _, _, qstar = _truncated_tables(prices, [1e-5], cfg, fam, 1e-12)
     assert len(qstar) < len(prices) and len(prices) * weights.shape[1] > STATE_CAP
-    scan = _revenue_scan(prices, [1e-5], cfg, fam, 1e-12)
+    scan = _revenue_scan(prices, [1e-5], cfg, fam)
     scalar = [expected_revenue(p, [1e-5], cfg, fam) for p in prices]
     np.testing.assert_allclose(scan, scalar, rtol=1e-13, atol=0.0)
 
@@ -372,7 +380,12 @@ NOBODY_JOINS = (
 )
 def test_grid_scan_raises_what_expected_revenue_raises(model, bounds, error):
     cfg, fam, theta = model
-    grid = _raised(lambda: optimal_price(theta, cfg, fam, bounds=bounds))
+    grid = _raised(
+        lambda: grid_then_golden(
+            lambda p: expected_revenue(p, theta, cfg, fam), *bounds, 256, 1e-9,
+            scan=lambda prices: _revenue_scan(prices, theta, cfg, fam),
+        )
+    )
     by_scalar_scan = _raised(
         lambda: grid_then_golden(
             lambda p: expected_revenue(p, theta, cfg, fam), *bounds, 256, 1e-9
