@@ -4,8 +4,9 @@ Because the up/down law of the jump chain depends only on the pre-transition
 state, a path enters the likelihood solely through per-state counts of up and
 down moves.  Every function here reduces the path to those counts once, so a
 likelihood evaluation costs O(number of distinct states), not O(path length).
-A fit tabulates states, thresholds and counts once and scores the 65 theta
-of its bracket scan in one call on a (theta x state) table.
+A fit tabulates states, thresholds and counts once and scores its scan of
+65 points per axis (65**dim in all) in one call on a (theta x state) table;
+every dimension then takes the same projected Newton polish.
 
 Transitions out of the empty queue are certain and carry no information.
 The log-likelihood sums every other state somebody joins, the states
@@ -24,7 +25,6 @@ from dataclasses import dataclass
 from statistics import NormalDist
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .model import ModelConfig, StateTable, ValueFamily, _jump_law, _threshold, grid_then_golden
 from .simulator import QueuePath
@@ -232,18 +232,22 @@ PARAM_TOL = 1e-10
 SCORE_RTOL = 1e-8
 
 
-def fit_mle(path: QueuePath, cfg: ModelConfig, fam: ValueFamily) -> FitResult:
-    """Maximize the log-likelihood over the parameter box.
+def _round_off(f: float) -> float:
+    """Log-likelihood differences this small are round-off at the value f."""
+    return 1e-12 * max(1.0, abs(f))
 
-    One-dimensional families use a bracket scan plus golden-section search
-    followed by a safeguarded Newton polish on the score; multivariate
-    families use multi-start projected quasi-Newton (L-BFGS-B, five starts).
-    The search covers the whole box and takes no starting point: the
-    L-BFGS-B starts are the box center and four points drawn from a fixed
-    seed.  A solution within model.BOUNDARY_RTOL (1e-6) of the box width of
-    any bound is flagged as a boundary fit rather than an error.  The 65-point
-    scan is scored in one call through ``fam.sf_rows``; its values equal
-    log_likelihood's.
+
+def fit_mle(path: QueuePath, cfg: ModelConfig, fam: ValueFamily) -> FitResult:
+    """Maximize the log-likelihood over the parameter box, in any dimension.
+
+    A scan of 65 points per axis (65**dim in all) is scored in one call
+    through ``fam.sf_rows``; its values equal log_likelihood's.  One
+    parameter refines the best point by golden section; more start from it.
+    A projected Newton polish on the score and information follows.  A
+    coordinate whose bound does as well up to round-off is moved there, and
+    a solution within model.BOUNDARY_RTOL (1e-6) of the box width of any
+    bound is flagged as a boundary fit rather than an error.  The search
+    takes no starting point.
     """
     if len(path) == 0:
         raise ValueError("path has no transitions")
@@ -253,69 +257,60 @@ def fit_mle(path: QueuePath, cfg: ModelConfig, fam: ValueFamily) -> FitResult:
         raise ValueError("no informative transitions in the path")
 
     k = lik.k
-
+    axes = np.linspace(space.lower, space.upper, 65)
+    grid = np.stack(np.meshgrid(*axes.T, indexing="ij"), axis=-1).reshape(-1, fam.dim)
+    values = lik.scan(grid)
+    tol = PARAM_TOL * space.width
     if fam.dim == 1:
         lo, hi = float(space.lower[0]), float(space.upper[0])
-        width = hi - lo
-
-        def f(x):
-            return lik.loglik(np.array([x]))
-
-        x = grid_then_golden(
-            f, lo, hi, 65, PARAM_TOL * width, scan=lambda xs: lik.scan(xs[:, None])
-        )
-
-        # Newton polish on the score, clamped to the box
-        fx = f(x)
-        for _ in range(60):
-            g = lik.score(np.array([x]))[0]
-            if abs(g) <= SCORE_RTOL * max(1.0, abs(fx)):
-                break
-            h = lik.information(np.array([x]))[0, 0]
-            if h <= 0:
-                break
-            x_new = min(max(x + g / h, lo), hi)
-            f_new = f(x_new)
-            if f_new < fx or abs(x_new - x) < PARAM_TOL * width:
-                x = x_new if f_new >= fx else x
-                break
-            x, fx = x_new, f_new
-
-        # A monotone likelihood flattens out in floating point (log(1-p)
-        # rounds to 0 once p underflows), so an interior plateau point can
-        # masquerade as a maximum.  When a box endpoint does at least as well
-        # up to round-off, the data cannot tell them apart: report the bound.
-        fx = f(x)
-        flat = 1e-12 * max(1.0, abs(fx))
-        f_lo, f_hi = f(lo), f(hi)
-        if max(f_lo, f_hi) >= fx - flat:
-            x = hi if f_hi >= f_lo else lo
-        theta_hat = np.array([x])
+        x = np.array([grid_then_golden(
+            lambda t: lik.loglik(np.array([t])), lo, hi, 65, tol[0], scan=lambda ts: values
+        )])
     else:
-        rng = np.random.default_rng(0)
-        starts = [space.center]
-        starts += [
-            space.lower + (0.1 + 0.8 * rng.random(fam.dim)) * space.width for _ in range(4)
-        ]
+        x = grid[np.argmax(values)].copy()
 
-        def negloglik(t):
-            return -lik.loglik(t)
+    # Projected Newton polish (Bertsekas 1982): a coordinate at a bound the
+    # score pushes against stays fixed.  Only a golden-refined start, already
+    # resolved to PARAM_TOL, may stop on the relative score test.
+    refined, fx = fam.dim == 1, lik.loglik(x)
+    for _ in range(60):
+        g = lik.score(x)
+        free = ~((x <= space.lower) & (g < 0) | (x >= space.upper) & (g > 0))
+        if not g[free].any() or refined and np.linalg.norm(g) <= SCORE_RTOL * max(1.0, abs(fx)):
+            break
+        h = lik.information(x)[np.ix_(free, free)]
+        low = np.linalg.eigvalsh(h)[0] if np.isfinite(h).all() else 0.0
+        if low == 0.0:
+            break
+        # an indefinite information is shifted to a positive definite one
+        step = np.zeros(fam.dim)
+        step[free] = np.linalg.solve(h - 2.0 * min(low, 0.0) * np.eye(len(h)), g[free])
+        for halving in range(60):
+            x_new = space.clip(x + step)
+            f_new = lik.loglik(x_new)
+            # a halved step must gain more than round-off
+            up = f_new > fx + _round_off(fx) if halving else f_new >= fx
+            small = bool(np.all(np.abs(x_new - x) < tol))
+            if up or small:
+                break
+            step = step / 2
+        if up:
+            x, fx = x_new, f_new
+        if small or not up:
+            break
 
-        def neggrad(t):
-            return -k * lik.score(t)
-
-        best_res = None
-        for start in starts:
-            res = minimize(
-                negloglik,
-                start,
-                jac=neggrad,
-                method="L-BFGS-B",
-                bounds=list(zip(space.lower, space.upper)),
-            )
-            if best_res is None or res.fun < best_res.fun:
-                best_res = res
-        theta_hat = space.clip(best_res.x)
+    # A monotone likelihood flattens out in floating point (log(1-p) rounds
+    # to 0 once p underflows), so an interior plateau point can masquerade as
+    # a maximum.  When a coordinate's bound does at least as well up to
+    # round-off, the data cannot tell them apart: report the bound.
+    fx = lik.loglik(x)
+    for j in range(fam.dim):
+        at_j = np.arange(fam.dim) == j
+        ends = [lik.loglik(np.where(at_j, b, x)) for b in (space.lower[j], space.upper[j])]
+        if max(ends) >= fx - _round_off(fx):
+            x[j] = space.upper[j] if ends[1] >= ends[0] else space.lower[j]
+            fx = max(ends)
+    theta_hat = x
 
     boundary = space.on_boundary(theta_hat)
     final_loglik = lik.loglik(theta_hat)

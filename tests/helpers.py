@@ -66,9 +66,9 @@ class UniformValueFamily(ValueFamily):
 class WeibullValueFamily(ValueFamily):
     """Weibull service values, theta = (shape, scale): sf = exp(-(r / scale)^shape).
 
-    A two-parameter family with closed-form cdf derivatives, for the
-    multivariate (L-BFGS-B) branch of the fit and for information matrices
-    with off-diagonal entries.
+    A two-parameter family with closed-form cdf derivatives, for fits in
+    more than one dimension and for information matrices with off-diagonal
+    entries.
     """
 
     def __init__(self, lower, upper):

@@ -1,5 +1,7 @@
 import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -294,12 +296,12 @@ def test_outer_product_agrees_with_observed_information(anchor_cfg, expo):
 
 
 def test_observed_information_matches_sigma(anchor_cfg, expo):
-    path = simulate_path(
-        anchor_cfg, expo, [0.02], SimOptions(steps=10**5, seed=16, initial_state="stationary-warmup")
-    )
-    info = observed_information(path, [0.02], anchor_cfg, expo)[0, 0]
-    sigma = theoretical_sigma([0.02], anchor_cfg, expo)[0, 0]
-    assert info == pytest.approx(sigma, rel=0.05)
+    for cfg, fam, theta0 in ((anchor_cfg, expo, [0.02]), (WEIBULL_CFG, WEIBULL, [2.0, 20.0])):
+        path = simulate_path(
+            cfg, fam, theta0, SimOptions(steps=10**5, seed=16, initial_state="stationary-warmup")
+        )
+        info = observed_information(path, theta0, cfg, fam)
+        np.testing.assert_allclose(info, theoretical_sigma(theta0, cfg, fam), rtol=0.05)
 
 
 # --- the per-fit likelihood and its batch-theta scan ------------------------
@@ -392,7 +394,7 @@ def test_batch_survival_rejects_rows_outside_the_box(fam):
             log_likelihood(make_path([0, 1, 0]), [bad], ANCHOR, fam)
 
 
-# --- a two-parameter family: the L-BFGS-B branch ----------------------------
+# --- a two-parameter family: the same fit routine in two dimensions ---------
 
 WEIBULL = WeibullValueFamily([0.5, 2.0], [10.0, 60.0])
 WEIBULL_CFG = ModelConfig(lam=1.0, mu=1.0, cost_c=1.0, price=5.0)
@@ -441,15 +443,13 @@ def test_two_parameter_fit_and_information():
     np.testing.assert_array_equal(sigma, sigma.T)
     assert np.all(np.linalg.eigvalsh(sigma) > 0.0)
     assert abs(sigma[0, 1]) >= 0.1 * math.sqrt(sigma[0, 0] * sigma[1, 1])
+    assert confidence_interval(fit, 0.95).shape == (2, 2)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="L-BFGS-B stops on 'relative reduction of f' at a non-stationary point",
-)
 def test_two_parameter_fit_reaches_the_grid_optimum():
-    # every start ends near (2.25, 14.76) with score norm 1.5e-3 and loglik
-    # -1192.55, while the grid reaches -1190.0 near (3.86, 12.63)
+    # a quasi-Newton fit from the box center stalled near (2.25, 14.76) with
+    # score norm 1.5e-3 and loglik -1192.55; the grid reaches -1190.0 near
+    # (3.86, 12.63)
     path = simulate_path(
         WEIBULL_CFG, WEIBULL, [4.0, 12.0],
         SimOptions(steps=2000, seed=3, initial_state="stationary-warmup"),
@@ -457,3 +457,33 @@ def test_two_parameter_fit_reaches_the_grid_optimum():
     fit = fit_mle(path, WEIBULL_CFG, WEIBULL)
     assert fit.loglik >= _grid_best(_Likelihood(path, WEIBULL_CFG, WEIBULL), 61)
     assert fit.score_norm <= SCORE_RTOL * max(1.0, abs(fit.loglik))
+
+
+@pytest.mark.parametrize(
+    "theta0, k, seed", [((7.0, 6.0), 500, 3), ((3.0, 30.0), 500, 0)], ids=["7-6-seed3", "3-30-seed0"]
+)
+def test_two_parameter_fit_on_the_box_edge(theta0, k, seed):
+    # the shape's upper bound 10 is the optimum; a fit from the box center
+    # stopped inside, short of stationarity or at a lower local maximum
+    path = simulate_path(
+        WEIBULL_CFG, WEIBULL, theta0,
+        SimOptions(steps=k, seed=seed, initial_state="stationary-warmup"),
+    )
+    fit = fit_mle(path, WEIBULL_CFG, WEIBULL)
+    assert fit.boundary
+    assert fit.loglik >= _grid_best(_Likelihood(path, WEIBULL_CFG, WEIBULL), 61)
+
+
+@pytest.mark.parametrize("price", [59.46427, 80.0])
+def test_two_parameter_plateau_is_a_boundary_fit(price):
+    # only q = 1 is left, always downwards: the log-likelihood is 0 wherever
+    # nobody joins there, so no interior point is identified
+    cfg = WEIBULL_CFG.with_price(price)
+    fit = fit_mle(make_path([0, 1] * 5 + [0], price=price), cfg, WEIBULL)
+    assert fit.boundary
+
+
+def test_import_does_not_load_scipy():
+    code = "import sys, balkwise; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

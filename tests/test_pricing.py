@@ -17,7 +17,7 @@ from balkwise.pricing import (
     trace_metrics,
 )
 from balkwise.stationary import expected_revenue, optimal_price, theoretical_sigma
-from helpers import make_path
+from helpers import WeibullValueFamily, make_path
 
 BASE = ModelConfig(lam=1.0, mu=1.0, cost_c=1.0, price=1.0)
 
@@ -252,6 +252,32 @@ def test_skipped_uninformative_batch_serializes(expo_worked):
     m = trace_metrics(trace, [0.02], BASE, expo_worked)
     assert math.isfinite(m.total_lost_revenue)
     assert m.total_observations == sum(r.k_i for r in trace.records)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_two_parameter_pricing_run(seed):
+    # seed 1 holds the price at 59.46 on five plateau batches (a boundary
+    # fit each) instead of pooling an interior fit of one
+    fam = WeibullValueFamily([0.5, 2.0], [10.0, 60.0])
+    base = ModelConfig(lam=1.0, mu=1.0, cost_c=1.0, price=5.0)
+    pcfg = PricingConfig(initial_price=5.0, k1_min=50, schedule="doubling",
+                         max_observations=6000, boundary_policy="skip")
+    trace = run_pricing(base, fam, pcfg, theta0=[2.0, 20.0], seed=seed)
+    assert all(r.theta_i.shape == (2,) for r in trace.records)
+    m = trace_metrics(trace, [2.0, 20.0], base, fam)
+    assert 0.0 < m.final_fraction <= 1.0 and math.isfinite(m.total_lost_revenue)
+
+    buf = io.StringIO()
+    trace.to_csv(buf)
+    rows = buf.getvalue().splitlines()[1:]
+    assert len(rows) == len(trace.records)
+    assert all(row.split(",")[2].count(";") == 1 for row in rows)
+
+    def strict(token):
+        raise AssertionError(f"non-finite constant {token} in trace JSON")
+
+    payload = json.loads(trace.to_json(), parse_constant=strict)
+    assert all(len(r["theta_i"]) == 2 for r in payload["records"])
 
 
 def test_pooled_estimate_converges(expo_worked):
