@@ -126,13 +126,15 @@ class _Likelihood:
             + (self.down[joins] * np.log(p_down[joins])).sum()
         )
 
-    def scan(self, thetas) -> np.ndarray:
-        """loglik at each row of an (n, dim) array, from one (theta x state) table.
+    def scan(self, thetas) -> tuple[np.ndarray, np.ndarray]:
+        """loglik at each row of an (n, dim) array, and the table's live mask.
 
-        Row sums add loglik's terms in its order; a row with a state nobody
-        joins is summed over the other states alone, as loglik sums it.
+        Both come from one (theta x state) table.  Row sums add loglik's
+        terms in its order; a row with a state nobody joins is summed over
+        the other states alone, as loglik sums it.  The (n, states) mask
+        marks the informative states at each row, as ``effective`` counts them.
         """
-        p_up, p_down, _ = self._law(self.fam.sf_rows(self.thresholds, thetas))
+        p_up, p_down, live = self._law(self.fam.sf_rows(self.thresholds, thetas))
         with np.errstate(divide="ignore", invalid="ignore"):
             up, down = self.up * np.log(p_up), self.down * np.log(p_down)
         out = up.sum(axis=1) + down.sum(axis=1)
@@ -140,7 +142,7 @@ class _Likelihood:
         for i in np.flatnonzero(~joins.all(axis=1)):
             out[i] = up[i][joins[i]].sum() + down[i][joins[i]].sum()
         out[(p_up[:, self.has_up] == 0.0).any(axis=1)] = -np.inf
-        return out
+        return out, live
 
     def effective(self, theta) -> int:
         live = self._law(self.fam.sf(self.thresholds, theta))[2]
@@ -253,13 +255,12 @@ def fit_mle(path: QueuePath, cfg: ModelConfig, fam: ValueFamily) -> FitResult:
         raise ValueError("path has no transitions")
     space = fam.param_space
     lik = _Likelihood(path, cfg, fam)
-    if lik.effective(space.center) == 0:
-        raise ValueError("no informative transitions in the path")
-
     k = lik.k
     axes = np.linspace(space.lower, space.upper, 65)
     grid = np.stack(np.meshgrid(*axes.T, indexing="ij"), axis=-1).reshape(-1, fam.dim)
-    values = lik.scan(grid)
+    values, live = lik.scan(grid)
+    if not live.any():
+        raise ValueError("no informative transitions in the path")
     tol = PARAM_TOL * space.width
     if fam.dim == 1:
         lo, hi = float(space.lower[0]), float(space.upper[0])

@@ -187,6 +187,26 @@ def test_fit_requires_informative_data(anchor_cfg, expo):
         fit_mle(make_path([0, 1]), anchor_cfg, expo)
 
 
+# Nothing is informative at the box center, but the thresholds are elsewhere:
+# exp(-2.5 * 308.31) underflows at the exponential center 2.5005, and the
+# uniform state 1's threshold 2 is below the support at the center 2.75.
+@pytest.mark.parametrize(
+    "fam, price, states, theta_hat, boundary",
+    [
+        (ExponentialFamily(ParamSpace([1e-3], [5.0])), 307.31, [0, 1, 2, 1, 0, 1, 0],
+         0.00355, False),
+        (UniformValueFamily(width=4.0, lower=0.5, upper=5.0), 0.0, [0, 1, 0, 1, 0, 1, 0],
+         0.5, True),
+    ],
+    ids=["exponential-underflow", "uniform-support"],
+)
+def test_fit_decides_informativeness_over_the_scan_grid(fam, price, states, theta_hat, boundary):
+    cfg = ModelConfig(lam=1.0, mu=1.0, cost_c=1.0, price=price)
+    fit = fit_mle(make_path(states, price=price), cfg, fam)
+    assert fit.boundary == boundary
+    assert fit.theta_hat[0] == pytest.approx(theta_hat, abs=5e-5)
+
+
 def test_fit_rejects_empty_path(anchor_cfg, expo):
     with pytest.raises(ValueError):
         fit_mle(make_path([0]), anchor_cfg, expo)
@@ -320,8 +340,11 @@ def _scan_thetas(lik):
 
 
 def _assert_scan_matches_scalar(path, thetas):
-    scan = _Likelihood(path, ANCHOR, WIDE).scan(thetas[:, None])
+    lik = _Likelihood(path, ANCHOR, WIDE)
+    scan, live = lik.scan(thetas[:, None])
     scalar = np.array([log_likelihood(path, [t], ANCHOR, WIDE) for t in thetas])
+    counts = np.where(live, lik.up + lik.down, 0).sum(axis=1)
+    np.testing.assert_array_equal(counts, [lik.effective([t]) for t in thetas])
     np.testing.assert_array_equal(np.isneginf(scan), np.isneginf(scalar))
     np.testing.assert_allclose(scan, scalar, rtol=1e-13, atol=0.0)
     assert np.argmax(scan) == np.argmax(scalar)
@@ -340,7 +363,7 @@ def test_scan_sums_the_live_states_of_an_underflowed_row():
     path = make_path([0, 1, 2, 1, 0, 1, 0])
     thetas = _scan_thetas(_Likelihood(path, ANCHOR, WIDE))
     _assert_scan_matches_scalar(path, thetas)
-    scan = _Likelihood(path, ANCHOR, WIDE).scan(thetas[:, None])
+    scan = _Likelihood(path, ANCHOR, WIDE).scan(thetas[:, None])[0]
     assert np.isfinite(scan[-1]) and np.isneginf(scan[-2])
 
 
@@ -426,7 +449,7 @@ def _grid_best(lik, n):
     """Best loglik over an n x n grid of the box, scored in one scan."""
     lower, upper = WEIBULL.param_space.lower, WEIBULL.param_space.upper
     a, b = np.meshgrid(np.linspace(lower[0], upper[0], n), np.linspace(lower[1], upper[1], n))
-    return lik.scan(np.column_stack([a.ravel(), b.ravel()])).max()
+    return lik.scan(np.column_stack([a.ravel(), b.ravel()]))[0].max()
 
 
 def test_two_parameter_fit_and_information():
@@ -460,7 +483,9 @@ def test_two_parameter_fit_reaches_the_grid_optimum():
 
 
 @pytest.mark.parametrize(
-    "theta0, k, seed", [((7.0, 6.0), 500, 3), ((3.0, 30.0), 500, 0)], ids=["7-6-seed3", "3-30-seed0"]
+    "theta0, k, seed",
+    [((7.0, 6.0), 500, 3), ((3.0, 30.0), 500, 0)],
+    ids=["7-6-seed3", "3-30-seed0"],
 )
 def test_two_parameter_fit_on_the_box_edge(theta0, k, seed):
     # the shape's upper bound 10 is the optimum; a fit from the box center
