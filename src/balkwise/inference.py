@@ -279,13 +279,12 @@ def fit_mle(path: QueuePath, cfg: ModelConfig, fam: ValueFamily) -> FitResult:
         free = ~((x <= space.lower) & (g < 0) | (x >= space.upper) & (g > 0))
         if not g[free].any() or refined and np.linalg.norm(g) <= SCORE_RTOL * max(1.0, abs(fx)):
             break
-        h = lik.information(x)[np.ix_(free, free)]
-        low = np.linalg.eigvalsh(h)[0] if np.isfinite(h).all() else 0.0
-        if low == 0.0:
+        w, v = np.linalg.eigh(lik.information(x)[np.ix_(free, free)])
+        if w[0] == 0.0:
             break
         # an indefinite information is shifted to a positive definite one
         step = np.zeros(fam.dim)
-        step[free] = np.linalg.solve(h - 2.0 * min(low, 0.0) * np.eye(len(h)), g[free])
+        step[free] = v @ (v.T @ g[free] / (w - 2.0 * min(w[0], 0.0)))
         for halving in range(60):
             x_new = space.clip(x + step)
             f_new = lik.loglik(x_new)

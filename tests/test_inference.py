@@ -470,9 +470,8 @@ def test_two_parameter_fit_and_information():
 
 
 def test_two_parameter_fit_reaches_the_grid_optimum():
-    # a quasi-Newton fit from the box center stalled near (2.25, 14.76) with
-    # score norm 1.5e-3 and loglik -1192.55; the grid reaches -1190.0 near
-    # (3.86, 12.63)
+    # the grid reaches -1190.0 near (3.86, 12.63); a local search from the
+    # box center can stall near (2.25, 14.76) at -1192.55
     path = simulate_path(
         WEIBULL_CFG, WEIBULL, [4.0, 12.0],
         SimOptions(steps=2000, seed=3, initial_state="stationary-warmup"),
@@ -488,8 +487,8 @@ def test_two_parameter_fit_reaches_the_grid_optimum():
     ids=["7-6-seed3", "3-30-seed0"],
 )
 def test_two_parameter_fit_on_the_box_edge(theta0, k, seed):
-    # the shape's upper bound 10 is the optimum; a fit from the box center
-    # stopped inside, short of stationarity or at a lower local maximum
+    # the optimum has the shape at its upper bound 10; (3, 30) also has a
+    # local maximum inside the box, 0.03 below the grid's best
     path = simulate_path(
         WEIBULL_CFG, WEIBULL, theta0,
         SimOptions(steps=k, seed=seed, initial_state="stationary-warmup"),

@@ -256,8 +256,8 @@ def test_skipped_uninformative_batch_serializes(expo_worked):
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_two_parameter_pricing_run(seed):
-    # seed 1 holds the price at 59.46 on five plateau batches (a boundary
-    # fit each) instead of pooling an interior fit of one
+    # seed 1 holds the price at 59.46 on five plateau batches, each a
+    # boundary fit that stays out of the pool
     fam = WeibullValueFamily([0.5, 2.0], [10.0, 60.0])
     base = ModelConfig(lam=1.0, mu=1.0, cost_c=1.0, price=5.0)
     pcfg = PricingConfig(initial_price=5.0, k1_min=50, schedule="doubling",
