@@ -5,6 +5,10 @@ chain directly from the state-dependent joining rates (fast, the default),
 while ``simulate_full_arrivals`` plays out every potential customer, draws an
 individual service value, applies the joining rule and discards balkers.  The
 second exists so tests can verify the thinning equivalence end to end.
+
+A long path is walked by predict-and-patch (``_walk``): its blocks are walked
+at once from guessed entries, then each is walked one step at a time from its
+true entry until it meets its prediction, so the guesses only set the speed.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from .model import ModelConfig, StateTable, ValueFamily, offered_reward
 
 STATIONARY_WARMUP = "stationary-warmup"
 DEFAULT_WARMUP_STEPS = 1000
+_BLOCK, _PREDICT_FROM = 128, 16384  # block size and shortest predicted path, see _walk
 
 
 class AbsorbingStateError(RuntimeError):
@@ -93,17 +98,23 @@ class QueuePath:
         ValueError when the rows do not form a valid path.
         """
         reader = csv.reader(fileobj)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError("path CSV is empty")
         if header != ["step", "state", "up", "hold"]:
             raise ValueError(f"unexpected path CSV header: {header}")
         states, ups, holds = [], [], []
         for line, row in enumerate(reader, start=2):
             if len(row) != 4:
                 raise ValueError(f"path CSV line {line} has {len(row)} columns, expected 4")
-            states.append(int(row[1]))
-            if row[2] != "":
-                ups.append(int(row[2]) == 1)
-                holds.append(float(row[3]))
+            try:
+                states.append(int(row[col := 1]))
+                if row[2] != "":
+                    ups.append(int(row[col := 2]) == 1)
+                    holds.append(float(row[col := 3]))
+            except ValueError:
+                raise ValueError(f"path CSV line {line}, column {header[col]!r}: "
+                                 f"{row[col]!r} is not a number") from None
         states = np.asarray(states, dtype=np.int64)
         ups = np.asarray(ups, dtype=bool)
         holds = np.asarray(holds, dtype=float)
@@ -173,6 +184,10 @@ def _walk(rng, steps: int, start: int, theta, cfg: ModelConfig, fam: ValueFamily
 
     Returns the states and the per-state table columns (joining rate,
     informative flag) over states 0..at least the highest one visited.
+    A draw below p_up (1 at the empty queue) moves up.  From ``_PREDICT_FROM``
+    steps on, ``_predict`` walks all ``_BLOCK``-step blocks at once; each is then
+    walked from its true entry only until it meets the prediction, which from
+    there moves from the same state on the same draws and table: the true path.
     """
     lam_tab: list[float] = []
     pup: list[float] = []
@@ -191,21 +206,50 @@ def _walk(rng, steps: int, start: int, theta, cfg: ModelConfig, fam: ValueFamily
             "no customer ever joins the empty queue (joining rate 0 at state 0)"
         )
 
-    draws = rng.random(steps).tolist()
+    draws = rng.random(steps)
     states = np.empty(steps + 1, dtype=np.int64)
     states[0] = start
-    q = start
-    for i in range(steps):
-        if q == 0:
-            q = 1
-        elif draws[i] < pup[q]:
-            q += 1
-            if q + 1 >= len(pup):
-                grow(q + 2)
-        else:
-            q -= 1
-        states[i + 1] = q
+    done = steps - steps % _BLOCK if steps >= _PREDICT_FROM else 0
+    entries = _predict(draws[:done], start, states[1:done + 1], pup, grow) if done else []
+    for lo, guess in zip(range(0, done + 1, _BLOCK), entries + [-1]):  # -1: nothing predicted
+        if (q := int(states[lo])) == guess:
+            continue  # predicted from its true entry
+        hi = lo + _BLOCK if lo < done else steps
+        span, walked = states[lo + 1:hi + 1], []
+        ahead = span.tolist() if lo < done else [-1] * (hi - lo)
+        for u, predicted in zip(draws[lo:hi].tolist(), ahead):
+            if u < pup[q]:
+                q += 1
+                if q + 1 >= len(pup):
+                    grow(q + 2)
+            else:
+                q -= 1
+            if q == predicted:
+                break  # met the prediction, which from here on is the true path
+            walked.append(q)
+        span[:len(walked)] = walked
     return states, np.asarray(lam_tab), np.asarray(informative)
+
+
+def _predict(draws: np.ndarray, start: int, out: np.ndarray, pup: list, grow) -> list:
+    """Walk every ``_BLOCK``-step block of ``draws`` at once into ``out``; return the entries used.
+
+    Pass 1 enters block j > 0 at ``(start + j*_BLOCK) % 2``, pass 2 where pass 1
+    left block j-1.  Walks of one parity on the same draws never cross (p_up does
+    not rise with the state), so pass 2 starts nearly every block at its true entry.
+    """
+    u = np.ascontiguousarray(draws.reshape(-1, _BLOCK).T)
+    pred = np.empty((_BLOCK + 1, u.shape[1]), dtype=np.int64)
+    pred[0] = np.r_[start, (start + _BLOCK * np.arange(1, u.shape[1])) % 2]
+    for _ in range(2):
+        while len(pup) <= int(pred[0].max()) + _BLOCK + 1:  # past every state a block can reach
+            grow(len(pup) + 1)
+        up_at = np.array(pup)
+        for i in range(_BLOCK):
+            pred[i + 1] = pred[i] - 1 + 2 * (u[i] < up_at.take(pred[i]))
+        entries, pred[0] = pred[0].tolist(), np.r_[start, pred[-1, :-1]]
+    out.reshape(-1, _BLOCK)[:] = pred[1:].T
+    return entries
 
 
 def build_path(
@@ -222,8 +266,9 @@ def build_path(
     pre = states[:-1]
     ups = states[1:] > pre
 
-    exit_rates = np.where(pre > 0, lam_tab[pre] + cfg.mu, lam_tab[0])
-    holds = rng.standard_exponential(steps) / exit_rates
+    rate = lam_tab + cfg.mu  # exit rate per state; the empty queue is left by arrivals only
+    rate[0] = lam_tab[0]
+    holds = rng.standard_exponential(steps) / rate[pre]
 
     return QueuePath(
         states=states,
@@ -260,7 +305,7 @@ def simulate_full_arrivals(
     value; a customer facing q in the system joins only when the value covers
     the offered-reward threshold at q.  Balking customers leave no trace in
     the recorded path.  Kept as the independent oracle for the thinning
-    equivalence;prefer simulate_path for anything long.
+    equivalence; prefer simulate_path for anything long.
     """
     theta0 = fam.param_space.require(theta0)
     if StateTable(0, theta0, cfg, fam).surv[0] <= 0.0:

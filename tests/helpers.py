@@ -1,10 +1,10 @@
-"""Shared test utilities: hand-built paths and a bounded-support test family."""
+"""Shared test utilities: hand-built paths, a reference walk and extra value families."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from balkwise.model import ParamSpace, ValueFamily
+from balkwise.model import ParamSpace, StateTable, ValueFamily
 from balkwise.simulator import QueuePath
 
 
@@ -22,6 +22,29 @@ def make_path(states, holds=None, price: float = 0.0) -> QueuePath:
         revenue=price * int(ups.sum()),
         total_time=float(holds.sum()),
     )
+
+
+def reference_path(rng, start: int, warmup: int, steps: int, theta, cfg, fam) -> QueuePath:
+    """``build_path`` the plain way: one step at a time, on one table of every reachable state.
+
+    Draws the same numbers in the same order (one uniform per transition,
+    then one standard exponential per kept transition), so it is the oracle
+    that any faster walk must match exactly.
+    """
+    draws = rng.random(warmup + steps).tolist()
+    table = StateTable(np.arange(start + warmup + steps + 1), theta, cfg, fam)
+    p_up = table.p_up.tolist()
+    q, states = start, [start]
+    for u in draws:
+        q = q + 1 if q == 0 or u < p_up[q] else q - 1
+        states.append(q)
+    states = np.asarray(states[warmup:], dtype=np.int64)
+    pre = states[:-1]
+    exit_rates = np.where(pre > 0, table.lam_q[pre] + cfg.mu, table.lam_q[0])
+    holds = rng.standard_exponential(steps) / exit_rates
+    ups = states[1:] > pre
+    return QueuePath(states, ups, holds, cfg.price * int(ups.sum()), float(holds.sum()),
+                     table.informative[pre])
 
 
 class UniformValueFamily(ValueFamily):

@@ -159,6 +159,19 @@ def test_fit_rejects_short_csv_row(tmp_path, capsys):
     assert "line 3 has 2 columns" in err
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [("", "path CSV is empty"),
+     ("step,state,up,hold\n0,0,,\n1,1,1,half\n", "path CSV line 3, column 'hold': 'half' is not a number")],
+    ids=["empty-file", "non-numeric-hold"],
+)
+def test_fit_names_what_it_cannot_read_in_a_path_csv(tmp_path, capsys, text, message):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(text)
+    assert run_cli(["fit", "--input", str(bad)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_runtime_errors_exit_two(monkeypatch, capsys):
     def boom(args):
         raise RuntimeError("engineered failure")

@@ -3,18 +3,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from balkwise.model import offered_reward, up_probability
+from balkwise import simulator
+from balkwise.model import ExponentialFamily, ModelConfig, ParamSpace, offered_reward, up_probability
 from balkwise.simulator import (
     AbsorbingStateError,
     QueuePath,
     SimOptions,
+    build_path,
     concat_paths,
     path_stats,
     simulate_full_arrivals,
     simulate_path,
 )
-from helpers import UniformValueFamily, make_path
+from helpers import UniformValueFamily, make_path, reference_path
 
 
 def test_sim_options_validation():
@@ -80,6 +84,50 @@ def test_up_frequency_matches_model(anchor_cfg, expo):
         p = up_probability(q, theta0, anchor_cfg, expo)
         se = math.sqrt(p * (1 - p) / n)
         assert abs(path.ups[sel].mean() - p) <= 3 * se
+
+
+BLOCK, PREDICT_FROM = simulator._BLOCK, simulator._PREDICT_FROM
+# walk lengths: below one block, an exact multiple of the block, one step past
+# it, and a longer one ending in a partial block
+WALK_LENGTHS = [1, BLOCK - 1, PREDICT_FROM, PREDICT_FROM + 1, PREDICT_FROM + 3 * BLOCK + 45]
+
+
+def _assert_same_path(got: QueuePath, want: QueuePath) -> None:
+    np.testing.assert_array_equal(got.states, want.states)
+    np.testing.assert_array_equal(got.ups, want.ups)
+    np.testing.assert_array_equal(got.holds, want.holds)
+    np.testing.assert_array_equal(got.informative_mask, want.informative_mask)
+    assert (got.revenue, got.total_time) == (want.revenue, want.total_time)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=40)
+@given(
+    lam=st.floats(0.3, 20.0),
+    cost_c=st.floats(0.05, 2.0),
+    price=st.floats(0.0, 40.0),
+    theta=st.floats(1e-3, 0.5),
+    start=st.sampled_from([0, 1, 7, 40]),
+    warmup=st.sampled_from([0, 37]),
+    walk=st.sampled_from(WALK_LENGTHS),
+    next_steps=st.sampled_from([1, 300, PREDICT_FROM + 1]),
+    seed=st.integers(0, 2**32 - 1),
+)
+# heavy traffic: the chain climbs to thousands, so predictions outgrow the first 64-state table
+@example(lam=20.0, cost_c=1.0, price=0.0, theta=1e-3, start=0, warmup=0, walk=PREDICT_FROM + 1,
+         next_steps=PREDICT_FROM + 1, seed=3)
+def test_build_path_matches_the_one_step_walk(lam, cost_c, price, theta, start, warmup, walk,
+                                              next_steps, seed):
+    """The block walk is exact: equal to the reference walk over two calls on one generator."""
+    cfg = ModelConfig(lam=lam, mu=1.0, cost_c=cost_c, price=price)
+    fam = ExponentialFamily(ParamSpace([1e-3], [5.0]))
+    warmup = min(warmup, walk - 1)
+    got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = build_path(got_rng, start, warmup, walk - warmup, [theta], cfg, fam)
+    _assert_same_path(got, reference_path(want_rng, start, warmup, walk - warmup, [theta], cfg, fam))
+    # the second call continues the stream, as SimulatedSource.collect does
+    end = int(got.states[-1])
+    _assert_same_path(build_path(got_rng, end, 0, next_steps, [theta], cfg, fam),
+                      reference_path(want_rng, end, 0, next_steps, [theta], cfg, fam))
 
 
 def test_holding_time_means(anchor_cfg, expo):
@@ -215,6 +263,22 @@ def test_csv_import_validates():
 def test_csv_import_rejects_short_rows():
     rows = "step,state,up,hold\n0,0,,\n1,1,1,0.5\n2,2\n"
     with pytest.raises(ValueError, match="line 4 has 2 columns, expected 4"):
+        QueuePath.from_csv(io.StringIO(rows))
+
+
+def test_csv_import_rejects_an_empty_file():
+    with pytest.raises(ValueError, match="path CSV is empty"):
+        QueuePath.from_csv(io.StringIO(""))
+
+
+@pytest.mark.parametrize(
+    "row, column, cell",
+    [("2,two,1,0.2", "state", "two"), ("2,2,yes,0.2", "up", "yes"), ("2,2,1,0.2s", "hold", "0.2s")],
+    ids=["state", "up", "hold"],
+)
+def test_csv_import_names_the_cell_it_cannot_read(row, column, cell):
+    rows = f"step,state,up,hold\n0,0,,\n1,1,1,0.5\n{row}\n"
+    with pytest.raises(ValueError, match=f"line 4, column '{column}': '{cell}' is not a number"):
         QueuePath.from_csv(io.StringIO(rows))
 
 

@@ -1,11 +1,12 @@
 """Print one sha256 per seeded output of balkwise, to compare two checkouts.
 
 Runs the six experiment drivers at small configurations with workers=1, and
-hashes simulated paths, fits (boundary fits on hand-built paths and one
-10^5-step fit among them), information matrices, price searches and
-pricing-loop traces under both boundary policies.  Two checkouts whose
-outputs agree print the same lines, so a refactor that must keep seeded
-results byte-identical can be checked with
+hashes simulated paths (long ones among them, one in heavy traffic), fits
+(boundary fits on hand-built paths and one 10^5-step fit among them),
+information matrices, price searches and pricing-loop traces under both
+boundary policies.  Two checkouts whose outputs agree print the same lines,
+so a refactor that must keep seeded results byte-identical can be checked
+with
 
     PYTHONPATH=src python tools/output_digest.py > new.txt
     PYTHONPATH=<other checkout>/src python tools/output_digest.py > old.txt
@@ -107,6 +108,12 @@ def outputs():
             yield f"path/theta{theta0}-seed{seed}", _path_bytes(path)
     yield "path/full-arrivals", _path_bytes(
         simulate_full_arrivals(CFG, FAM, [0.02], SimOptions(steps=500, seed=4, warmup_steps=50)))
+    # long enough for the block walk: heavy traffic (states in the thousands)
+    # and a length that leaves a partial last block
+    yield "path/heavy-traffic-steps60000", _path_bytes(simulate_path(
+        ModelConfig(lam=20.0, mu=1.0, cost_c=1.0, price=0.0), FAM, [1e-3], SimOptions(steps=60_000, seed=7)))
+    yield "path/theta0.02-steps20001", _path_bytes(
+        simulate_path(CFG, FAM, [0.02], SimOptions(steps=20_001, seed=8)))
     source = SimulatedSource(CFG, FAM, [0.02], seed=5)
     for i, (price, steps) in enumerate([(15.0, 50), (30.0, 1), (60.0, 200), (5.0, 20)]):
         yield f"path/collect{i}", _path_bytes(source.collect(price, steps))
