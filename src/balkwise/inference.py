@@ -116,11 +116,15 @@ class _Likelihood:
         return _jump_law(self.cfg.lam * surv, surv, self.cfg.mu)
 
     def loglik(self, theta) -> float:
-        p_up, p_down, _ = self._law(self.fam.sf(self.thresholds, theta))
-        # an up-move from a state nobody joins is impossible under theta
-        if (p_up[self.has_up] == 0.0).any():
-            return -np.inf
+        """Log-likelihood at theta; no mask is built when every state is joined."""
+        lam_q = self.cfg.lam * np.asarray(self.fam.sf(self.thresholds, theta), dtype=float)
+        denom = self.cfg.mu + lam_q
+        p_up, p_down = lam_q / denom, self.cfg.mu / denom
         joins = p_up > 0.0
+        if joins.all():
+            joins = slice(None)  # the same terms in the same order, unmasked
+        elif (p_up[self.has_up] == 0.0).any():
+            return -np.inf  # an up-move from a state nobody joins is impossible under theta
         return float(
             (self.up[joins] * np.log(p_up[joins])).sum()
             + (self.down[joins] * np.log(p_down[joins])).sum()

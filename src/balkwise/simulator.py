@@ -95,7 +95,7 @@ class QueuePath:
 
         Revenue needs the price, so it is zero unless ``cfg`` is given; the
         informative mask needs the family and a parameter as well.  Raises
-        ValueError when the rows do not form a valid path.
+        ValueError, naming the line, when the rows do not form a valid path.
         """
         reader = csv.reader(fileobj)
         header = next(reader, None)
@@ -108,13 +108,21 @@ class QueuePath:
             if len(row) != 4:
                 raise ValueError(f"path CSV line {line} has {len(row)} columns, expected 4")
             try:
+                step = int(row[col := 0])
                 states.append(int(row[col := 1]))
                 if row[2] != "":
-                    ups.append(int(row[col := 2]) == 1)
+                    ups.append(int(row[col := 2]))
                     holds.append(float(row[col := 3]))
             except ValueError:
-                raise ValueError(f"path CSV line {line}, column {header[col]!r}: "
-                                 f"{row[col]!r} is not a number") from None
+                problem = "is not a number"
+            else:
+                if step != line - 2:
+                    col, problem = 0, f"is out of sequence, expected {line - 2}"
+                elif row[2] != "" and ups[-1] not in (0, 1):
+                    col, problem = 2, "is not 0 or 1"
+                else:
+                    continue
+            raise ValueError(f"path CSV line {line}, column {header[col]!r}: {row[col]!r} {problem}")
         states = np.asarray(states, dtype=np.int64)
         ups = np.asarray(ups, dtype=bool)
         holds = np.asarray(holds, dtype=float)
@@ -248,6 +256,8 @@ def _predict(draws: np.ndarray, start: int, out: np.ndarray, pup: list, grow) ->
         for i in range(_BLOCK):
             pred[i + 1] = pred[i] - 1 + 2 * (u[i] < up_at.take(pred[i]))
         entries, pred[0] = pred[0].tolist(), np.r_[start, pred[-1, :-1]]
+        if pred[0].tolist() == entries:
+            break  # each block was entered where the one before ended: all true entries
     out.reshape(-1, _BLOCK)[:] = pred[1:].T
     return entries
 

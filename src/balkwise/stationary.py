@@ -10,9 +10,9 @@ the jump chain (product times the total exit rate).  Revenue accrues in
 continuous time; the score ergodics of the estimator live on the jump chain.
 
 The truncated tables have a price axis: one row of joining rates and
-weights per price.  Single-price quantities use a one-row table, and the
-revenue-maximizing price search scores its whole price grid on one table
-before refining the best grid point one price at a time.  The numerical
+weights per price, as wide as that price needs.  The revenue-maximizing
+price search scores its whole price grid on such tables, then refines the
+best grid point one price at a time on a single row.  The numerical
 settings are the module constants below; only stationary_distribution takes
 its own truncation eps.
 """
@@ -24,13 +24,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelConfig, StateTable, ValueFamily, grid_then_golden
+from .model import ModelConfig, StateTable, ValueFamily, _threshold, grid_then_golden
 
 STATE_CAP = 10**6
 GOLDEN_TOL = 1e-9  # relative bracket width at which a price search stops
 TRUNC_EPS = 1e-12  # tail mass left out when the stationary law is truncated
 PRICE_FLOOR = 0.01  # lowest price a price search considers
 PRICE_GRID = 256  # prices a search scores before its golden phase
+_NARROW = 32  # states a truncated table starts with, doubled for the rows that need more
 JOIN_FRAC = 1e-6  # price_upper_bound: share of lam still joining the empty queue
 # theoretical_sigma's accounting and the stationary weighting it averages over
 _SIGMA_WEIGHTING = {"transition": "jump", "occupancy": "time"}
@@ -70,86 +71,106 @@ def stationary_weights(theta, cfg: ModelConfig, fam: ValueFamily, qmax: int) -> 
     return out
 
 
+def _weigh(lam_q, mu: float, eps: float):
+    """Weights, accumulated weights and truncation mask of (rows, width) joining rates.
+
+    A row may be cut where its joining-to-service ratio is below 1/2 and its
+    weight below eps times the accumulated weight: the rest is dominated by a
+    geometric sequence with ratio < 1/2, a provable tail bound.  Weights are
+    running products, so up to a state they do not depend on the width.
+    """
+    ratio = lam_q / mu
+    weights = np.empty_like(lam_q)
+    weights[:, 0] = 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.cumprod(ratio[:, :-1], axis=1, out=weights[:, 1:])
+        partial = np.cumsum(weights, axis=1)
+    big = ~np.isfinite(partial[:, -1])
+    if big.any():  # redo an overflowing row in logs, scaled by its largest weight
+        with np.errstate(divide="ignore"):
+            logs = np.cumsum(np.log(ratio[big, :-1]), axis=1)
+        top = np.maximum(logs.max(axis=1, keepdims=True), 0.0)
+        weights[big] = np.exp(np.concatenate([np.zeros_like(top), logs], axis=1) - top)
+        partial[big] = np.cumsum(weights[big], axis=1)
+    return weights, partial, (ratio < 0.5) & (weights < eps * partial)
+
+
 def _truncated_tables(prices, theta, cfg: ModelConfig, fam: ValueFamily, eps: float):
     """Weights and joining rates up to the truncation state, one row per price.
 
-    The table has one row per price (``cfg.price`` is not used) and one
-    column per queue length.  A row's truncation state is the smallest q
-    whose joining-to-service ratio has dropped below 1/2 and whose weight is
-    below eps times the accumulated weight; past it the weights are
-    dominated by a geometric sequence with ratio < 1/2, which gives a
-    provable tail bound.  The table starts at 128 states and doubles until
-    every row is truncated.  Weights and accumulated weights are running
-    products and sums along a row, so a row does not depend on the table's
-    width or on the other rows: it equals the one-row table of its price.
-    A row whose sum overflows (heavy traffic) is redone as a running sum of
-    logs, scaled by its largest weight: no ratio of weights changes.
-
-    Returns ``(weights, lam_q, totals, qstar)`` for the leading rows:
-    (rows, width) tables, valid in each row up to its ``qstar``, the
-    accumulated weight at ``qstar``, and ``qstar``.  Usually these are all
-    the rows.  The tables stop before the first price at which nobody joins
-    the empty queue, and before the first unfinished row once another row
-    cannot be truncated or growing every row would pass STATE_CAP entries;
-    the caller then calls again with the remaining prices.  Only a first
-    row raises: ValueError for a zero joining rate at the empty queue,
-    TruncationError when it cannot be truncated within STATE_CAP states.
-    So a scan meets the error of the first bad price, in order, and no
-    table grows past STATE_CAP entries, the most a single row may take.
+    Rows (``cfg.price`` is not used) start at _NARROW states and are cut at
+    the first state of ``_weigh``'s mask; only the rows not yet cut are
+    tabulated again at double the width.  Returns ``(rows, weights, lam_q,
+    totals, qstar)`` per width: the indices of the prices cut at it, their
+    (n, width) tables, valid up to ``qstar``, the accumulated weight at
+    ``qstar``, and ``qstar``.  The rows are the leading ones, usually all:
+    they stop before the first price at which nobody joins the empty queue,
+    and before the first unfinished row once the unfinished rows reach
+    STATE_CAP states or would pass STATE_CAP entries at double the width;
+    the caller then calls again with the remaining prices.  Only a first row
+    raises (nobody joins, or no cut within STATE_CAP states), so a scan meets
+    the error of the first bad price, in order.  theta is validated by the
+    callers.
     """
-    theta = fam.param_space.require(theta)
     if not 0.0 < eps < 1.0:
         raise ValueError("tail tolerance must lie in (0, 1)")
-    mu = cfg.mu
     prices = np.asarray(prices, dtype=float).reshape(-1, 1)
-    lam_q = StateTable(np.arange(128), theta, cfg, fam, price=prices).lam_q
+    lam_q = StateTable(np.arange(_NARROW), theta, cfg, fam, price=prices).lam_q
     zero = lam_q[:, 0] <= 0.0
     if zero[0]:
         raise ValueError("joining rate at the empty queue is zero")
-    if zero.any():
-        end = int(np.argmax(zero))
-        prices, lam_q = prices[:end], lam_q[:end]
+    pending = np.arange(int(np.argmax(zero)) if zero.any() else len(prices))
+    lam_q, out = lam_q[: len(pending)], []
     while True:
-        weights = np.empty_like(lam_q)
-        weights[:, 0] = 1.0
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.cumprod(lam_q[:, :-1] / mu, axis=1, out=weights[:, 1:])
-            partial = np.cumsum(weights, axis=1)
-        big = ~np.isfinite(partial[:, -1])
-        if big.any():  # redo an overflowing row in logs, scaled by its largest weight
-            with np.errstate(divide="ignore"):
-                logs = np.cumsum(np.log(lam_q[big, :-1] / mu), axis=1)
-            top = np.maximum(logs.max(axis=1, keepdims=True), 0.0)
-            weights[big] = np.exp(np.concatenate([np.zeros_like(top), logs], axis=1) - top)
-            partial[big] = np.cumsum(weights[big], axis=1)
-        ok = (lam_q / mu < 0.5) & (weights < eps * partial)
+        weights, partial, ok = _weigh(lam_q, cfg.mu, eps)
         done = ok.any(axis=1)
-        rows = len(done) if done.all() else int(np.argmin(done))
-        if rows < len(done):
-            size = lam_q.shape[1]
-            new_size = min(2 * size, STATE_CAP)
-            stuck = ~done & (size >= STATE_CAP)
-            cut = stuck.any() or len(done) * new_size > STATE_CAP
-            if rows == 0 or not cut:  # grow all rows, or only the first when cut
-                if stuck[0]:
-                    raise TruncationError(
-                        f"no truncation state found within {STATE_CAP} states; "
-                        "the chain does not appear to balk"
-                    )
-                if cut:
-                    prices, lam_q = prices[:1], lam_q[:1]
-                more = StateTable(np.arange(size, new_size), theta, cfg, fam, price=prices).lam_q
-                lam_q = np.concatenate([lam_q, more], axis=1)
-                continue
-        qstar = np.argmax(ok[:rows], axis=1)
-        return weights[:rows], lam_q[:rows], partial[np.arange(rows), qstar], qstar
+        qstar = np.argmax(ok[done], axis=1)
+        totals = partial[done][np.arange(len(qstar)), qstar]
+        out.append((pending[done], weights[done], lam_q[done], totals, qstar))
+        pending, lam_q = pending[~done], lam_q[~done]
+        if not len(pending):
+            return out
+        size = lam_q.shape[1]
+        new_size = min(2 * size, STATE_CAP)
+        if size >= STATE_CAP or len(pending) * new_size > STATE_CAP:
+            first = pending[0]  # every row before it is truncated
+            out = [tuple(part[group[0] < first] for part in group) for group in out]
+            if first > 0:
+                return out
+            if size >= STATE_CAP:
+                raise TruncationError(f"no truncation state found within {STATE_CAP} states; "
+                                      "the chain does not appear to balk")
+            pending, lam_q = pending[:1], lam_q[:1]
+        more = StateTable(np.arange(size, new_size), theta, cfg, fam, price=prices[pending]).lam_q
+        lam_q = np.concatenate([lam_q, more], axis=1)
 
 
 def _truncated_row(price: float, theta, cfg: ModelConfig, fam: ValueFamily, eps: float):
     """Weights, joining rates and accumulated weight of one price, to its truncation state."""
-    weights, lam_q, totals, qstar = _truncated_tables([price], theta, cfg, fam, eps)
+    _, weights, lam_q, totals, qstar = _truncated_tables([price], theta, cfg, fam, eps)[-1]
     end = int(qstar[0]) + 1
     return weights[0, :end], lam_q[0, :end], totals[0]
+
+
+def _revenue_row(theta, cfg: ModelConfig, fam: ValueFamily):
+    """expected_revenue as a function of the price alone, for a validated theta.
+
+    A row not cut within _NARROW states, or at which nobody joins the empty
+    queue, takes ``_truncated_row``; either way the values are its values.
+    """
+    offsets = _threshold(np.arange(_NARROW), cfg, price=0.0)
+
+    def revenue(price: float) -> float:
+        lam_q = cfg.lam * np.asarray(fam.sf(price + offsets, theta), dtype=float)
+        weights, _, ok = _weigh(lam_q[None], cfg.mu, TRUNC_EPS)
+        if lam_q[0] > 0.0 and ok.any():
+            end = int(np.argmax(ok)) + 1
+            weights, lam_q = weights[0, :end], lam_q[:end]
+        else:
+            weights, lam_q, _ = _truncated_row(price, theta, cfg, fam, TRUNC_EPS)
+        return price * float((weights * lam_q).sum() / weights.sum())
+
+    return revenue
 
 
 def stationary_distribution(
@@ -166,6 +187,7 @@ def stationary_distribution(
     the total exit rate of each state).  eps is the tail tolerance of the
     truncation; every other function here uses TRUNC_EPS.
     """
+    theta = fam.param_space.require(theta)
     weights, lam_q, total = _truncated_row(cfg.price, theta, cfg, fam, eps)
     qstar = len(weights) - 1
     rho = lam_q[-1] / cfg.mu
@@ -188,34 +210,34 @@ def expected_revenue(price: float, theta, cfg: ModelConfig, fam: ValueFamily) ->
     """Stationary expected revenue per unit time at the given price.
 
     Revenue accrues in continuous time, so the time-weighted stationary law
-    applies: price times the stationary mean of the joining rate.  The
-    price stored in cfg is ignored in favor of the argument.
+    applies: price times the stationary mean of the joining rate, on the one
+    row optimal_price's golden phase evaluates.  cfg.price is ignored.
     """
     if not price >= 0:
         raise ValueError("price must be nonnegative")
-    weights, lam_q, _ = _truncated_row(price, theta, cfg, fam, TRUNC_EPS)
-    return price * float((weights * lam_q).sum() / weights.sum())
+    return _revenue_row(fam.param_space.require(theta), cfg, fam)(price)
 
 
 def _revenue_scan(prices, theta, cfg: ModelConfig, fam: ValueFamily) -> np.ndarray:
     """expected_revenue at every price, from (price x state) tables.
 
-    Each row is summed over its first qstar + 1 states with the rest masked
-    out, so a value can differ from expected_revenue's in the last bits
-    (the summation order differs).  A negative price raises ValueError;
-    otherwise the scan raises what the first price that cannot be
-    tabulated raises.
+    Each row is summed over its table's width with the states past qstar
+    masked out, so a value can differ from expected_revenue's in the last
+    bits (the summation order differs).  A negative price raises
+    ValueError; otherwise the scan raises what the first price that cannot
+    be tabulated raises.
     """
     prices = np.asarray(prices, dtype=float)
     if not (prices >= 0).all():
         raise ValueError("price must be nonnegative")
-    out = []
-    while len(out) < len(prices):
-        weights, lam_q, _, qstar = _truncated_tables(prices[len(out):], theta, cfg, fam, TRUNC_EPS)
-        weights = np.where(np.arange(weights.shape[1]) <= qstar[:, None], weights, 0.0)
-        rows = prices[len(out) : len(out) + len(qstar)]
-        out.extend(rows * ((weights * lam_q).sum(axis=1) / weights.sum(axis=1)))
-    return np.asarray(out)
+    out, start = np.empty(len(prices)), 0
+    while start < len(prices):
+        tables = _truncated_tables(prices[start:], theta, cfg, fam, TRUNC_EPS)
+        for rows, weights, lam_q, _, qstar in tables:
+            weights = np.where(np.arange(weights.shape[1]) <= qstar[:, None], weights, 0.0)
+            out[start + rows] = (weights * lam_q).sum(axis=1) / weights.sum(axis=1)
+        start += sum(len(rows) for rows, *_ in tables)
+    return prices * out
 
 
 def theoretical_sigma(
@@ -279,18 +301,21 @@ def asymptotic_std(price: float, theta, cfg: ModelConfig, fam: ValueFamily) -> n
 
 
 def price_upper_bound(theta, cfg: ModelConfig, fam: ValueFamily) -> float:
-    """Smallest price at which effectively nobody joins the empty queue."""
-    theta = fam.param_space.require(theta)
+    """Smallest price at which effectively nobody joins the empty queue.
 
-    def rate0(p: float) -> float:
-        return StateTable(0, theta, cfg, fam, price=p).lam_q[0]
+    Doubling scores 1, 2, ..., 2**39 in one call; bisection narrows the last doubling.
+    """
+    theta = fam.param_space.require(theta)
+    offset = _threshold(0, cfg, price=0.0)
+
+    def rate0(p):
+        return cfg.lam * fam.sf(p + offset, theta)
 
     target = JOIN_FRAC * cfg.lam
-    hi = 1.0
-    while rate0(hi) >= target:
-        hi *= 2.0
-        if hi > 1e12:
-            raise TruncationError("joining rate does not vanish with price")
+    joins = rate0(2.0 ** np.arange(40)) >= target
+    if joins.all():
+        raise TruncationError("joining rate does not vanish with price")
+    hi = 2.0 ** int(np.argmin(joins))
     lo = hi / 2.0 if hi > 1.0 else 0.0
     for _ in range(80):
         mid = 0.5 * (lo + hi)
@@ -306,12 +331,13 @@ def price_upper_bound(theta, cfg: ModelConfig, fam: ValueFamily) -> float:
 def optimal_price(theta, cfg: ModelConfig, fam: ValueFamily) -> float:
     """Revenue-maximizing price for the given parameter.
 
-    The grid is scored on one (price x state) table; the golden phase calls
-    expected_revenue, so the result is that of a scan by expected_revenue
-    whenever both scans pick the same grid point.
+    The grid is scored on (price x state) tables, the golden phase on one row
+    built once per search, with expected_revenue's values; so the result is
+    that of a scan by expected_revenue whenever both pick the same grid point.
     """
+    theta = fam.param_space.require(theta)
     return grid_then_golden(
-        lambda p: expected_revenue(p, theta, cfg, fam),
+        _revenue_row(theta, cfg, fam),
         PRICE_FLOOR,
         price_upper_bound(theta, cfg, fam),
         PRICE_GRID,

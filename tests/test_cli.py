@@ -162,8 +162,11 @@ def test_fit_rejects_short_csv_row(tmp_path, capsys):
 @pytest.mark.parametrize(
     "text, message",
     [("", "path CSV is empty"),
-     ("step,state,up,hold\n0,0,,\n1,1,1,half\n", "path CSV line 3, column 'hold': 'half' is not a number")],
-    ids=["empty-file", "non-numeric-hold"],
+     ("step,state,up,hold\n0,0,,\n1,1,1,half\n", "path CSV line 3, column 'hold': 'half' is not a number"),
+     ("step,state,up,hold\n0,1,,\n1,0,7,0.5\n", "path CSV line 3, column 'up': '7' is not 0 or 1"),
+     ("step,state,up,hold\n0,0,,\n5,1,1,0.5\n",
+      "path CSV line 3, column 'step': '5' is out of sequence, expected 1")],
+    ids=["empty-file", "non-numeric-hold", "up-not-0-or-1", "step-out-of-sequence"],
 )
 def test_fit_names_what_it_cannot_read_in_a_path_csv(tmp_path, capsys, text, message):
     bad = tmp_path / "bad.csv"

@@ -115,6 +115,10 @@ def _assert_same_path(got: QueuePath, want: QueuePath) -> None:
 # heavy traffic: the chain climbs to thousands, so predictions outgrow the first 64-state table
 @example(lam=20.0, cost_c=1.0, price=0.0, theta=1e-3, start=0, warmup=0, walk=PREDICT_FROM + 1,
          next_steps=PREDICT_FROM + 1, seed=3)
+# low traffic: every block is walked from 0 or 1, so the parity guesses are the
+# true entries and the second prediction pass is skipped
+@example(lam=0.3, cost_c=1.0, price=10.0, theta=0.5, start=0, warmup=0,
+         walk=PREDICT_FROM + 3 * BLOCK + 45, next_steps=PREDICT_FROM + 1, seed=5)
 def test_build_path_matches_the_one_step_walk(lam, cost_c, price, theta, start, warmup, walk,
                                               next_steps, seed):
     """The block walk is exact: equal to the reference walk over two calls on one generator."""
@@ -128,6 +132,34 @@ def test_build_path_matches_the_one_step_walk(lam, cost_c, price, theta, start, 
     end = int(got.states[-1])
     _assert_same_path(build_path(got_rng, end, 0, next_steps, [theta], cfg, fam),
                       reference_path(want_rng, end, 0, next_steps, [theta], cfg, fam))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=10)
+@given(
+    rho=st.floats(0.2, 3.0),
+    theta=st.floats(0.05, 1.0),
+    # theta times the threshold's step and its price: joining gets rarer fast
+    # enough for every state to be visited often, and the empty queue is
+    # left after at most e^2 arrivals on average
+    theta_cost=st.floats(0.2, 1.0),
+    theta_price=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_thinning_equivalence_of_up_frequencies(rho, theta, theta_cost, theta_price, seed):
+    """The thinned chain and the per-customer simulation move up from each state equally often."""
+    cfg = ModelConfig(lam=rho, mu=1.0, cost_c=theta_cost / theta, price=theta_price / theta)
+    fam = ExponentialFamily(ParamSpace([1e-3], [5.0]))
+    opts = SimOptions(steps=2000, seed=seed, initial_state="stationary-warmup", warmup_steps=200)
+    paths = [sim(cfg, fam, [theta], opts) for sim in (simulate_path, simulate_full_arrivals)]
+    size = max(int(path.states.max()) for path in paths) + 1
+    moves = np.array([np.bincount(path.pre_states, minlength=size) for path in paths])
+    ups = np.array([np.bincount(path.pre_states, path.ups, minlength=size) for path in paths])
+    states = np.flatnonzero((moves >= 30).all(axis=0) & (np.arange(size) > 0))
+    assert states.size > 0
+    p_up = np.array([up_probability(int(q), [theta], cfg, fam) for q in states])
+    freq = ups[:, states] / moves[:, states]
+    sigma = np.sqrt(p_up * (1.0 - p_up) * (1.0 / moves[0, states] + 1.0 / moves[1, states]))
+    assert np.all(np.abs(freq[0] - freq[1]) <= 5.0 * sigma)
 
 
 def test_holding_time_means(anchor_cfg, expo):
@@ -280,6 +312,20 @@ def test_csv_import_names_the_cell_it_cannot_read(row, column, cell):
     rows = f"step,state,up,hold\n0,0,,\n1,1,1,0.5\n{row}\n"
     with pytest.raises(ValueError, match=f"line 4, column '{column}': '{cell}' is not a number"):
         QueuePath.from_csv(io.StringIO(rows))
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [("0,1,,\n1,0,7,0.5\n", "line 3, column 'up': '7' is not 0 or 1"),
+     ("0,0,,\n1,1,1,0.5\n2,0,-1,0.5\n", "line 4, column 'up': '-1' is not 0 or 1"),
+     ("0,0,,\n5,1,1,0.5\n", "line 3, column 'step': '5' is out of sequence, expected 1"),
+     ("1,0,,\n2,1,1,0.5\n", "line 2, column 'step': '1' is out of sequence, expected 0")],
+    ids=["up-7", "up-minus-1", "step-skips", "step-starts-at-1"],
+)
+def test_csv_import_reads_up_and_step_strictly(rows, message):
+    # an up cell of 7 used to load as a down move, and the step column was never read
+    with pytest.raises(ValueError, match=message):
+        QueuePath.from_csv(io.StringIO("step,state,up,hold\n" + rows))
 
 
 def test_concat_paths(anchor_cfg, expo):

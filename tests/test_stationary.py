@@ -3,18 +3,22 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from balkwise.model import (
     ExponentialFamily,
     ModelConfig,
     ParamSpace,
+    StateTable,
     grid_then_golden,
     joining_rate,
 )
 from balkwise.simulator import SimOptions, path_stats, simulate_path
 from balkwise.stationary import (
+    GOLDEN_TOL,
+    PRICE_FLOOR,
+    PRICE_GRID,
     STATE_CAP,
     TruncationError,
     _revenue_scan,
@@ -264,12 +268,21 @@ def test_grid_scan_matches_expected_revenue(theta, lo, span):
     assert np.argmax(scan) == np.argmax(scalar)
 
 
+def _rows(tables, n):
+    """The joining-rate row of each of the first n prices, at the width it was tabulated."""
+    rows = {int(i): lam for index, _, lam_q, _, _ in tables for i, lam in zip(index, lam_q)}
+    assert sorted(rows) == list(range(n))
+    return [rows[i] for i in range(n)]
+
+
 @table_settings
 @given(theta=st.floats(1e-3, 0.5), price=st.floats(0.0, 100.0))
 def test_table_rows_follow_the_exponential_memoryless_oracle(theta, price):
-    # sf(p + x) = sf(p) sf(x): the joining rates at price p are sf(p) times those at price 0
-    _, lam_q, _, _ = _truncated_tables([0.0, price], [theta], ANCHOR, EXPO, 1e-12)
-    np.testing.assert_allclose(lam_q[1], EXPO.sf(price, [theta]) * lam_q[0], rtol=1e-12)
+    # sf(p + x) = sf(p) sf(x): the joining rates at price p are sf(p) times those at price 0,
+    # over every state both rows were tabulated for
+    lam_q = _rows(_truncated_tables([0.0, price], [theta], ANCHOR, EXPO, 1e-12), 2)
+    n = min(len(lam_q[0]), len(lam_q[1]))
+    np.testing.assert_allclose(lam_q[1][:n], EXPO.sf(price, [theta]) * lam_q[0][:n], rtol=1e-12)
 
 
 @table_settings
@@ -338,15 +351,93 @@ def test_price_upper_bound_equals_full_bisection(cfg, theta):
 
 def test_grid_scan_grows_wide_tables_row_by_row():
     # light balking: the lowest price needs ~7e4 states, so 16 rows at that
-    # width would pass STATE_CAP and the table is grown for fewer rows
+    # width would pass STATE_CAP; only the rows that need it are grown that wide
     cfg = ModelConfig(lam=1.0, mu=1.0, cost_c=1.0, price=0.0)
     fam = ExponentialFamily(ParamSpace([1e-14], [1.0]))
     prices = np.linspace(0.01, 2e5, 16)
-    weights, _, _, qstar = _truncated_tables(prices, [1e-5], cfg, fam, 1e-12)
-    assert len(qstar) < len(prices) and len(prices) * weights.shape[1] > STATE_CAP
+    tables = _truncated_tables(prices, [1e-5], cfg, fam, 1e-12)
+    widths = [len(row) for row in _rows(tables, len(prices))]
+    assert len(prices) * max(widths) > STATE_CAP and min(widths) == 32
+    assert all(weights.size <= STATE_CAP for _, weights, _, _, _ in tables)
     scan = _revenue_scan(prices, [1e-5], cfg, fam)
     scalar = [expected_revenue(p, [1e-5], cfg, fam) for p in prices]
     np.testing.assert_allclose(scan, scalar, rtol=1e-13, atol=0.0)
+
+
+def test_grid_scan_stops_before_rows_that_would_pass_state_cap():
+    # eight low prices need ~7e4 states each: at double the width they would
+    # pass STATE_CAP, so a table returns the leading row and the rest follow
+    cfg = ModelConfig(lam=1.0, mu=1.0, cost_c=1.0, price=0.0)
+    fam = ExponentialFamily(ParamSpace([1e-14], [1.0]))
+    prices = np.r_[2e5, np.linspace(0.01, 1e3, 8)]
+    tables = _truncated_tables(prices, [1e-5], cfg, fam, 1e-12)
+    assert [int(i) for index, *_ in tables for i in index] == [0]
+    scan = _revenue_scan(prices, [1e-5], cfg, fam)
+    scalar = [expected_revenue(p, [1e-5], cfg, fam) for p in prices]
+    np.testing.assert_allclose(scan, scalar, rtol=1e-13, atol=0.0)
+
+
+def _full_width_tables(prices, theta, cfg, fam):
+    """Every price's row on one table, 128 states wide and doubled until every row is cut."""
+    prices, width = np.asarray(prices, dtype=float), 128
+    while True:
+        lam_q = StateTable(np.arange(width), theta, cfg, fam, price=prices[:, None]).lam_q
+        weights = np.empty_like(lam_q)
+        weights[:, 0] = 1.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.cumprod(lam_q[:, :-1] / cfg.mu, axis=1, out=weights[:, 1:])
+            partial = np.cumsum(weights, axis=1)
+        big = ~np.isfinite(partial[:, -1])
+        if big.any():
+            with np.errstate(divide="ignore"):
+                logs = np.cumsum(np.log(lam_q[big, :-1] / cfg.mu), axis=1)
+            top = np.maximum(logs.max(axis=1, keepdims=True), 0.0)
+            weights[big] = np.exp(np.concatenate([np.zeros_like(top), logs], axis=1) - top)
+            partial[big] = np.cumsum(weights[big], axis=1)
+        ok = (lam_q / cfg.mu < 0.5) & (weights < 1e-12 * partial)
+        if ok.any(axis=1).all():
+            return weights, lam_q, np.argmax(ok, axis=1)
+        width *= 2
+
+
+def _full_width_scan(prices, theta, cfg, fam):
+    weights, lam_q, qstar = _full_width_tables(prices, theta, cfg, fam)
+    weights = np.where(np.arange(weights.shape[1]) <= qstar[:, None], weights, 0.0)
+    return prices * ((weights * lam_q).sum(axis=1) / weights.sum(axis=1))
+
+
+def _full_width_revenue(price, theta, cfg, fam):
+    weights, lam_q, qstar = _full_width_tables([price], theta, cfg, fam)
+    end = qstar[0] + 1
+    return price * float((weights[0, :end] * lam_q[0, :end]).sum() / weights[0, :end].sum())
+
+
+@table_settings
+@given(
+    cfg=st.builds(
+        lambda rho, mu, cost_c: ModelConfig(rho * mu, mu, cost_c, 0.0),
+        rho=st.floats(0.05, 6.0),
+        mu=st.floats(0.2, 5.0),
+        cost_c=st.floats(0.01, 2.0),
+    ),
+    log_theta=st.floats(math.log(1e-3), math.log(5.0)),
+)
+# heavy traffic whose weights overflow, and the box edges
+@example(cfg=ModelConfig(4.0, 1.0, 1 / 64, 0.0), log_theta=math.log(0.0625))
+@example(cfg=ANCHOR, log_theta=math.log(1e-3))
+@example(cfg=ANCHOR, log_theta=math.log(5.0))
+def test_optimal_price_equals_the_search_on_full_width_tables(cfg, log_theta):
+    # the search as it ran on one table of every grid price and a 128-state
+    # row per golden step: the narrow tables and the one-row evaluator change
+    # no value it sees
+    theta = [min(max(math.exp(log_theta), 1e-3), 5.0)]
+    assume(stationary_distribution(theta, cfg.with_price(PRICE_FLOOR), EXPO).qstar < 3000)
+    expected = grid_then_golden(
+        lambda p: _full_width_revenue(p, theta, cfg, EXPO), PRICE_FLOOR,
+        price_upper_bound(theta, cfg, EXPO), PRICE_GRID, GOLDEN_TOL,
+        scan=lambda prices: _full_width_scan(prices, theta, cfg, EXPO),
+    )
+    assert optimal_price(theta, cfg, EXPO) == expected
 
 
 def _raised(fn):

@@ -3,10 +3,10 @@
 Runs the six experiment drivers at small configurations with workers=1, and
 hashes simulated paths (long ones among them, one in heavy traffic), fits
 (boundary fits on hand-built paths and one 10^5-step fit among them),
-information matrices, price searches and pricing-loop traces under both
-boundary policies.  Two checkouts whose outputs agree print the same lines,
-so a refactor that must keep seeded results byte-identical can be checked
-with
+information matrices, price searches (heavy traffic and the edges of the
+parameter box among them) and pricing-loop traces under both boundary
+policies.  Two checkouts whose outputs agree print the same lines, so a
+refactor that must keep seeded results byte-identical can be checked with
 
     PYTHONPATH=src python tools/output_digest.py > new.txt
     PYTHONPATH=<other checkout>/src python tools/output_digest.py > old.txt
@@ -45,6 +45,7 @@ from balkwise import (
     min_std_price,
     observed_information,
     optimal_price,
+    price_upper_bound,
     run_experiment,
     run_pricing,
     score,
@@ -147,6 +148,17 @@ def outputs():
             min_std_price([theta], CFG, FAM),
             expected_revenue(20.0, [theta], CFG, FAM),
         )).encode()
+
+    # price searches off the anchor's path: heavy traffic whose weights overflow
+    # (lam/mu = 4), both edges of the parameter box, and revenue rows that need
+    # from 32 to over 128 states
+    heavy = ModelConfig(lam=4.0, mu=1.0, cost_c=1 / 64, price=0.0)
+    for name, cfg, theta in (("heavy-theta0.0625", heavy, 0.0625), ("heavy-theta5.0", heavy, 5.0),
+                             ("theta0.001", CFG, 1e-3), ("theta5.0", CFG, 5.0)):
+        yield f"price/{name}", repr((price_upper_bound([theta], cfg, FAM),
+                                     optimal_price([theta], cfg, FAM))).encode()
+    yield "revenue/theta0.005-prices0-200", repr(
+        [expected_revenue(p, [0.005], CFG, FAM) for p in np.linspace(0.0, 200.0, 41)]).encode()
 
     for theta in (0.02, 0.5):
         per_state = [(up_probability(q, [theta], CFG, FAM), up_prob_grad(q, [theta], CFG, FAM),
