@@ -117,9 +117,7 @@ class _Likelihood:
 
     def loglik(self, theta) -> float:
         """Log-likelihood at theta; no mask is built when every state is joined."""
-        lam_q = self.cfg.lam * np.asarray(self.fam.sf(self.thresholds, theta), dtype=float)
-        denom = self.cfg.mu + lam_q
-        p_up, p_down = lam_q / denom, self.cfg.mu / denom
+        p_up, p_down, _ = self._law(self.fam.sf(self.thresholds, theta))
         joins = p_up > 0.0
         if joins.all():
             joins = slice(None)  # the same terms in the same order, unmasked

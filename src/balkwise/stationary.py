@@ -9,12 +9,11 @@ space.  Two stationary weightings coexist: the continuous-time occupancy law
 the jump chain (product times the total exit rate).  Revenue accrues in
 continuous time; the score ergodics of the estimator live on the jump chain.
 
-The truncated tables have a price axis: one row of joining rates and
-weights per price, as wide as that price needs.  The revenue-maximizing
-price search scores its whole price grid on such tables, then refines the
-best grid point one price at a time on a single row.  The numerical
-settings are the module constants below; only stationary_distribution takes
-its own truncation eps.
+The truncated tables have a price axis, one row per price, as wide as that
+price needs: the revenue-maximizing price search scores its whole grid on
+them, then refines the best grid point one price at a time on a single row.
+The numerical settings are the module constants below; only
+stationary_distribution takes its own truncation eps.
 """
 
 from __future__ import annotations
@@ -31,7 +30,8 @@ GOLDEN_TOL = 1e-9  # relative bracket width at which a price search stops
 TRUNC_EPS = 1e-12  # tail mass left out when the stationary law is truncated
 PRICE_FLOOR = 0.01  # lowest price a price search considers
 PRICE_GRID = 256  # prices a search scores before its golden phase
-_NARROW = 32  # states a truncated table starts with, doubled for the rows that need more
+_NARROW = 32  # states a price scan's table starts with, doubled for the rows that need more
+_ROW = 128  # states a single price's row starts with
 JOIN_FRAC = 1e-6  # price_upper_bound: share of lam still joining the empty queue
 # theoretical_sigma's accounting and the stationary weighting it averages over
 _SIGMA_WEIGHTING = {"transition": "jump", "occupancy": "time"}
@@ -95,13 +95,13 @@ def _weigh(lam_q, mu: float, eps: float):
     return weights, partial, (ratio < 0.5) & (weights < eps * partial)
 
 
-def _truncated_tables(prices, theta, cfg: ModelConfig, fam: ValueFamily, eps: float):
+def _truncated_tables(prices, theta, cfg: ModelConfig, fam: ValueFamily, eps: float, width=_NARROW):
     """Weights and joining rates up to the truncation state, one row per price.
 
-    Rows (``cfg.price`` is not used) start at _NARROW states and are cut at
+    Rows (``cfg.price`` is not used) start at ``width`` states and are cut at
     the first state of ``_weigh``'s mask; only the rows not yet cut are
     tabulated again at double the width.  Returns ``(rows, weights, lam_q,
-    totals, qstar)`` per width: the indices of the prices cut at it, their
+    totals, qstar)`` per width that cuts rows: the prices' indices, their
     (n, width) tables, valid up to ``qstar``, the accumulated weight at
     ``qstar``, and ``qstar``.  The rows are the leading ones, usually all:
     they stop before the first price at which nobody joins the empty queue,
@@ -109,13 +109,11 @@ def _truncated_tables(prices, theta, cfg: ModelConfig, fam: ValueFamily, eps: fl
     STATE_CAP states or would pass STATE_CAP entries at double the width;
     the caller then calls again with the remaining prices.  Only a first row
     raises (nobody joins, or no cut within STATE_CAP states), so a scan meets
-    the error of the first bad price, in order.  theta is validated by the
-    callers.
+    the error of the first bad price, in order.  theta and eps are validated
+    by the callers.
     """
-    if not 0.0 < eps < 1.0:
-        raise ValueError("tail tolerance must lie in (0, 1)")
     prices = np.asarray(prices, dtype=float).reshape(-1, 1)
-    lam_q = StateTable(np.arange(_NARROW), theta, cfg, fam, price=prices).lam_q
+    lam_q = StateTable(np.arange(width), theta, cfg, fam, price=prices).lam_q
     zero = lam_q[:, 0] <= 0.0
     if zero[0]:
         raise ValueError("joining rate at the empty queue is zero")
@@ -124,10 +122,11 @@ def _truncated_tables(prices, theta, cfg: ModelConfig, fam: ValueFamily, eps: fl
     while True:
         weights, partial, ok = _weigh(lam_q, cfg.mu, eps)
         done = ok.any(axis=1)
-        qstar = np.argmax(ok[done], axis=1)
-        totals = partial[done][np.arange(len(qstar)), qstar]
-        out.append((pending[done], weights[done], lam_q[done], totals, qstar))
-        pending, lam_q = pending[~done], lam_q[~done]
+        if done.any():
+            qstar = np.argmax(ok[done], axis=1)
+            totals = partial[done][np.arange(len(qstar)), qstar]
+            out.append((pending[done], weights[done], lam_q[done], totals, qstar))
+            pending, lam_q = pending[~done], lam_q[~done]
         if not len(pending):
             return out
         size = lam_q.shape[1]
@@ -145,32 +144,33 @@ def _truncated_tables(prices, theta, cfg: ModelConfig, fam: ValueFamily, eps: fl
         lam_q = np.concatenate([lam_q, more], axis=1)
 
 
-def _truncated_row(price: float, theta, cfg: ModelConfig, fam: ValueFamily, eps: float):
-    """Weights, joining rates and accumulated weight of one price, to its truncation state."""
-    _, weights, lam_q, totals, qstar = _truncated_tables([price], theta, cfg, fam, eps)[-1]
-    end = int(qstar[0]) + 1
-    return weights[0, :end], lam_q[0, :end], totals[0]
+def _truncated_row(theta, cfg: ModelConfig, fam: ValueFamily, eps: float):
+    """price -> weights, joining rates and accumulated weight of its row, to its truncation state.
 
-
-def _revenue_row(theta, cfg: ModelConfig, fam: ValueFamily):
-    """expected_revenue as a function of the price alone, for a validated theta.
-
-    A row not cut within _NARROW states, or at which nobody joins the empty
-    queue, takes ``_truncated_row``; either way the values are its values.
+    One _ROW-state pass serves a row cut within it at which somebody joins
+    the empty queue; any other row, and its errors, go to _truncated_tables
+    from double that width.  theta is validated by the callers.
     """
-    offsets = _threshold(np.arange(_NARROW), cfg, price=0.0)
+    if not 0.0 < eps < 1.0:
+        raise ValueError("tail tolerance must lie in (0, 1)")
+    offsets = _threshold(np.arange(_ROW), cfg, price=0.0)  # price + offsets: the thresholds
 
-    def revenue(price: float) -> float:
+    def row(price: float):
         lam_q = cfg.lam * np.asarray(fam.sf(price + offsets, theta), dtype=float)
-        weights, _, ok = _weigh(lam_q[None], cfg.mu, TRUNC_EPS)
+        weights, partial, ok = _weigh(lam_q[None], cfg.mu, eps)
         if lam_q[0] > 0.0 and ok.any():
             end = int(np.argmax(ok)) + 1
-            weights, lam_q = weights[0, :end], lam_q[:end]
-        else:
-            weights, lam_q, _ = _truncated_row(price, theta, cfg, fam, TRUNC_EPS)
-        return price * float((weights * lam_q).sum() / weights.sum())
+            return weights[0, :end], lam_q[:end], partial[0, end - 1]
+        _, weights, lam_q, totals, qstar = _truncated_tables([price], theta, cfg, fam, eps, 2 * _ROW)[-1]
+        return weights[0, : qstar[0] + 1], lam_q[0, : qstar[0] + 1], totals[0]
 
-    return revenue
+    return row
+
+
+def _revenue(row, price: float) -> float:
+    """expected_revenue from a ``_truncated_row`` function."""
+    weights, lam_q, _ = row(price)
+    return price * float((weights * lam_q).sum() / weights.sum())
 
 
 def stationary_distribution(
@@ -188,7 +188,7 @@ def stationary_distribution(
     truncation; every other function here uses TRUNC_EPS.
     """
     theta = fam.param_space.require(theta)
-    weights, lam_q, total = _truncated_row(cfg.price, theta, cfg, fam, eps)
+    weights, lam_q, total = _truncated_row(theta, cfg, fam, eps)(cfg.price)
     qstar = len(weights) - 1
     rho = lam_q[-1] / cfg.mu
     tail_weight = weights[-1] * rho / (1.0 - rho)
@@ -210,12 +210,12 @@ def expected_revenue(price: float, theta, cfg: ModelConfig, fam: ValueFamily) ->
     """Stationary expected revenue per unit time at the given price.
 
     Revenue accrues in continuous time, so the time-weighted stationary law
-    applies: price times the stationary mean of the joining rate, on the one
-    row optimal_price's golden phase evaluates.  cfg.price is ignored.
+    applies: price times the stationary mean of the joining rate, from the
+    row function optimal_price's golden phase uses.  cfg.price is ignored.
     """
     if not price >= 0:
         raise ValueError("price must be nonnegative")
-    return _revenue_row(fam.param_space.require(theta), cfg, fam)(price)
+    return _revenue(_truncated_row(fam.param_space.require(theta), cfg, fam, TRUNC_EPS), price)
 
 
 def _revenue_scan(prices, theta, cfg: ModelConfig, fam: ValueFamily) -> np.ndarray:
@@ -331,13 +331,15 @@ def price_upper_bound(theta, cfg: ModelConfig, fam: ValueFamily) -> float:
 def optimal_price(theta, cfg: ModelConfig, fam: ValueFamily) -> float:
     """Revenue-maximizing price for the given parameter.
 
-    The grid is scored on (price x state) tables, the golden phase on one row
-    built once per search, with expected_revenue's values; so the result is
-    that of a scan by expected_revenue whenever both pick the same grid point.
+    theta is validated once.  The grid is scored on (price x state) tables;
+    the golden phase evaluates expected_revenue's one-row function, built
+    once per search, without its checks.  So the result is that of a scan by
+    expected_revenue whenever both pick the same grid point.
     """
     theta = fam.param_space.require(theta)
+    row = _truncated_row(theta, cfg, fam, TRUNC_EPS)
     return grid_then_golden(
-        _revenue_row(theta, cfg, fam),
+        lambda p: _revenue(row, p),
         PRICE_FLOOR,
         price_upper_bound(theta, cfg, fam),
         PRICE_GRID,

@@ -20,8 +20,10 @@ from balkwise.stationary import (
     PRICE_FLOOR,
     PRICE_GRID,
     STATE_CAP,
+    TRUNC_EPS,
     TruncationError,
     _revenue_scan,
+    _truncated_row,
     _truncated_tables,
     asymptotic_std,
     expected_revenue,
@@ -279,10 +281,13 @@ def _rows(tables, n):
 @given(theta=st.floats(1e-3, 0.5), price=st.floats(0.0, 100.0))
 def test_table_rows_follow_the_exponential_memoryless_oracle(theta, price):
     # sf(p + x) = sf(p) sf(x): the joining rates at price p are sf(p) times those at price 0,
-    # over every state both rows were tabulated for
+    # over every state of each row at the width it was tabulated for
     lam_q = _rows(_truncated_tables([0.0, price], [theta], ANCHOR, EXPO, 1e-12), 2)
-    n = min(len(lam_q[0]), len(lam_q[1]))
-    np.testing.assert_allclose(lam_q[1][:n], EXPO.sf(price, [theta]) * lam_q[0][:n], rtol=1e-12)
+    at_zero = StateTable(np.arange(max(map(len, lam_q))), [theta], ANCHOR, EXPO, price=0.0).lam_q
+    np.testing.assert_allclose(lam_q[0], at_zero[: len(lam_q[0])], rtol=1e-12)
+    np.testing.assert_allclose(
+        lam_q[1], EXPO.sf(price, [theta]) * at_zero[: len(lam_q[1])], rtol=1e-12
+    )
 
 
 @table_settings
@@ -428,7 +433,7 @@ def _full_width_revenue(price, theta, cfg, fam):
 @example(cfg=ANCHOR, log_theta=math.log(5.0))
 def test_optimal_price_equals_the_search_on_full_width_tables(cfg, log_theta):
     # the search as it ran on one table of every grid price and a 128-state
-    # row per golden step: the narrow tables and the one-row evaluator change
+    # table per golden step: the narrow tables and the row function change
     # no value it sees
     theta = [min(max(math.exp(log_theta), 1e-3), 5.0)]
     assume(stationary_distribution(theta, cfg.with_price(PRICE_FLOOR), EXPO).qstar < 3000)
@@ -438,6 +443,20 @@ def test_optimal_price_equals_the_search_on_full_width_tables(cfg, log_theta):
         scan=lambda prices: _full_width_scan(prices, theta, cfg, EXPO),
     )
     assert optimal_price(theta, cfg, EXPO) == expected
+
+
+@pytest.mark.parametrize("price", [40.0, 30.0, 20.0, 1.0])
+def test_one_row_equals_its_row_on_full_width_tables(price):
+    # heavy traffic: these rows are cut at 26 states, within the one-row
+    # pass, and at 210, 850 and 2,066 states (weights overflow), after the
+    # tables take over
+    cfg, theta = ModelConfig(4.0, 1.0, 1 / 64, 0.0), [0.0625]
+    weights, lam_q, total = _truncated_row(theta, cfg, EXPO, TRUNC_EPS)(price)
+    full_weights, full_lam_q, qstar = _full_width_tables([price], theta, cfg, EXPO)
+    end = qstar[0] + 1
+    np.testing.assert_array_equal(weights, full_weights[0, :end])
+    np.testing.assert_array_equal(lam_q, full_lam_q[0, :end])
+    assert total == np.cumsum(full_weights[0, :end])[-1]
 
 
 def _raised(fn):
