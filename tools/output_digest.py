@@ -74,8 +74,7 @@ DRIVER_CONFIGS = {
 
 
 def _path_bytes(path) -> bytes:
-    mask = b"" if path.informative_mask is None else path.informative_mask.tobytes()
-    return b"|".join([path.states.tobytes(), path.ups.tobytes(), path.holds.tobytes(), mask,
+    return b"|".join([path.states.tobytes(), path.ups.tobytes(), path.holds.tobytes(),
                       repr((path.revenue, path.total_time)).encode()])
 
 
