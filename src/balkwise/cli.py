@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .experiments import EXPERIMENTS, ExperimentConfig, run_experiment
+from .experiments import EXPERIMENTS, ExperimentConfig, model_settings, run_experiment
 from .inference import confidence_interval, fit_mle
 from .model import ExponentialFamily, ModelConfig, ParamSpace
 from .pricing import PricingConfig, run_pricing, trace_metrics
@@ -104,8 +104,7 @@ def build_parser() -> _Parser:
     p.add_argument("--theta0", type=float, default=None)
     p.add_argument("--p1", type=float, default=None, help="initial price")
     p.add_argument("--k1-min", type=int, default=None)
-    p.add_argument("--schedule", choices=["increment", "doubling", "custom"], default=None)
-    p.add_argument("--growth-multiplier", type=float, default=None)
+    p.add_argument("--schedule", choices=["increment", "doubling"], default=None)
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--budget", type=int, default=None, help="total observation cap")
     p.add_argument("--max-iterations", type=int, default=None)
@@ -135,21 +134,17 @@ def _pick(flag, cfg: dict, key: str, default):
     return cfg.get(key, default)
 
 
-def _model_from(args, cfg) -> ModelConfig:
-    model = cfg.get("model", {})
-    return ModelConfig(
-        lam=_pick(args.lam, model, "lambda", 1.0),
-        mu=_pick(args.mu, model, "mu", 1.0),
-        cost_c=_pick(args.cost, model, "cost_c", 1.0),
-        price=_pick(args.price, model, "price", 15.0),
-    )
-
-
-def _family_from(args, cfg) -> ExponentialFamily:
-    family = cfg.get("family", {})
-    lower = _pick(args.theta_lower, family, "lower", 1e-3)
-    upper = _pick(args.theta_upper, family, "upper", 5.0)
-    return ExponentialFamily(ParamSpace([lower], [upper]))
+def _model_from(args, cfg) -> tuple[ModelConfig, ExponentialFamily]:
+    """The model and family of the config, with the model flags written into it first."""
+    flags = {("model", "lambda"): args.lam, ("model", "mu"): args.mu,
+             ("model", "cost_c"): args.cost, ("model", "price"): args.price,
+             ("family", "lower"): args.theta_lower, ("family", "upper"): args.theta_upper}
+    for (block, key), value in flags.items():
+        if value is not None:
+            cfg.setdefault(block, {})[key] = value
+    settings = model_settings(cfg)
+    return (ModelConfig(settings["lam"], settings["mu"], settings["cost_c"], settings["price"]),
+            ExponentialFamily(ParamSpace([settings["theta_lower"]], [settings["theta_upper"]])))
 
 
 def _out_dir(args, cfg) -> Path:
@@ -160,8 +155,7 @@ def _out_dir(args, cfg) -> Path:
 
 def _cmd_simulate(args) -> int:
     cfg_file = _load_config(args.config)
-    cfg = _model_from(args, cfg_file)
-    fam = _family_from(args, cfg_file)
+    cfg, fam = _model_from(args, cfg_file)
     theta0 = _pick(args.theta0, cfg_file, "theta0", None)
     if theta0 is None:
         raise ValueError("simulate needs --theta0 (true parameter)")
@@ -200,8 +194,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_fit(args) -> int:
     cfg_file = _load_config(args.config)
-    cfg = _model_from(args, cfg_file)
-    fam = _family_from(args, cfg_file)
+    cfg, fam = _model_from(args, cfg_file)
     try:
         with open(args.input) as fh:
             path = QueuePath.from_csv(fh, cfg=cfg)
@@ -224,8 +217,7 @@ def _cmd_fit(args) -> int:
 
 def _cmd_stationary(args) -> int:
     cfg_file = _load_config(args.config)
-    cfg = _model_from(args, cfg_file)
-    fam = _family_from(args, cfg_file)
+    cfg, fam = _model_from(args, cfg_file)
     theta = _pick(args.theta, cfg_file, "theta0", None)
     if theta is None:
         raise ValueError("stationary needs --theta")
@@ -250,8 +242,7 @@ def _parse_grid(spec: str):
 
 def _cmd_revenue(args) -> int:
     cfg_file = _load_config(args.config)
-    cfg = _model_from(args, cfg_file)
-    fam = _family_from(args, cfg_file)
+    cfg, fam = _model_from(args, cfg_file)
     theta = _pick(args.theta, cfg_file, "theta0", None)
     if theta is None:
         raise ValueError("revenue needs --theta")
@@ -270,8 +261,7 @@ def _cmd_revenue(args) -> int:
 
 def _cmd_price_opt(args) -> int:
     cfg_file = _load_config(args.config)
-    cfg = _model_from(args, cfg_file)
-    fam = _family_from(args, cfg_file)
+    cfg, fam = _model_from(args, cfg_file)
     theta = _pick(args.theta, cfg_file, "theta0", None)
     if theta is None:
         raise ValueError("price-opt needs --theta")
@@ -289,8 +279,7 @@ def _cmd_price_opt(args) -> int:
 
 def _cmd_autoprice(args) -> int:
     cfg_file = _load_config(args.config)
-    cfg = _model_from(args, cfg_file)
-    fam = _family_from(args, cfg_file)
+    cfg, fam = _model_from(args, cfg_file)
     pricing_cfg = cfg_file.get("pricing", {})
     theta0 = _pick(args.theta0, cfg_file, "theta0", None)
     if theta0 is None:
@@ -299,7 +288,6 @@ def _cmd_autoprice(args) -> int:
         initial_price=_pick(args.p1, pricing_cfg, "p1", 15.0),
         k1_min=_pick(args.k1_min, pricing_cfg, "k1_min", 2),
         schedule=_pick(args.schedule, pricing_cfg, "schedule", "increment"),
-        growth_multiplier=_pick(args.growth_multiplier, pricing_cfg, "growth_multiplier", None),
         tol=_pick(args.tol, pricing_cfg, "tol", 0.01),
         max_iterations=_pick(args.max_iterations, pricing_cfg, "max_iterations", 10_000),
         max_observations=_pick(args.budget, pricing_cfg, "budget", None),

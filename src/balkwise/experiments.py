@@ -70,7 +70,6 @@ class ExperimentConfig:
     mu: float = 1.0
     cost_c: float = 1.0
     price: float = 15.0
-    family: str = "exponential"
     theta_lower: float = 1e-3
     theta_upper: float = 5.0
     theta0: float = 0.02
@@ -98,8 +97,6 @@ class ExperimentConfig:
             raise ValueError("replications must be >= 1")
         if self.fmt not in ("csv", "svg"):
             raise ValueError("format must be csv or svg")
-        if self.family != "exponential":
-            raise ValueError(f"unknown value family {self.family!r}")
         if not self.theta_lower < self.theta0 < self.theta_upper:
             raise ValueError(
                 f"theta0={self.theta0} must lie strictly inside "
@@ -125,18 +122,7 @@ class ExperimentConfig:
 
     @staticmethod
     def from_json(raw: dict) -> "ExperimentConfig":
-        model = raw.get("model", {})
-        family = raw.get("family", {})
-        kwargs = dict(
-            experiment=raw.get("experiment", ""),
-            lam=model.get("lambda", 1.0),
-            mu=model.get("mu", 1.0),
-            cost_c=model.get("cost_c", 1.0),
-            price=model.get("price", 15.0),
-            family=family.get("name", "exponential"),
-            theta_lower=family.get("lower", 1e-3),
-            theta_upper=family.get("upper", 5.0),
-        )
+        kwargs = dict(experiment=raw.get("experiment", ""), **model_settings(raw))
         for key in (
             "theta0",
             "k",
@@ -169,6 +155,30 @@ class ExperimentConfig:
             raise ValueError(f"bad experiment config: {exc}") from exc
 
 
+# (block, key, ExperimentConfig field) of each model setting in a JSON config
+_MODEL_KEYS = (
+    ("model", "lambda", "lam"),
+    ("model", "mu", "mu"),
+    ("model", "cost_c", "cost_c"),
+    ("model", "price", "price"),
+    ("family", "lower", "theta_lower"),
+    ("family", "upper", "theta_upper"),
+)
+
+
+def model_settings(raw: dict) -> dict:
+    """ExperimentConfig's model fields, read from the "model" and "family" blocks of a JSON config.
+
+    A key left out takes its ExperimentConfig default.  "exponential" is the
+    only family a config can name; any other name raises ValueError.
+    """
+    name = raw.get("family", {}).get("name", "exponential")
+    if name != "exponential":
+        raise ValueError(f"unknown value family {name!r}")
+    return {field: raw.get(block, {}).get(key, getattr(ExperimentConfig, field))
+            for block, key, field in _MODEL_KEYS}
+
+
 def rep_seed(master: int, *key: int) -> np.random.SeedSequence:
     return np.random.SeedSequence((master, *key))
 
@@ -192,36 +202,36 @@ def _pool_map(fn, jobs, workers: int):
 
 
 def _jobs(config: ExperimentConfig, k: int, reps: int, *key: int, price=None):
-    """One job per replication, seeded by (master seed, k, rep, *key)."""
-    cfg_dict = dict(lam=config.lam, mu=config.mu, cost_c=config.cost_c,
-                    price=config.price if price is None else price)
+    """One job per replication, seeded by (master seed, k, rep, *key).
+
+    A job is simulate_path's arguments for k transitions after a stationary warm-up.
+    """
+    cfg = config.model if price is None else config.model.with_price(price)
     return [
-        (cfg_dict, config.theta_lower, config.theta_upper, config.theta0, k,
-         config.warmup_steps, (config.seed, k, rep, *key))
+        (cfg, config.value_family, [config.theta0],
+         SimOptions(steps=k, seed=rep_seed(config.seed, k, rep, *key),
+                    initial_state="stationary-warmup", warmup_steps=config.warmup_steps))
         for rep in range(reps)
     ]
 
 
 def _simulate_and_fit(job):
-    """Simulate one replication's path after a stationary warm-up and fit it."""
-    cfg_dict, lo, hi, theta0, k, warmup, key = job
-    cfg = ModelConfig(**cfg_dict)
-    fam = ExponentialFamily(ParamSpace([lo], [hi]))
-    opts = SimOptions(steps=k, seed=rep_seed(*key), initial_state="stationary-warmup",
-                      warmup_steps=warmup)
-    path = simulate_path(cfg, fam, [theta0], opts)
-    return path, cfg, fam, fit_mle(path, cfg, fam)
+    """Simulate one replication's path and fit it."""
+    cfg, fam, theta0, opts = job
+    path = simulate_path(cfg, fam, theta0, opts)
+    return path, fit_mle(path, cfg, fam)
 
 
 def _fit_rep(job):
     """(theta_hat, boundary) of one replication; shared by several drivers."""
-    fit = _simulate_and_fit(job)[-1]
+    fit = _simulate_and_fit(job)[1]
     return float(fit.theta_hat[0]), bool(fit.boundary)
 
 
 def _fit_score_rep(job):
     """_fit_rep plus the signed normalized score at the estimate."""
-    path, cfg, fam, fit = _simulate_and_fit(job)
+    cfg, fam, _, _ = job
+    path, fit = _simulate_and_fit(job)
     value = float(score(path, fit.theta_hat, cfg, fam)[0])
     return float(fit.theta_hat[0]), bool(fit.boundary), value
 
@@ -285,13 +295,7 @@ def exp_consistency(config: ExperimentConfig) -> dict:
         w = csv.writer(fh)
         w.writerow(["k", "theta", "loglik"])
         for k in config.sizes:
-            sim = simulate_path(
-                cfg,
-                fam,
-                [config.theta0],
-                SimOptions(steps=k, seed=rep_seed(config.seed, k, 0),
-                           initial_state="stationary-warmup", warmup_steps=config.warmup_steps),
-            )
+            sim = simulate_path(*_jobs(config, k, 1)[0])  # replication 0's path
             for t in thetas:
                 w.writerow([k, repr(float(t)), repr(log_likelihood(sim, [t], cfg, fam))])
     _write_csv(_out(config, "consistency_summary.csv"), ["k", "median_abs_error"],
@@ -427,25 +431,13 @@ TABLE_ROW_LABELS = (
 
 
 def _pricing_run(job):
-    cfg_dict, lo, hi, theta0, schedule, k1, p1, tol, budget, master, cell_idx, rep = job
-    cfg = ModelConfig(**cfg_dict)
-    fam = ExponentialFamily(ParamSpace([lo], [hi]))
-    pcfg = PricingConfig(
-        initial_price=p1,
-        k1_min=k1,
-        schedule=schedule,
-        tol=tol,
-        max_observations=budget,
-        grow_on="nominal",
-        delta_mode="cumulative",
-        boundary_policy="skip",
-    )
-    seed = int(np.random.SeedSequence((master, cell_idx, rep)).generate_state(1)[0])
+    """Metrics of one seeded pricing run, or None when the run raises RuntimeError."""
+    cfg, fam, theta0, pcfg, seed = job
     try:
-        trace = run_pricing(cfg, fam, pcfg, theta0=[theta0], seed=seed)
+        trace = run_pricing(cfg, fam, pcfg, theta0=theta0, seed=seed)
     except RuntimeError:
         return None
-    m = trace_metrics(trace, [theta0], cfg, fam)
+    m = trace_metrics(trace, theta0, cfg, fam)
     return (
         m.iterations,
         m.total_observations,
@@ -459,13 +451,15 @@ def _pricing_run(job):
 def exp_pricing_tables(config: ExperimentConfig) -> dict:
     """Summary metrics of seeded pricing runs over a grid of loop settings."""
     workers = resolve_workers(config.workers)
-    cfg_dict = dict(lam=config.lam, mu=config.mu, cost_c=config.cost_c, price=config.price)
+    cfg, fam = config.model, config.value_family
     cells = {}
     for cell_idx, (schedule, k1, p1) in enumerate(config.pricing_cells):
+        pcfg = PricingConfig(initial_price=p1, k1_min=k1, schedule=schedule,
+                             tol=config.pricing_tol, max_observations=config.pricing_budget,
+                             grow_on="nominal", delta_mode="cumulative", boundary_policy="skip")
         jobs = [
-            (cfg_dict, config.theta_lower, config.theta_upper, config.theta0,
-             schedule, k1, p1, config.pricing_tol, config.pricing_budget,
-             config.seed, cell_idx, rep)
+            (cfg, fam, [config.theta0], pcfg,
+             int(rep_seed(config.seed, cell_idx, rep).generate_state(1)[0]))
             for rep in range(config.pricing_runs)
         ]
         results = _pool_map(_pricing_run, jobs, workers)

@@ -62,7 +62,7 @@ class SimulatedSource:
         return path
 
 
-_SCHEDULES = ("increment", "doubling", "custom")
+_SCHEDULES = ("increment", "doubling")
 _BOUNDARY_POLICIES = ("retry", "skip")
 # Under the "retry" policy an iteration may buy at most this many times its
 # minimum observation count in retries (and at least boundary_retry_floor).
@@ -74,8 +74,7 @@ class PricingConfig:
     """Knobs of the pricing loop.
 
     schedule picks the growth rule for the per-iteration minimum observation
-    count: "increment" (k+1), "doubling" (2k), or "custom" with
-    growth_multiplier (ceil(multiplier * k)); grow_on decides whether the
+    count: "increment" (k+1) or "doubling" (2k); grow_on decides whether the
     rule is applied to the observations actually used (including boundary
     retries) or to the nominal minimum.  max_observations optionally caps the
     total observations spent on learning: an iteration that would push the
@@ -100,7 +99,6 @@ class PricingConfig:
     initial_price: float
     k1_min: int = 2
     schedule: str = "increment"
-    growth_multiplier: Optional[float] = None
     tol: float = 0.01
     max_iterations: int = 10_000
     max_observations: Optional[int] = None
@@ -120,9 +118,6 @@ class PricingConfig:
             raise ValueError("max_iterations must be >= 1")
         if self.schedule not in _SCHEDULES:
             raise ValueError(f"schedule must be one of {_SCHEDULES}")
-        if self.schedule == "custom":
-            if self.growth_multiplier is None or self.growth_multiplier <= 1.0:
-                raise ValueError("custom schedule needs a growth_multiplier > 1")
         if self.delta_mode not in ("cumulative", "iteration"):
             raise ValueError("delta_mode must be 'cumulative' or 'iteration'")
         if self.grow_on not in ("actual", "nominal"):
@@ -131,11 +126,7 @@ class PricingConfig:
             raise ValueError(f"boundary_policy must be one of {_BOUNDARY_POLICIES}")
 
     def grow(self, k: int) -> int:
-        if self.schedule == "increment":
-            return k + 1
-        if self.schedule == "doubling":
-            return 2 * k
-        return int(math.ceil(self.growth_multiplier * k))
+        return k + 1 if self.schedule == "increment" else 2 * k
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,9 @@ Two generators of the same law: ``simulate_path`` drives the thinned jump
 chain directly from the state-dependent joining rates (fast, the default),
 while ``simulate_full_arrivals`` plays out every potential customer, draws an
 individual service value, applies the joining rule and discards balkers.  The
-second exists so tests can verify the thinning equivalence end to end.
+second exists so tests can verify the thinning equivalence end to end.  Both
+return a QueuePath, which holds only what the manager observes: queue lengths,
+holding times and revenue.
 
 A long path is walked by predict-and-patch (``_walk``): its blocks are walked
 at once from guessed entries, then each is walked one step at a time from its
@@ -38,9 +40,6 @@ class QueuePath:
     ups     -- up-move indicators for each of the k transitions
     holds   -- holding time spent in the pre-state of each transition
     revenue -- price collected over the recorded transitions
-    informative_mask -- marks transitions whose pre-state is informative
-        about the parameter (None when unknown, e.g. after CSV import
-        without a family)
     """
 
     states: np.ndarray
@@ -48,7 +47,6 @@ class QueuePath:
     holds: np.ndarray
     revenue: float
     total_time: float
-    informative_mask: Optional[np.ndarray] = None
 
     def __len__(self) -> int:
         return len(self.ups)
@@ -85,16 +83,10 @@ class QueuePath:
             )
 
     @staticmethod
-    def from_csv(
-        fileobj,
-        cfg: Optional[ModelConfig] = None,
-        fam: Optional[ValueFamily] = None,
-        theta=None,
-    ) -> "QueuePath":
+    def from_csv(fileobj, cfg: Optional[ModelConfig] = None) -> "QueuePath":
         """Rebuild a path from its CSV form.
 
-        Revenue needs the price, so it is zero unless ``cfg`` is given; the
-        informative mask needs the family and a parameter as well.  Raises
+        Revenue needs the price, so it is zero unless ``cfg`` is given.  Raises
         ValueError, naming the line, when the rows do not form a valid path.
         """
         reader = csv.reader(fileobj)
@@ -127,10 +119,7 @@ class QueuePath:
         ups = np.asarray(ups, dtype=bool)
         holds = np.asarray(holds, dtype=float)
         revenue = cfg.price * int(ups.sum()) if cfg is not None else 0.0
-        mask = None
-        if cfg is not None and fam is not None and theta is not None:
-            mask = StateTable(states[:-1], theta, cfg, fam).informative
-        path = QueuePath(states, ups, holds, revenue, float(holds.sum()), mask)
+        path = QueuePath(states, ups, holds, revenue, float(holds.sum()))
         path.validate()
         return path
 
@@ -139,16 +128,12 @@ def concat_paths(first: QueuePath, second: QueuePath) -> QueuePath:
     """Join two consecutive path segments ending/starting at the same state."""
     if first.states[-1] != second.states[0]:
         raise ValueError("paths do not share a boundary state")
-    mask = None
-    if first.informative_mask is not None and second.informative_mask is not None:
-        mask = np.concatenate([first.informative_mask, second.informative_mask])
     return QueuePath(
         states=np.concatenate([first.states, second.states[1:]]),
         ups=np.concatenate([first.ups, second.ups]),
         holds=np.concatenate([first.holds, second.holds]),
         revenue=first.revenue + second.revenue,
         total_time=first.total_time + second.total_time,
-        informative_mask=mask,
     )
 
 
@@ -190,8 +175,8 @@ class SimOptions:
 def _walk(rng, steps: int, start: int, theta, cfg: ModelConfig, fam: ValueFamily):
     """Run the jump chain for ``steps`` transitions.
 
-    Returns the states and the per-state table columns (joining rate,
-    informative flag) over states 0..at least the highest one visited.
+    Returns the states and the joining rate of each state 0..at least the
+    highest one visited.
     A draw below p_up (1 at the empty queue) moves up.  From ``_PREDICT_FROM``
     steps on, ``_predict`` walks all ``_BLOCK``-step blocks at once; each is then
     walked from its true entry only until it meets the prediction, which from
@@ -199,14 +184,12 @@ def _walk(rng, steps: int, start: int, theta, cfg: ModelConfig, fam: ValueFamily
     """
     lam_tab: list[float] = []
     pup: list[float] = []
-    informative: list[bool] = []
 
     def grow(upto: int) -> None:
         lo = len(lam_tab)
         tab = StateTable(np.arange(lo, max(upto, lo + 64)), theta, cfg, fam)
         lam_tab.extend(tab.lam_q.tolist())
         pup.extend(tab.p_up.tolist())
-        informative.extend(tab.informative.tolist())
 
     grow(start + 2)
     if lam_tab[0] <= 0.0:
@@ -236,7 +219,7 @@ def _walk(rng, steps: int, start: int, theta, cfg: ModelConfig, fam: ValueFamily
                 break  # met the prediction, which from here on is the true path
             walked.append(q)
         span[:len(walked)] = walked
-    return states, np.asarray(lam_tab), np.asarray(informative)
+    return states, np.asarray(lam_tab)
 
 
 def _predict(draws: np.ndarray, start: int, out: np.ndarray, pup: list, grow) -> list:
@@ -271,7 +254,7 @@ def build_path(
     times one standard exponential each, both from ``rng``; the caller owns
     the generator, so consecutive calls continue one random stream.
     """
-    all_states, lam_tab, informative = _walk(rng, warmup + steps, start, theta, cfg, fam)
+    all_states, lam_tab = _walk(rng, warmup + steps, start, theta, cfg, fam)
     states = all_states[warmup:]
     pre = states[:-1]
     ups = states[1:] > pre
@@ -286,7 +269,6 @@ def build_path(
         holds=holds,
         revenue=cfg.price * int(ups.sum()),
         total_time=float(holds.sum()),
-        informative_mask=informative[pre],
     )
 
 
@@ -364,7 +346,6 @@ def simulate_full_arrivals(
         holds=holds,
         revenue=cfg.price * int(ups.sum()),
         total_time=float(holds.sum()),
-        informative_mask=StateTable(states[:-1], theta0, cfg, fam).informative,
     )
 
 
@@ -381,6 +362,9 @@ class PathStats:
 def path_stats(path: QueuePath) -> PathStats:
     """Summary counts and occupancies of a path.
 
+    effective_m counts the transitions out of a nonempty queue, the only
+    ones that can tell anything about the parameter; the count of those that
+    do at a given parameter is the fit's ``FitResult.effective_n``.
     Occupancy is reported two ways over the pre-states of each transition:
     jump-weighted (fraction of steps spent at q) and time-weighted (fraction
     of total time spent at q).
@@ -391,14 +375,10 @@ def path_stats(path: QueuePath) -> PathStats:
     up_count = int(path.ups.sum())
     jump = np.bincount(pre) / len(path)
     time_w = np.bincount(pre, weights=path.holds) / path.total_time
-    if path.informative_mask is not None:
-        effective = int(path.informative_mask.sum())
-    else:
-        effective = int((pre > 0).sum())
     return PathStats(
         up_count=up_count,
         down_count=len(path) - up_count,
-        effective_m=effective,
+        effective_m=int((pre > 0).sum()),
         jump_occupancy=jump,
         time_occupancy=time_w,
         revenue_rate=path.revenue / path.total_time,

@@ -43,8 +43,7 @@ def reference_path(rng, start: int, warmup: int, steps: int, theta, cfg, fam) ->
     exit_rates = np.where(pre > 0, table.lam_q[pre] + cfg.mu, table.lam_q[0])
     holds = rng.standard_exponential(steps) / exit_rates
     ups = states[1:] > pre
-    return QueuePath(states, ups, holds, cfg.price * int(ups.sum()), float(holds.sum()),
-                     table.informative[pre])
+    return QueuePath(states, ups, holds, cfg.price * int(ups.sum()), float(holds.sum()))
 
 
 class UniformValueFamily(ValueFamily):

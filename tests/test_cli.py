@@ -117,6 +117,18 @@ def test_validation_errors_exit_one(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "args",
+    [["price-opt", "--theta", "0.02"], ["experiment", "revenue-vs-price"]],
+    ids=["price-opt", "experiment"],
+)
+def test_config_naming_another_value_family_is_rejected(tmp_path, capsys, args):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"family": {"name": "weibull"}, "out_dir": str(tmp_path)}))
+    assert run_cli(args + ["--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == "error: unknown value family 'weibull'\n"
+
+
+@pytest.mark.parametrize(
     "args, message",
     [
         (["fit", "--input", "path.csv", "--seed", "1"], "unrecognized arguments"),

@@ -252,12 +252,13 @@ def test_pricing_tables_driver(tmp_path):
 
 def test_parallel_matches_serial(tmp_path, monkeypatch):
     monkeypatch.delenv("BALKWISE_THREADS", raising=False)
-    _, serial = _run(
-        tmp_path / "s", experiment="consistency", k_list=(400,), replications=6, seed=21, workers=1
-    )
-    _, par = _run(
-        tmp_path / "p", experiment="consistency", k_list=(400,), replications=6, seed=21, workers=2
-    )
-    a = (Path(tmp_path / "s") / "consistency.csv").read_bytes()
-    b = (Path(tmp_path / "p") / "consistency.csv").read_bytes()
-    assert a == b
+    inputs = [
+        (dict(experiment="consistency", k_list=(400,), replications=6), ["consistency.csv"]),
+        (dict(experiment="pricing-tables", pricing_runs=3),
+         ["pricing_tables.csv", "pricing_tables.json"]),
+    ]
+    for kwargs, names in inputs:
+        for workers in (1, 2):
+            _run(tmp_path / str(workers), seed=21, workers=workers, **kwargs)
+        for name in names:
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()

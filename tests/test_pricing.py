@@ -48,8 +48,6 @@ def test_pricing_config_validation():
     with pytest.raises(ValueError):
         PricingConfig(initial_price=1.0, schedule="triangular")
     with pytest.raises(ValueError):
-        PricingConfig(initial_price=1.0, schedule="custom")
-    with pytest.raises(ValueError):
         PricingConfig(initial_price=1.0, delta_mode="windowed")
     with pytest.raises(ValueError):
         PricingConfig(initial_price=1.0, boundary_policy="accept")
@@ -58,8 +56,7 @@ def test_pricing_config_validation():
 def test_schedules_strictly_increase():
     inc = PricingConfig(initial_price=1.0, schedule="increment")
     dbl = PricingConfig(initial_price=1.0, schedule="doubling")
-    custom = PricingConfig(initial_price=1.0, schedule="custom", growth_multiplier=1.5)
-    for pcfg in (inc, dbl, custom):
+    for pcfg in (inc, dbl):
         k = pcfg.k1_min
         for _ in range(10):
             nxt = pcfg.grow(k)
@@ -67,7 +64,6 @@ def test_schedules_strictly_increase():
             k = nxt
     assert inc.grow(10) == 11
     assert dbl.grow(10) == 20
-    assert custom.grow(10) == 15
 
 
 def test_pooled_theta():

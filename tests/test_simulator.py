@@ -7,7 +7,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from balkwise import simulator
-from balkwise.model import ExponentialFamily, ModelConfig, ParamSpace, offered_reward, up_probability
+from balkwise.model import (
+    ExponentialFamily,
+    ModelConfig,
+    ParamSpace,
+    StateTable,
+    offered_reward,
+    up_probability,
+)
 from balkwise.simulator import (
     AbsorbingStateError,
     QueuePath,
@@ -96,7 +103,6 @@ def _assert_same_path(got: QueuePath, want: QueuePath) -> None:
     np.testing.assert_array_equal(got.states, want.states)
     np.testing.assert_array_equal(got.ups, want.ups)
     np.testing.assert_array_equal(got.holds, want.holds)
-    np.testing.assert_array_equal(got.informative_mask, want.informative_mask)
     assert (got.revenue, got.total_time) == (want.revenue, want.total_time)
 
 
@@ -160,6 +166,25 @@ def test_thinning_equivalence_of_up_frequencies(rho, theta, theta_cost, theta_pr
     freq = ups[:, states] / moves[:, states]
     sigma = np.sqrt(p_up * (1.0 - p_up) * (1.0 / moves[0, states] + 1.0 / moves[1, states]))
     assert np.all(np.abs(freq[0] - freq[1]) <= 5.0 * sigma)
+
+
+def test_full_arrivals_up_frequencies_match_the_state_table():
+    """Per-customer joining moves up from each state as often as StateTable.p_up says.
+
+    Uniform values on [2, 12] put the thresholds 9, 10, 11 of states 0..2 near
+    the top of the support, so a 5% error in the threshold lowers p_up by a sixth
+    at state 1 and by half at state 2: about ten binomial standard errors at
+    10^4 transitions.  At state 3 the threshold 12 is out of reach and nobody joins.
+    """
+    cfg = ModelConfig(lam=3.0, mu=1.0, cost_c=1.0, price=8.0)
+    fam = UniformValueFamily(width=10.0, lower=0.0, upper=20.0)
+    path = simulate_full_arrivals(cfg, fam, [2.0], SimOptions(steps=10_000, seed=1))
+    moves = np.bincount(path.pre_states)[1:]
+    ups = np.bincount(path.pre_states, path.ups)[1:]
+    p_up = StateTable(np.arange(1, moves.size + 1), [2.0], cfg, fam).p_up
+    assert moves.size == 3 and p_up[2] == 0.0 and ups[2] == 0
+    z = (ups[:2] - moves[:2] * p_up[:2]) / np.sqrt(moves[:2] * p_up[:2] * (1.0 - p_up[:2]))
+    assert np.all(np.abs(z) <= 4.0), z
 
 
 def test_holding_time_means(anchor_cfg, expo):
@@ -245,12 +270,11 @@ def test_csv_round_trip(anchor_cfg, expo):
     header = buf.readline().strip()
     assert header == "step,state,up,hold"
     buf.seek(0)
-    back = QueuePath.from_csv(buf, cfg=anchor_cfg, fam=expo, theta=[0.02])
+    back = QueuePath.from_csv(buf, cfg=anchor_cfg)
     assert np.array_equal(back.states, path.states)
     assert np.array_equal(back.ups, path.ups)
     assert np.allclose(back.holds, path.holds)
     assert back.revenue == path.revenue
-    assert np.array_equal(back.informative_mask, path.informative_mask)
 
 
 def test_csv_rejects_bad_header():
