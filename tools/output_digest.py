@@ -3,9 +3,9 @@
 Runs the six experiment drivers at small configurations with workers=1, and
 hashes simulated paths (long ones among them, one in heavy traffic), fits
 (boundary fits on hand-built paths and one 10^5-step fit among them),
-information matrices, price searches (heavy traffic and the edges of the
-parameter box among them) and pricing-loop traces under both boundary
-policies.  Two checkouts whose outputs agree print the same lines, so a
+information matrices, price searches and revenue curves (heavy traffic and
+the edges of the parameter box among them) and pricing-loop traces under
+both boundary policies.  Two checkouts whose outputs agree print the same lines, so a
 refactor that must keep seeded results byte-identical can be checked with
 
     PYTHONPATH=src python tools/output_digest.py > new.txt
@@ -46,6 +46,7 @@ from balkwise import (
     observed_information,
     optimal_price,
     price_upper_bound,
+    revenue_curve,
     run_experiment,
     run_pricing,
     score,
@@ -156,8 +157,12 @@ def outputs():
                              ("theta0.001", CFG, 1e-3), ("theta5.0", CFG, 5.0)):
         yield f"price/{name}", repr((price_upper_bound([theta], cfg, FAM),
                                      optimal_price([theta], cfg, FAM))).encode()
+        yield f"min_std_price/{name}", repr(min_std_price([theta], cfg, FAM)).encode()
     yield "revenue/theta0.005-prices0-200", repr(
         [expected_revenue(p, [0.005], CFG, FAM) for p in np.linspace(0.0, 200.0, 41)]).encode()
+    for name, cfg, theta, prices in (("theta0.005", CFG, 0.005, np.linspace(0.0, 200.0, 41)),
+                                     ("heavy-theta0.0625", heavy, 0.0625, np.linspace(0.0, 40.0, 21))):
+        yield f"revenue_curve/{name}", revenue_curve(prices, [theta], cfg, FAM).tobytes()
 
     for theta in (0.02, 0.5):
         per_state = [(up_probability(q, [theta], CFG, FAM), up_prob_grad(q, [theta], CFG, FAM),
