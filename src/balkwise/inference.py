@@ -234,6 +234,7 @@ def score_outer_product(
 
 PARAM_TOL = 1e-10
 SCORE_RTOL = 1e-8
+_FIT_DEPTH = 5  # golden steps a one-parameter fit scores per scan call: 31 points (measured)
 
 
 def _round_off(f: float) -> float:
@@ -246,7 +247,8 @@ def fit_mle(path: QueuePath, cfg: ModelConfig, fam: ValueFamily) -> FitResult:
 
     A scan of 65 points per axis (65**dim in all) is scored in one call
     through ``fam.sf_rows``; its values equal log_likelihood's.  One
-    parameter refines the best point by golden section; more start from it.
+    parameter refines the best point by golden section, _FIT_DEPTH steps
+    per scan call; more start from it.
     A projected Newton polish on the score and information follows.  A
     coordinate whose bound does as well up to round-off is moved there, and
     a solution within model.BOUNDARY_RTOL (1e-6) of the box width of any
@@ -266,9 +268,8 @@ def fit_mle(path: QueuePath, cfg: ModelConfig, fam: ValueFamily) -> FitResult:
     tol = PARAM_TOL * space.width
     if fam.dim == 1:
         lo, hi = float(space.lower[0]), float(space.upper[0])
-        x = np.array([grid_then_golden(
-            lambda t: lik.loglik(np.array([t])), lo, hi, 65, tol[0], scan=lambda ts: values
-        )])
+        x = np.array([grid_then_golden(lambda ts: values, lo, hi, 65, tol[0],
+                                       lambda ts: lik.scan(np.array(ts)[:, None])[0], _FIT_DEPTH)])
     else:
         x = grid[np.argmax(values)].copy()
 

@@ -11,6 +11,7 @@ likelihoods, stationary analysis, pricing) is built on the functions here.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -368,29 +369,69 @@ def is_informative(q: int, theta, cfg: ModelConfig, fam: ValueFamily) -> bool:
     return bool(_at(q, theta, cfg, fam).informative[0])
 
 
-def grid_then_golden(func, lo: float, hi: float, grid: int, tol: float, scan=None) -> float:
-    """Maximize func on [lo, hi]: grid scan, then golden section in the best bracket.
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # golden-section ratio
 
-    The grid guards against a misleading golden start; the search stops once
-    the bracket is narrower than tol * max(1, |a| + |b|).  ``scan``, when
-    given, maps the array of grid points to func's values in one call; only
-    the grid's argmax is taken from it, and the golden phase calls func.
+
+def _golden_points(a: float, b: float, x1: float, x2: float, depth: int, tol: float) -> list:
+    """Every point the next ``depth`` golden steps from bracket (a, b) can score.
+
+    x1 < x2 are its inner points, both values unknown.  Both outcomes of
+    each step's comparison are followed, with the loop's own arithmetic and
+    stopping test: at most 2 + 4 + ... + 2**depth points.
+    """
+    out, level = [], [(a, b, x1, x2)]
+    for _ in range(depth):
+        deeper = []
+        for a, b, x1, x2 in level:
+            if b - a <= tol * max(1.0, abs(a) + abs(b)):
+                continue
+            up = x1 + _INVPHI * (b - x1)  # f1 < f2: the bracket becomes (x1, b)
+            down = x2 - _INVPHI * (x2 - a)  # otherwise: (a, x2)
+            out += (up, down)
+            deeper += ((x1, b, x2, up), (a, x2, down, x1))
+        level = deeper
+    return out
+
+
+def grid_then_golden(scan, lo: float, hi: float, grid: int, tol: float, batch, depth: int) -> float:
+    """Maximize on [lo, hi]: grid scan, then golden section in the best bracket.
+
+    ``scan`` maps the array of grid points to their values; the grid guards
+    against a misleading golden start.  The golden phase stops once the
+    bracket is narrower than tol * max(1, |a| + |b|).  It is speculative
+    (Kiefer 1953): each point it needs is scored in one ``batch`` call
+    together with every point its next ``depth - 1`` steps can score, and
+    the steps replay their comparisons from those values.  ``batch`` maps a
+    list of points to their values: the first always, a later one NaN when
+    it cannot be had cheaply (that point is scored again, first, if the
+    search reaches it).  When batch gives each point the value of one
+    function, the result is that of the one-point-at-a-time search on it;
+    at depth 1 the points scored are that search's too.
     """
     points = np.linspace(lo, hi, grid)
-    values = scan(points) if scan is not None else [func(p) for p in points]
-    best = int(np.argmax(values))
-    a, b = points[max(best - 1, 0)], points[min(best + 1, grid - 1)]
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = func(x1), func(x2)
+    best = int(np.argmax(scan(points)))
+    a, b = float(points[max(best - 1, 0)]), float(points[min(best + 1, grid - 1)])
+    x1, x2 = b - _INVPHI * (b - a), a + _INVPHI * (b - a)
+    known = {}
+
+    def score(first, a, b, x1, x2):
+        ahead = [*first, *_golden_points(a, b, x1, x2, depth - 1, tol)]
+        known.update((x, v) for x, v in zip(ahead, batch(ahead)) if not math.isnan(v))
+
+    def value(x, a, b, x1, x2):
+        if x not in known:
+            score([x], a, b, x1, x2)
+        return known.get(x, math.nan)
+
+    score([x1, x2], a, b, x1, x2)
+    f1, f2 = value(x1, a, b, x1, x2), value(x2, a, b, x1, x2)
     while b - a > tol * max(1.0, abs(a) + abs(b)):
         if f1 < f2:
             a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = func(x2)
+            x2 = a + _INVPHI * (b - a)
+            f2 = value(x2, a, b, x1, x2)
         else:
             b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = func(x1)
-    return 0.5 * (a + b)
+            x1 = b - _INVPHI * (b - a)
+            f1 = value(x1, a, b, x1, x2)
+    return np.float64(0.5 * (a + b))

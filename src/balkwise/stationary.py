@@ -11,8 +11,9 @@ continuous time; the score ergodics of the estimator live on the jump chain.
 
 The truncated tables have a price axis, one row per price, as wide as that
 price needs: the revenue-maximizing price search scores its whole grid on
-them, then refines the best grid point one price at a time on a single row.
-The numerical settings are the module constants below; only
+them, then refines the best grid point by a speculative golden section that
+scores several single-price rows per call, each exactly as expected_revenue
+scores it.  The numerical settings are the module constants below; only
 stationary_distribution takes its own truncation eps.
 """
 
@@ -33,6 +34,9 @@ PRICE_GRID = 256  # prices a search scores before its golden phase
 _NARROW = 32  # states a price scan's table starts with, doubled for the rows that need more
 _ROW = 128  # states a single price's row starts with
 JOIN_FRAC = 1e-6  # price_upper_bound: share of lam still joining the empty queue
+# steps a speculative search settles per batched call (measured, BENCH_speculative_search.json)
+_PRICE_DEPTH = 3  # optimal_price's golden phase: 7 rows per call
+_BISECTION_DEPTH = 6  # price_upper_bound: 63 midpoints per call
 # theoretical_sigma's accounting and the stationary weighting it averages over
 _SIGMA_WEIGHTING = {"transition": "jump", "occupancy": "time"}
 
@@ -144,31 +148,66 @@ def _truncated_tables(prices, theta, cfg: ModelConfig, fam: ValueFamily, eps: fl
         lam_q = np.concatenate([lam_q, more], axis=1)
 
 
-def _truncated_row(theta, cfg: ModelConfig, fam: ValueFamily, eps: float):
+class _Row:
     """price -> weights, joining rates and accumulated weight of its row, to its truncation state.
 
     One _ROW-state pass serves a row cut within it at which somebody joins
     the empty queue; any other row, and its errors, go to _truncated_tables
-    from double that width.  theta is validated by the callers.
+    from double that width.  ``revenues`` makes that pass for many prices in
+    one call.  theta is validated by the callers.
     """
-    if not 0.0 < eps < 1.0:
-        raise ValueError("tail tolerance must lie in (0, 1)")
-    offsets = _threshold(np.arange(_ROW), cfg, price=0.0)  # price + offsets: the thresholds
 
-    def row(price: float):
-        lam_q = cfg.lam * np.asarray(fam.sf(price + offsets, theta), dtype=float)
-        weights, partial, ok = _weigh(lam_q[None], cfg.mu, eps)
-        if lam_q[0] > 0.0 and ok.any():
-            end = int(np.argmax(ok)) + 1
-            return weights[0, :end], lam_q[:end], partial[0, end - 1]
-        _, weights, lam_q, totals, qstar = _truncated_tables([price], theta, cfg, fam, eps, 2 * _ROW)[-1]
+    def __init__(self, theta, cfg: ModelConfig, fam: ValueFamily, eps: float):
+        if not 0.0 < eps < 1.0:
+            raise ValueError("tail tolerance must lie in (0, 1)")
+        self.theta, self.cfg, self.fam, self.eps = theta, cfg, fam, eps
+        self.offsets = _threshold(np.arange(_ROW), cfg, price=0.0)  # price + offsets: the thresholds
+
+    def _pass(self, prices: np.ndarray):
+        """Weights, accumulated weights and joining rates of _ROW states at each price, and each
+        row's end: one past its truncation state, or 0 when the pass does not settle the row."""
+        surv = self.fam.sf(prices[:, None] + self.offsets, self.theta)
+        lam_q = self.cfg.lam * np.asarray(surv, dtype=float)
+        weights, partial, ok = _weigh(lam_q, self.cfg.mu, self.eps)
+        ends = np.where((lam_q[:, 0] > 0.0) & ok.any(axis=1), np.argmax(ok, axis=1) + 1, 0)
+        return weights, partial, lam_q, ends
+
+    def __call__(self, price: float):
+        weights, partial, lam_q, ends = self._pass(np.array([price], dtype=float))
+        end = int(ends[0])
+        if end:
+            return weights[0, :end], lam_q[0, :end], partial[0, end - 1]
+        _, weights, lam_q, totals, qstar = _truncated_tables(
+            [price], self.theta, self.cfg, self.fam, self.eps, 2 * _ROW)[-1]
         return weights[0, : qstar[0] + 1], lam_q[0, : qstar[0] + 1], totals[0]
 
-    return row
+    def revenues(self, prices, settle: int) -> np.ndarray:
+        """_revenue at each price, bit for bit, from one pass over all of them.
+
+        The rows are summed in groups that share a truncation state, so each
+        sum runs over the states _revenue sums, in its order.  The first
+        ``settle`` prices are always scored, in order, raising what
+        expected_revenue raises; a later one whose row the pass does not
+        settle, or that is not a nonnegative price, is NaN.
+        """
+        prices = np.asarray(prices, dtype=float)
+        weights, _, lam_q, ends = self._pass(prices)
+        ends[~(prices >= 0)] = 0
+        out = np.full(len(prices), np.nan)
+        for end in np.unique(ends[ends > 0]):
+            rows = np.flatnonzero(ends == end)
+            w = weights[rows, :end]
+            out[rows] = (w * lam_q[rows, :end]).sum(axis=1) / w.sum(axis=1)
+        out *= prices
+        for i in np.flatnonzero(ends[:settle] == 0):
+            if not prices[i] >= 0:
+                raise ValueError("price must be nonnegative")
+            out[i] = _revenue(self, prices[i])
+        return out
 
 
-def _revenue(row, price: float) -> float:
-    """expected_revenue from a ``_truncated_row`` function."""
+def _revenue(row: _Row, price: float) -> float:
+    """expected_revenue from a row function."""
     weights, lam_q, _ = row(price)
     return price * float((weights * lam_q).sum() / weights.sum())
 
@@ -188,7 +227,7 @@ def stationary_distribution(
     truncation; every other function here uses TRUNC_EPS.
     """
     theta = fam.param_space.require(theta)
-    weights, lam_q, total = _truncated_row(theta, cfg, fam, eps)(cfg.price)
+    weights, lam_q, total = _Row(theta, cfg, fam, eps)(cfg.price)
     qstar = len(weights) - 1
     rho = lam_q[-1] / cfg.mu
     tail_weight = weights[-1] * rho / (1.0 - rho)
@@ -215,7 +254,7 @@ def expected_revenue(price: float, theta, cfg: ModelConfig, fam: ValueFamily) ->
     """
     if not price >= 0:
         raise ValueError("price must be nonnegative")
-    return _revenue(_truncated_row(fam.param_space.require(theta), cfg, fam, TRUNC_EPS), price)
+    return _revenue(_Row(fam.param_space.require(theta), cfg, fam, TRUNC_EPS), price)
 
 
 def _revenue_scan(prices, theta, cfg: ModelConfig, fam: ValueFamily) -> np.ndarray:
@@ -303,7 +342,9 @@ def asymptotic_std(price: float, theta, cfg: ModelConfig, fam: ValueFamily) -> n
 def price_upper_bound(theta, cfg: ModelConfig, fam: ValueFamily) -> float:
     """Smallest price at which effectively nobody joins the empty queue.
 
-    Doubling scores 1, 2, ..., 2**39 in one call; bisection narrows the last doubling.
+    Doubling scores 1, 2, ..., 2**39 in one call; an 80-step bisection
+    narrows the last doubling, _BISECTION_DEPTH steps per call: each call
+    scores every midpoint those steps can visit, which they then look up.
     """
     theta = fam.param_space.require(theta)
     offset = _threshold(0, cfg, price=0.0)
@@ -317,14 +358,23 @@ def price_upper_bound(theta, cfg: ModelConfig, fam: ValueFamily) -> float:
         raise TruncationError("joining rate does not vanish with price")
     hi = 2.0 ** int(np.argmin(joins))
     lo = hi / 2.0 if hi > 1.0 else 0.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break  # rate0 is a function of the price: no later step moves lo or hi
-        if rate0(mid) >= target:
-            lo = mid
-        else:
-            hi = mid
+    for done in range(0, 80, _BISECTION_DEPTH):
+        steps = min(_BISECTION_DEPTH, 80 - done)
+        mids, level = [], [(lo, hi)]  # the tree of brackets, breadth first
+        for _ in range(steps):
+            halves = [0.5 * (a + b) for a, b in level]
+            mids += halves
+            level = [part for (a, b), m in zip(level, halves) for part in ((a, m), (m, b))]
+        joins = (rate0(np.array(mids)) >= target).tolist()
+        node = 0  # the children of mids[i] are mids[2i + 1] (lower half) and mids[2i + 2]
+        for _ in range(steps):
+            mid = 0.5 * (lo + hi)
+            if mid == lo or mid == hi:
+                return hi  # rate0 is a function of the price: no later step moves lo or hi
+            if joins[node]:
+                lo, node = mid, 2 * node + 2
+            else:
+                hi, node = mid, 2 * node + 1
     return hi
 
 
@@ -332,35 +382,43 @@ def optimal_price(theta, cfg: ModelConfig, fam: ValueFamily) -> float:
     """Revenue-maximizing price for the given parameter.
 
     theta is validated once.  The grid is scored on (price x state) tables;
-    the golden phase evaluates expected_revenue's one-row function, built
-    once per search, without its checks.  So the result is that of a scan by
-    expected_revenue whenever both pick the same grid point.
+    the golden phase scores _PRICE_DEPTH steps ahead per call on
+    expected_revenue's one-row function, built once per search, without its
+    checks.  So the result is that of a scan by expected_revenue whenever
+    both pick the same grid point.
     """
     theta = fam.param_space.require(theta)
-    row = _truncated_row(theta, cfg, fam, TRUNC_EPS)
+    row = _Row(theta, cfg, fam, TRUNC_EPS)
     return grid_then_golden(
-        lambda p: _revenue(row, p),
+        lambda prices: _revenue_scan(prices, theta, cfg, fam),
         PRICE_FLOOR,
         price_upper_bound(theta, cfg, fam),
         PRICE_GRID,
         GOLDEN_TOL,
-        scan=lambda prices: _revenue_scan(prices, theta, cfg, fam),
+        lambda prices: row.revenues(prices, 1),
+        _PRICE_DEPTH,
     )
 
 
 def min_std_price(theta, cfg: ModelConfig, fam: ValueFamily) -> float:
-    """Price that minimizes the asymptotic estimation standard deviation."""
+    """Price that minimizes the asymptotic estimation standard deviation.
+
+    Each point is one asymptotic_std call; the golden phase scores one
+    point at a time.
+    """
+
+    def scores(prices):
+        return [-float(asymptotic_std(p, theta, cfg, fam)[0]) for p in prices]
+
     return grid_then_golden(
-        lambda p: -float(asymptotic_std(p, theta, cfg, fam)[0]),
-        PRICE_FLOOR,
-        price_upper_bound(theta, cfg, fam),
-        PRICE_GRID,
-        GOLDEN_TOL,
+        scores, PRICE_FLOOR, price_upper_bound(theta, cfg, fam), PRICE_GRID, GOLDEN_TOL, scores, 1
     )
 
 
 def revenue_curve(prices, theta, cfg: ModelConfig, fam: ValueFamily):
-    return np.array([expected_revenue(p, theta, cfg, fam) for p in prices])
+    """expected_revenue at each price, from one row function's batch pass."""
+    prices = np.asarray(prices, dtype=float)
+    return _Row(fam.param_space.require(theta), cfg, fam, TRUNC_EPS).revenues(prices, len(prices))
 
 
 def std_curve(prices, theta, cfg: ModelConfig, fam: ValueFamily):

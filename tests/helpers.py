@@ -1,4 +1,5 @@
-"""Shared test utilities: hand-built paths, a reference walk and extra value families."""
+"""Shared test utilities: hand-built paths, a reference walk, a reference golden
+section and extra value families."""
 
 from __future__ import annotations
 
@@ -130,3 +131,28 @@ class WeibullValueFamily(ValueFamily):
         # d2 cdf = exp(-u) (d2u - du du^T)
         h = np.exp(-u)[..., None, None] * (d2u - du[..., :, None] * du[..., None, :])
         return h if r.ndim else h.reshape(2, 2)
+
+
+def golden_one_point_at_a_time(func, lo, hi, grid, tol, scan=None):
+    """Reference for model.grid_then_golden: the search with one func call per golden step.
+
+    ``scan``, when given, scores the grid points in one call.
+    """
+    points = np.linspace(lo, hi, grid)
+    values = scan(points) if scan is not None else [func(p) for p in points]
+    best = int(np.argmax(values))
+    a, b = points[max(best - 1, 0)], points[min(best + 1, grid - 1)]
+    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    x1 = b - invphi * (b - a)
+    x2 = a + invphi * (b - a)
+    f1, f2 = func(x1), func(x2)
+    while b - a > tol * max(1.0, abs(a) + abs(b)):
+        if f1 < f2:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + invphi * (b - a)
+            f2 = func(x2)
+        else:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - invphi * (b - a)
+            f1 = func(x1)
+    return 0.5 * (a + b)

@@ -345,9 +345,8 @@ def _assert_scan_matches_scalar(path, thetas):
     scalar = np.array([log_likelihood(path, [t], ANCHOR, WIDE) for t in thetas])
     counts = np.where(live, lik.up + lik.down, 0).sum(axis=1)
     np.testing.assert_array_equal(counts, [lik.effective([t]) for t in thetas])
-    np.testing.assert_array_equal(np.isneginf(scan), np.isneginf(scalar))
-    np.testing.assert_allclose(scan, scalar, rtol=1e-13, atol=0.0)
-    assert np.argmax(scan) == np.argmax(scalar)
+    # bit for bit: the fit's golden phase takes its values from the scan
+    np.testing.assert_array_equal(scan, scalar)
 
 
 @fit_settings
@@ -387,10 +386,22 @@ def test_uniform_family_fits_through_the_row_by_row_scan(monkeypatch):
     # the states everybody joins stay in the likelihood whatever theta is,
     # so the fit stays inside the box
     assert not fit.boundary and abs(fit.theta_hat[0] - 2.5) <= 0.2
-    # the same fit with its grid scored one theta at a time
-    monkeypatch.setattr(
-        inference, "grid_then_golden", lambda *args, scan=None: grid_then_golden(*args)
+    # the scan, row by row, scores each theta as log_likelihood does
+    lik = _Likelihood(path, cfg, fam)
+    thetas = np.linspace(0.5, 5.0, 301)
+    np.testing.assert_array_equal(
+        lik.scan(thetas[:, None])[0], [log_likelihood(path, [t], cfg, fam) for t in thetas]
     )
+
+    # the same fit with its grid scored one theta at a time and a golden
+    # phase that scores one point per call
+    def one_at_a_time(scan, lo, hi, grid, tol, batch, depth):
+        def each(thetas):
+            return [batch([t])[0] for t in thetas]
+
+        return grid_then_golden(each, lo, hi, grid, tol, each, 1)
+
+    monkeypatch.setattr(inference, "grid_then_golden", one_at_a_time)
     assert fit_mle(path, cfg, fam).to_json() == fit.to_json()
 
 

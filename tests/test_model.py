@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from balkwise.model import (
     ExponentialFamily,
     ModelConfig,
     ParamSpace,
+    grid_then_golden,
     is_informative,
     joining_rate,
     offered_reward,
@@ -14,7 +17,7 @@ from balkwise.model import (
     up_prob_hess,
     up_probability,
 )
-from helpers import UniformValueFamily
+from helpers import UniformValueFamily, golden_one_point_at_a_time
 
 
 def test_offered_reward_values():
@@ -212,3 +215,62 @@ def test_uniform_family_gradient_matches_fd(anchor_cfg):
     h = 1e-6 * theta
     fd = (fam.cdf(r, [theta + h]) - fam.cdf(r, [theta - h])) / (2 * h)
     assert fam.grad_cdf(r, [theta])[0] == pytest.approx(fd, rel=1e-6)
+
+
+# --- the speculative golden section against the one-point-at-a-time search --
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(
+    lo=st.floats(-50.0, 50.0),
+    width=st.floats(1e-6, 1e4),
+    peak=st.floats(-0.2, 1.2),
+    step=st.sampled_from([0.0, 1e-12, 1e-4, 0.02, 0.3, 10.0]),
+    hole=st.floats(0.0, 1.0),
+    hole_width=st.sampled_from([0.0, 0.01, 0.3, 1.0]),
+    grid=st.integers(2, 65),
+    tol=st.sampled_from([1e-12, 1e-9, 1e-4, 0.1]),
+    depth=st.integers(1, 6),
+    settled_below=st.one_of(st.just(math.inf), st.floats(0.0, 1.0)),
+)
+def test_speculative_golden_phase_equals_the_one_point_search(
+    lo, width, peak, step, hole, hole_width, grid, tol, depth, settled_below
+):
+    # a parabola cut into plateaus of height step (ties, f1 == f2), with a
+    # -inf hole; past settled_below the batch leaves every point but its
+    # first unscored (NaN), so those are scored again when the search needs them
+    hi = lo + width
+
+    def f(x):
+        t = (x - lo) / width
+        if hole <= t <= hole + hole_width:
+            return -math.inf
+        v = -((t - peak) ** 2)
+        return math.floor(v / step) * step if step else v
+
+    def scan(points):
+        return [f(p) for p in points]
+
+    scored, reference_scored, calls = [], [], []
+
+    def batch(points):
+        calls.append(len(points))
+        scored.extend(points)
+        return [f(x) if i == 0 or (x - lo) / width < settled_below else math.nan
+                for i, x in enumerate(points)]
+
+    def one(x):
+        reference_scored.append(x)
+        return f(x)
+
+    expected = golden_one_point_at_a_time(one, lo, hi, grid, tol, scan=scan)
+    result = grid_then_golden(scan, lo, hi, grid, tol, batch, depth)
+    assert type(result) is np.float64 and result == expected
+    if settled_below == math.inf:
+        # the first call scores both inner points and the next depth - 1
+        # steps, every later call the next depth steps (or more: some points
+        # of a golden-section tree recur deeper in another branch)
+        steps = len(reference_scored) - 2
+        assert len(calls) <= 1 + math.ceil(max(steps - depth + 1, 0) / depth)
+        if depth == 1:
+            assert scored == reference_scored

@@ -21,9 +21,11 @@ from balkwise.stationary import (
     PRICE_GRID,
     STATE_CAP,
     TRUNC_EPS,
+    _ROW,
     TruncationError,
+    _revenue,
     _revenue_scan,
-    _truncated_row,
+    _Row,
     _truncated_tables,
     asymptotic_std,
     expected_revenue,
@@ -36,7 +38,7 @@ from balkwise.stationary import (
     theoretical_sigma,
     write_curve_csv,
 )
-from helpers import UniformValueFamily
+from helpers import UniformValueFamily, golden_one_point_at_a_time
 
 
 def test_weights_start_at_one(anchor_cfg, expo):
@@ -433,11 +435,11 @@ def _full_width_revenue(price, theta, cfg, fam):
 @example(cfg=ANCHOR, log_theta=math.log(5.0))
 def test_optimal_price_equals_the_search_on_full_width_tables(cfg, log_theta):
     # the search as it ran on one table of every grid price and a 128-state
-    # table per golden step: the narrow tables and the row function change
-    # no value it sees
+    # table per golden step, one step at a time: the narrow tables, the row
+    # function and its speculative batches change no value it sees
     theta = [min(max(math.exp(log_theta), 1e-3), 5.0)]
     assume(stationary_distribution(theta, cfg.with_price(PRICE_FLOOR), EXPO).qstar < 3000)
-    expected = grid_then_golden(
+    expected = golden_one_point_at_a_time(
         lambda p: _full_width_revenue(p, theta, cfg, EXPO), PRICE_FLOOR,
         price_upper_bound(theta, cfg, EXPO), PRICE_GRID, GOLDEN_TOL,
         scan=lambda prices: _full_width_scan(prices, theta, cfg, EXPO),
@@ -451,12 +453,60 @@ def test_one_row_equals_its_row_on_full_width_tables(price):
     # pass, and at 210, 850 and 2,066 states (weights overflow), after the
     # tables take over
     cfg, theta = ModelConfig(4.0, 1.0, 1 / 64, 0.0), [0.0625]
-    weights, lam_q, total = _truncated_row(theta, cfg, EXPO, TRUNC_EPS)(price)
+    weights, lam_q, total = _Row(theta, cfg, EXPO, TRUNC_EPS)(price)
     full_weights, full_lam_q, qstar = _full_width_tables([price], theta, cfg, EXPO)
     end = qstar[0] + 1
     np.testing.assert_array_equal(weights, full_weights[0, :end])
     np.testing.assert_array_equal(lam_q, full_lam_q[0, :end])
     assert total == np.cumsum(full_weights[0, :end])[-1]
+
+
+def _assert_batch_equals_rows(row, prices):
+    """row.revenues equals _revenue, bit for bit; a row it need not settle may be NaN."""
+    scalar = np.array([_revenue(row, p) for p in prices])
+    np.testing.assert_array_equal(row.revenues(prices, len(prices)), scalar)
+    # the one pass settles exactly the rows cut within its states
+    settled = np.array([len(row(p)[0]) <= _ROW for p in prices])
+    speculative = row.revenues(prices, 1)
+    np.testing.assert_array_equal(np.isnan(speculative[1:]), ~settled[1:])
+    np.testing.assert_array_equal(speculative[settled], scalar[settled])
+    assert speculative[0] == scalar[0]
+    return settled
+
+
+@pytest.mark.parametrize(
+    "cfg, theta, prices",
+    [
+        # rows cut at 26 states, within the one pass, and at 210, 850 and
+        # 2,066 states, where the weights overflow
+        (ModelConfig(4.0, 1.0, 1 / 64, 0.0), 0.0625, [1.0, 40.0, 20.0, 30.0, 40.0, 35.5, 0.0]),
+        # light balking: the low prices need over 128 states
+        (ANCHOR, 0.005, np.linspace(0.0, 200.0, 41)),
+        (ANCHOR, 0.02, np.linspace(PRICE_FLOOR, 400.0, 37)),
+    ],
+    ids=["heavy-traffic", "light-balking", "anchor"],
+)
+def test_row_batch_equals_the_row_function_bit_for_bit(cfg, theta, prices):
+    settled = _assert_batch_equals_rows(_Row(np.array([theta]), cfg, EXPO, TRUNC_EPS), prices)
+    assert settled.any() and (theta == 0.02 or not settled.all())
+
+
+@table_settings
+@given(
+    cfg=st.builds(
+        lambda rho, mu, cost_c: ModelConfig(rho * mu, mu, cost_c, 0.0),
+        rho=st.floats(0.05, 6.0),
+        mu=st.floats(0.2, 5.0),
+        cost_c=st.floats(0.01, 2.0),
+    ),
+    log_theta=st.floats(math.log(1e-3), math.log(5.0)),
+    fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12),
+)
+def test_row_batch_equals_the_row_function_on_random_models(cfg, log_theta, fractions):
+    theta = np.array([min(max(math.exp(log_theta), 1e-3), 5.0)])
+    assume(stationary_distribution(theta, cfg.with_price(PRICE_FLOOR), EXPO).qstar < 3000)
+    top = price_upper_bound(theta, cfg, EXPO)
+    _assert_batch_equals_rows(_Row(theta, cfg, EXPO, TRUNC_EPS), np.array(fractions) * top)
 
 
 def _raised(fn):
@@ -492,14 +542,35 @@ def test_grid_scan_raises_what_expected_revenue_raises(model, bounds, error):
     cfg, fam, theta = model
     grid = _raised(
         lambda: grid_then_golden(
-            lambda p: expected_revenue(p, theta, cfg, fam), *bounds, 256, 1e-9,
-            scan=lambda prices: _revenue_scan(prices, theta, cfg, fam),
+            lambda prices: _revenue_scan(prices, theta, cfg, fam), *bounds, 256, 1e-9,
+            lambda prices: [expected_revenue(p, theta, cfg, fam) for p in prices], 1,
         )
     )
     by_scalar_scan = _raised(
-        lambda: grid_then_golden(
+        lambda: golden_one_point_at_a_time(
             lambda p: expected_revenue(p, theta, cfg, fam), *bounds, 256, 1e-9
         )
     )
     assert type(grid) is type(by_scalar_scan) is error
     assert str(grid) == str(by_scalar_scan)
+
+
+@pytest.mark.parametrize(
+    "model, prices, error",
+    [
+        ((ANCHOR, EXPO, [0.02]), [-1.0, np.nan], ValueError),
+        (NOBODY_JOINS, [1.0, 2.0], ValueError),
+        (NON_BALKING, [1.0, 5.0], TruncationError),
+    ],
+    ids=["bad-price", "nobody-joins", "non-balking"],
+)
+def test_row_batch_raises_only_for_the_prices_it_must_score(model, prices, error):
+    # a speculative price is NaN whatever its row would raise; a price the
+    # batch must score raises what expected_revenue raises there
+    cfg, fam, theta = model
+    row = _Row(fam.param_space.require(theta), cfg, fam, TRUNC_EPS)
+    assert np.isnan(row.revenues(prices, 0)).all()
+    batch = _raised(lambda: row.revenues(prices, 1))
+    single = _raised(lambda: expected_revenue(prices[0], theta, cfg, fam))
+    assert type(batch) is type(single) is error
+    assert str(batch) == str(single)
