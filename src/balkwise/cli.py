@@ -121,11 +121,14 @@ def _load_config(path):
         return {}
     try:
         with open(path) as fh:
-            return json.load(fh)
+            raw = json.load(fh)
     except FileNotFoundError as exc:
         raise ValueError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ValueError(f"config file is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ValueError(f"config file must hold a JSON object, got {raw!r}")
+    return raw
 
 
 def _pick(flag, cfg: dict, key: str, default):
@@ -135,14 +138,11 @@ def _pick(flag, cfg: dict, key: str, default):
 
 
 def _model_from(args, cfg) -> tuple[ModelConfig, ExponentialFamily]:
-    """The model and family of the config, with the model flags written into it first."""
-    flags = {("model", "lambda"): args.lam, ("model", "mu"): args.mu,
-             ("model", "cost_c"): args.cost, ("model", "price"): args.price,
-             ("family", "lower"): args.theta_lower, ("family", "upper"): args.theta_upper}
-    for (block, key), value in flags.items():
-        if value is not None:
-            cfg.setdefault(block, {})[key] = value
+    """The model and family of the config, each model flag given in place of its setting."""
     settings = model_settings(cfg)
+    flags = {"lam": args.lam, "mu": args.mu, "cost_c": args.cost, "price": args.price,
+             "theta_lower": args.theta_lower, "theta_upper": args.theta_upper}
+    settings.update((field, value) for field, value in flags.items() if value is not None)
     return (ModelConfig(settings["lam"], settings["mu"], settings["cost_c"], settings["price"]),
             ExponentialFamily(ParamSpace([settings["theta_lower"]], [settings["theta_upper"]])))
 

@@ -22,9 +22,16 @@ import numpy as np
 
 from .inference import fit_mle, log_likelihood, score
 from .model import ExponentialFamily, ModelConfig, ParamSpace, ValueFamily
-from .pricing import PricingConfig, run_pricing, trace_metrics
+from .pricing import PricingConfig, _optimum, _trace_metrics, run_pricing
 from .simulator import SimOptions, simulate_path
-from .stationary import asymptotic_std, expected_revenue, theoretical_sigma, write_curve_csv
+from .stationary import (
+    TRUNC_EPS,
+    _Row,
+    asymptotic_std,
+    expected_revenue,
+    theoretical_sigma,
+    write_curve_csv,
+)
 from . import svgplot
 
 EXPERIMENTS = (
@@ -170,13 +177,23 @@ def model_settings(raw: dict) -> dict:
     """ExperimentConfig's model fields, read from the "model" and "family" blocks of a JSON config.
 
     A key left out takes its ExperimentConfig default.  "exponential" is the
-    only family a config can name; any other name raises ValueError.
+    only family a config can name; any other name, a block that is not an
+    object and a setting that is not a number raise ValueError naming it.
     """
-    name = raw.get("family", {}).get("name", "exponential")
+    blocks = {block: raw.get(block, {}) for block in ("model", "family")}
+    for block, value in blocks.items():
+        if not isinstance(value, dict):
+            raise ValueError(f"config key {block!r} must be an object, got {value!r}")
+    name = blocks["family"].get("name", "exponential")
     if name != "exponential":
         raise ValueError(f"unknown value family {name!r}")
-    return {field: raw.get(block, {}).get(key, getattr(ExperimentConfig, field))
-            for block, key, field in _MODEL_KEYS}
+    settings = {}
+    for block, key, field in _MODEL_KEYS:
+        value = blocks[block].get(key, getattr(ExperimentConfig, field))
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"config key '{block}.{key}' must be a number, got {value!r}")
+        settings[field] = value
+    return settings
 
 
 def rep_seed(master: int, *key: int) -> np.random.SeedSequence:
@@ -399,12 +416,14 @@ def exp_revenue_vs_price(config: ExperimentConfig) -> dict:
     cfg, fam = config.model, config.value_family
     lo, hi, n = config.price_grid
     prices = np.linspace(lo, hi, n)
-    values = []
-    for p in prices:
+    theta0 = [config.theta0]
+    values = _Row(fam.param_space.require(theta0), cfg, fam, TRUNC_EPS).revenues(prices, 0)
+    for i in np.flatnonzero(np.isnan(values)):  # rows one pass cannot settle, bad prices
         try:
-            values.append(expected_revenue(p, [config.theta0], cfg, fam))
+            values[i] = expected_revenue(prices[i], theta0, cfg, fam)
         except (ValueError, RuntimeError):
-            values.append(float("nan"))
+            pass
+    values = values.tolist()
     path = _out(config, "revenue_vs_price.csv")
     with open(path, "w", newline="") as fh:
         write_curve_csv(fh, prices, values, "revenue")
@@ -431,13 +450,16 @@ TABLE_ROW_LABELS = (
 
 
 def _pricing_run(job):
-    """Metrics of one seeded pricing run, or None when the run raises RuntimeError."""
-    cfg, fam, theta0, pcfg, seed = job
+    """Metrics of one seeded pricing run, or None when the run raises RuntimeError.
+
+    The job carries the optimum at theta0, found once per driver call.
+    """
+    cfg, fam, theta0, pcfg, seed, optimum = job
     try:
         trace = run_pricing(cfg, fam, pcfg, theta0=theta0, seed=seed)
     except RuntimeError:
         return None
-    m = trace_metrics(trace, theta0, cfg, fam)
+    m = _trace_metrics(trace, theta0, cfg, fam, *optimum)
     return (
         m.iterations,
         m.total_observations,
@@ -452,6 +474,7 @@ def exp_pricing_tables(config: ExperimentConfig) -> dict:
     """Summary metrics of seeded pricing runs over a grid of loop settings."""
     workers = resolve_workers(config.workers)
     cfg, fam = config.model, config.value_family
+    optimum = _optimum([config.theta0], cfg, fam)
     cells = {}
     for cell_idx, (schedule, k1, p1) in enumerate(config.pricing_cells):
         pcfg = PricingConfig(initial_price=p1, k1_min=k1, schedule=schedule,
@@ -459,7 +482,7 @@ def exp_pricing_tables(config: ExperimentConfig) -> dict:
                              grow_on="nominal", delta_mode="cumulative", boundary_policy="skip")
         jobs = [
             (cfg, fam, [config.theta0], pcfg,
-             int(rep_seed(config.seed, cell_idx, rep).generate_state(1)[0]))
+             int(rep_seed(config.seed, cell_idx, rep).generate_state(1)[0]), optimum)
             for rep in range(config.pricing_runs)
         ]
         results = _pool_map(_pricing_run, jobs, workers)

@@ -29,7 +29,7 @@ import numpy as np
 from .inference import fit_mle
 from .model import ModelConfig, ValueFamily
 from .simulator import QueuePath, build_path, concat_paths
-from .stationary import expected_revenue, optimal_price
+from .stationary import TRUNC_EPS, _Row, expected_revenue, optimal_price
 
 
 class ObservationSource(Protocol):
@@ -369,15 +369,29 @@ def trace_metrics(
     whose estimate stayed out of the pool has no model prediction, so it is
     charged the true revenue gap at the price it held.
     """
-    p_star = optimal_price(theta0, cfg_base, fam)
-    rev_star = expected_revenue(p_star, theta0, cfg_base, fam)
+    return _trace_metrics(trace, theta0, cfg_base, fam, *_optimum(theta0, cfg_base, fam))
 
-    final_rev = expected_revenue(trace.final_price, theta0, cfg_base, fam)
+
+def _optimum(theta0, cfg_base: ModelConfig, fam: ValueFamily) -> tuple[float, float]:
+    """The revenue-maximizing price at theta0 and its revenue."""
+    p_star = optimal_price(theta0, cfg_base, fam)
+    return p_star, expected_revenue(p_star, theta0, cfg_base, fam)
+
+
+def _trace_metrics(trace: PricingTrace, theta0, cfg_base: ModelConfig, fam: ValueFamily,
+                   p_star: float, rev_star: float) -> TraceMetrics:
+    """trace_metrics given the optimum at theta0 (``_optimum``).
+
+    The true revenue at the final price and at each price used comes from
+    one theta0 row function in one batch pass, equal to expected_revenue's.
+    """
+    row = _Row(fam.param_space.require(theta0), cfg_base, fam, TRUNC_EPS)
+    prices = [trace.final_price, *(r.price_used for r in trace.records)]
+    final_rev, *at_used = row.revenues(prices, len(prices))
     num = 0.0
     den = 0.0
     lost = 0.0
-    for r in trace.records:
-        rev_at_used = expected_revenue(r.price_used, theta0, cfg_base, fam)
+    for r, rev_at_used in zip(trace.records, at_used):
         num += r.time_ti * rev_at_used
         den += r.time_ti * rev_star
         if r.pooled:

@@ -129,6 +129,29 @@ def test_config_naming_another_value_family_is_rejected(tmp_path, capsys, args):
 
 
 @pytest.mark.parametrize(
+    "args",
+    [["price-opt", "--theta", "0.02"], ["price-opt", "--theta", "0.02", "--lam", "2"],
+     ["experiment", "revenue-vs-price"]],
+    ids=["price-opt", "price-opt-with-flag", "experiment"],
+)
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ({"model": 3}, "config key 'model' must be an object, got 3"),
+        ({"family": [1]}, "config key 'family' must be an object, got [1]"),
+        ({"model": {"lambda": "fast"}}, "config key 'model.lambda' must be a number, got 'fast'"),
+        ([1], "config file must hold a JSON object, got [1]"),
+    ],
+    ids=["model-not-object", "family-not-object", "lambda-not-number", "not-object"],
+)
+def test_config_of_the_wrong_shape_is_rejected(tmp_path, capsys, args, config, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert run_cli(args + ["--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
     "args, message",
     [
         (["fit", "--input", "path.csv", "--seed", "1"], "unrecognized arguments"),
