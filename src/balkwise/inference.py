@@ -133,7 +133,8 @@ class _Likelihood:
 
         Both come from one (theta x state) table.  Row sums add loglik's
         terms in its order; a row with a state nobody joins is summed over
-        the other states alone, as loglik sums it.  The (n, states) mask
+        the other states alone, as loglik sums it.  So each value is
+        loglik's, bit for bit, and the fit's golden phase scores on it.  The (n, states) mask
         marks the informative states at each row, as ``effective`` counts them.
         """
         p_up, p_down, live = self._law(self.fam.sf_rows(self.thresholds, thetas))
@@ -234,7 +235,7 @@ def score_outer_product(
 
 PARAM_TOL = 1e-10
 SCORE_RTOL = 1e-8
-_FIT_DEPTH = 5  # golden steps a one-parameter fit scores per scan call: 31 points (measured)
+_FIT_DEPTH = 4  # golden steps a one-parameter fit scores per scan call: 15 points (measured)
 
 
 def _round_off(f: float) -> float:

@@ -403,8 +403,8 @@ def grid_then_golden(scan, lo: float, hi: float, grid: int, tol: float, batch, d
     together with every point its next ``depth - 1`` steps can score, and
     the steps replay their comparisons from those values.  ``batch`` maps a
     list of points to their values: the first always, a later one NaN when
-    it cannot be had cheaply (that point is scored again, first, if the
-    search reaches it).  When batch gives each point the value of one
+    it cannot be had cheaply (a NaN is scored again, first, if the search
+    reaches it).  When batch gives each point the value of one
     function, the result is that of the one-point-at-a-time search on it;
     at depth 1 the points scored are that search's too.
     """
@@ -414,17 +414,17 @@ def grid_then_golden(scan, lo: float, hi: float, grid: int, tol: float, batch, d
     x1, x2 = b - _INVPHI * (b - a), a + _INVPHI * (b - a)
     known = {}
 
-    def score(first, a, b, x1, x2):
-        ahead = [*first, *_golden_points(a, b, x1, x2, depth - 1, tol)]
-        known.update((x, v) for x, v in zip(ahead, batch(ahead)) if not math.isnan(v))
+    def value(x, a, b, x1, x2, extra=()):
+        # on a miss, one batch: x, extra and the next depth - 1 steps from (a, b)
+        v = known.get(x, math.nan)
+        if v != v:
+            ahead = [x, *extra, *_golden_points(a, b, x1, x2, depth - 1, tol)]
+            known.update(zip(ahead, batch(ahead)))
+            v = known[x]
+        return v
 
-    def value(x, a, b, x1, x2):
-        if x not in known:
-            score([x], a, b, x1, x2)
-        return known.get(x, math.nan)
-
-    score([x1, x2], a, b, x1, x2)
-    f1, f2 = value(x1, a, b, x1, x2), value(x2, a, b, x1, x2)
+    f1 = value(x1, a, b, x1, x2, extra=[x2])
+    f2 = value(x2, a, b, x1, x2)
     while b - a > tol * max(1.0, abs(a) + abs(b)):
         if f1 < f2:
             a, x1, f1 = x1, x2, f2

@@ -36,7 +36,7 @@ _ROW = 128  # states a single price's row starts with
 JOIN_FRAC = 1e-6  # price_upper_bound: share of lam still joining the empty queue
 # steps a speculative search settles per batched call (measured, BENCH_speculative_search.json)
 _PRICE_DEPTH = 3  # optimal_price's golden phase: 7 rows per call
-_BISECTION_DEPTH = 6  # price_upper_bound: 63 midpoints per call
+_BISECTION_DEPTH = 4  # price_upper_bound: 15 midpoints per call
 # theoretical_sigma's accounting and the stationary weighting it averages over
 _SIGMA_WEIGHTING = {"transition": "jump", "occupancy": "time"}
 
@@ -194,8 +194,8 @@ class _Row:
         weights, _, lam_q, ends = self._pass(prices)
         ends[~(prices >= 0)] = 0
         out = np.full(len(prices), np.nan)
-        for end in np.unique(ends[ends > 0]):
-            rows = np.flatnonzero(ends == end)
+        for end in set(ends.tolist()) - {0}:
+            rows = ends == end
             w = weights[rows, :end]
             out[rows] = (w * lam_q[rows, :end]).sum(axis=1) / w.sum(axis=1)
         out *= prices
