@@ -36,7 +36,7 @@ _ROW = 128  # states a single price's row starts with
 JOIN_FRAC = 1e-6  # price_upper_bound: share of lam still joining the empty queue
 # steps a speculative search settles per batched call (measured, BENCH_speculative_search.json)
 _PRICE_DEPTH = 3  # optimal_price's golden phase: 7 rows per call
-_BISECTION_DEPTH = 4  # price_upper_bound: 15 midpoints per call
+_BISECTION_DEPTH = 8  # price_upper_bound: 255 midpoints per call
 # theoretical_sigma's accounting and the stationary weighting it averages over
 _SIGMA_WEIGHTING = {"transition": "jump", "occupancy": "time"}
 
@@ -345,6 +345,9 @@ def price_upper_bound(theta, cfg: ModelConfig, fam: ValueFamily) -> float:
     Doubling scores 1, 2, ..., 2**39 in one call; an 80-step bisection
     narrows the last doubling, _BISECTION_DEPTH steps per call: each call
     scores every midpoint those steps can visit, which they then look up.
+    The bracket's width is a power of two and its ends are multiples of it,
+    so until the bisection stops every midpoint it computes is exact, and
+    the midpoints of the next steps are a grid of equal cells.
     """
     theta = fam.param_space.require(theta)
     offset = _threshold(0, cfg, price=0.0)
@@ -360,21 +363,18 @@ def price_upper_bound(theta, cfg: ModelConfig, fam: ValueFamily) -> float:
     lo = hi / 2.0 if hi > 1.0 else 0.0
     for done in range(0, 80, _BISECTION_DEPTH):
         steps = min(_BISECTION_DEPTH, 80 - done)
-        mids, level = [], [(lo, hi)]  # the tree of brackets, breadth first
-        for _ in range(steps):
-            halves = [0.5 * (a + b) for a, b in level]
-            mids += halves
-            level = [part for (a, b), m in zip(level, halves) for part in ((a, m), (m, b))]
-        joins = (rate0(np.array(mids)) >= target).tolist()
-        node = 0  # the children of mids[i] are mids[2i + 1] (lower half) and mids[2i + 2]
+        cells = 2**steps
+        joins = (rate0(lo + (hi - lo) / cells * np.arange(1, cells)) >= target).tolist()
+        left, right = 0, cells  # lo and hi, in cells from lo
         for _ in range(steps):
             mid = 0.5 * (lo + hi)
             if mid == lo or mid == hi:
                 return hi  # rate0 is a function of the price: no later step moves lo or hi
-            if joins[node]:
-                lo, node = mid, 2 * node + 2
+            half = (left + right) // 2
+            if joins[half - 1]:
+                lo, left = mid, half
             else:
-                hi, node = mid, 2 * node + 1
+                hi, right = mid, half
     return hi
 
 

@@ -351,6 +351,9 @@ def _price_upper_bound_80_steps(theta, cfg, fam):
 
 @table_settings
 @given(cfg=models, theta=st.floats(1e-3, 5.0))
+# nobody joins at price 1: the bisection runs its 80 steps down from [0, 1]
+@example(cfg=ModelConfig(1.0, 1.0, 10.0, 0.0), theta=5.0)
+@example(cfg=ANCHOR, theta=1e-3)
 def test_price_upper_bound_equals_full_bisection(cfg, theta):
     expected = _price_upper_bound_80_steps([theta], cfg, EXPO)
     assert price_upper_bound([theta], cfg, EXPO) == expected
