@@ -134,8 +134,9 @@ class _Likelihood:
         Both come from one (theta x state) table.  Row sums add loglik's
         terms in its order; a row with a state nobody joins is summed over
         the other states alone, as loglik sums it.  So each value is
-        loglik's, bit for bit, and the fit's golden phase scores on it.  The (n, states) mask
-        marks the informative states at each row, as ``effective`` counts them.
+        loglik's, bit for bit, and the fit's golden phase scores on it.  The
+        (n, states) mask marks the informative states at each row, as
+        ``effective`` counts them.
         """
         p_up, p_down, live = self._law(self.fam.sf_rows(self.thresholds, thetas))
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -269,8 +270,10 @@ def fit_mle(path: QueuePath, cfg: ModelConfig, fam: ValueFamily) -> FitResult:
     tol = PARAM_TOL * space.width
     if fam.dim == 1:
         lo, hi = float(space.lower[0]), float(space.upper[0])
-        x = np.array([grid_then_golden(lambda ts: values, lo, hi, 65, tol[0],
-                                       lambda ts: lik.scan(np.array(ts)[:, None])[0], _FIT_DEPTH)])
+        x = np.array([grid_then_golden(
+            lambda ts: values, lo, hi, 65, tol[0],
+            lambda ts: lik.scan(np.array(ts)[:, None])[0], _FIT_DEPTH,
+        )])
     else:
         x = grid[np.argmax(values)].copy()
 

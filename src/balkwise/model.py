@@ -404,9 +404,9 @@ def grid_then_golden(scan, lo: float, hi: float, grid: int, tol: float, batch, d
     the steps replay their comparisons from those values.  ``batch`` maps a
     list of points to their values: the first always, a later one NaN when
     it cannot be had cheaply (a NaN is scored again, first, if the search
-    reaches it).  When batch gives each point the value of one
-    function, the result is that of the one-point-at-a-time search on it;
-    at depth 1 the points scored are that search's too.
+    reaches it).  When batch gives each point the value of one function,
+    the result is that of the one-point-at-a-time search on it; at depth 1
+    the points scored are that search's too.
     """
     points = np.linspace(lo, hi, grid)
     best = int(np.argmax(scan(points)))

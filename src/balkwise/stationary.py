@@ -207,7 +207,7 @@ class _Row:
 
 
 def _revenue(row: _Row, price: float) -> float:
-    """expected_revenue from a row function."""
+    """expected_revenue from a _Row."""
     weights, lam_q, _ = row(price)
     return price * float((weights * lam_q).sum() / weights.sum())
 
@@ -343,11 +343,11 @@ def price_upper_bound(theta, cfg: ModelConfig, fam: ValueFamily) -> float:
     """Smallest price at which effectively nobody joins the empty queue.
 
     Doubling scores 1, 2, ..., 2**39 in one call; an 80-step bisection
-    narrows the last doubling, _BISECTION_DEPTH steps per call: each call
-    scores every midpoint those steps can visit, which they then look up.
-    The bracket's width is a power of two and its ends are multiples of it,
-    so until the bisection stops every midpoint it computes is exact, and
-    the midpoints of the next steps are a grid of equal cells.
+    narrows the last doubling, _BISECTION_DEPTH steps per call.  Each call
+    scores every midpoint those steps can visit: the bracket's width is a
+    power of two and its ends are multiples of it, so until the bisection
+    stops each midpoint it computes is exact, and those of the next n steps
+    are the inner points of 2**n equal cells of the bracket.
     """
     theta = fam.param_space.require(theta)
     offset = _threshold(0, cfg, price=0.0)
