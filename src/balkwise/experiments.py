@@ -24,14 +24,8 @@ from .inference import fit_mle, log_likelihood, score
 from .model import ExponentialFamily, ModelConfig, ParamSpace, ValueFamily
 from .pricing import PricingConfig, _optimum, _trace_metrics, run_pricing
 from .simulator import SimOptions, simulate_path
-from .stationary import (
-    TRUNC_EPS,
-    _Row,
-    asymptotic_std,
-    expected_revenue,
-    theoretical_sigma,
-    write_curve_csv,
-)
+from .stationary import (TRUNC_EPS, _Row, asymptotic_std, expected_revenue, theoretical_sigma,
+                         write_curve_csv)
 from . import svgplot
 
 EXPERIMENTS = (
