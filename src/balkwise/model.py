@@ -415,9 +415,8 @@ def grid_then_golden(scan, lo: float, hi: float, grid: int, tol: float, batch, d
     known = {}
 
     def value(x, a, b, x1, x2, extra=()):
-        # on a miss, one batch: x, extra and the next depth - 1 steps from (a, b)
         v = known.get(x, math.nan)
-        if v != v:
+        if v != v:  # not scored yet, or left NaN: one batch of x, extra and the next steps' points
             ahead = [x, *extra, *_golden_points(a, b, x1, x2, depth - 1, tol)]
             known.update(zip(ahead, batch(ahead)))
             v = known[x]
