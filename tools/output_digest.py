@@ -1,6 +1,7 @@
 """Print one sha256 per seeded output of balkwise, to compare two checkouts.
 
-Runs the six experiment drivers at small configurations with workers=1, and
+Runs the six experiment drivers at small configurations with workers=1 (the
+replication drivers also at 10^4 to 10^5 steps per replication), and
 hashes simulated paths (long ones among them, one in heavy traffic), fits
 (boundary fits on hand-built paths and one 10^5-step fit among them),
 information matrices, price searches and revenue curves (heavy traffic and
@@ -71,6 +72,11 @@ DRIVER_CONFIGS = {
     "std-vs-price": dict(k=500, price_grid=(5.0, 60.0, 6), empirical_reps=5),
     "revenue-vs-price": dict(),
     "pricing-tables": dict(pricing_runs=3),
+    # replications long enough for the block walk, one of them a chain of 10^5
+    # steps, and many short replications of one length
+    "consistency-long": dict(experiment="consistency", k_list=(20_000, 100_000), replications=4),
+    "normality-k10000": dict(experiment="normality", k=10_000, replications=30),
+    "score-convergence-k10000": dict(experiment="score-convergence", k=10_000, replications=30),
 }
 
 
@@ -95,8 +101,8 @@ def outputs():
     with tempfile.TemporaryDirectory() as tmp:
         for name, extra in DRIVER_CONFIGS.items():
             out = Path(tmp) / name
-            run_experiment(ExperimentConfig(experiment=name, seed=3, workers=1,
-                                            out_dir=str(out), **extra))
+            run_experiment(ExperimentConfig(**{"experiment": name, "seed": 3, "workers": 1,
+                                               "out_dir": str(out), **extra}))
             for file in sorted(out.iterdir()):
                 yield f"experiment/{name}/{file.name}", file.read_bytes()
 
