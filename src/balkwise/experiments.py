@@ -23,7 +23,7 @@ import numpy as np
 from .inference import fit_mle, log_likelihood, score
 from .model import ExponentialFamily, ModelConfig, ParamSpace, ValueFamily
 from .pricing import PricingConfig, _optimum, _trace_metrics, run_pricing
-from .simulator import SimOptions, simulate_path
+from .simulator import SimOptions, _walk_counts, simulate_path
 from .stationary import (TRUNC_EPS, _Row, asymptotic_std, expected_revenue, theoretical_sigma,
                          write_curve_csv)
 from . import svgplot
@@ -212,39 +212,48 @@ def _pool_map(fn, jobs, workers: int):
         return list(pool.map(fn, jobs, chunksize=max(1, len(jobs) // (4 * workers))))
 
 
-def _jobs(config: ExperimentConfig, k: int, reps: int, *key: int, price=None):
-    """One job per replication, seeded by (master seed, k, rep, *key).
+# Draws per chunk of replications walked and fitted together: a chain of
+# 10^5 steps runs alone (measured, BENCH_count_walk.json)
+_CHUNK_DRAWS = 100_000
 
-    A job is simulate_path's arguments for k transitions after a stationary warm-up.
+
+def _run_options(config: ExperimentConfig, k: int, *key: int) -> SimOptions:
+    """simulate_path's options for k transitions after a stationary warm-up, seeded by key."""
+    return SimOptions(steps=k, seed=rep_seed(config.seed, k, *key),
+                      initial_state="stationary-warmup", warmup_steps=config.warmup_steps)
+
+
+def _replications(fn, config: ExperimentConfig, k: int, reps: int, *key: int, price=None) -> list:
+    """fn's result for each replication, seeded by (master seed, k, rep, *key), in rep order.
+
+    fn maps a chunk of replications, (cfg, fam, theta0, options), to one
+    result each; chunks of about _CHUNK_DRAWS draws fan out to the workers.
     """
     cfg = config.model if price is None else config.model.with_price(price)
-    return [
-        (cfg, config.value_family, [config.theta0],
-         SimOptions(steps=k, seed=rep_seed(config.seed, k, rep, *key),
-                    initial_state="stationary-warmup", warmup_steps=config.warmup_steps))
-        for rep in range(reps)
-    ]
+    runs = [_run_options(config, k, rep, *key) for rep in range(reps)]
+    per_chunk = max(1, _CHUNK_DRAWS // (k + config.warmup_steps))
+    jobs = [(cfg, config.value_family, [config.theta0], runs[i:i + per_chunk])
+            for i in range(0, reps, per_chunk)]
+    return [r for chunk in _pool_map(fn, jobs, resolve_workers(config.workers)) for r in chunk]
 
 
-def _simulate_and_fit(job):
-    """Simulate one replication's path and fit it."""
-    cfg, fam, theta0, opts = job
-    path = simulate_path(cfg, fam, theta0, opts)
-    return path, fit_mle(path, cfg, fam)
+def _fits(job):
+    """Each replication's transition counts and its fit."""
+    cfg, fam, theta0, runs = job
+    for counts in _walk_counts(cfg, fam, theta0, runs):
+        yield counts, fit_mle(counts, cfg, fam)
 
 
 def _fit_rep(job):
-    """(theta_hat, boundary) of one replication; shared by several drivers."""
-    fit = _simulate_and_fit(job)[1]
-    return float(fit.theta_hat[0]), bool(fit.boundary)
+    """(theta_hat, boundary) of each replication of a chunk; shared by several drivers."""
+    return [(float(fit.theta_hat[0]), bool(fit.boundary)) for _, fit in _fits(job)]
 
 
 def _fit_score_rep(job):
     """_fit_rep plus the signed normalized score at the estimate."""
     cfg, fam, _, _ = job
-    path, fit = _simulate_and_fit(job)
-    value = float(score(path, fit.theta_hat, cfg, fam)[0])
-    return float(fit.theta_hat[0]), bool(fit.boundary), value
+    return [(float(fit.theta_hat[0]), bool(fit.boundary),
+             float(score(counts, fit.theta_hat, cfg, fam)[0])) for counts, fit in _fits(job)]
 
 
 def _out(config: ExperimentConfig, name: str) -> Path:
@@ -263,11 +272,10 @@ def _write_csv(path: Path, header, rows) -> None:
 
 def exp_score_convergence(config: ExperimentConfig) -> dict:
     """Score at the fitted parameter across sample sizes and replications."""
-    workers = resolve_workers(config.workers)
     rows = []
     spreads = {}
     for k in config.sizes:
-        results = _pool_map(_fit_score_rep, _jobs(config, k, config.replications), workers)
+        results = _replications(_fit_score_rep, config, k, config.replications)
         for rep, (theta_hat, _, score_val) in enumerate(results):
             rows.append((k, rep, theta_hat, score_val))
         spreads[k] = float(np.std([r[2] for r in results]))
@@ -285,11 +293,10 @@ def exp_score_convergence(config: ExperimentConfig) -> dict:
 
 def exp_consistency(config: ExperimentConfig) -> dict:
     """Estimates across sample sizes plus log-likelihood profile curves."""
-    workers = resolve_workers(config.workers)
     rows = []
     medians = {}
     for k in config.sizes:
-        results = _pool_map(_fit_rep, _jobs(config, k, config.replications), workers)
+        results = _replications(_fit_rep, config, k, config.replications)
         errs = []
         for rep, (theta_hat, _) in enumerate(results):
             rows.append((k, rep, theta_hat, abs(theta_hat - config.theta0)))
@@ -306,7 +313,8 @@ def exp_consistency(config: ExperimentConfig) -> dict:
         w = csv.writer(fh)
         w.writerow(["k", "theta", "loglik"])
         for k in config.sizes:
-            sim = simulate_path(*_jobs(config, k, 1)[0])  # replication 0's path
+            # replication 0's path
+            sim = simulate_path(cfg, fam, [config.theta0], _run_options(config, k, 0))
             for t in thetas:
                 w.writerow([k, repr(float(t)), repr(log_likelihood(sim, [t], cfg, fam))])
     _write_csv(_out(config, "consistency_summary.csv"), ["k", "median_abs_error"],
@@ -321,14 +329,13 @@ def exp_normality(config: ExperimentConfig) -> dict:
     weighting, transition accounting) at the experiment's price; boundary
     fits are excluded from the test and counted.
     """
-    workers = resolve_workers(config.workers)
     cfg, fam = config.model, config.value_family
     rows = []
     verdicts = {}
     for k in config.sizes:
         sigma = theoretical_sigma([config.theta0], cfg, fam)
         std_theory = 1.0 / np.sqrt(float(sigma[0, 0]))
-        results = _pool_map(_fit_rep, _jobs(config, k, config.replications), workers)
+        results = _replications(_fit_rep, config, k, config.replications)
         z_vals, rel_errors, n_boundary = [], [], 0
         for rep, (theta_hat, boundary) in enumerate(results):
             z = float(np.sqrt(k) * (theta_hat - config.theta0) / std_theory)
@@ -369,7 +376,6 @@ def exp_std_vs_price(config: ExperimentConfig) -> dict:
     cfg, fam = config.model, config.value_family
     lo, hi, n = config.price_grid
     prices = np.linspace(lo, hi, n)
-    workers = resolve_workers(config.workers)
 
     theory = []
     for p in prices:
@@ -385,8 +391,7 @@ def exp_std_vs_price(config: ExperimentConfig) -> dict:
     for k in config.sizes if (config.k or config.k_list) else (1000,):
         for index, p in enumerate(prices):
             # the grid index keys the seed, so every price point has its own stream
-            jobs = _jobs(config, k, config.empirical_reps, index, price=float(p))
-            fits = _pool_map(_fit_rep, jobs, workers)
+            fits = _replications(_fit_rep, config, k, config.empirical_reps, index, price=float(p))
             interior = [t for t, boundary in fits if not boundary]
             if len(interior) >= 2:
                 emp = float(np.std(np.sqrt(k) * (np.array(interior) - config.theta0), ddof=1))

@@ -3,10 +3,12 @@
 Because the up/down law of the jump chain depends only on the pre-transition
 state, a path enters the likelihood solely through per-state counts of up and
 down moves.  Every function here reduces the path to those counts once, so a
-likelihood evaluation costs O(number of distinct states), not O(path length).
-A fit tabulates states, thresholds and counts once and scores its scan of
-65 points per axis (65**dim in all) in one call on a (theta x state) table;
-every dimension then takes the same projected Newton polish.
+likelihood evaluation costs O(number of distinct states), not O(path length);
+``fit_mle`` and ``score`` also take the counts themselves, the
+``(n_up, n_down)`` pair of ``transition_counts``.  A fit tabulates states,
+thresholds and counts once and scores its scan of 65 points per axis
+(65**dim in all) in one call on a (theta x state) table; every dimension
+then takes the same projected Newton polish.
 
 Transitions out of the empty queue are certain and carry no information.
 The log-likelihood sums every other state somebody joins, the states
@@ -23,11 +25,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from statistics import NormalDist
+from typing import Union
 
 import numpy as np
 
 from .model import ModelConfig, StateTable, ValueFamily, _jump_law, _threshold, grid_then_golden
-from .simulator import QueuePath
+from .simulator import QueuePath, _state_counts
 
 
 @dataclass(frozen=True)
@@ -77,12 +80,12 @@ class FitResult:
         )
 
 
-def transition_counts(path: QueuePath) -> tuple[np.ndarray, np.ndarray]:
+_Counts = tuple[np.ndarray, np.ndarray]
+
+
+def transition_counts(path: QueuePath) -> _Counts:
     """Per-state counts of up and down moves (indexed by pre-state)."""
-    pre = path.pre_states
-    size = int(pre.max()) + 1 if len(pre) else 1
-    counts = np.bincount(2 * pre + path.ups, minlength=2 * size)
-    return counts[1::2], counts[0::2]
+    return _state_counts(path.states)
 
 
 # States whose up-probability is this small contribute less than double
@@ -92,32 +95,40 @@ _P_FLOOR = 1e-150
 
 
 class _Likelihood:
-    """A path's likelihood on the states q >= 1 it left, tabulated once per fit.
+    """The likelihood of a path, or of its transition counts, on the states q >= 1 it left.
 
-    Holds their thresholds and up/down counts; at each theta only the
-    survival is evaluated (the derivatives build a StateTable).  The
-    log-likelihood sums the states somebody joins (p_up > 0); a state nobody
-    joins adds log 1 = 0 per down-move, or makes an up-move impossible.  The
-    effective sample counts the informative states only.  theta is validated
-    by ``fam.sf``/``sf_rows``.
+    Holds their thresholds and up/down counts, tabulated once per fit, and
+    k, the number of transitions counted.  The StateTable of the last theta
+    and its floored states are kept, so the value, score, information and
+    effective sample at one theta share them; the key is theta's value, not
+    the array, which the fit changes in place.  The log-likelihood sums the
+    states somebody joins (p_up > 0); a state nobody joins adds log 1 = 0
+    per down-move, or makes an up-move impossible.  The effective sample
+    counts the informative states only.  theta is validated by
+    ``fam.sf``/``sf_rows``.
     """
 
-    def __init__(self, path: QueuePath, cfg: ModelConfig, fam: ValueFamily):
-        n_up, n_down = transition_counts(path)
+    def __init__(self, data: Union[QueuePath, _Counts], cfg: ModelConfig, fam: ValueFamily):
+        counts = transition_counts(data) if isinstance(data, QueuePath) else data
+        n_up, n_down = np.asarray(counts[0]), np.asarray(counts[1])
         self.q = np.flatnonzero(n_up[1:] + n_down[1:]) + 1
         self.thresholds = _threshold(self.q, cfg)
         self.up, self.down = n_up[self.q], n_down[self.q]
         self.has_up = self.up > 0
-        self.k, self.cfg, self.fam = len(path), cfg, fam
+        self.k, self.cfg, self.fam = int(n_up.sum() + n_down.sum()), cfg, fam
+        self._key = self._tab = self._floored_tab = self._floored = None
 
-    def _law(self, surv):
-        """p_up, p_down and the live mask, from survivals at the thresholds."""
-        surv = np.asarray(surv, dtype=float)
-        return _jump_law(self.cfg.lam * surv, surv, self.cfg.mu)
+    def _table(self, theta) -> StateTable:
+        key = np.asarray(theta, dtype=float).tobytes()
+        if key != self._key:
+            self._key = key
+            self._tab = StateTable(self.q, np.array(theta, dtype=float), self.cfg, self.fam)
+        return self._tab
 
     def loglik(self, theta) -> float:
         """Log-likelihood at theta; no mask is built when every state is joined."""
-        p_up, p_down, _ = self._law(self.fam.sf(self.thresholds, theta))
+        tab = self._table(theta)
+        p_up, p_down = tab.p_up, tab.p_down
         joins = p_up > 0.0
         if joins.all():
             joins = slice(None)  # the same terms in the same order, unmasked
@@ -138,7 +149,8 @@ class _Likelihood:
         (n, states) mask marks the informative states at each row, as
         ``effective`` counts them.
         """
-        p_up, p_down, live = self._law(self.fam.sf_rows(self.thresholds, thetas))
+        surv = self.fam.sf_rows(self.thresholds, thetas)
+        p_up, p_down, live = _jump_law(self.cfg.lam * surv, surv, self.cfg.mu)
         with np.errstate(divide="ignore", invalid="ignore"):
             up, down = self.up * np.log(p_up), self.down * np.log(p_down)
         out = up.sum(axis=1) + down.sum(axis=1)
@@ -149,16 +161,17 @@ class _Likelihood:
         return out, live
 
     def effective(self, theta) -> int:
-        live = self._law(self.fam.sf(self.thresholds, theta))[2]
-        return int((self.up + self.down)[live].sum())
+        return int((self.up + self.down)[self._table(theta).informative].sum())
 
     def floored(self, theta):
         """Table and live states with p_up above _P_FLOOR, their counts and p_up/p_down; or None."""
-        tab = StateTable(self.q, theta, self.cfg, self.fam)
-        live = tab.informative & (tab.p_up > _P_FLOOR)
-        if not live.any():
-            return None
-        return tab, live, self.up[live], self.down[live], tab.p_up[live, None], tab.p_down[live, None]
+        tab = self._table(theta)
+        if tab is not self._floored_tab:
+            live = tab.informative & (tab.p_up > _P_FLOOR)
+            self._floored_tab, self._floored = tab, (
+                (tab, live, self.up[live], self.down[live], tab.p_up[live, None],
+                 tab.p_down[live, None]) if live.any() else None)
+        return self._floored
 
     def score(self, theta) -> np.ndarray:
         floored = self.floored(theta)
@@ -198,10 +211,13 @@ def log_likelihood(path: QueuePath, theta, cfg: ModelConfig, fam: ValueFamily) -
     return _Likelihood(path, cfg, fam).loglik(theta)
 
 
-def score(path: QueuePath, theta, cfg: ModelConfig, fam: ValueFamily) -> np.ndarray:
-    """Normalized score: gradient of log-likelihood over the full step count."""
+def score(data: Union[QueuePath, _Counts], theta, cfg: ModelConfig, fam: ValueFamily) -> np.ndarray:
+    """Normalized score: gradient of log-likelihood over the full step count.
+
+    ``data`` is a path or its ``transition_counts``.
+    """
     theta = fam.param_space.require(theta)
-    return _Likelihood(path, cfg, fam).score(theta)
+    return _Likelihood(data, cfg, fam).score(theta)
 
 
 def observed_information(
@@ -244,8 +260,10 @@ def _round_off(f: float) -> float:
     return 1e-12 * max(1.0, abs(f))
 
 
-def fit_mle(path: QueuePath, cfg: ModelConfig, fam: ValueFamily) -> FitResult:
+def fit_mle(data: Union[QueuePath, _Counts], cfg: ModelConfig, fam: ValueFamily) -> FitResult:
     """Maximize the log-likelihood over the parameter box, in any dimension.
+
+    ``data`` is a path or its ``transition_counts``; both give the same fit.
 
     A scan of 65 points per axis (65**dim in all) is scored in one call
     through ``fam.sf_rows``; its values equal log_likelihood's.  One
@@ -257,11 +275,11 @@ def fit_mle(path: QueuePath, cfg: ModelConfig, fam: ValueFamily) -> FitResult:
     bound is flagged as a boundary fit rather than an error.  The search
     takes no starting point.
     """
-    if len(path) == 0:
-        raise ValueError("path has no transitions")
     space = fam.param_space
-    lik = _Likelihood(path, cfg, fam)
+    lik = _Likelihood(data, cfg, fam)
     k = lik.k
+    if k == 0:
+        raise ValueError("path has no transitions")
     axes = np.linspace(space.lower, space.upper, 65)
     grid = np.stack(np.meshgrid(*axes.T, indexing="ij"), axis=-1).reshape(-1, fam.dim)
     values, live = lik.scan(grid)

@@ -11,21 +11,24 @@ holding times and revenue.
 A long path is walked by predict-and-patch (``_walk``): its blocks are walked
 at once from guessed entries, then each is walked one step at a time from its
 true entry until it meets its prediction, so the guesses only set the speed.
+The same walk takes several chains at once as the blocks of one state vector;
+``_walk_counts`` reduces each chain to transition counts, all a fit needs.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Optional, Union
+from numbers import Integral
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .model import ModelConfig, StateTable, ValueFamily, offered_reward
+from .model import ModelConfig, StateTable, ValueFamily, _threshold
 
 STATIONARY_WARMUP = "stationary-warmup"
 DEFAULT_WARMUP_STEPS = 1000
-_BLOCK, _PREDICT_FROM = 128, 16384  # block size and shortest predicted path, see _walk
+_BLOCK, _PREDICT_FROM = 128, 16384  # block size and fewest draws predicted, see _walk
 
 
 class AbsorbingStateError(RuntimeError):
@@ -154,6 +157,14 @@ class SimOptions:
     warmup_steps: Optional[int] = None
 
     def __post_init__(self):
+        integers = [("steps", self.steps)]
+        if self.warmup_steps is not None:
+            integers.append(("warmup_steps", self.warmup_steps))
+        if not isinstance(self.initial_state, str):
+            integers.append(("initial_state", self.initial_state))
+        for name, value in integers:
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
         if self.warmup_steps is not None and self.warmup_steps < 0:
@@ -172,15 +183,17 @@ class SimOptions:
         return int(self.initial_state), int(self.warmup_steps or 0)
 
 
-def _walk(rng, steps: int, start: int, theta, cfg: ModelConfig, fam: ValueFamily):
-    """Run the jump chain for ``steps`` transitions.
+def _walk(rngs, steps: int, start: int, theta, cfg: ModelConfig, fam: ValueFamily):
+    """Run one jump chain of ``steps`` transitions from ``start`` per generator in ``rngs``.
 
-    Returns the states and the joining rate of each state 0..at least the
-    highest one visited.
+    Each chain draws its ``steps`` uniforms from its own generator.  Returns
+    the states, one row of ``steps + 1`` per chain, and the joining rate of
+    each state 0..at least the highest one visited.
     A draw below p_up (1 at the empty queue) moves up.  From ``_PREDICT_FROM``
-    steps on, ``_predict`` walks all ``_BLOCK``-step blocks at once; each is then
-    walked from its true entry only until it meets the prediction, which from
-    there moves from the same state on the same draws and table: the true path.
+    draws in all, ``_predict`` walks every ``_BLOCK``-step block of every chain
+    at once; each is then walked from its true entry only until it meets the
+    prediction, which from there moves from the same state on the same draws
+    and table: the true path.
     """
     lam_tab: list[float] = []
     pup: list[float] = []
@@ -197,52 +210,68 @@ def _walk(rng, steps: int, start: int, theta, cfg: ModelConfig, fam: ValueFamily
             "no customer ever joins the empty queue (joining rate 0 at state 0)"
         )
 
-    draws = rng.random(steps)
-    states = np.empty(steps + 1, dtype=np.int64)
-    states[0] = start
-    done = steps - steps % _BLOCK if steps >= _PREDICT_FROM else 0
-    entries = _predict(draws[:done], start, states[1:done + 1], pup, grow) if done else []
-    for lo, guess in zip(range(0, done + 1, _BLOCK), entries + [-1]):  # -1: nothing predicted
-        if (q := int(states[lo])) == guess:
-            continue  # predicted from its true entry
-        hi = lo + _BLOCK if lo < done else steps
-        span, walked = states[lo + 1:hi + 1], []
-        ahead = span.tolist() if lo < done else [-1] * (hi - lo)
-        for u, predicted in zip(draws[lo:hi].tolist(), ahead):
-            if u < pup[q]:
-                q += 1
-                if q + 1 >= len(pup):
-                    grow(q + 2)
-            else:
-                q -= 1
-            if q == predicted:
-                break  # met the prediction, which from here on is the true path
-            walked.append(q)
-        span[:len(walked)] = walked
+    draws = np.empty((len(rngs), steps))
+    for rng, row in zip(rngs, draws):
+        rng.random(out=row)
+    states = np.empty((len(rngs), steps + 1), dtype=np.int64)
+    states[:, 0] = start
+    done = steps - steps % _BLOCK if draws.size >= _PREDICT_FROM else 0
+    entries = [[]] * len(rngs)  # predicted entry of each block, per chain
+    if done:
+        entries = _predict(draws[:, :done], start, states[:, 1:done + 1], pup, grow)
+    for row, chain_draws, chain_entries in zip(states, draws, entries):
+        for lo, guess in zip(range(0, done + 1, _BLOCK), chain_entries + [-1]):  # -1: not predicted
+            if (q := int(row[lo])) == guess:
+                continue  # predicted from its true entry
+            hi = lo + _BLOCK if lo < done else steps
+            span, walked = row[lo + 1:hi + 1], []
+            ahead = span.tolist() if lo < done else [-1] * (hi - lo)
+            for u, predicted in zip(chain_draws[lo:hi].tolist(), ahead):
+                if u < pup[q]:
+                    q += 1
+                    if q + 1 >= len(pup):
+                        grow(q + 2)
+                else:
+                    q -= 1
+                if q == predicted:
+                    break  # met the prediction, which from here on is the true path
+                walked.append(q)
+            span[:len(walked)] = walked
     return states, np.asarray(lam_tab)
 
 
 def _predict(draws: np.ndarray, start: int, out: np.ndarray, pup: list, grow) -> list:
-    """Walk every ``_BLOCK``-step block of ``draws`` at once into ``out``; return the entries used.
+    """Walk every ``_BLOCK``-step block of every row of ``draws`` at once into ``out``.
 
-    Pass 1 enters block j > 0 at ``(start + j*_BLOCK) % 2``, pass 2 where pass 1
-    left block j-1.  Walks of one parity on the same draws never cross (p_up does
-    not rise with the state), so pass 2 starts nearly every block at its true entry.
+    Returns the entries used, one list per row.  Pass 1 enters block j > 0 of
+    a chain at ``(start + j*_BLOCK) % 2``, pass 2 where pass 1 left block j-1.
+    Walks of one parity on the same draws never cross (p_up does not rise
+    with the state), so pass 2 starts nearly every block at its true entry.
     """
+    chains, blocks = draws.shape[0], draws.shape[1] // _BLOCK
     u = np.ascontiguousarray(draws.reshape(-1, _BLOCK).T)
-    pred = np.empty((_BLOCK + 1, u.shape[1]), dtype=np.int64)
-    pred[0] = np.r_[start, (start + _BLOCK * np.arange(1, u.shape[1])) % 2]
+    pred = np.empty((_BLOCK + 1, chains * blocks), dtype=np.int64)
+    pred[0] = np.tile(np.r_[start, (start + _BLOCK * np.arange(1, blocks)) % 2], chains)
     for _ in range(2):
         while len(pup) <= int(pred[0].max()) + _BLOCK + 1:  # past every state a block can reach
             grow(len(pup) + 1)
         up_at = np.array(pup)
         for i in range(_BLOCK):
             pred[i + 1] = pred[i] - 1 + 2 * (u[i] < up_at.take(pred[i]))
-        entries, pred[0] = pred[0].tolist(), np.r_[start, pred[-1, :-1]]
-        if pred[0].tolist() == entries:
+        entries = pred[0].copy()
+        pred[0, 1:], pred[0, ::blocks] = pred[-1, :-1], start  # each chain's first block: its start
+        if np.array_equal(pred[0], entries):
             break  # each block was entered where the one before ended: all true entries
-    out.reshape(-1, _BLOCK)[:] = pred[1:].T
-    return entries
+    out[:] = pred[1:].T.reshape(chains, blocks * _BLOCK)
+    return entries.reshape(chains, blocks).tolist()
+
+
+def _state_counts(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-state counts of up and down moves of a state sequence (indexed by pre-state)."""
+    pre = states[:-1]
+    size = int(pre.max()) + 1 if len(pre) else 1
+    counts = np.bincount(2 * pre + (states[1:] > pre), minlength=2 * size)
+    return counts[1::2], counts[0::2]
 
 
 def build_path(
@@ -254,8 +283,8 @@ def build_path(
     times one standard exponential each, both from ``rng``; the caller owns
     the generator, so consecutive calls continue one random stream.
     """
-    all_states, lam_tab = _walk(rng, warmup + steps, start, theta, cfg, fam)
-    states = all_states[warmup:]
+    all_states, lam_tab = _walk([rng], warmup + steps, start, theta, cfg, fam)
+    states = all_states[0, warmup:]
     pre = states[:-1]
     ups = states[1:] > pre
 
@@ -270,6 +299,24 @@ def build_path(
         revenue=cfg.price * int(ups.sum()),
         total_time=float(holds.sum()),
     )
+
+
+def _walk_counts(
+    cfg: ModelConfig, fam: ValueFamily, theta0, runs: Sequence[SimOptions]
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The transition counts of ``simulate_path(cfg, fam, theta0, opts)`` for each opts of ``runs``.
+
+    The runs differ only in their seeds.  Their chains are walked together,
+    on the uniforms ``simulate_path`` draws first, and no holding times are
+    drawn: the counts are all a fit reads.
+    """
+    theta0 = fam.param_space.require(theta0)
+    (start, warmup), steps = runs[0].resolve(), runs[0].steps
+    if any((opts.resolve(), opts.steps) != ((start, warmup), steps) for opts in runs):
+        raise ValueError("the runs of one walk must share their start, warm-up and length")
+    rngs = [np.random.default_rng(opts.seed) for opts in runs]
+    states = _walk(rngs, warmup + steps, start, theta0, cfg, fam)[0]
+    return [_state_counts(row[warmup:]) for row in states]
 
 
 def simulate_path(
@@ -307,6 +354,7 @@ def simulate_full_arrivals(
     start, warmup = opts.resolve()
     rng = np.random.default_rng(opts.seed)
     total = warmup + opts.steps
+    thresholds: list[float] = []  # offered_reward(q, cfg) at q = 0, 1, ..., grown with the queue
 
     states = np.empty(total + 1, dtype=np.int64)
     holds = np.empty(total, dtype=float)
@@ -323,7 +371,9 @@ def simulate_full_arrivals(
             now = next_arrival
             next_arrival = now + rng.exponential(1.0 / cfg.lam)
             value = fam.quantile(rng.random(), theta0)
-            if value < offered_reward(q, cfg):
+            if q >= len(thresholds):
+                thresholds = _threshold(np.arange(2 * q + 64), cfg).tolist()
+            if value < thresholds[q]:
                 continue  # a balking customer leaves no trace
             q += 1
             if q == 1:

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from balkwise import experiments
+from balkwise.inference import fit_mle, score
+from balkwise.simulator import SimOptions, simulate_path
 from balkwise.experiments import (
     ExperimentConfig,
     TABLE_ROW_LABELS,
@@ -216,13 +218,13 @@ def test_std_vs_price_driver(tmp_path):
 def test_std_vs_price_seeds_each_grid_point(tmp_path, monkeypatch):
     # 10.0 and 10.0004 agree to three decimals; each still needs its own stream
     seeds = []
-    simulate = experiments.simulate_path
+    walk = experiments._walk_counts
 
-    def spy(cfg, fam, theta0, opts):
-        seeds.append(tuple(opts.seed.generate_state(4)))
-        return simulate(cfg, fam, theta0, opts)
+    def spy(cfg, fam, theta0, runs):
+        seeds.extend(tuple(opts.seed.generate_state(4)) for opts in runs)
+        return walk(cfg, fam, theta0, runs)
 
-    monkeypatch.setattr(experiments, "simulate_path", spy)
+    monkeypatch.setattr(experiments, "_walk_counts", spy)
     _run(tmp_path, experiment="std-vs-price", price_grid=(10.0, 10.0004, 2), k=200,
          empirical_reps=3, replications=1, seed=3)
     assert len(seeds) == 6
@@ -262,3 +264,23 @@ def test_parallel_matches_serial(tmp_path, monkeypatch):
             _run(tmp_path / str(workers), seed=21, workers=workers, **kwargs)
         for name in names:
             assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("k, reps", [(10_000, 20), (200, 100)])
+def test_chunked_replications_match_one_path_per_replication(monkeypatch, workers, k, reps):
+    """Walked in chunks (3 of 9 chains at k = 10^4, 2 of 83 at k = 200), fitted from counts."""
+    monkeypatch.delenv("BALKWISE_THREADS", raising=False)
+    config = ExperimentConfig(experiment="score-convergence", k=k, replications=reps, seed=5,
+                              workers=workers)
+    cfg, fam = config.model, config.value_family
+    want = []
+    for rep in range(reps):
+        opts = SimOptions(steps=k, seed=rep_seed(5, k, rep), initial_state="stationary-warmup",
+                          warmup_steps=1000)
+        path = simulate_path(cfg, fam, [0.02], opts)
+        fit = fit_mle(path, cfg, fam)
+        want.append((float(fit.theta_hat[0]), bool(fit.boundary),
+                     float(score(path, fit.theta_hat, cfg, fam)[0])))
+    assert experiments._replications(experiments._fit_score_rep, config, k, reps) == want
+    assert experiments._replications(experiments._fit_rep, config, k, reps) == [w[:2] for w in want]

@@ -5,7 +5,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from balkwise import inference
@@ -354,6 +354,38 @@ def _assert_scan_matches_scalar(path, thetas):
 def test_scan_matches_log_likelihood_row_by_row(theta0, k, seed):
     path = simulate_path(ANCHOR, WIDE, [theta0], SimOptions(steps=k, seed=seed))
     _assert_scan_matches_scalar(path, _scan_thetas(_Likelihood(path, ANCHOR, WIDE)))
+
+
+@fit_settings
+@given(theta0=st.floats(0.005, 1.0), k=st.integers(50, 5000), seed=st.integers(0, 2**32 - 1))
+@example(theta0=0.02, k=100_000, seed=6)
+def test_fit_on_counts_equals_fit_on_the_path(theta0, k, seed):
+    fam = ExponentialFamily(ParamSpace([1e-3], [5.0]))
+    path = simulate_path(ANCHOR, fam, [theta0], SimOptions(steps=k, seed=seed))
+    counts = transition_counts(path)
+    assert fit_mle(counts, ANCHOR, fam).to_json() == fit_mle(path, ANCHOR, fam).to_json()
+    np.testing.assert_array_equal(score(counts, [theta0], ANCHOR, fam),
+                                  score(path, [theta0], ANCHOR, fam))
+
+
+@pytest.mark.parametrize("states", [WORKED_STATES, [0, 1, 0, 1, 0, 1, 0], [0, 1, 2, 3, 4, 5]])
+def test_fit_on_counts_equals_fit_on_a_hand_built_path(states, anchor_cfg, expo):
+    path = make_path(states)
+    assert (fit_mle(transition_counts(path), anchor_cfg, expo).to_json()
+            == fit_mle(path, anchor_cfg, expo).to_json())
+
+
+def test_likelihood_keys_its_table_on_the_value_of_theta():
+    # the fit changes its iterate in place; a table kept for the old value must not answer
+    lik = _Likelihood(make_path(WORKED_STATES), WORKED_CFG, WIDE)
+    x = np.array([0.3])
+    lik.loglik(x), lik.score(x)
+    x[0] = 0.7
+    fresh = _Likelihood(make_path(WORKED_STATES), WORKED_CFG, WIDE)
+    assert lik.loglik(x) == fresh.loglik(np.array([0.7]))
+    np.testing.assert_array_equal(lik.score(x), fresh.score(np.array([0.7])))
+    np.testing.assert_array_equal(lik.information(x), fresh.information(np.array([0.7])))
+    assert lik.effective(x) == fresh.effective(np.array([0.7]))
 
 
 def test_scan_sums_the_live_states_of_an_underflowed_row():

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from balkwise import simulator
+from balkwise.inference import transition_counts
 from balkwise.model import (
     ExponentialFamily,
     ModelConfig,
@@ -41,6 +42,24 @@ def test_sim_options_validation():
     assert SimOptions(steps=1, initial_state=3, warmup_steps=7).resolve() == (3, 7)
     assert SimOptions(steps=1, initial_state="stationary-warmup").resolve() == (0, 1000)
     assert SimOptions(steps=1, initial_state="stationary-warmup", warmup_steps=5).resolve() == (0, 5)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [(field, value) for field in ("steps", "warmup_steps", "initial_state")
+     for value in (2.5, 3.0, True, False)]
+    + [("steps", "3"), ("warmup_steps", "3"), ("steps", None), ("initial_state", None)],
+)
+def test_sim_options_reject_a_count_that_is_not_an_integer(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be an integer, got {value!r}"):
+        SimOptions(**{"steps": 5, field: value})
+
+
+def test_sim_options_accept_numpy_integers():
+    opts = SimOptions(steps=np.int64(5), initial_state=np.int32(3), warmup_steps=np.uint8(2))
+    assert opts.resolve() == (3, 2)
+    assert len(simulate_path(ModelConfig(1.0, 1.0, 1.0, 15.0), ExponentialFamily(ParamSpace([1e-3], [5.0])),
+                             [0.02], opts)) == 5
 
 
 def test_single_step_from_empty(anchor_cfg, expo):
@@ -138,6 +157,56 @@ def test_build_path_matches_the_one_step_walk(lam, cost_c, price, theta, start, 
     end = int(got.states[-1])
     _assert_same_path(build_path(got_rng, end, 0, next_steps, [theta], cfg, fam),
                       reference_path(want_rng, end, 0, next_steps, [theta], cfg, fam))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=40)
+@given(
+    lam=st.floats(0.3, 20.0),
+    cost_c=st.floats(0.05, 2.0),
+    price=st.floats(0.0, 40.0),
+    theta=st.floats(1e-3, 0.5),
+    steps=st.sampled_from([1, BLOCK - 1, BLOCK, PREDICT_FROM - 1, PREDICT_FROM, 16_813]),
+    warmup=st.sampled_from([0, 37, "default"]),
+    start=st.sampled_from([0, 7]),
+    chains=st.integers(1, 150),
+    seed=st.integers(0, 2**32 - 1),
+)
+# heavy traffic: the chains climb to thousands, past the first 64-state table
+@example(lam=20.0, cost_c=1.0, price=0.0, theta=1e-3, steps=16_813, warmup="default", start=0,
+         chains=11, seed=3)
+# many short chains: the chunk is block-walked although no chain is
+@example(lam=1.0, cost_c=1.0, price=15.0, theta=0.02, steps=BLOCK, warmup=37, start=7,
+         chains=150, seed=4)
+def test_count_walk_matches_the_counts_of_simulate_path(lam, cost_c, price, theta, steps, warmup,
+                                                        start, chains, seed):
+    """Each chain of a chunk is counted exactly as its own simulate_path, holds left out.
+
+    The one-step reference walk is the oracle that does not share the walk's code.
+    """
+    cfg = ModelConfig(lam=lam, mu=1.0, cost_c=cost_c, price=price)
+    fam = ExponentialFamily(ParamSpace([1e-3], [5.0]))
+    if warmup == "default":
+        options = dict(initial_state="stationary-warmup")
+    else:
+        options = dict(initial_state=start, warmup_steps=warmup)
+    chains = min(chains, max(1, 200_000 // steps))  # keep an example under 200,000 steps
+    runs = [SimOptions(steps=steps, seed=np.random.SeedSequence((seed, i)), **options)
+            for i in range(chains)]
+    counts = simulator._walk_counts(cfg, fam, [theta], runs)
+    assert len(counts) == chains
+    for opts, (n_up, n_down) in zip(runs, counts):
+        rng = np.random.default_rng(opts.seed)
+        for path in (simulate_path(cfg, fam, [theta], opts),
+                     reference_path(rng, *opts.resolve(), steps, [theta], cfg, fam)):
+            want_up, want_down = transition_counts(path)
+            np.testing.assert_array_equal(n_up, want_up)
+            np.testing.assert_array_equal(n_down, want_down)
+
+
+def test_count_walk_runs_share_their_settings(anchor_cfg, expo):
+    runs = [SimOptions(steps=10, seed=1), SimOptions(steps=11, seed=2)]
+    with pytest.raises(ValueError, match="share their start, warm-up and length"):
+        simulator._walk_counts(anchor_cfg, expo, [0.02], runs)
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=10)
