@@ -269,7 +269,7 @@ def test_parallel_matches_serial(tmp_path, monkeypatch):
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("k, reps", [(10_000, 20), (200, 100)])
 def test_chunked_replications_match_one_path_per_replication(monkeypatch, workers, k, reps):
-    """Walked in chunks (3 of 9 chains at k = 10^4, 2 of 83 at k = 200), fitted from counts."""
+    """Walked in chunks (of up to 9 chains at k = 10^4, 83 at k = 200) and fitted from counts."""
     monkeypatch.delenv("BALKWISE_THREADS", raising=False)
     config = ExperimentConfig(experiment="score-convergence", k=k, replications=reps, seed=5,
                               workers=workers)

@@ -55,11 +55,10 @@ def test_sim_options_reject_a_count_that_is_not_an_integer(field, value):
         SimOptions(**{"steps": 5, field: value})
 
 
-def test_sim_options_accept_numpy_integers():
+def test_sim_options_accept_numpy_integers(anchor_cfg, expo):
     opts = SimOptions(steps=np.int64(5), initial_state=np.int32(3), warmup_steps=np.uint8(2))
     assert opts.resolve() == (3, 2)
-    assert len(simulate_path(ModelConfig(1.0, 1.0, 1.0, 15.0), ExponentialFamily(ParamSpace([1e-3], [5.0])),
-                             [0.02], opts)) == 5
+    assert len(simulate_path(anchor_cfg, expo, [0.02], opts)) == 5
 
 
 def test_single_step_from_empty(anchor_cfg, expo):
