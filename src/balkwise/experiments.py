@@ -223,7 +223,8 @@ def _run_options(config: ExperimentConfig, k: int, *key: int) -> SimOptions:
                       initial_state="stationary-warmup", warmup_steps=config.warmup_steps)
 
 
-def _replications(fn, config: ExperimentConfig, k: int, reps: int, *key: int, price=None) -> list:
+def _replications(fn, config: ExperimentConfig, workers: int, k: int, reps: int, *key: int,
+                  price=None) -> list:
     """fn's result for each replication, seeded by (master seed, k, rep, *key), in rep order.
 
     fn maps a chunk of replications, (cfg, fam, theta0, options), to one
@@ -234,7 +235,7 @@ def _replications(fn, config: ExperimentConfig, k: int, reps: int, *key: int, pr
     per_chunk = max(1, _CHUNK_DRAWS // (k + config.warmup_steps))
     jobs = [(cfg, config.value_family, [config.theta0], runs[i:i + per_chunk])
             for i in range(0, reps, per_chunk)]
-    return [r for chunk in _pool_map(fn, jobs, resolve_workers(config.workers)) for r in chunk]
+    return [r for chunk in _pool_map(fn, jobs, workers) for r in chunk]
 
 
 def _fits(job):
@@ -272,10 +273,11 @@ def _write_csv(path: Path, header, rows) -> None:
 
 def exp_score_convergence(config: ExperimentConfig) -> dict:
     """Score at the fitted parameter across sample sizes and replications."""
+    workers = resolve_workers(config.workers)
     rows = []
     spreads = {}
     for k in config.sizes:
-        results = _replications(_fit_score_rep, config, k, config.replications)
+        results = _replications(_fit_score_rep, config, workers, k, config.replications)
         for rep, (theta_hat, _, score_val) in enumerate(results):
             rows.append((k, rep, theta_hat, score_val))
         spreads[k] = float(np.std([r[2] for r in results]))
@@ -293,10 +295,11 @@ def exp_score_convergence(config: ExperimentConfig) -> dict:
 
 def exp_consistency(config: ExperimentConfig) -> dict:
     """Estimates across sample sizes plus log-likelihood profile curves."""
+    workers = resolve_workers(config.workers)
     rows = []
     medians = {}
     for k in config.sizes:
-        results = _replications(_fit_rep, config, k, config.replications)
+        results = _replications(_fit_rep, config, workers, k, config.replications)
         errs = []
         for rep, (theta_hat, _) in enumerate(results):
             rows.append((k, rep, theta_hat, abs(theta_hat - config.theta0)))
@@ -329,13 +332,14 @@ def exp_normality(config: ExperimentConfig) -> dict:
     weighting, transition accounting) at the experiment's price; boundary
     fits are excluded from the test and counted.
     """
+    workers = resolve_workers(config.workers)
     cfg, fam = config.model, config.value_family
     rows = []
     verdicts = {}
     for k in config.sizes:
         sigma = theoretical_sigma([config.theta0], cfg, fam)
         std_theory = 1.0 / np.sqrt(float(sigma[0, 0]))
-        results = _replications(_fit_rep, config, k, config.replications)
+        results = _replications(_fit_rep, config, workers, k, config.replications)
         z_vals, rel_errors, n_boundary = [], [], 0
         for rep, (theta_hat, boundary) in enumerate(results):
             z = float(np.sqrt(k) * (theta_hat - config.theta0) / std_theory)
@@ -376,6 +380,7 @@ def exp_std_vs_price(config: ExperimentConfig) -> dict:
     cfg, fam = config.model, config.value_family
     lo, hi, n = config.price_grid
     prices = np.linspace(lo, hi, n)
+    workers = resolve_workers(config.workers)
 
     theory = []
     for p in prices:
@@ -391,7 +396,8 @@ def exp_std_vs_price(config: ExperimentConfig) -> dict:
     for k in config.sizes if (config.k or config.k_list) else (1000,):
         for index, p in enumerate(prices):
             # the grid index keys the seed, so every price point has its own stream
-            fits = _replications(_fit_rep, config, k, config.empirical_reps, index, price=float(p))
+            fits = _replications(_fit_rep, config, workers, k, config.empirical_reps, index,
+                                 price=float(p))
             interior = [t for t, boundary in fits if not boundary]
             if len(interior) >= 2:
                 emp = float(np.std(np.sqrt(k) * (np.array(interior) - config.theta0), ddof=1))

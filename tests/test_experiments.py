@@ -268,11 +268,9 @@ def test_parallel_matches_serial(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("k, reps", [(10_000, 20), (200, 100)])
-def test_chunked_replications_match_one_path_per_replication(monkeypatch, workers, k, reps):
+def test_chunked_replications_match_one_path_per_replication(workers, k, reps):
     """Walked in chunks (of up to 9 chains at k = 10^4, 83 at k = 200) and fitted from counts."""
-    monkeypatch.delenv("BALKWISE_THREADS", raising=False)
-    config = ExperimentConfig(experiment="score-convergence", k=k, replications=reps, seed=5,
-                              workers=workers)
+    config = ExperimentConfig(experiment="score-convergence", k=k, replications=reps, seed=5)
     cfg, fam = config.model, config.value_family
     want = []
     for rep in range(reps):
@@ -282,5 +280,6 @@ def test_chunked_replications_match_one_path_per_replication(monkeypatch, worker
         fit = fit_mle(path, cfg, fam)
         want.append((float(fit.theta_hat[0]), bool(fit.boundary),
                      float(score(path, fit.theta_hat, cfg, fam)[0])))
-    assert experiments._replications(experiments._fit_score_rep, config, k, reps) == want
-    assert experiments._replications(experiments._fit_rep, config, k, reps) == [w[:2] for w in want]
+    for fn, rows in ((experiments._fit_score_rep, want),
+                     (experiments._fit_rep, [w[:2] for w in want])):
+        assert experiments._replications(fn, config, workers, k, reps) == rows
