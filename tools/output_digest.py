@@ -1,7 +1,8 @@
 """Print one sha256 per seeded output of balkwise, to compare two checkouts.
 
 Runs the six experiment drivers at small configurations with workers=1 (the
-replication drivers also at 10^4 to 10^5 steps per replication), and
+replication drivers also at 10^4 to 10^5 steps per replication, and at
+workers=2 with replication counts that split unevenly), and
 hashes simulated paths (long ones among them, one in heavy traffic), fits
 (boundary fits on hand-built paths and one 10^5-step fit among them),
 information matrices, price searches and revenue curves (heavy traffic and
@@ -77,6 +78,12 @@ DRIVER_CONFIGS = {
     "consistency-long": dict(experiment="consistency", k_list=(20_000, 100_000), replications=4),
     "normality-k10000": dict(experiment="normality", k=10_000, replications=30),
     "score-convergence-k10000": dict(experiment="score-convergence", k=10_000, replications=30),
+    # two workers, replication counts that split unevenly into jobs
+    "consistency-workers2": dict(experiment="consistency", k_list=(200, 20_000), replications=7,
+                                 workers=2),
+    "normality-workers2": dict(experiment="normality", k=10_000, replications=23, workers=2),
+    "score-convergence-workers2": dict(experiment="score-convergence", k_list=(1000, 100_000),
+                                       replications=5, workers=2),
 }
 
 
