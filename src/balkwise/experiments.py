@@ -6,6 +6,14 @@ seeded as (master seed, sample size, replication index), plus the price grid
 index where prices vary, through numpy's SeedSequence, so results are
 independent of execution order and identical whether run serially or on a
 worker pool.  The BALKWISE_THREADS environment variable caps the pool size.
+
+The replication drivers (consistency, normality, score convergence and the
+std-vs-price overlay) split their replications into jobs: at least one per
+worker, and at most _FIT_BATCH replications each.  A job walks its
+replications in walk chunks of about _CHUNK_DRAWS draws, each chunk one
+lockstep walk that keeps only transition counts, and then fits all of its
+counts as one fit batch (inference._fit_batch), whose fits equal fit_mle's
+bit for bit.
 """
 
 from __future__ import annotations
@@ -20,7 +28,8 @@ from typing import Optional
 
 import numpy as np
 
-from .inference import fit_mle, log_likelihood, score
+# fit_mle and simulate_path stay names of this module: perfbench/spans.py wraps them
+from .inference import _fit_batch, _Likelihood, fit_mle, score  # noqa: F401
 from .model import ExponentialFamily, ModelConfig, ParamSpace, ValueFamily
 from .pricing import PricingConfig, _optimum, _trace_metrics, run_pricing
 from .simulator import SimOptions, _walk_counts, simulate_path
@@ -212,9 +221,12 @@ def _pool_map(fn, jobs, workers: int):
         return list(pool.map(fn, jobs, chunksize=max(1, len(jobs) // (4 * workers))))
 
 
-# Draws per chunk of replications walked and fitted together: a chain of
-# 10^5 steps runs alone (measured, BENCH_count_walk.json)
+# Draws per walk chunk, the chains a job walks together: a chain of 10^5
+# steps is walked alone (measured, BENCH_count_walk.json)
 _CHUNK_DRAWS = 100_000
+# Replications per job, at most: a job fits all of its replications as one
+# batch, whose tables stay near 1 MB (measured, BENCH_batch_fit.json)
+_FIT_BATCH = 64
 
 
 def _run_options(config: ExperimentConfig, k: int, *key: int) -> SimOptions:
@@ -227,26 +239,33 @@ def _replications(fn, config: ExperimentConfig, workers: int, k: int, reps: int,
                   price=None) -> list:
     """fn's result for each replication, seeded by (master seed, k, rep, *key), in rep order.
 
-    fn maps a chunk of replications, (cfg, fam, theta0, options), to one
-    result each; chunks of about _CHUNK_DRAWS draws fan out to the workers.
+    fn maps a job, (cfg, fam, theta0, options of its replications), to one
+    result each.  The replications split into as few jobs of nearly equal
+    size as keep each within _FIT_BATCH and give every worker one.
     """
     cfg = config.model if price is None else config.model.with_price(price)
     runs = [_run_options(config, k, rep, *key) for rep in range(reps)]
-    per_chunk = max(1, _CHUNK_DRAWS // (k + config.warmup_steps))
-    jobs = [(cfg, config.value_family, [config.theta0], runs[i:i + per_chunk])
-            for i in range(0, reps, per_chunk)]
-    return [r for chunk in _pool_map(fn, jobs, workers) for r in chunk]
+    n_jobs = max(min(workers, reps), -(-reps // _FIT_BATCH))
+    cuts = [j * reps // n_jobs for j in range(n_jobs + 1)]
+    jobs = [(cfg, config.value_family, [config.theta0], runs[a:b]) for a, b in zip(cuts, cuts[1:])]
+    return [r for job in _pool_map(fn, jobs, workers) for r in job]
 
 
 def _fits(job):
-    """Each replication's transition counts and its fit."""
+    """Each replication's transition counts and its fit.
+
+    The replications are walked in chunks of about _CHUNK_DRAWS draws, and
+    all their counts are fitted as one batch.
+    """
     cfg, fam, theta0, runs = job
-    for counts in _walk_counts(cfg, fam, theta0, runs):
-        yield counts, fit_mle(counts, cfg, fam)
+    per_chunk = max(1, _CHUNK_DRAWS // (runs[0].steps + runs[0].warmup_steps))
+    counts = [c for i in range(0, len(runs), per_chunk)
+              for c in _walk_counts(cfg, fam, theta0, runs[i:i + per_chunk])]
+    return zip(counts, _fit_batch(counts, cfg, fam))
 
 
 def _fit_rep(job):
-    """(theta_hat, boundary) of each replication of a chunk; shared by several drivers."""
+    """(theta_hat, boundary) of each replication of a job; shared by several drivers."""
     return [(float(fit.theta_hat[0]), bool(fit.boundary)) for _, fit in _fits(job)]
 
 
@@ -316,10 +335,10 @@ def exp_consistency(config: ExperimentConfig) -> dict:
         w = csv.writer(fh)
         w.writerow(["k", "theta", "loglik"])
         for k in config.sizes:
-            # replication 0's path
-            sim = simulate_path(cfg, fam, [config.theta0], _run_options(config, k, 0))
-            for t in thetas:
-                w.writerow([k, repr(float(t)), repr(log_likelihood(sim, [t], cfg, fam))])
+            # replication 0's counts, scored at every theta in one table
+            counts = _walk_counts(cfg, fam, [config.theta0], [_run_options(config, k, 0)])[0]
+            values = _Likelihood(counts, cfg, fam).scan(thetas[:, None])[0]
+            w.writerows([k, repr(float(t)), repr(float(v))] for t, v in zip(thetas, values))
     _write_csv(_out(config, "consistency_summary.csv"), ["k", "median_abs_error"],
                [(k, medians[k]) for k in config.sizes])
     return {"file": str(path), "median_abs_error_by_k": medians}

@@ -10,6 +10,14 @@ thresholds and counts once and scores its scan of 65 points per axis
 (65**dim in all) in one call on a (theta x state) table; every dimension
 then takes the same projected Newton polish.
 
+The fit is written once, as a generator of likelihood requests
+(``_fitting``).  The batch driver ``_fit_batch`` fits many replications
+together: it steps their generators in lockstep and answers each round
+with one table (``_Batch.evaluate``).  Each point's terms are summed over
+its own states only, as numpy sums one point's row, so every batched fit
+equals ``fit_mle``'s bit for bit; ``fit_mle`` is the driver's
+one-replication case.
+
 Transitions out of the empty queue are certain and carry no information.
 The log-likelihood sums every other state somebody joins, the states
 everybody joins included (for a bounded-support family that set moves with
@@ -25,11 +33,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from statistics import NormalDist
-from typing import Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
-from .model import ModelConfig, StateTable, ValueFamily, _jump_law, _threshold, grid_then_golden
+from .model import (ModelConfig, StateTable, ValueFamily, _d2p, _dp, _golden_search, _jump_law,
+                    _threshold)
 from .simulator import QueuePath, _state_counts
 
 
@@ -94,18 +103,48 @@ def transition_counts(path: QueuePath) -> _Counts:
 _P_FLOOR = 1e-150
 
 
+class _Values(NamedTuple):
+    """The likelihood at n points, and what else was asked for there."""
+
+    loglik: np.ndarray  # (n,)
+    effective: Optional[np.ndarray] = None  # (n,)
+    score: Optional[np.ndarray] = None  # (n, dim)
+    information: Optional[np.ndarray] = None  # (n, dim, dim)
+
+    def rows(self, index) -> "_Values":
+        return _Values(*(None if field is None else field[index] for field in self))
+
+
+def _runs(lengths) -> list:
+    """(first point, end point, state count) of each run of points with one state count."""
+    cuts = [0, *(np.flatnonzero(lengths[1:] != lengths[:-1]) + 1).tolist(), len(lengths)]
+    return [(a, b, int(lengths[a])) for a, b in zip(cuts, cuts[1:])]
+
+
+def _state_sums(values, runs) -> np.ndarray:
+    """Each point's sum over its own states, the first m columns of its row of values.
+
+    numpy adds each row's m columns, of a run's (points, m, ...) block,
+    in the order of that row alone: a sum depends on no other point, and
+    no padding enters it.
+    """
+    sums = [values[a:b, :m].sum(axis=1) for a, b, m in runs]
+    return sums[0] if len(sums) == 1 else np.concatenate(sums)
+
+
+# What a request needs at its points, besides the log-likelihood
+_EFFECTIVE, _DERIVATIVES = 1, 2  # the effective sample; that, the score and the information
+
+
 class _Likelihood:
     """The likelihood of a path, or of its transition counts, on the states q >= 1 it left.
 
-    Holds their thresholds and up/down counts, tabulated once per fit, and
-    k, the number of transitions counted.  The StateTable of the last theta
-    and its floored states are kept, so the value, score, information and
-    effective sample at one theta share them; the key is theta's value, not
-    the array, which the fit changes in place.  The log-likelihood sums the
-    states somebody joins (p_up > 0); a state nobody joins adds log 1 = 0
-    per down-move, or makes an up-move impossible.  The effective sample
-    counts the informative states only.  theta is validated by
-    ``fam.sf``/``sf_rows``.
+    Holds their thresholds and up/down counts and k, the number of
+    transitions counted.  The log-likelihood sums the states somebody joins
+    (p_up > 0); a state nobody joins adds log 1 = 0 per down-move, or makes
+    an up-move impossible.  The effective sample counts the informative
+    states only.  Its values come from a one-replication _Batch; theta is
+    validated by the family's row methods.
     """
 
     def __init__(self, data: Union[QueuePath, _Counts], cfg: ModelConfig, fam: ValueFamily):
@@ -114,85 +153,113 @@ class _Likelihood:
         self.q = np.flatnonzero(n_up[1:] + n_down[1:]) + 1
         self.thresholds = _threshold(self.q, cfg)
         self.up, self.down = n_up[self.q], n_down[self.q]
-        self.has_up = self.up > 0
         self.k, self.cfg, self.fam = int(n_up.sum() + n_down.sum()), cfg, fam
-        self._key = self._tab = self._floored_tab = self._floored = None
 
-    def _table(self, theta) -> StateTable:
-        key = np.asarray(theta, dtype=float).tobytes()
-        if key != self._key:
-            self._key = key
-            self._tab = StateTable(self.q, np.array(theta, dtype=float), self.cfg, self.fam)
-        return self._tab
+    def _at(self, thetas, need=_EFFECTIVE) -> _Values:
+        thetas = np.asarray(thetas, dtype=float).reshape(-1, self.fam.dim)
+        n = len(thetas)
+        return _Batch([self]).evaluate(np.zeros(n, dtype=int), thetas, need)
 
     def loglik(self, theta) -> float:
-        """Log-likelihood at theta; no mask is built when every state is joined."""
-        tab = self._table(theta)
-        p_up, p_down = tab.p_up, tab.p_down
-        joins = p_up > 0.0
-        if joins.all():
-            joins = slice(None)  # the same terms in the same order, unmasked
-        elif (p_up[self.has_up] == 0.0).any():
-            return -np.inf  # an up-move from a state nobody joins is impossible under theta
-        return float(
-            (self.up[joins] * np.log(p_up[joins])).sum()
-            + (self.down[joins] * np.log(p_down[joins])).sum()
-        )
+        return float(self._at(theta).loglik[0])
 
     def scan(self, thetas) -> tuple[np.ndarray, np.ndarray]:
-        """loglik at each row of an (n, dim) array, and the table's live mask.
-
-        Both come from one (theta x state) table.  Row sums add loglik's
-        terms in its order; a row with a state nobody joins is summed over
-        the other states alone, as loglik sums it.  So each value is
-        loglik's, bit for bit, and the fit's golden phase scores on it.  The
-        (n, states) mask marks the informative states at each row, as
-        ``effective`` counts them.
-        """
+        """loglik at each row of an (n, dim) array, and the (n, states) informative mask."""
         surv = self.fam.sf_rows(self.thresholds, thetas)
-        p_up, p_down, live = _jump_law(self.cfg.lam * surv, surv, self.cfg.mu)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            up, down = self.up * np.log(p_up), self.down * np.log(p_down)
-        out = up.sum(axis=1) + down.sum(axis=1)
-        joins = p_up > 0.0
-        for i in np.flatnonzero(~joins.all(axis=1)):
-            out[i] = up[i][joins[i]].sum() + down[i][joins[i]].sum()
-        out[(p_up[:, self.has_up] == 0.0).any(axis=1)] = -np.inf
-        return out, live
+        return self._at(thetas).loglik, _jump_law(self.cfg.lam * surv, surv, self.cfg.mu)[2]
 
     def effective(self, theta) -> int:
-        return int((self.up + self.down)[self._table(theta).informative].sum())
-
-    def floored(self, theta):
-        """Table and live states with p_up above _P_FLOOR, their counts and p_up/p_down; or None."""
-        tab = self._table(theta)
-        if tab is not self._floored_tab:
-            live = tab.informative & (tab.p_up > _P_FLOOR)
-            self._floored_tab, self._floored = tab, (
-                (tab, live, self.up[live], self.down[live], tab.p_up[live, None],
-                 tab.p_down[live, None]) if live.any() else None)
-        return self._floored
+        return int(self._at(theta).effective[0])
 
     def score(self, theta) -> np.ndarray:
-        floored = self.floored(theta)
-        if floored is None:
-            return np.zeros(self.fam.dim)
-        tab, live, up, down, p_up, p_down = floored
-        dp = tab.dp[live]
-        return (up[:, None] * (dp / p_up) - down[:, None] * (dp / p_down)).sum(axis=0) / self.k
+        return self._at(theta, _DERIVATIVES).score[0]
 
     def information(self, theta) -> np.ndarray:
-        floored = self.floored(theta)
-        if floored is None:
-            return np.zeros((self.fam.dim, self.fam.dim))
-        tab, live, up, down, p_up, p_down = floored
-        p_up, p_down = p_up[..., None], p_down[..., None]
-        dp, d2p = tab.dp[live], tab.d2p[live]
-        outer = np.einsum("qj,ql->qjl", dp, dp)
-        up_term = d2p / p_up - outer / p_up**2
-        down_term = d2p / p_down + outer / p_down**2
-        jac = (up[:, None, None] * up_term - down[:, None, None] * down_term).sum(axis=0) / self.k
-        return -jac
+        return self._at(theta, _DERIVATIVES).information[0]
+
+
+class _Batch:
+    """The likelihoods of several replications, scored together.
+
+    Replication i's thresholds and counts fill the first m[i] columns of
+    (replications x max m) tables.  The rest of its row repeats the
+    threshold of its first state, with counts 0: it joins, is informative
+    and is floored as that state is, so a test over a whole row is one over
+    the replication's states.  Only sums need the row's own m[i] columns.
+    """
+
+    def __init__(self, liks: list):
+        self.cfg, self.fam = liks[0].cfg, liks[0].fam
+        self.m = np.array([lik.q.size for lik in liks])
+        self.k = np.array([lik.k for lik in liks])
+        shape = (len(liks), int(self.m.max()))
+        self.thresholds = np.empty(shape)
+        self.up, self.down = np.zeros(shape), np.zeros(shape)  # float counts, exact below 2**53
+        for i, lik in enumerate(liks):
+            m = lik.q.size
+            self.thresholds[i] = lik.thresholds[0] if m else _threshold(1, self.cfg)
+            self.thresholds[i, :m] = lik.thresholds
+            self.up[i, :m], self.down[i, :m] = lik.up, lik.down
+
+    def evaluate(self, reps, thetas, need=0) -> _Values:
+        """The likelihood of replication reps[i] at thetas[i], for each point i, from one table.
+
+        need asks for the effective sample (_EFFECTIVE) or also the score
+        and information (_DERIVATIVES) at every point.  Each value is the
+        one-point computation's bit for bit: each point's terms are summed
+        over its own states alone (_state_sums), over the states somebody
+        joins when some are not, and over the floored states when some are
+        not.  Points ordered by state count form few runs.
+        """
+        cfg, fam = self.cfg, self.fam
+        lengths = self.m[reps]
+        if len(self.m) > 1:
+            r, up, down = self.thresholds[reps], self.up[reps], self.down[reps]
+        else:  # one replication: its row broadcasts
+            r, up, down = self.thresholds, self.up, self.down
+        surv = fam.sf_rows(r, thetas)
+        lam_q = cfg.lam * surv
+        p_up, p_down, informative = _jump_law(lam_q, surv, cfg.mu)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms_up, terms_down = up * np.log(p_up), down * np.log(p_down)
+        runs = _runs(lengths)
+        loglik = _state_sums(terms_up, runs) + _state_sums(terms_down, runs)
+        joins = p_up > 0.0
+        if not joins.all():
+            for i in np.flatnonzero(~joins.all(axis=1)):  # summed over the states somebody joins
+                states, some = slice(lengths[i]), joins[i, :lengths[i]]
+                loglik[i] = terms_up[i, states][some].sum() + terms_down[i, states][some].sum()
+            # an up-move from a state nobody joins is impossible under theta
+            loglik[((p_up == 0.0) & (up > 0)).any(axis=1)] = -np.inf
+        if need < _EFFECTIVE:
+            return _Values(loglik)
+        effective = np.where(informative, up + down, 0).sum(axis=1)
+        if need < _DERIVATIVES:
+            return _Values(loglik, effective)
+
+        grad = fam.grad_cdf_rows(r, thetas)
+        denom = cfg.mu + lam_q
+        dp, d2p = _dp(cfg, denom, grad), _d2p(cfg, denom, grad, fam.hess_cdf_rows(r, thetas))
+        outer = np.einsum("...j,...l->...jl", dp, dp)
+        live = informative & (p_up > _P_FLOOR)
+        up, down, p_up, p_down = up[..., None], down[..., None], p_up[..., None], p_down[..., None]
+        with np.errstate(all="ignore"):  # at states below the floor, dropped below
+            terms = (
+                up * (dp / p_up) - down * (dp / p_down),
+                up[..., None] * (d2p / p_up[..., None] - outer / p_up[..., None]**2)
+                - down[..., None] * (d2p / p_down[..., None] + outer / p_down[..., None]**2),
+            )
+        sums = [_state_sums(t, runs) for t in terms]
+        for i in np.flatnonzero(live.any(axis=1) & ~live.all(axis=1)):
+            keep = live[i, :lengths[i]]
+            for total, t in zip(sums, terms):
+                total[i] = t[i, :lengths[i]][keep].sum(axis=0)
+        # a point with no floored state keeps score and information 0
+        some, k = live.any(axis=1) & (lengths > 0), self.k[reps]
+        score, information = np.zeros(sums[0].shape), np.zeros(sums[1].shape)
+        score[some] = sums[0][some] / k[some, None]
+        information[some] = -(sums[1][some] / k[some, None, None])
+        return _Values(loglik, effective, score, information)
 
 
 def log_likelihood(path: QueuePath, theta, cfg: ModelConfig, fam: ValueFamily) -> float:
@@ -239,25 +306,176 @@ def score_outer_product(
     """
     theta = fam.param_space.require(theta)
     lik = _Likelihood(path, cfg, fam)
-    floored = lik.floored(theta)
-    if floored is None:
+    tab = StateTable(lik.q, theta, cfg, fam)
+    live = tab.informative & (tab.p_up > _P_FLOOR)
+    if not live.any():
         return np.zeros((fam.dim, fam.dim))
-    tab, live, up, down, p_up, p_down = floored
-    per_up, per_down = tab.dp[live] / p_up, tab.dp[live] / p_down
+    per_up, per_down = tab.dp[live] / tab.p_up[live, None], tab.dp[live] / tab.p_down[live, None]
     return (
-        np.einsum("q,qj,ql->jl", up.astype(float), per_up, per_up)
-        + np.einsum("q,qj,ql->jl", down.astype(float), per_down, per_down)
+        np.einsum("q,qj,ql->jl", lik.up[live].astype(float), per_up, per_up)
+        + np.einsum("q,qj,ql->jl", lik.down[live].astype(float), per_down, per_down)
     ) / lik.k
 
 
 PARAM_TOL = 1e-10
 SCORE_RTOL = 1e-8
-_FIT_DEPTH = 4  # golden steps a one-parameter fit scores per scan call: 15 points (measured)
+_FIT_DEPTH = 4  # golden steps a one-parameter fit scores per round: 15 points (measured)
 
 
 def _round_off(f: float) -> float:
     """Log-likelihood differences this small are round-off at the value f."""
     return 1e-12 * max(1.0, abs(f))
+
+
+def _asked(search):
+    """A golden search over one parameter, its batches passed on as likelihood requests."""
+    values = None
+    while True:
+        try:
+            points = search.send(values)
+        except StopIteration as stop:
+            return stop.value
+        values = (yield np.array(points)[:, None], 0).loglik.tolist()
+
+
+def _scan_grid(space) -> np.ndarray:
+    """The fit's scan: 65 points per axis of the box, (65**dim, dim)."""
+    axes = np.linspace(space.lower, space.upper, 65)
+    return np.stack(np.meshgrid(*axes.T, indexing="ij"), axis=-1).reshape(-1, space.dim)
+
+
+def _fitting(k: int, fam: ValueFamily, grid: np.ndarray):
+    """fit_mle's search for one replication of k transitions, as a generator of requests.
+
+    grid is _scan_grid's.  Each request is (thetas, need): an (n, dim) array
+    of points and what they need besides the log-likelihood (0, _EFFECTIVE
+    or _DERIVATIVES).  The _Values of those points is sent back.  The
+    generator returns the FitResult, or raises fit_mle's ValueError.
+    """
+    space = fam.param_space
+    if k == 0:
+        raise ValueError("path has no transitions")
+    scan = yield grid, _EFFECTIVE
+    if not scan.effective.any():
+        raise ValueError("no informative transitions in the path")
+    tol = PARAM_TOL * space.width
+    if fam.dim == 1:
+        search = _golden_search(grid[:, 0], scan.loglik, tol[0], _FIT_DEPTH)
+        x = np.array([(yield from _asked(search))])
+    else:
+        x = grid[np.argmax(scan.loglik)].copy()
+
+    # Projected Newton polish (Bertsekas 1982): a coordinate at a bound the
+    # score pushes against stays fixed.  Only a golden-refined start, already
+    # resolved to PARAM_TOL, may stop on the relative score test.  Each
+    # point is asked for with its score and information, so `at` holds them
+    # at x, and the next step needs no round of its own.
+    at = yield x[None], _DERIVATIVES
+    refined, fx = fam.dim == 1, float(at.loglik[0])
+    for _ in range(60):
+        g = at.score[0]
+        free = ~((x <= space.lower) & (g < 0) | (x >= space.upper) & (g > 0))
+        if not g[free].any() or refined and np.linalg.norm(g) <= SCORE_RTOL * max(1.0, abs(fx)):
+            break
+        w, v = np.linalg.eigh(at.information[0][np.ix_(free, free)])
+        if w[0] == 0.0:
+            break
+        # an indefinite information is shifted to a positive definite one
+        step = np.zeros(fam.dim)
+        step[free] = v @ (v.T @ g[free] / (w - 2.0 * min(w[0], 0.0)))
+        for halving in range(60):
+            x_new = space.clip(x + step)
+            new = yield x_new[None], _DERIVATIVES
+            f_new = float(new.loglik[0])
+            # a halved step must gain more than round-off
+            up = f_new > fx + _round_off(fx) if halving else f_new >= fx
+            small = bool(np.all(np.abs(x_new - x) < tol))
+            if up or small:
+                break
+            step = step / 2
+        if up:
+            x, fx, at = x_new, f_new, new
+        if small or not up:
+            break
+
+    # A monotone likelihood flattens out in floating point (log(1-p) rounds
+    # to 0 once p underflows), so an interior plateau point can masquerade as
+    # a maximum.  When a coordinate's bound does at least as well up to
+    # round-off, the data cannot tell them apart: report the bound.
+    for j in range(fam.dim):
+        at_j = np.arange(fam.dim) == j
+        if fam.dim == 1:  # the ends are the scan's first and last points
+            ends = scan.loglik[[0, -1]]
+        else:
+            bounds = (space.lower[j], space.upper[j])
+            ends = (yield np.array([np.where(at_j, b, x) for b in bounds]), 0).loglik
+        low, high = float(ends[0]), float(ends[1])
+        if max(low, high) >= fx - _round_off(fx):
+            x[j] = space.upper[j] if high >= low else space.lower[j]
+            fx, at = max(low, high), None
+    if at is None:  # x moved to a bound
+        at = yield x[None], _DERIVATIVES
+
+    info = at.information[0]
+    std_err = np.full(fam.dim, np.nan)
+    try:
+        cov = np.linalg.inv(info) / k
+        diag = np.diag(cov)
+        if np.all(diag > 0):
+            std_err = np.sqrt(diag)
+    except np.linalg.LinAlgError:
+        pass
+    return FitResult(
+        theta_hat=x,
+        loglik=float(at.loglik[0]),
+        score_norm=float(np.linalg.norm(at.score[0])),
+        boundary=space.on_boundary(x),
+        effective_n=int(at.effective[0]),
+        total_k=k,
+        sigma_plugin=info,
+        std_err=std_err,
+    )
+
+
+def _fit_batch(datas, cfg: ModelConfig, fam: ValueFamily) -> list:
+    """fit_mle of each of datas (paths or transition counts), their searches in lockstep.
+
+    Each round answers the pending requests with one _Batch.evaluate call
+    per need, the replications ordered by their number of states, and every
+    result is fit_mle's bit for bit.  When fits raise, the error of the
+    first of them in the order of datas is raised.
+    """
+    batch = _Batch([_Likelihood(data, cfg, fam) for data in datas])
+    order = np.argsort(batch.m, kind="stable").tolist()
+    grid = _scan_grid(fam.param_space)
+    fits = [_fitting(int(k), fam, grid) for k in batch.k]
+    results, asks = [None] * len(fits), {}
+
+    def step(i, values):
+        try:
+            asks[i] = fits[i].send(values)
+        except StopIteration as stop:
+            results[i] = stop.value
+        except Exception as exc:  # raised below, in replication order
+            results[i] = exc
+
+    for i in range(len(fits)):
+        step(i, None)
+    while asks:
+        asked, asks = asks, {}
+        for need in sorted({need for _, need in asked.values()}):
+            reps = [i for i in order if asked.get(i, (None, None))[1] == need]
+            points = [asked[i][0] for i in reps]
+            sizes = [len(p) for p in points]
+            values = batch.evaluate(np.repeat(reps, sizes), np.concatenate(points), need)
+            end = 0
+            for i, size in zip(reps, sizes):
+                step(i, values.rows(slice(end, end + size)))
+                end += size
+    for result in results:
+        if isinstance(result, Exception):
+            raise result
+    return results
 
 
 def fit_mle(data: Union[QueuePath, _Counts], cfg: ModelConfig, fam: ValueFamily) -> FitResult:
@@ -268,97 +486,15 @@ def fit_mle(data: Union[QueuePath, _Counts], cfg: ModelConfig, fam: ValueFamily)
     A scan of 65 points per axis (65**dim in all) is scored in one call
     through ``fam.sf_rows``; its values equal log_likelihood's.  One
     parameter refines the best point by golden section, _FIT_DEPTH steps
-    per scan call; more start from it.
+    per call; more start from it.
     A projected Newton polish on the score and information follows.  A
     coordinate whose bound does as well up to round-off is moved there, and
     a solution within model.BOUNDARY_RTOL (1e-6) of the box width of any
     bound is flagged as a boundary fit rather than an error.  The search
-    takes no starting point.
+    takes no starting point.  This is _fit_batch for one replication.
     """
-    space = fam.param_space
-    lik = _Likelihood(data, cfg, fam)
-    k = lik.k
-    if k == 0:
-        raise ValueError("path has no transitions")
-    axes = np.linspace(space.lower, space.upper, 65)
-    grid = np.stack(np.meshgrid(*axes.T, indexing="ij"), axis=-1).reshape(-1, fam.dim)
-    values, live = lik.scan(grid)
-    if not live.any():
-        raise ValueError("no informative transitions in the path")
-    tol = PARAM_TOL * space.width
-    if fam.dim == 1:
-        lo, hi = float(space.lower[0]), float(space.upper[0])
-        x = np.array([grid_then_golden(
-            lambda ts: values, lo, hi, 65, tol[0],
-            lambda ts: lik.scan(np.array(ts)[:, None])[0], _FIT_DEPTH,
-        )])
-    else:
-        x = grid[np.argmax(values)].copy()
+    return _fit_batch([data], cfg, fam)[0]
 
-    # Projected Newton polish (Bertsekas 1982): a coordinate at a bound the
-    # score pushes against stays fixed.  Only a golden-refined start, already
-    # resolved to PARAM_TOL, may stop on the relative score test.
-    refined, fx = fam.dim == 1, lik.loglik(x)
-    for _ in range(60):
-        g = lik.score(x)
-        free = ~((x <= space.lower) & (g < 0) | (x >= space.upper) & (g > 0))
-        if not g[free].any() or refined and np.linalg.norm(g) <= SCORE_RTOL * max(1.0, abs(fx)):
-            break
-        w, v = np.linalg.eigh(lik.information(x)[np.ix_(free, free)])
-        if w[0] == 0.0:
-            break
-        # an indefinite information is shifted to a positive definite one
-        step = np.zeros(fam.dim)
-        step[free] = v @ (v.T @ g[free] / (w - 2.0 * min(w[0], 0.0)))
-        for halving in range(60):
-            x_new = space.clip(x + step)
-            f_new = lik.loglik(x_new)
-            # a halved step must gain more than round-off
-            up = f_new > fx + _round_off(fx) if halving else f_new >= fx
-            small = bool(np.all(np.abs(x_new - x) < tol))
-            if up or small:
-                break
-            step = step / 2
-        if up:
-            x, fx = x_new, f_new
-        if small or not up:
-            break
-
-    # A monotone likelihood flattens out in floating point (log(1-p) rounds
-    # to 0 once p underflows), so an interior plateau point can masquerade as
-    # a maximum.  When a coordinate's bound does at least as well up to
-    # round-off, the data cannot tell them apart: report the bound.
-    fx = lik.loglik(x)
-    for j in range(fam.dim):
-        at_j = np.arange(fam.dim) == j
-        ends = [lik.loglik(np.where(at_j, b, x)) for b in (space.lower[j], space.upper[j])]
-        if max(ends) >= fx - _round_off(fx):
-            x[j] = space.upper[j] if ends[1] >= ends[0] else space.lower[j]
-            fx = max(ends)
-    theta_hat = x
-
-    boundary = space.on_boundary(theta_hat)
-    final_loglik = lik.loglik(theta_hat)
-    final_score = lik.score(theta_hat)
-    info = lik.information(theta_hat)
-    std_err = np.full(fam.dim, np.nan)
-    try:
-        cov = np.linalg.inv(info) / k
-        diag = np.diag(cov)
-        if np.all(diag > 0):
-            std_err = np.sqrt(diag)
-    except np.linalg.LinAlgError:
-        pass
-    return FitResult(
-        theta_hat=theta_hat,
-        loglik=final_loglik,
-        score_norm=float(np.linalg.norm(final_score)),
-        boundary=boundary,
-        effective_n=lik.effective(theta_hat),
-        total_k=k,
-        sigma_plugin=info,
-        std_err=std_err,
-    )
 
 
 def confidence_interval(fit: FitResult, level: float) -> np.ndarray:

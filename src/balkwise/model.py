@@ -125,9 +125,12 @@ class ValueFamily(ABC):
     ``m``.  The cdf is 0 for r < 0 by convention, nondecreasing in r, and its
     parameter derivatives must match finite differences (see the test suite).
 
-    ``sf_rows(r, thetas)`` is the batch-theta survival, of shape ``(n,) + shape(r)``
-    for an ``(n, dim)`` parameter array: ``sf`` row by row unless a family overrides
-    it with one broadcast evaluation.  A row outside the box raises as in require.
+    ``sf_rows``, ``grad_cdf_rows`` and ``hess_cdf_rows`` evaluate a batch of
+    parameters: row i of an ``(n, dim)`` parameter array at row i of an
+    ``(n, m)`` array r, or at one row r of shape ``(m,)`` shared by all, in
+    shapes ``(n, m)``, ``(n, m, dim)`` and ``(n, m, dim, dim)``.  They call
+    the one-parameter method row by row unless a family overrides them with
+    one broadcast evaluation.  A row outside the box raises as in require.
     """
 
     param_space: ParamSpace
@@ -144,11 +147,6 @@ class ValueFamily(ABC):
         """Survival P(value > r); override when 1 - cdf loses precision."""
         return 1.0 - self.cdf(r, theta)
 
-    def sf_rows(self, r, thetas):
-        """Survival at r under each parameter row: shape (n,) + shape(r)."""
-        rows = self.param_space.require_rows(thetas)
-        return np.array([self.sf(r, row) for row in rows], dtype=float)
-
     @abstractmethod
     def grad_cdf(self, r, theta):
         """Gradient of the cdf with respect to the parameter vector."""
@@ -156,6 +154,23 @@ class ValueFamily(ABC):
     @abstractmethod
     def hess_cdf(self, r, theta):
         """Hessian of the cdf with respect to the parameter vector."""
+
+    def sf_rows(self, r, thetas):
+        """Survival at each row of r under the matching parameter row: shape (n, m)."""
+        return self._by_row(self.sf, r, thetas)
+
+    def grad_cdf_rows(self, r, thetas):
+        """grad_cdf at each row of r under the matching parameter row: shape (n, m, dim)."""
+        return self._by_row(self.grad_cdf, r, thetas)
+
+    def hess_cdf_rows(self, r, thetas):
+        """hess_cdf at each row of r under the matching parameter row: shape (n, m, dim, dim)."""
+        return self._by_row(self.hess_cdf, r, thetas)
+
+    def _by_row(self, method, r, thetas):
+        rows = self.param_space.require_rows(thetas)
+        r = np.broadcast_to(np.asarray(r, dtype=float), (len(rows), np.shape(r)[-1]))
+        return np.array([method(r_row, row) for r_row, row in zip(r, rows)], dtype=float)
 
     def quantile(self, u: float, theta) -> float:
         """Inverse cdf by bisection; override when a closed form exists."""
@@ -198,30 +213,40 @@ class ExponentialFamily(ValueFamily):
         out = np.where(r >= 0.0, -np.expm1(-theta * np.maximum(r, 0.0)), 0.0)
         return float(out) if out.ndim == 0 else out
 
-    def sf(self, r, theta):
-        theta = self.param_space.require(theta)[0]
+    def _decay(self, r, theta, rows=False):
+        """r as an array, and exp(-theta r) on r >= 0 for one theta or for rows paired with r's."""
+        theta = self.param_space.require_rows(theta) if rows else self.param_space.require(theta)[0]
         r = np.asarray(r, dtype=float)
-        out = np.where(r >= 0.0, np.exp(-theta * np.maximum(r, 0.0)), 1.0)
+        return r, np.exp(-theta * np.maximum(r, 0.0))
+
+    def sf(self, r, theta):
+        r, decay = self._decay(r, theta)
+        out = np.where(r >= 0.0, decay, 1.0)
         return float(out) if out.ndim == 0 else out
 
     def sf_rows(self, r, thetas):
-        r = np.asarray(r, dtype=float)
-        theta = self.param_space.require_rows(thetas).reshape((-1,) + (1,) * r.ndim)
-        return np.where(r >= 0.0, np.exp(-theta * np.maximum(r, 0.0)), 1.0)
+        r, decay = self._decay(r, thetas, rows=True)
+        return np.where(r >= 0.0, decay, 1.0)
 
     def grad_cdf(self, r, theta):
-        theta = self.param_space.require(theta)[0]
-        r = np.asarray(r, dtype=float)
-        g = np.where(r >= 0.0, r * np.exp(-theta * np.maximum(r, 0.0)), 0.0)
+        r, decay = self._decay(r, theta)
+        g = np.where(r >= 0.0, r * decay, 0.0)
         return np.atleast_1d(g)[..., None] if g.ndim else np.array([float(g)])
 
+    def grad_cdf_rows(self, r, thetas):
+        r, decay = self._decay(r, thetas, rows=True)
+        return np.where(r >= 0.0, r * decay, 0.0)[..., None]
+
     def hess_cdf(self, r, theta):
-        theta = self.param_space.require(theta)[0]
-        r = np.asarray(r, dtype=float)
-        h = np.where(r >= 0.0, -(r**2) * np.exp(-theta * np.maximum(r, 0.0)), 0.0)
+        r, decay = self._decay(r, theta)
+        h = np.where(r >= 0.0, -(r**2) * decay, 0.0)
         if h.ndim == 0:
             return np.array([[float(h)]])
         return h[:, None, None]
+
+    def hess_cdf_rows(self, r, thetas):
+        r, decay = self._decay(r, thetas, rows=True)
+        return np.where(r >= 0.0, -(r**2) * decay, 0.0)[..., None, None]
 
     def quantile(self, u: float, theta) -> float:
         theta = self.param_space.require(theta)[0]
@@ -249,6 +274,18 @@ def _jump_law(lam_q, surv, mu):
     # exactly 0 < surv < 1: bounded-support families attain 0 or 1 structurally
     denom = mu + lam_q
     return lam_q / denom, mu / denom, (surv > 0.0) & (surv < 1.0)
+
+
+def _dp(cfg: ModelConfig, denom, grad):
+    """Parameter gradient of p_up = lam_q / denom at q >= 1, from the cdf's at the thresholds."""
+    return (-cfg.mu * cfg.lam / denom**2)[..., None] * grad
+
+
+def _d2p(cfg: ModelConfig, denom, grad, hess):
+    """Parameter Hessian of p_up at q >= 1, from the cdf gradient and Hessian at the thresholds."""
+    return (-cfg.mu * cfg.lam / denom**3)[..., None, None] * (
+        hess * denom[..., None, None] + 2.0 * cfg.lam * np.einsum("...j,...l->...jl", grad, grad)
+    )
 
 
 class StateTable:
@@ -305,18 +342,15 @@ class StateTable:
 
     @cached_property
     def dp(self) -> np.ndarray:
-        dp = (-self.cfg.mu * self.cfg.lam / self._denom**2)[:, None] * self.grad
+        dp = _dp(self.cfg, self._denom, self.grad)
         dp[self.q == 0] = 0.0
         return dp
 
     @cached_property
     def d2p(self) -> np.ndarray:
-        dim, lam, denom = self.fam.dim, self.cfg.lam, self._denom
+        dim = self.fam.dim
         hess = np.asarray(self.fam.hess_cdf(self.thresholds, self.theta), dtype=float)
-        d2p = (-self.cfg.mu * lam / denom**3)[:, None, None] * (
-            hess.reshape(self.q.size, dim, dim) * denom[:, None, None]
-            + 2.0 * lam * np.einsum("qj,ql->qjl", self.grad, self.grad)
-        )
+        d2p = _d2p(self.cfg, self._denom, self.grad, hess.reshape(self.q.size, dim, dim))
         d2p[self.q == 0] = 0.0
         return d2p
 
@@ -406,31 +440,52 @@ def grid_then_golden(scan, lo: float, hi: float, grid: int, tol: float, batch, d
     it cannot be had cheaply (a NaN is scored again, first, if the search
     reaches it).  When batch gives each point the value of one function,
     the result is that of the one-point-at-a-time search on it; at depth 1
-    the points scored are that search's too.
+    the points scored are that search's too.  The golden phase itself is
+    ``_golden_search``, which a caller that gathers the batches of many
+    searches steps directly.
     """
     points = np.linspace(lo, hi, grid)
-    best = int(np.argmax(scan(points)))
-    a, b = float(points[max(best - 1, 0)]), float(points[min(best + 1, grid - 1)])
+    search = _golden_search(points, scan(points), tol, depth)
+    values = None
+    while True:
+        try:
+            points = search.send(values)
+        except StopIteration as stop:
+            return stop.value
+        values = batch(points)
+
+
+def _golden_search(points, values, tol: float, depth: int):
+    """grid_then_golden's golden phase as a generator, from its grid points and their values.
+
+    The generator yields each list of points it needs scored, takes their
+    values back (as grid_then_golden's ``batch`` gives them) and returns
+    the maximizer.
+    """
+    best = int(np.argmax(values))
+    a, b = float(points[max(best - 1, 0)]), float(points[min(best + 1, len(points) - 1)])
     x1, x2 = b - _INVPHI * (b - a), a + _INVPHI * (b - a)
-    known = {}
+    known = {}  # the last batch: no later step needs a point of an earlier one
 
     def value(x, a, b, x1, x2, extra=()):
         v = known.get(x, math.nan)
         if v != v:  # not scored yet, or left NaN: one batch of x, extra and the next steps' points
             ahead = [x, *extra, *_golden_points(a, b, x1, x2, depth - 1, tol)]
-            known.update(zip(ahead, batch(ahead)))
+            values = yield ahead
+            known.clear()
+            known.update(zip(ahead, values))
             v = known[x]
         return v
 
-    f1 = value(x1, a, b, x1, x2, extra=[x2])
-    f2 = value(x2, a, b, x1, x2)
+    f1 = yield from value(x1, a, b, x1, x2, extra=[x2])
+    f2 = yield from value(x2, a, b, x1, x2)
     while b - a > tol * max(1.0, abs(a) + abs(b)):
         if f1 < f2:
             a, x1, f1 = x1, x2, f2
             x2 = a + _INVPHI * (b - a)
-            f2 = value(x2, a, b, x1, x2)
+            f2 = yield from value(x2, a, b, x1, x2)
         else:
             b, x2, f2 = x2, x1, f1
             x1 = b - _INVPHI * (b - a)
-            f1 = value(x1, a, b, x1, x2)
+            f1 = yield from value(x1, a, b, x1, x2)
     return np.float64(0.5 * (a + b))

@@ -26,7 +26,6 @@ from balkwise.model import (
     ModelConfig,
     ParamSpace,
     ValueFamily,
-    grid_then_golden,
     up_probability,
     up_prob_grad,
 )
@@ -425,15 +424,17 @@ def test_uniform_family_fits_through_the_row_by_row_scan(monkeypatch):
         lik.scan(thetas[:, None])[0], [log_likelihood(path, [t], cfg, fam) for t in thetas]
     )
 
-    # the same fit with its grid scored one theta at a time and a golden
-    # phase that scores one point per call
-    def one_at_a_time(scan, lo, hi, grid, tol, batch, depth):
-        def each(thetas):
-            return [batch([t])[0] for t in thetas]
+    # the same fit with every request answered one point at a time and a
+    # golden phase that scores one point per round
+    evaluate = inference._Batch.evaluate
 
-        return grid_then_golden(each, lo, hi, grid, tol, each, 1)
+    def one_at_a_time(self, reps, thetas, need=0):
+        each = [evaluate(self, reps[i:i + 1], thetas[i:i + 1], need) for i in range(len(reps))]
+        return inference._Values(*(None if field[0] is None else np.concatenate(field)
+                                   for field in zip(*each)))
 
-    monkeypatch.setattr(inference, "grid_then_golden", one_at_a_time)
+    monkeypatch.setattr(inference._Batch, "evaluate", one_at_a_time)
+    monkeypatch.setattr(inference, "_FIT_DEPTH", 1)
     assert fit_mle(path, cfg, fam).to_json() == fit.to_json()
 
 
