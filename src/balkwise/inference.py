@@ -164,9 +164,9 @@ class _Likelihood:
         return float(self._at(theta).loglik[0])
 
     def scan(self, thetas) -> tuple[np.ndarray, np.ndarray]:
-        """loglik at each row of an (n, dim) array, and the (n, states) informative mask."""
-        surv = self.fam.sf_rows(self.thresholds, thetas)
-        return self._at(thetas).loglik, _jump_law(self.cfg.lam * surv, surv, self.cfg.mu)[2]
+        """loglik and the effective sample at each row of an (n, dim) array, from one table."""
+        values = self._at(thetas)
+        return values.loglik, values.effective
 
     def effective(self, theta) -> int:
         return int(self._at(theta).effective[0])
@@ -456,7 +456,7 @@ def _fit_batch(datas, cfg: ModelConfig, fam: ValueFamily) -> list:
             asks[i] = fits[i].send(values)
         except StopIteration as stop:
             results[i] = stop.value
-        except Exception as exc:  # raised below, in replication order
+        except ValueError as exc:  # raised below, in replication order
             results[i] = exc
 
     for i in range(len(fits)):

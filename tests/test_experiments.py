@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from balkwise import experiments
-from balkwise.inference import fit_mle, score
+from balkwise.inference import fit_mle, log_likelihood, score
 from balkwise.simulator import SimOptions, simulate_path
 from balkwise.experiments import (
     ExperimentConfig,
@@ -153,6 +153,11 @@ def test_consistency_driver(tmp_path):
         fit_rows = list(csv.reader(fh))
     theta_rep0 = next(float(r[2]) for r in fit_rows[1:] if r[0] == "5000" and r[1] == "0")
     assert abs(thetas[best] - theta_rep0) <= 0.005
+    # each value is log_likelihood's on that path
+    path = simulate_path(cfg.model, cfg.value_family, [cfg.theta0],
+                         experiments._run_options(cfg, 5000, 0))
+    assert [r[2] for r in rows[1:] if r[0] == "5000"] == [
+        repr(log_likelihood(path, [t], cfg.model, cfg.value_family)) for t in thetas]
     summary_file = Path(cfg.out_dir) / "consistency_summary.csv"
     assert summary_file.exists()
 
@@ -256,6 +261,11 @@ def test_parallel_matches_serial(tmp_path, monkeypatch):
     monkeypatch.delenv("BALKWISE_THREADS", raising=False)
     inputs = [
         (dict(experiment="consistency", k_list=(400,), replications=6), ["consistency.csv"]),
+        # 7 replications split 3 + 4; one chain per walk chunk at 10^5, many at 200
+        (dict(experiment="consistency", k_list=(200, 100_000), replications=7),
+         ["consistency.csv", "loglik_profile.csv"]),
+        (dict(experiment="score-convergence", k_list=(200, 10_000), replications=7),
+         ["score_convergence.csv"]),
         (dict(experiment="pricing-tables", pricing_runs=3),
          ["pricing_tables.csv", "pricing_tables.json"]),
     ]
@@ -267,9 +277,15 @@ def test_parallel_matches_serial(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("k, reps", [(10_000, 20), (200, 100)])
+@pytest.mark.parametrize(
+    "k, reps", [(10_000, 20), (200, 100), (100_000, 7), (10_000, 7), (200, 131)]
+)
 def test_chunked_replications_match_one_path_per_replication(workers, k, reps):
-    """Walked in chunks (of up to 9 chains at k = 10^4, 83 at k = 200) and fitted from counts."""
+    """Walked in chunks (one chain at k = 10^5, up to 9 at 10^4, 83 at 200), fitted in batches.
+
+    7 replications split 3 + 4 at two workers, and 131 into three jobs of
+    43 or 44 (at most experiments._FIT_BATCH each) at either.
+    """
     config = ExperimentConfig(experiment="score-convergence", k=k, replications=reps, seed=5)
     cfg, fam = config.model, config.value_family
     want = []

@@ -12,6 +12,7 @@ from balkwise import inference
 from balkwise.inference import (
     SCORE_RTOL,
     FitResult,
+    _fit_batch,
     _Likelihood,
     confidence_interval,
     fit_mle,
@@ -340,10 +341,9 @@ def _scan_thetas(lik):
 
 def _assert_scan_matches_scalar(path, thetas):
     lik = _Likelihood(path, ANCHOR, WIDE)
-    scan, live = lik.scan(thetas[:, None])
+    scan, effective = lik.scan(thetas[:, None])
     scalar = np.array([log_likelihood(path, [t], ANCHOR, WIDE) for t in thetas])
-    counts = np.where(live, lik.up + lik.down, 0).sum(axis=1)
-    np.testing.assert_array_equal(counts, [lik.effective([t]) for t in thetas])
+    np.testing.assert_array_equal(effective, [lik.effective([t]) for t in thetas])
     # bit for bit: the fit's golden phase takes its values from the scan
     np.testing.assert_array_equal(scan, scalar)
 
@@ -549,6 +549,99 @@ def test_two_parameter_plateau_is_a_boundary_fit(price):
     cfg = WEIBULL_CFG.with_price(price)
     fit = fit_mle(make_path([0, 1] * 5 + [0], price=price), cfg, WEIBULL)
     assert fit.boundary
+
+
+# --- fits in a lockstep batch: each is fit_mle's, bit for bit -------------
+
+
+def _counts(up, down):
+    return np.array(up, dtype=np.int64), np.array(down, dtype=np.int64)
+
+
+# Hand-built count tables: every informative move down (a fit on the upper
+# bound) or up (on the lower bound), a plateau of the Weibull family at price
+# 59.46427 (q = 1 left only downwards), moves out of the empty queue only (no
+# informative transition) and no move at all.
+ALL_DOWN = _counts([3, 0, 0, 0], [0, 4, 2, 1])
+ALL_UP = _counts([2, 5, 3], [0, 0, 0])
+PLATEAU = _counts([5, 0], [0, 5])
+EMPTY_QUEUE_ONLY = _counts([5], [0])
+NO_MOVES = _counts([0], [0])
+
+# (config, family) pairs: the studies' box, a box whose top underflows
+# exp(-theta r), and at price 0 one whose top floors some states and not others
+EXPONENTIAL_SETTINGS = [
+    (ANCHOR, ExponentialFamily(ParamSpace([1e-3], [5.0]))),
+    (ANCHOR, WIDE),
+    (WORKED_CFG, ExponentialFamily(ParamSpace([0.01], [5.0]))),
+    (WORKED_CFG, WIDE),
+]
+batch_settings = settings(derandomize=True, deadline=None, database=None, max_examples=40)
+
+
+@st.composite
+def count_tables(draw, max_state):
+    """One replication's up and down counts per state, with states left out at random."""
+    size = draw(st.integers(2, max_state + 1))
+    cells = st.lists(st.integers(0, 60), min_size=size, max_size=size)
+    kept = np.array(draw(st.lists(st.booleans(), min_size=size, max_size=size)))
+    return _counts(np.array(draw(cells)) * kept, np.array(draw(cells)) * kept)
+
+
+def _assert_batch_equals_one_fit_each(tables, cfg, fam):
+    """_fit_batch is fit_mle per replication, or raises the error of the first that raises."""
+    singles = []
+    for counts in tables:
+        try:
+            singles.append(fit_mle(counts, cfg, fam))
+        except ValueError as exc:
+            singles.append(exc)
+    errors = [one for one in singles if isinstance(one, ValueError)]
+    if errors:
+        with pytest.raises(ValueError) as raised:
+            _fit_batch(tables, cfg, fam)
+        assert str(raised.value) == str(errors[0])
+        return
+    fits = _fit_batch(tables, cfg, fam)
+    assert len(fits) == len(tables)
+    for fit, one in zip(fits, singles):
+        assert fit.to_json() == one.to_json()
+        assert fit.theta_hat.tobytes() == one.theta_hat.tobytes()
+
+
+@batch_settings
+@given(
+    setting=st.sampled_from(range(len(EXPONENTIAL_SETTINGS))),
+    tables=st.lists(st.one_of(count_tables(25), st.sampled_from([ALL_DOWN, ALL_UP])),
+                    min_size=1, max_size=8),
+)
+@example(setting=3, tables=[ALL_DOWN, _counts([0, 7, 3, 0, 2], [0, 9, 4, 1, 6]), ALL_UP])
+def test_batched_fits_equal_one_fit_each(setting, tables):
+    _assert_batch_equals_one_fit_each(tables, *EXPONENTIAL_SETTINGS[setting])
+
+
+@batch_settings
+@given(
+    tables=st.lists(st.one_of(count_tables(6), st.sampled_from([ALL_DOWN, ALL_UP])),
+                    max_size=6),
+    bad=st.lists(st.tuples(st.integers(0, 6), st.sampled_from([EMPTY_QUEUE_ONLY, NO_MOVES])),
+                 min_size=1, max_size=2),
+)
+def test_batch_raises_the_error_of_its_first_failing_fit(tables, bad):
+    for position, counts in bad:
+        tables.insert(position, counts)
+    _assert_batch_equals_one_fit_each(tables, ANCHOR, EXPONENTIAL_SETTINGS[0][1])
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=6)
+@given(
+    price=st.sampled_from([5.0, 59.46427]),
+    tables=st.lists(st.one_of(count_tables(12), st.sampled_from([ALL_DOWN, ALL_UP, PLATEAU])),
+                    min_size=1, max_size=3),
+)
+@example(price=59.46427, tables=[PLATEAU, ALL_DOWN])
+def test_batched_two_parameter_fits_equal_one_fit_each(price, tables):
+    _assert_batch_equals_one_fit_each(tables, WEIBULL_CFG.with_price(price), WEIBULL)
 
 
 def test_import_does_not_load_scipy():
