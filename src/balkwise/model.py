@@ -417,7 +417,7 @@ def _golden_points(a: float, b: float, x1: float, x2: float, depth: int, tol: fl
     for _ in range(depth):
         deeper = []
         for a, b, x1, x2 in level:
-            if b - a <= tol * max(1.0, abs(a) + abs(b)):
+            if b - a <= _width_tol(a, b, tol):
                 continue
             up = x1 + _INVPHI * (b - x1)  # f1 < f2: the bracket becomes (x1, b)
             down = x2 - _INVPHI * (x2 - a)  # otherwise: (a, x2)
@@ -425,6 +425,12 @@ def _golden_points(a: float, b: float, x1: float, x2: float, depth: int, tol: fl
             deeper += ((x1, b, x2, up), (a, x2, down, x1))
         level = deeper
     return out
+
+
+def _width_tol(a: float, b: float, tol: float) -> float:
+    """tol * max(1, |a| + |b|): the golden phase stops once its bracket (a, b) is this narrow."""
+    scale = abs(a) + abs(b)
+    return tol * (scale if scale > 1.0 else 1.0)
 
 
 def grid_then_golden(scan, lo: float, hi: float, grid: int, tol: float, batch, depth: int) -> float:
@@ -479,7 +485,7 @@ def _golden_search(points, values, tol: float, depth: int):
 
     f1 = yield from value(x1, a, b, x1, x2, extra=[x2])
     f2 = yield from value(x2, a, b, x1, x2)
-    while b - a > tol * max(1.0, abs(a) + abs(b)):
+    while b - a > _width_tol(a, b, tol):
         if f1 < f2:
             a, x1, f1 = x1, x2, f2
             x2 = a + _INVPHI * (b - a)
