@@ -132,8 +132,9 @@ def _state_sums(values, runs) -> np.ndarray:
     return sums[0] if len(sums) == 1 else np.concatenate(sums)
 
 
-# What a request needs at its points, besides the log-likelihood
-_EFFECTIVE, _DERIVATIVES = 1, 2  # the effective sample; that, the score and the information
+# What a request needs at its points: the log-likelihood; also the effective
+# sample; also the score and the information
+_LOGLIK, _EFFECTIVE, _DERIVATIVES = 0, 1, 2
 
 
 class _Likelihood:
@@ -201,11 +202,11 @@ class _Batch:
             self.thresholds[i, :m] = lik.thresholds
             self.up[i, :m], self.down[i, :m] = lik.up, lik.down
 
-    def evaluate(self, reps, thetas, need=0) -> _Values:
+    def evaluate(self, reps, thetas, need=_LOGLIK) -> _Values:
         """The likelihood of replication reps[i] at thetas[i], for each point i, from one table.
 
-        need asks for the effective sample (_EFFECTIVE) or also the score
-        and information (_DERIVATIVES) at every point.  Each value is the
+        need asks for the log-likelihood (_LOGLIK), also the effective sample
+        (_EFFECTIVE) or also the score and information (_DERIVATIVES).  Each value is the
         one-point computation's bit for bit: each point's terms are summed
         over its own states alone (_state_sums), over the states somebody
         joins when some are not, and over the floored states when some are
@@ -335,7 +336,7 @@ def _asked(search):
             points = search.send(values)
         except StopIteration as stop:
             return stop.value
-        values = (yield np.array(points)[:, None], 0).loglik.tolist()
+        values = (yield np.array(points)[:, None], _LOGLIK).loglik.tolist()
 
 
 def _scan_grid(space) -> np.ndarray:
@@ -348,9 +349,9 @@ def _fitting(k: int, fam: ValueFamily, grid: np.ndarray):
     """fit_mle's search for one replication of k transitions, as a generator of requests.
 
     grid is _scan_grid's.  Each request is (thetas, need): an (n, dim) array
-    of points and what they need besides the log-likelihood (0, _EFFECTIVE
-    or _DERIVATIVES).  The _Values of those points is sent back.  The
-    generator returns the FitResult, or raises fit_mle's ValueError.
+    of points and what they need (_LOGLIK, _EFFECTIVE or _DERIVATIVES).  The
+    _Values of those points is sent back.  The generator returns the
+    FitResult, or raises fit_mle's ValueError.
     """
     space = fam.param_space
     if k == 0:
@@ -408,7 +409,7 @@ def _fitting(k: int, fam: ValueFamily, grid: np.ndarray):
             ends = scan.loglik[[0, -1]]
         else:
             bounds = (space.lower[j], space.upper[j])
-            ends = (yield np.array([np.where(at_j, b, x) for b in bounds]), 0).loglik
+            ends = (yield np.array([np.where(at_j, b, x) for b in bounds]), _LOGLIK).loglik
         low, high = float(ends[0]), float(ends[1])
         if max(low, high) >= fx - _round_off(fx):
             x[j] = space.upper[j] if high >= low else space.lower[j]
