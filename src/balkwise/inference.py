@@ -205,12 +205,13 @@ class _Batch:
     def evaluate(self, reps, thetas, need=_LOGLIK) -> _Values:
         """The likelihood of replication reps[i] at thetas[i], for each point i, from one table.
 
-        need asks for the log-likelihood (_LOGLIK), also the effective sample
-        (_EFFECTIVE) or also the score and information (_DERIVATIVES).  Each value is the
-        one-point computation's bit for bit: each point's terms are summed
-        over its own states alone (_state_sums), over the states somebody
-        joins when some are not, and over the floored states when some are
-        not.  Points ordered by state count form few runs.
+        need asks for the log-likelihood (_LOGLIK), also the effective
+        sample (_EFFECTIVE) or also the score and information
+        (_DERIVATIVES).  Each value is the one-point computation's bit for
+        bit: each point's terms are summed over its own states alone
+        (_state_sums), over the states somebody joins when some are not,
+        and over the floored states when some are not.  Points ordered by
+        state count form few runs.
         """
         cfg, fam = self.cfg, self.fam
         lengths = self.m[reps]

@@ -428,7 +428,7 @@ def test_uniform_family_fits_through_the_row_by_row_scan(monkeypatch):
     # golden phase that scores one point per round
     evaluate = inference._Batch.evaluate
 
-    def one_at_a_time(self, reps, thetas, need=0):
+    def one_at_a_time(self, reps, thetas, need=inference._LOGLIK):
         each = [evaluate(self, reps[i:i + 1], thetas[i:i + 1], need) for i in range(len(reps))]
         return inference._Values(*(None if field[0] is None else np.concatenate(field)
                                    for field in zip(*each)))
@@ -628,6 +628,7 @@ def test_batched_fits_equal_one_fit_each(setting, tables):
                  min_size=1, max_size=2),
 )
 def test_batch_raises_the_error_of_its_first_failing_fit(tables, bad):
+    tables = list(tables)
     for position, counts in bad:
         tables.insert(position, counts)
     _assert_batch_equals_one_fit_each(tables, ANCHOR, EXPONENTIAL_SETTINGS[0][1])
