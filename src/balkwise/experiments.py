@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 # fit_mle and simulate_path stay names of this module: perfbench/spans.py wraps them
-from .inference import _fit_batch, _Likelihood, fit_mle, score  # noqa: F401
+from .inference import _fit_batch, _Likelihood, fit_mle  # noqa: F401
 from .model import ExponentialFamily, ModelConfig, ParamSpace, ValueFamily
 from .pricing import PricingConfig, _optimum, _trace_metrics, run_pricing
 from .simulator import SimOptions, _walk_counts, simulate_path
@@ -252,7 +252,7 @@ def _replications(fn, config: ExperimentConfig, workers: int, k: int, reps: int,
 
 
 def _fits(job):
-    """Each replication's transition counts and its fit.
+    """Each replication's fit and the signed normalized score at its estimate.
 
     The replications are walked in chunks of about _CHUNK_DRAWS draws, and
     all their counts are fitted as one batch.
@@ -261,19 +261,18 @@ def _fits(job):
     per_chunk = max(1, _CHUNK_DRAWS // (runs[0].steps + runs[0].warmup_steps))
     counts = [c for i in range(0, len(runs), per_chunk)
               for c in _walk_counts(cfg, fam, theta0, runs[i:i + per_chunk])]
-    return zip(counts, _fit_batch(counts, cfg, fam))
+    return _fit_batch(counts, cfg, fam)
 
 
 def _fit_rep(job):
     """(theta_hat, boundary) of each replication of a job; shared by several drivers."""
-    return [(float(fit.theta_hat[0]), bool(fit.boundary)) for _, fit in _fits(job)]
+    return [(float(fit.theta_hat[0]), bool(fit.boundary)) for fit, _ in _fits(job)]
 
 
 def _fit_score_rep(job):
     """_fit_rep plus the signed normalized score at the estimate."""
-    cfg, fam, _, _ = job
-    return [(float(fit.theta_hat[0]), bool(fit.boundary),
-             float(score(counts, fit.theta_hat, cfg, fam)[0])) for counts, fit in _fits(job)]
+    return [(float(fit.theta_hat[0]), bool(fit.boundary), float(score[0]))
+            for fit, score in _fits(job)]
 
 
 def _out(config: ExperimentConfig, name: str) -> Path:

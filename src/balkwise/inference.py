@@ -352,7 +352,8 @@ def _fitting(k: int, fam: ValueFamily, grid: np.ndarray):
     grid is _scan_grid's.  Each request is (thetas, need): an (n, dim) array
     of points and what they need (_LOGLIK, _EFFECTIVE or _DERIVATIVES).  The
     _Values of those points is sent back.  The generator returns the
-    FitResult, or raises fit_mle's ValueError.
+    FitResult and the score at its estimate (its last _DERIVATIVES round),
+    or raises fit_mle's ValueError.
     """
     space = fam.param_space
     if k == 0:
@@ -436,7 +437,7 @@ def _fitting(k: int, fam: ValueFamily, grid: np.ndarray):
         total_k=k,
         sigma_plugin=info,
         std_err=std_err,
-    )
+    ), at.score[0]
 
 
 def _fit_batch(datas, cfg: ModelConfig, fam: ValueFamily) -> list:
@@ -444,8 +445,9 @@ def _fit_batch(datas, cfg: ModelConfig, fam: ValueFamily) -> list:
 
     Each round answers the pending requests with one _Batch.evaluate call
     per need, the replications ordered by their number of states, and every
-    result is fit_mle's bit for bit.  When fits raise, the error of the
-    first of them in the order of datas is raised.
+    result is fit_mle's bit for bit.  Returns (fit, score at theta_hat) per
+    datum, the score equal to score()'s there.  When fits raise, the error
+    of the first of them in the order of datas is raised.
     """
     batch = _Batch([_Likelihood(data, cfg, fam) for data in datas])
     order = np.argsort(batch.m, kind="stable").tolist()
@@ -495,7 +497,7 @@ def fit_mle(data: Union[QueuePath, _Counts], cfg: ModelConfig, fam: ValueFamily)
     bound is flagged as a boundary fit rather than an error.  The search
     takes no starting point.  This is _fit_batch for one replication.
     """
-    return _fit_batch([data], cfg, fam)[0]
+    return _fit_batch([data], cfg, fam)[0][0]
 
 
 

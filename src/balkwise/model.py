@@ -147,6 +147,13 @@ class ValueFamily(ABC):
         """Survival P(value > r); override when 1 - cdf loses precision."""
         return 1.0 - self.cdf(r, theta)
 
+    def _sf(self, r, theta):
+        """sf at a theta its caller validated (``param_space.require``), for the row kernels.
+
+        A family may override it to skip its own validation; by default it is sf.
+        """
+        return self.sf(r, theta)
+
     @abstractmethod
     def grad_cdf(self, r, theta):
         """Gradient of the cdf with respect to the parameter vector."""
@@ -213,39 +220,43 @@ class ExponentialFamily(ValueFamily):
         out = np.where(r >= 0.0, -np.expm1(-theta * np.maximum(r, 0.0)), 0.0)
         return float(out) if out.ndim == 0 else out
 
-    def _decay(self, r, theta, rows=False):
-        """r as an array, and exp(-theta r) on r >= 0 for one theta or for rows paired with r's."""
-        theta = self.param_space.require_rows(theta) if rows else self.param_space.require(theta)[0]
+    @staticmethod
+    def _decay(r, rate):
+        """r as an array, and exp(-rate r) on r >= 0: rate is a validated theta's entry, or a
+        column of validated rows paired with r's rows."""
         r = np.asarray(r, dtype=float)
-        return r, np.exp(-theta * np.maximum(r, 0.0))
+        return r, np.exp(-rate * np.maximum(r, 0.0))
 
     def sf(self, r, theta):
-        r, decay = self._decay(r, theta)
+        return self._sf(r, self.param_space.require(theta))
+
+    def _sf(self, r, theta):
+        r, decay = self._decay(r, theta[0])
         out = np.where(r >= 0.0, decay, 1.0)
         return float(out) if out.ndim == 0 else out
 
     def sf_rows(self, r, thetas):
-        r, decay = self._decay(r, thetas, rows=True)
+        r, decay = self._decay(r, self.param_space.require_rows(thetas))
         return np.where(r >= 0.0, decay, 1.0)
 
     def grad_cdf(self, r, theta):
-        r, decay = self._decay(r, theta)
+        r, decay = self._decay(r, self.param_space.require(theta)[0])
         g = np.where(r >= 0.0, r * decay, 0.0)
         return np.atleast_1d(g)[..., None] if g.ndim else np.array([float(g)])
 
     def grad_cdf_rows(self, r, thetas):
-        r, decay = self._decay(r, thetas, rows=True)
+        r, decay = self._decay(r, self.param_space.require_rows(thetas))
         return np.where(r >= 0.0, r * decay, 0.0)[..., None]
 
     def hess_cdf(self, r, theta):
-        r, decay = self._decay(r, theta)
+        r, decay = self._decay(r, self.param_space.require(theta)[0])
         h = np.where(r >= 0.0, -(r**2) * decay, 0.0)
         if h.ndim == 0:
             return np.array([[float(h)]])
         return h[:, None, None]
 
     def hess_cdf_rows(self, r, thetas):
-        r, decay = self._decay(r, thetas, rows=True)
+        r, decay = self._decay(r, self.param_space.require_rows(thetas))
         return np.where(r >= 0.0, -(r**2) * decay, 0.0)[..., None, None]
 
     def quantile(self, u: float, theta) -> float:
@@ -311,7 +322,7 @@ class StateTable:
         self.q = np.atleast_1d(q)
         self.theta, self.cfg, self.fam = theta, cfg, fam
         self.thresholds = _threshold(self.q, cfg, price)
-        self.surv = np.asarray(fam.sf(self.thresholds, theta), dtype=float)
+        self.surv = np.asarray(fam._sf(self.thresholds, theta), dtype=float)
         self.lam_q = cfg.lam * self.surv
 
     @cached_property

@@ -166,7 +166,7 @@ class _Row:
     def _pass(self, prices: np.ndarray):
         """Weights, accumulated weights and joining rates of _ROW states at each price, and each
         row's end: one past its truncation state, or 0 when the pass does not settle the row."""
-        surv = self.fam.sf(prices[:, None] + self.offsets, self.theta)
+        surv = self.fam._sf(prices[:, None] + self.offsets, self.theta)
         lam_q = self.cfg.lam * np.asarray(surv, dtype=float)
         weights, partial, ok = _weigh(lam_q, self.cfg.mu, self.eps)
         ends = np.where((lam_q[:, 0] > 0.0) & ok.any(axis=1), np.argmax(ok, axis=1) + 1, 0)
@@ -353,7 +353,7 @@ def price_upper_bound(theta, cfg: ModelConfig, fam: ValueFamily) -> float:
     offset = _threshold(0, cfg, price=0.0)
 
     def rate0(p):
-        return cfg.lam * fam.sf(p + offset, theta)
+        return cfg.lam * fam._sf(p + offset, theta)
 
     target = JOIN_FRAC * cfg.lam
     joins = rate0(2.0 ** np.arange(40)) >= target

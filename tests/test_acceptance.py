@@ -2,10 +2,18 @@
 
 Run with `pytest -s tests/test_acceptance.py` to see the per-criterion lines
 as they complete.  The heavier criteria (5, 6, 10) use a small worker pool;
-everything is deterministic given the seeds fixed here.
+everything is deterministic given the seeds fixed here.  Those three also
+compare the sha256 of each CSV they write with the pins in
+data/acceptance_csv_sha256.json; running this file as a script,
+`PYTHONPATH=src python tests/test_acceptance.py`, writes the pins anew.
 """
 
+import hashlib
+import json
 import math
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,6 +44,37 @@ from helpers import make_path
 ANCHOR = ModelConfig(lam=1.0, mu=1.0, cost_c=1.0, price=15.0)
 EXPO = ExponentialFamily(ParamSpace([1e-3], [5.0]))
 THETA0 = 0.02
+
+PINS = Path(__file__).parent / "data" / "acceptance_csv_sha256.json"
+REPIN = "PYTHONPATH=src python tests/test_acceptance.py"
+# the experiment of each criterion whose CSVs are pinned, without its out_dir
+PINNED = {
+    "5": dict(experiment="consistency", k_list=(10**3, 10**4, 10**5), replications=200, seed=51,
+              theta0=THETA0, workers=2),
+    "6": dict(experiment="normality", k_list=(200, 10**4), replications=5000, seed=2,
+              theta0=THETA0, workers=2),
+    "10": dict(experiment="pricing-tables", theta0=THETA0, theta_lower=0.01, theta_upper=5.0,
+               pricing_cells=(("increment", 2, 15.0), ("doubling", 100, 100.0)),
+               pricing_runs=100, pricing_tol=0.01, pricing_budget=1530, seed=101, workers=2,
+               replications=1),
+}
+
+
+def _csv_digests(out_dir) -> dict:
+    return {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+            for f in sorted(Path(out_dir).glob("*.csv"))}
+
+
+def check_pins(criterion: str, out_dir) -> None:
+    """Fail, naming each CSV that moved, unless the criterion's CSVs match their pins."""
+    pins = json.loads(PINS.read_text())
+    got, want = _csv_digests(out_dir), pins[criterion]
+    moved = sorted(name for name in set(got) | set(want) if got.get(name) != want.get(name))
+    assert not moved, (
+        f"criterion {criterion}: {', '.join(moved)} differ from the pinned sha256 "
+        f"(pinned with numpy {pins['numpy']}, running numpy {np.__version__}); if the change "
+        f"moves them by design, regenerate the pins with `{REPIN}` and say so"
+    )
 
 
 def report(number: int, description: str, ok: bool, detail: str = "") -> None:
@@ -147,15 +186,7 @@ def test_criterion_04_stationary_formula():
 
 
 def test_criterion_05_consistency(tmp_path):
-    config = ExperimentConfig(
-        experiment="consistency",
-        k_list=(10**3, 10**4, 10**5),
-        replications=200,
-        seed=51,
-        theta0=THETA0,
-        out_dir=str(tmp_path),
-        workers=2,
-    )
+    config = ExperimentConfig(**PINNED["5"], out_dir=str(tmp_path))
     med = run_experiment(config)["median_abs_error_by_k"]
     ok = med[10**3] > med[10**4] > med[10**5] and med[10**4] <= 0.01
     report(
@@ -164,18 +195,11 @@ def test_criterion_05_consistency(tmp_path):
         ok,
         "medians " + ", ".join(f"{k}: {med[k]:.5f}" for k in sorted(med)),
     )
+    check_pins("5", tmp_path)
 
 
 def test_criterion_06_normality(tmp_path):
-    config = ExperimentConfig(
-        experiment="normality",
-        k_list=(200, 10**4),
-        replications=5000,
-        seed=2,
-        theta0=THETA0,
-        out_dir=str(tmp_path),
-        workers=2,
-    )
+    config = ExperimentConfig(**PINNED["6"], out_dir=str(tmp_path))
     verdicts = run_experiment(config)["verdicts"]
     big, small = verdicts[10**4], verdicts[200]
     ok = (
@@ -190,6 +214,7 @@ def test_criterion_06_normality(tmp_path):
         f"JB(1e4)={big['jb_stat']:.2f}, mean rel err {big['mean_rel_error']:+.5f}, "
         f"JB(200)={small['jb_stat']:.1f}",
     )
+    check_pins("6", tmp_path)
 
 
 def test_criterion_07_revenue_anchors():
@@ -221,20 +246,7 @@ def test_criterion_09_sigma_cross_validation():
 
 
 def test_criterion_10_pricing_tables(tmp_path):
-    config = ExperimentConfig(
-        experiment="pricing-tables",
-        theta0=THETA0,
-        theta_lower=0.01,
-        theta_upper=5.0,
-        pricing_cells=(("increment", 2, 15.0), ("doubling", 100, 100.0)),
-        pricing_runs=100,
-        pricing_tol=0.01,
-        pricing_budget=1530,
-        seed=101,
-        out_dir=str(tmp_path),
-        workers=2,
-        replications=1,
-    )
+    config = ExperimentConfig(**PINNED["10"], out_dir=str(tmp_path))
     cells = run_experiment(config)["cells"]
     inc = cells["increment,k1=2,p1=15"]
     dbl = cells["doubling,k1=100,p1=100"]
@@ -258,6 +270,7 @@ def test_criterion_10_pricing_tables(tmp_path):
         f"{dbl['Iterations']:.2f}+-{dbl['Std error of iterations']:.2f} (target 4+-2), "
         f"failed runs {inc['Failed runs']}/{dbl['Failed runs']}",
     )
+    check_pins("10", tmp_path)
 
 
 def test_criterion_11_martingale_property():
@@ -275,3 +288,19 @@ def test_criterion_11_martingale_property():
         mc_ok &= abs(vals.mean()) <= 3 * se
     report(11, "score terms are mean-zero at the truth (identity and Monte-Carlo)",
            algebra_ok and mc_ok)
+
+
+def write_pins() -> None:
+    """Run each pinned criterion's experiment and write the sha256 of its CSVs to PINS."""
+    pins = {"numpy": np.__version__}
+    for criterion, settings in PINNED.items():
+        with tempfile.TemporaryDirectory() as tmp:
+            run_experiment(ExperimentConfig(**settings, out_dir=tmp))
+            pins[criterion] = _csv_digests(tmp)
+    PINS.parent.mkdir(exist_ok=True)
+    PINS.write_text(json.dumps(pins, indent=2) + "\n")
+    print(f"wrote {PINS}", file=sys.stderr)
+
+
+if __name__ == "__main__":
+    write_pins()

@@ -589,7 +589,8 @@ def count_tables(draw, max_state):
 
 
 def _assert_batch_equals_one_fit_each(tables, cfg, fam):
-    """_fit_batch is fit_mle per replication, or raises the error of the first that raises."""
+    """_fit_batch is fit_mle per replication, with score() at its estimate, or raises the error
+    of the first that raises."""
     singles = []
     for counts in tables:
         try:
@@ -604,9 +605,10 @@ def _assert_batch_equals_one_fit_each(tables, cfg, fam):
         return
     fits = _fit_batch(tables, cfg, fam)
     assert len(fits) == len(tables)
-    for fit, one in zip(fits, singles):
+    for (fit, at), one, counts in zip(fits, singles, tables):
         assert fit.to_json() == one.to_json()
         assert fit.theta_hat.tobytes() == one.theta_hat.tobytes()
+        assert at.tobytes() == score(counts, fit.theta_hat, cfg, fam).tobytes()
 
 
 @batch_settings

@@ -17,7 +17,12 @@ from balkwise.model import (
     up_prob_hess,
     up_probability,
 )
-from helpers import UniformValueFamily, golden_one_point_at_a_time
+from balkwise.inference import log_likelihood, score
+from balkwise.pricing import PricingTrace, trace_metrics
+from balkwise.simulator import SimOptions, simulate_path
+from balkwise.stationary import (expected_revenue, optimal_price, price_upper_bound,
+                                 revenue_curve, stationary_distribution, theoretical_sigma)
+from helpers import UniformValueFamily, WeibullValueFamily, golden_one_point_at_a_time, make_path
 
 
 def test_offered_reward_values():
@@ -215,6 +220,65 @@ def test_uniform_family_gradient_matches_fd(anchor_cfg):
     h = 1e-6 * theta
     fd = (fam.cdf(r, [theta + h]) - fam.cdf(r, [theta - h])) / (2 * h)
     assert fam.grad_cdf(r, [theta])[0] == pytest.approx(fd, rel=1e-6)
+
+
+# --- the unvalidated survival hook and the validating entry points -----------
+
+HOOK_FAMILIES = {
+    "exponential": ExponentialFamily(ParamSpace([1e-3], [5.0])),
+    "weibull": WeibullValueFamily([0.5, 2.0], [10.0, 60.0]),
+    "uniform": UniformValueFamily(width=2.0, lower=1.0, upper=10.0),
+}
+# thresholds below 0, at 0 and up to where every survival underflows
+THRESHOLDS = st.one_of(st.floats(-1e6, -1e-300), st.just(0.0), st.just(-0.0),
+                       st.floats(0.0, 1e3), st.floats(1e3, 1e300))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(name=st.sampled_from(sorted(HOOK_FAMILIES)), at=st.floats(0.0, 1.0),
+       r=st.lists(THRESHOLDS, min_size=1, max_size=40), table=st.booleans())
+def test_unvalidated_survival_equals_sf_bit_for_bit(name, at, r, table):
+    # the row kernels call _sf on a theta validated once; it must be sf there
+    fam = HOOK_FAMILIES[name]
+    space = fam.param_space
+    theta = space.require(space.clip(space.lower + at * space.width))
+    r = np.array(r).reshape(1, -1) if table else np.array(r)
+    with np.errstate(over="ignore"):  # the Weibull power overflows to inf, its survival to 0
+        got, want = fam._sf(r, theta), fam.sf(r, theta)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        for scalar in (r.flat[0], -1.0, 0.0):
+            one, expected = fam._sf(scalar, theta), fam.sf(scalar, theta)
+            assert type(one) is type(expected)
+            assert np.float64(one).tobytes() == np.float64(expected).tobytes()
+
+
+def _entry_points():
+    cfg = ModelConfig(1.0, 1.0, 1.0, 15.0)
+    path = make_path([0, 1, 2, 1, 0, 1])
+    trace = PricingTrace(records=(), final_price=20.0, stopped_reason="budget")
+    return {
+        "expected_revenue": lambda t, fam: expected_revenue(20.0, t, cfg, fam),
+        "optimal_price": lambda t, fam: optimal_price(t, cfg, fam),
+        "price_upper_bound": lambda t, fam: price_upper_bound(t, cfg, fam),
+        "stationary_distribution": lambda t, fam: stationary_distribution(t, cfg, fam),
+        "revenue_curve": lambda t, fam: revenue_curve([10.0, 20.0], t, cfg, fam),
+        "theoretical_sigma": lambda t, fam: theoretical_sigma(t, cfg, fam),
+        "simulate_path": lambda t, fam: simulate_path(cfg, fam, t, SimOptions(steps=10, seed=0)),
+        "trace_metrics": lambda t, fam: trace_metrics(trace, t, cfg, fam),
+        "log_likelihood": lambda t, fam: log_likelihood(path, t, cfg, fam),
+        "score": lambda t, fam: score(path, t, cfg, fam),
+    }
+
+
+@pytest.mark.parametrize("entry", sorted(_entry_points()))
+@pytest.mark.parametrize("theta", [[5.5], [1e-4], [-0.02], [math.nan], [0.1, 0.2]])
+def test_entry_points_reject_theta_outside_the_box(entry, theta, expo):
+    # each validates theta once, with require's error; the kernels behind it do not
+    with pytest.raises(ValueError) as expected:
+        expo.param_space.require(theta)
+    with pytest.raises(ValueError) as raised:
+        _entry_points()[entry](theta, expo)
+    assert str(raised.value) == str(expected.value)
 
 
 # --- the speculative golden section against the one-point-at-a-time search --

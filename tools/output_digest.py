@@ -6,9 +6,10 @@ workers=2 with replication counts that split unevenly), and
 hashes simulated paths (long ones among them, one in heavy traffic), fits
 (boundary fits on hand-built paths and one 10^5-step fit among them),
 information matrices, price searches and revenue curves (heavy traffic and
-the edges of the parameter box among them) and pricing-loop traces under
-both boundary policies.  Two checkouts whose outputs agree print the same lines, so a
-refactor that must keep seeded results byte-identical can be checked with
+the edges of the parameter box among them), pricing-loop traces under
+both boundary policies and their metrics against the true parameter.  Two
+checkouts whose outputs agree print the same lines, so a refactor that must
+keep seeded results byte-identical can be checked with
 
     PYTHONPATH=src python tools/output_digest.py > new.txt
     PYTHONPATH=<other checkout>/src python tools/output_digest.py > old.txt
@@ -57,6 +58,7 @@ from balkwise import (
     simulate_path,
     stationary_distribution,
     theoretical_sigma,
+    trace_metrics,
     up_prob_grad,
     up_prob_hess,
     up_probability,
@@ -192,6 +194,7 @@ def outputs():
         ("high-price", dict(initial_price=120.0, k1_min=2, schedule="increment",
                             max_observations=300)),
     ]
+    traces = {}
     for name, kwargs in cases:
         for policy in ("retry", "skip"):
             for seed in (1, 2):
@@ -201,10 +204,20 @@ def outputs():
                 except RuntimeError as exc:
                     yield f"pricing/{name}-{policy}-seed{seed}", repr(exc).encode()
                     continue
+                traces[f"{name}-{policy}-seed{seed}"] = trace
                 buf = io.StringIO()
                 trace.to_csv(buf)
                 yield f"pricing/{name}-{policy}-seed{seed}.json", trace.to_json().encode()
                 yield f"pricing/{name}-{policy}-seed{seed}.csv", buf.getvalue().encode()
+
+    # one family object: trace_metrics twice at one theta0, then at another,
+    # and price searches at both bounds of its box
+    for i, theta0 in enumerate((0.02, 0.02, 0.05)):
+        metrics = trace_metrics(traces["doubling-skip-seed1"], [theta0], CFG, FAM_WORKED)
+        yield f"trace_metrics/doubling-skip-seed1-call{i}-theta{theta0}", repr(metrics).encode()
+    for bound in ("lower", "upper"):
+        theta = getattr(FAM_WORKED.param_space, bound)
+        yield f"price/worked-box-{bound}-bound", repr(optimal_price(theta, CFG, FAM_WORKED)).encode()
 
 
 def main(argv=None) -> int:
