@@ -356,12 +356,6 @@ class TraceMetrics:
     total_observations: int
 
 
-# trace_metrics' last optimum: ((theta0's bytes, cfg_base), family, (p_star, rev_star)).
-# A family is matched by identity (families are immutable); the memo holds
-# it, so no other object can take that identity while it is kept.
-_last_optimum = None
-
-
 def trace_metrics(
     trace: PricingTrace, theta0, cfg_base: ModelConfig, fam: ValueFamily
 ) -> TraceMetrics:
@@ -374,16 +368,8 @@ def trace_metrics(
     model-predicted revenue at the price and estimate used in it; a batch
     whose estimate stayed out of the pool has no model prediction, so it is
     charged the true revenue gap at the price it held.
-
-    The optimum at theta0 is searched for once for a run of calls with the
-    same theta0, cfg_base and family object: the last one is kept.
     """
-    global _last_optimum
-    theta0 = fam.param_space.require(theta0)
-    key, memo = (theta0.tobytes(), cfg_base), _last_optimum
-    if memo is None or memo[0] != key or memo[1] is not fam:
-        memo = _last_optimum = (key, fam, _optimum(theta0, cfg_base, fam))
-    return _trace_metrics(trace, theta0, cfg_base, fam, *memo[2])
+    return _trace_metrics(trace, theta0, cfg_base, fam, *_optimum(theta0, cfg_base, fam))
 
 
 def _optimum(theta0, cfg_base: ModelConfig, fam: ValueFamily) -> tuple[float, float]:

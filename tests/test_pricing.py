@@ -1,4 +1,3 @@
-import dataclasses
 import io
 import json
 import math
@@ -6,15 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from balkwise import pricing
-from balkwise.model import ExponentialFamily, ModelConfig, ParamSpace
+from balkwise.model import ModelConfig
 from balkwise.pricing import (
     IterationRecord,
     PricingConfig,
     PricingTrace,
     SimulatedSource,
-    _optimum,
-    _trace_metrics,
     pooled_theta,
     revenue_gap,
     run_pricing,
@@ -359,38 +355,3 @@ def test_trace_metrics_lost_revenue_formula(expo):
     m = trace_metrics(trace, [0.02], BASE, expo)
     expected_lost += 3.0 * (rev_star - expected_revenue(25.0, [0.02], BASE, expo))
     assert m.total_lost_revenue == pytest.approx(expected_lost, rel=1e-9)
-
-
-def test_trace_metrics_searches_the_optimum_once_per_theta0(monkeypatch):
-    fam = ExponentialFamily(ParamSpace([0.01], [5.0]))
-    twin = ExponentialFamily(ParamSpace([0.01], [5.0]))  # same bounds, another object
-    dearer = ModelConfig(lam=1.0, mu=1.0, cost_c=2.0, price=1.0)
-    records = (_record(1, 50, 0.03, price_used=20.0, price_next=25.0, rev=1.0, t=4.0),
-               _record(2, 50, math.nan, price_used=25.0, price_next=25.0, rev=1.0, t=3.0,
-                       pooled=False))
-    trace = PricingTrace(records, final_price=25.0, stopped_reason="budget")
-    # (theta0, cfg, family, searches made so far): a call searches unless the one
-    # before it had the same theta0 values, an equal cfg and the same family object
-    calls = [
-        ([0.02], BASE, fam, 1),
-        ([0.02], BASE, fam, 1),
-        (np.array([0.02]), BASE, fam, 1),
-        ([0.03], BASE, fam, 2),
-        ([0.02], BASE, fam, 3),  # one entry: theta0 0.02 was dropped for 0.03
-        ([0.02], BASE.with_price(2.0), fam, 4),
-        ([0.02], dearer, fam, 5),
-        ([0.02], dearer, twin, 6),
-        ([0.02], dearer, twin, 6),
-    ]
-    fresh = [repr(dataclasses.astuple(_trace_metrics(trace, t, cfg, f, *_optimum(t, cfg, f))))
-             for t, cfg, f, _ in calls]
-    assert fresh[0] != fresh[3] and fresh[0] != fresh[6]  # each miss is seen in the values too
-
-    searches = []
-    search = pricing.optimal_price
-    monkeypatch.setattr(pricing, "optimal_price", lambda *args: searches.append(1) or search(*args))
-    monkeypatch.setattr(pricing, "_last_optimum", None)
-    for (theta0, cfg, family, searched), want in zip(calls, fresh):
-        got = trace_metrics(trace, theta0, cfg, family)
-        assert repr(dataclasses.astuple(got)) == want
-        assert len(searches) == searched

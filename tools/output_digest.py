@@ -210,11 +210,8 @@ def outputs():
                 yield f"pricing/{name}-{policy}-seed{seed}.json", trace.to_json().encode()
                 yield f"pricing/{name}-{policy}-seed{seed}.csv", buf.getvalue().encode()
 
-    # one family object: trace_metrics twice at one theta0, then at another,
-    # and price searches at both bounds of its box
-    for i, theta0 in enumerate((0.02, 0.02, 0.05)):
-        metrics = trace_metrics(traces["doubling-skip-seed1"], [theta0], CFG, FAM_WORKED)
-        yield f"trace_metrics/doubling-skip-seed1-call{i}-theta{theta0}", repr(metrics).encode()
+    metrics = trace_metrics(traces["doubling-skip-seed1"], [0.02], CFG, FAM_WORKED)
+    yield "trace_metrics/doubling-skip-seed1", repr(metrics).encode()
     for bound in ("lower", "upper"):
         theta = getattr(FAM_WORKED.param_space, bound)
         yield f"price/worked-box-{bound}-bound", repr(optimal_price(theta, CFG, FAM_WORKED)).encode()
