@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 # fit_mle and simulate_path stay names of this module: perfbench/spans.py wraps them
-from .inference import _fit_batch, _Likelihood, fit_mle  # noqa: F401
+from .inference import _Batch, _fit_batch, fit_mle  # noqa: F401
 from .model import ExponentialFamily, ModelConfig, ParamSpace, ValueFamily
 from .pricing import PricingConfig, _optimum, _trace_metrics, run_pricing
 from .simulator import SimOptions, _walk_counts, simulate_path
@@ -235,24 +235,24 @@ def _run_options(config: ExperimentConfig, k: int, *key: int) -> SimOptions:
                       initial_state="stationary-warmup", warmup_steps=config.warmup_steps)
 
 
-def _replications(fn, config: ExperimentConfig, workers: int, k: int, reps: int, *key: int,
+def _replications(config: ExperimentConfig, workers: int, k: int, reps: int, *key: int,
                   price=None) -> list:
-    """fn's result for each replication, seeded by (master seed, k, rep, *key), in rep order.
+    """_fit_rep's triple for each replication, seeded by (master seed, k, rep, *key), in rep order.
 
-    fn maps a job, (cfg, fam, theta0, options of its replications), to one
-    result each.  The replications split into as few jobs of nearly equal
-    size as keep each within _FIT_BATCH and give every worker one.
+    A job is (cfg, fam, theta0, options of its replications).  The
+    replications split into as few jobs of nearly equal size as keep each
+    within _FIT_BATCH and give every worker one.
     """
     cfg = config.model if price is None else config.model.with_price(price)
     runs = [_run_options(config, k, rep, *key) for rep in range(reps)]
     n_jobs = max(min(workers, reps), -(-reps // _FIT_BATCH))
     cuts = [j * reps // n_jobs for j in range(n_jobs + 1)]
     jobs = [(cfg, config.value_family, [config.theta0], runs[a:b]) for a, b in zip(cuts, cuts[1:])]
-    return [r for job in _pool_map(fn, jobs, workers) for r in job]
+    return [r for job in _pool_map(_fit_rep, jobs, workers) for r in job]
 
 
-def _fits(job):
-    """Each replication's fit and the signed normalized score at its estimate.
+def _fit_rep(job):
+    """(theta_hat, boundary, signed normalized score at theta_hat) of each replication of a job.
 
     The replications are walked in chunks of about _CHUNK_DRAWS draws, and
     all their counts are fitted as one batch.
@@ -261,18 +261,8 @@ def _fits(job):
     per_chunk = max(1, _CHUNK_DRAWS // (runs[0].steps + runs[0].warmup_steps))
     counts = [c for i in range(0, len(runs), per_chunk)
               for c in _walk_counts(cfg, fam, theta0, runs[i:i + per_chunk])]
-    return _fit_batch(counts, cfg, fam)
-
-
-def _fit_rep(job):
-    """(theta_hat, boundary) of each replication of a job; shared by several drivers."""
-    return [(float(fit.theta_hat[0]), bool(fit.boundary)) for fit, _ in _fits(job)]
-
-
-def _fit_score_rep(job):
-    """_fit_rep plus the signed normalized score at the estimate."""
     return [(float(fit.theta_hat[0]), bool(fit.boundary), float(score[0]))
-            for fit, score in _fits(job)]
+            for fit, score in _fit_batch(counts, cfg, fam)]
 
 
 def _out(config: ExperimentConfig, name: str) -> Path:
@@ -295,7 +285,7 @@ def exp_score_convergence(config: ExperimentConfig) -> dict:
     rows = []
     spreads = {}
     for k in config.sizes:
-        results = _replications(_fit_score_rep, config, workers, k, config.replications)
+        results = _replications(config, workers, k, config.replications)
         for rep, (theta_hat, _, score_val) in enumerate(results):
             rows.append((k, rep, theta_hat, score_val))
         spreads[k] = float(np.std([r[2] for r in results]))
@@ -317,9 +307,9 @@ def exp_consistency(config: ExperimentConfig) -> dict:
     rows = []
     medians = {}
     for k in config.sizes:
-        results = _replications(_fit_rep, config, workers, k, config.replications)
+        results = _replications(config, workers, k, config.replications)
         errs = []
-        for rep, (theta_hat, _) in enumerate(results):
+        for rep, (theta_hat, _, _) in enumerate(results):
             rows.append((k, rep, theta_hat, abs(theta_hat - config.theta0)))
             errs.append(abs(theta_hat - config.theta0))
         medians[k] = float(np.median(errs))
@@ -336,7 +326,7 @@ def exp_consistency(config: ExperimentConfig) -> dict:
         for k in config.sizes:
             # replication 0's counts, scored at every theta in one table
             counts = _walk_counts(cfg, fam, [config.theta0], [_run_options(config, k, 0)])[0]
-            values = _Likelihood(counts, cfg, fam).scan(thetas[:, None])[0]
+            values = _Batch([counts], cfg, fam).at(thetas[:, None]).loglik
             w.writerows([k, repr(float(t)), repr(float(v))] for t, v in zip(thetas, values))
     _write_csv(_out(config, "consistency_summary.csv"), ["k", "median_abs_error"],
                [(k, medians[k]) for k in config.sizes])
@@ -357,9 +347,9 @@ def exp_normality(config: ExperimentConfig) -> dict:
     for k in config.sizes:
         sigma = theoretical_sigma([config.theta0], cfg, fam)
         std_theory = 1.0 / np.sqrt(float(sigma[0, 0]))
-        results = _replications(_fit_rep, config, workers, k, config.replications)
+        results = _replications(config, workers, k, config.replications)
         z_vals, rel_errors, n_boundary = [], [], 0
-        for rep, (theta_hat, boundary) in enumerate(results):
+        for rep, (theta_hat, boundary, _) in enumerate(results):
             z = float(np.sqrt(k) * (theta_hat - config.theta0) / std_theory)
             rel = (theta_hat - config.theta0) / config.theta0
             rows.append((k, rep, theta_hat, z, int(boundary)))
@@ -414,9 +404,8 @@ def exp_std_vs_price(config: ExperimentConfig) -> dict:
     for k in config.sizes if (config.k or config.k_list) else (1000,):
         for index, p in enumerate(prices):
             # the grid index keys the seed, so every price point has its own stream
-            fits = _replications(_fit_rep, config, workers, k, config.empirical_reps, index,
-                                 price=float(p))
-            interior = [t for t, boundary in fits if not boundary]
+            fits = _replications(config, workers, k, config.empirical_reps, index, price=float(p))
+            interior = [t for t, boundary, _ in fits if not boundary]
             if len(interior) >= 2:
                 emp = float(np.std(np.sqrt(k) * (np.array(interior) - config.theta0), ddof=1))
             else:

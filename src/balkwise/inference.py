@@ -2,13 +2,14 @@
 
 Because the up/down law of the jump chain depends only on the pre-transition
 state, a path enters the likelihood solely through per-state counts of up and
-down moves.  Every function here reduces the path to those counts once, so a
-likelihood evaluation costs O(number of distinct states), not O(path length);
-``fit_mle`` and ``score`` also take the counts themselves, the
-``(n_up, n_down)`` pair of ``transition_counts``.  A fit tabulates states,
-thresholds and counts once and scores its scan of 65 points per axis
-(65**dim in all) in one call on a (theta x state) table; every dimension
-then takes the same projected Newton polish.
+down moves.  Every likelihood value here comes from one table, ``_Batch``,
+which reduces each path to those counts once, so a likelihood evaluation
+costs O(number of distinct states), not O(path length); ``fit_mle`` and
+``score`` also take the counts themselves, the ``(n_up, n_down)`` pair of
+``transition_counts``.  A fit tabulates states, thresholds and counts once
+and scores its scan of 65 points per axis (65**dim in all) in one call on a
+(theta x state) table; every dimension then takes the same projected Newton
+polish.
 
 The fit is written once, as a generator of likelihood requests
 (``_fitting``).  The batch driver ``_fit_batch`` fits many replications
@@ -97,6 +98,13 @@ def transition_counts(path: QueuePath) -> _Counts:
     return _state_counts(path.states)
 
 
+def _left(data: Union[QueuePath, _Counts]):
+    """The states q >= 1 a path or its counts left, their up and down counts, and k."""
+    n_up, n_down = transition_counts(data) if isinstance(data, QueuePath) else map(np.asarray, data)
+    q = np.flatnonzero(n_up[1:] + n_down[1:]) + 1
+    return q, n_up[q], n_down[q], int(n_up.sum() + n_down.sum())
+
+
 # States whose up-probability is this small contribute less than double
 # precision can register to the score and information; including them only
 # manufactures 0/0 from underflowed intermediates.
@@ -137,73 +145,40 @@ def _state_sums(values, runs) -> np.ndarray:
 _LOGLIK, _EFFECTIVE, _DERIVATIVES = 0, 1, 2
 
 
-class _Likelihood:
-    """The likelihood of a path, or of its transition counts, on the states q >= 1 it left.
-
-    Holds their thresholds and up/down counts and k, the number of
-    transitions counted.  The log-likelihood sums the states somebody joins
-    (p_up > 0); a state nobody joins adds log 1 = 0 per down-move, or makes
-    an up-move impossible.  The effective sample counts the informative
-    states only.  Its values come from a one-replication _Batch; theta is
-    validated by the family's row methods.
-    """
-
-    def __init__(self, data: Union[QueuePath, _Counts], cfg: ModelConfig, fam: ValueFamily):
-        counts = transition_counts(data) if isinstance(data, QueuePath) else data
-        n_up, n_down = np.asarray(counts[0]), np.asarray(counts[1])
-        self.q = np.flatnonzero(n_up[1:] + n_down[1:]) + 1
-        self.thresholds = _threshold(self.q, cfg)
-        self.up, self.down = n_up[self.q], n_down[self.q]
-        self.k, self.cfg, self.fam = int(n_up.sum() + n_down.sum()), cfg, fam
-
-    def _at(self, thetas, need=_EFFECTIVE) -> _Values:
-        thetas = np.asarray(thetas, dtype=float).reshape(-1, self.fam.dim)
-        n = len(thetas)
-        return _Batch([self]).evaluate(np.zeros(n, dtype=int), thetas, need)
-
-    def loglik(self, theta) -> float:
-        return float(self._at(theta).loglik[0])
-
-    def scan(self, thetas) -> tuple[np.ndarray, np.ndarray]:
-        """loglik and the effective sample at each row of an (n, dim) array, from one table."""
-        values = self._at(thetas)
-        return values.loglik, values.effective
-
-    def effective(self, theta) -> int:
-        return int(self._at(theta).effective[0])
-
-    def score(self, theta) -> np.ndarray:
-        return self._at(theta, _DERIVATIVES).score[0]
-
-    def information(self, theta) -> np.ndarray:
-        return self._at(theta, _DERIVATIVES).information[0]
-
-
 class _Batch:
-    """The likelihoods of several replications, scored together.
+    """The likelihoods of several paths or transition counts, scored together.
 
-    Replication i's thresholds and counts fill the first m[i] columns of
-    (replications x max m) tables.  The rest of its row repeats the
-    threshold of its first state, with counts 0: it joins, is informative
-    and is floored as that state is, so a test over a whole row is one over
-    the replication's states.  Only sums need the row's own m[i] columns.
+    Each datum is reduced to the states q >= 1 it left, their thresholds
+    and up/down counts, and k, the number of transitions counted.  Datum
+    i's thresholds and counts fill the first m[i] columns of (data x max m)
+    tables.  The rest of its row repeats the threshold of its first state,
+    with counts 0: it joins, is informative and is floored as that state
+    is, so a test over a whole row is one over the datum's states.  Only
+    sums need the row's own m[i] columns.  theta is validated by the
+    family's row methods.
     """
 
-    def __init__(self, liks: list):
-        self.cfg, self.fam = liks[0].cfg, liks[0].fam
-        self.m = np.array([lik.q.size for lik in liks])
-        self.k = np.array([lik.k for lik in liks])
-        shape = (len(liks), int(self.m.max()))
+    def __init__(self, datas, cfg: ModelConfig, fam: ValueFamily):
+        self.cfg, self.fam = cfg, fam
+        left = [_left(data) for data in datas]
+        self.m = np.array([q.size for q, _, _, _ in left])
+        self.k = np.array([k for _, _, _, k in left])
+        shape = (len(left), int(self.m.max()))
         self.thresholds = np.empty(shape)
         self.up, self.down = np.zeros(shape), np.zeros(shape)  # float counts, exact below 2**53
-        for i, lik in enumerate(liks):
-            m = lik.q.size
-            self.thresholds[i] = lik.thresholds[0] if m else _threshold(1, self.cfg)
-            self.thresholds[i, :m] = lik.thresholds
-            self.up[i, :m], self.down[i, :m] = lik.up, lik.down
+        for i, (q, up, down, _) in enumerate(left):
+            m, thresholds = q.size, _threshold(q, cfg)
+            self.thresholds[i] = thresholds[0] if m else _threshold(1, cfg)
+            self.thresholds[i, :m] = thresholds
+            self.up[i, :m], self.down[i, :m] = up, down
+
+    def at(self, thetas, need=_LOGLIK) -> _Values:
+        """Datum 0's likelihood at theta, or at each row of an (n, dim) array."""
+        thetas = np.asarray(thetas, dtype=float).reshape(-1, self.fam.dim)
+        return self.evaluate(np.zeros(len(thetas), dtype=int), thetas, need)
 
     def evaluate(self, reps, thetas, need=_LOGLIK) -> _Values:
-        """The likelihood of replication reps[i] at thetas[i], for each point i, from one table.
+        """The likelihood of datum reps[i] at thetas[i], for each point i, from one table.
 
         need asks for the log-likelihood (_LOGLIK), also the effective
         sample (_EFFECTIVE) or also the score and information
@@ -217,7 +192,7 @@ class _Batch:
         lengths = self.m[reps]
         if len(self.m) > 1:
             r, up, down = self.thresholds[reps], self.up[reps], self.down[reps]
-        else:  # one replication: its row broadcasts
+        else:  # one datum: its row broadcasts
             r, up, down = self.thresholds, self.up, self.down
         surv = fam.sf_rows(r, thetas)
         lam_q = cfg.lam * surv
@@ -277,7 +252,7 @@ def log_likelihood(path: QueuePath, theta, cfg: ModelConfig, fam: ValueFamily) -
     the path is impossible under the parameter.
     """
     theta = fam.param_space.require(theta)
-    return _Likelihood(path, cfg, fam).loglik(theta)
+    return float(_Batch([path], cfg, fam).at(theta).loglik[0])
 
 
 def score(data: Union[QueuePath, _Counts], theta, cfg: ModelConfig, fam: ValueFamily) -> np.ndarray:
@@ -286,7 +261,7 @@ def score(data: Union[QueuePath, _Counts], theta, cfg: ModelConfig, fam: ValueFa
     ``data`` is a path or its ``transition_counts``.
     """
     theta = fam.param_space.require(theta)
-    return _Likelihood(data, cfg, fam).score(theta)
+    return _Batch([data], cfg, fam).at(theta, _DERIVATIVES).score[0]
 
 
 def observed_information(
@@ -294,7 +269,7 @@ def observed_information(
 ) -> np.ndarray:
     """Negative Jacobian of the normalized score at theta."""
     theta = fam.param_space.require(theta)
-    return _Likelihood(path, cfg, fam).information(theta)
+    return _Batch([path], cfg, fam).at(theta, _DERIVATIVES).information[0]
 
 
 def score_outer_product(
@@ -307,16 +282,16 @@ def score_outer_product(
     information, this one is for comparison.
     """
     theta = fam.param_space.require(theta)
-    lik = _Likelihood(path, cfg, fam)
-    tab = StateTable(lik.q, theta, cfg, fam)
+    q, up, down, k = _left(path)
+    tab = StateTable(q, theta, cfg, fam)
     live = tab.informative & (tab.p_up > _P_FLOOR)
     if not live.any():
         return np.zeros((fam.dim, fam.dim))
     per_up, per_down = tab.dp[live] / tab.p_up[live, None], tab.dp[live] / tab.p_down[live, None]
     return (
-        np.einsum("q,qj,ql->jl", lik.up[live].astype(float), per_up, per_up)
-        + np.einsum("q,qj,ql->jl", lik.down[live].astype(float), per_down, per_down)
-    ) / lik.k
+        np.einsum("q,qj,ql->jl", up[live].astype(float), per_up, per_up)
+        + np.einsum("q,qj,ql->jl", down[live].astype(float), per_down, per_down)
+    ) / k
 
 
 PARAM_TOL = 1e-10
@@ -449,7 +424,7 @@ def _fit_batch(datas, cfg: ModelConfig, fam: ValueFamily) -> list:
     datum, the score equal to score()'s there.  When fits raise, the error
     of the first of them in the order of datas is raised.
     """
-    batch = _Batch([_Likelihood(data, cfg, fam) for data in datas])
+    batch = _Batch(datas, cfg, fam)
     order = np.argsort(batch.m, kind="stable").tolist()
     grid = _scan_grid(fam.param_space)
     fits = [_fitting(int(k), fam, grid) for k in batch.k]

@@ -76,10 +76,6 @@ class ParamSpace:
     def width(self) -> np.ndarray:
         return self.upper - self.lower
 
-    @property
-    def center(self) -> np.ndarray:
-        return 0.5 * (self.lower + self.upper)
-
     def contains(self, theta) -> bool:
         t = np.atleast_1d(np.asarray(theta, dtype=float))
         return t.shape == self.lower.shape and bool(

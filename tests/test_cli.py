@@ -1,9 +1,12 @@
 import json
 import subprocess
 import sys
+
 import pytest
 
 from balkwise import cli
+from balkwise.experiments import ExperimentConfig, run_experiment
+from balkwise.inference import FitResult, confidence_interval
 
 
 def run_cli(args):
@@ -105,6 +108,49 @@ def test_experiment_subcommand(tmp_path, capsys):
     code = run_cli(["experiment", "revenue-vs-price", "--config", str(cfg)])
     assert code == 0
     assert (tmp_path / "out" / "revenue_vs_price.csv").exists()
+
+
+def test_experiment_flags_override_the_config(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"theta0": 0.02, "k": 200, "workers": 1, "seed": 1,
+                               "replications": 10, "format": "csv",
+                               "out_dir": str(tmp_path / "from-config")}))
+    out = tmp_path / "from-flags"
+    code = run_cli(["experiment", "score-convergence", "--config", str(cfg), "--seed", "7",
+                    "--out", str(out), "--replications", "3", "--format", "svg"])
+    assert code == 0
+    assert not (tmp_path / "from-config").exists()
+    assert (out / "score_convergence.svg").read_text().startswith("<svg")
+    rows = (out / "score_convergence.csv").read_text().splitlines()
+    assert rows[0] == "k,rep,theta_hat,score"
+    assert [row.split(",")[:2] for row in rows[1:]] == [["200", "0"], ["200", "1"], ["200", "2"]]
+    # the values are those of the driver run with the flags' seed
+    want = tmp_path / "direct"
+    run_experiment(ExperimentConfig(experiment="score-convergence", theta0=0.02, k=200, workers=1,
+                                    seed=7, replications=3, out_dir=str(want)))
+    assert (out / "score_convergence.csv").read_bytes() == (
+        want / "score_convergence.csv").read_bytes()
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["file"] == str(out / "score_convergence.csv")
+
+
+def test_fit_out_writes_the_fit_it_would_print(tmp_path, capsys):
+    assert run_cli(["simulate", "--theta0", "0.02", "--k", "2000", "--seed", "3",
+                    "--out", str(tmp_path / "sim")]) == 0
+    path_csv = str(tmp_path / "sim" / "path.csv")
+    capsys.readouterr()
+    assert run_cli(["fit", "--input", path_csv, "--level", "0.9"]) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "fit"
+    assert run_cli(["fit", "--input", path_csv, "--level", "0.9", "--out", str(out)]) == 0
+    assert capsys.readouterr().out.strip() == f"wrote {out / 'fit.json'}"
+    text = (out / "fit.json").read_text()
+    assert text == printed.strip()
+    payload = json.loads(text)
+    interval = payload.pop("confidence_interval")
+    fit = FitResult.from_json(json.dumps(payload))
+    assert fit.total_k == 2000 and not fit.boundary and abs(fit.theta_hat[0] - 0.02) < 0.02
+    assert interval == {"level": 0.9, "bounds": confidence_interval(fit, 0.9).tolist()}
 
 
 def test_validation_errors_exit_one(tmp_path, capsys):

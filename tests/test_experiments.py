@@ -257,6 +257,27 @@ def test_pricing_tables_driver(tmp_path):
     assert labels == list(TABLE_ROW_LABELS)
 
 
+def test_pricing_tables_count_the_runs_that_fail(tmp_path):
+    # at p1 = 10^6 and theta0 = 0.02 nobody joins the empty queue, so every
+    # run of that cell raises AbsorbingStateError
+    good, bad = ("doubling", 100, 100.0), ("doubling", 100, 1e6)
+    settings = dict(experiment="pricing-tables", pricing_runs=3, replications=1, seed=14)
+    _, alone = _run(tmp_path / "alone", pricing_cells=(good,), **settings)
+    _, both = _run(tmp_path / "both", pricing_cells=(good, bad), **settings)
+    good_key, bad_key = "doubling,k1=100,p1=100", "doubling,k1=100,p1=1e+06"
+    assert list(both["cells"]) == [good_key, bad_key]
+    assert both["cells"][good_key] == alone["cells"][good_key]
+    failed = both["cells"][bad_key]
+    assert failed["Failed runs"] == 3 and failed["unreliable"]
+    metrics = {label: value for label, value in failed.items()
+               if label not in ("Failed runs", "unreliable")}
+    assert len(metrics) == 9 and all(np.isnan(value) for value in metrics.values())
+    with open(both["file"]) as fh:
+        rows = [r for r in csv.reader(fh) if r[2] == repr(1e6)]
+    assert [r[3] for r in rows] == list(TABLE_ROW_LABELS)
+    assert [r[4] for r in rows] == ["nan"] * 7 + ["3.0"]
+
+
 def test_parallel_matches_serial(tmp_path, monkeypatch):
     monkeypatch.delenv("BALKWISE_THREADS", raising=False)
     inputs = [
@@ -296,6 +317,4 @@ def test_chunked_replications_match_one_path_per_replication(workers, k, reps):
         fit = fit_mle(path, cfg, fam)
         want.append((float(fit.theta_hat[0]), bool(fit.boundary),
                      float(score(path, fit.theta_hat, cfg, fam)[0])))
-    for fn, rows in ((experiments._fit_score_rep, want),
-                     (experiments._fit_rep, [w[:2] for w in want])):
-        assert experiments._replications(fn, config, workers, k, reps) == rows
+    assert experiments._replications(config, workers, k, reps) == want

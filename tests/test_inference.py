@@ -12,8 +12,10 @@ from balkwise import inference
 from balkwise.inference import (
     SCORE_RTOL,
     FitResult,
+    _DERIVATIVES,
+    _EFFECTIVE,
+    _Batch,
     _fit_batch,
-    _Likelihood,
     confidence_interval,
     fit_mle,
     log_likelihood,
@@ -335,24 +337,25 @@ fit_settings = settings(derandomize=True, deadline=None, database=None, max_exam
 def _scan_thetas(lik):
     """fit_mle's 65-point grid plus, per state, a theta just past the underflow of its survival."""
     lo, hi = WIDE.param_space.lower[0], WIDE.param_space.upper[0]
-    edges = 746.0 / lik.thresholds
+    edges = 746.0 / lik.thresholds[0]
     return np.concatenate([np.linspace(lo, hi, 65), edges[edges < hi]])
 
 
 def _assert_scan_matches_scalar(path, thetas):
-    lik = _Likelihood(path, ANCHOR, WIDE)
-    scan, effective = lik.scan(thetas[:, None])
+    lik = _Batch([path], ANCHOR, WIDE)
+    scan = lik.at(thetas[:, None], _EFFECTIVE)
     scalar = np.array([log_likelihood(path, [t], ANCHOR, WIDE) for t in thetas])
-    np.testing.assert_array_equal(effective, [lik.effective([t]) for t in thetas])
+    np.testing.assert_array_equal(scan.effective,
+                                  [lik.at([t], _EFFECTIVE).effective[0] for t in thetas])
     # bit for bit: the fit's golden phase takes its values from the scan
-    np.testing.assert_array_equal(scan, scalar)
+    np.testing.assert_array_equal(scan.loglik, scalar)
 
 
 @fit_settings
 @given(theta0=st.floats(0.005, 0.5), k=st.integers(20, 3000), seed=st.integers(0, 2**32 - 1))
 def test_scan_matches_log_likelihood_row_by_row(theta0, k, seed):
     path = simulate_path(ANCHOR, WIDE, [theta0], SimOptions(steps=k, seed=seed))
-    _assert_scan_matches_scalar(path, _scan_thetas(_Likelihood(path, ANCHOR, WIDE)))
+    _assert_scan_matches_scalar(path, _scan_thetas(_Batch([path], ANCHOR, WIDE)))
 
 
 @fit_settings
@@ -376,24 +379,25 @@ def test_fit_on_counts_equals_fit_on_a_hand_built_path(states, anchor_cfg, expo)
 
 def test_likelihood_keys_its_table_on_the_value_of_theta():
     # the fit changes its iterate in place; a table kept for the old value must not answer
-    lik = _Likelihood(make_path(WORKED_STATES), WORKED_CFG, WIDE)
+    lik = _Batch([make_path(WORKED_STATES)], WORKED_CFG, WIDE)
     x = np.array([0.3])
-    lik.loglik(x), lik.score(x)
+    lik.at(x, _DERIVATIVES)
     x[0] = 0.7
-    fresh = _Likelihood(make_path(WORKED_STATES), WORKED_CFG, WIDE)
-    assert lik.loglik(x) == fresh.loglik(np.array([0.7]))
-    np.testing.assert_array_equal(lik.score(x), fresh.score(np.array([0.7])))
-    np.testing.assert_array_equal(lik.information(x), fresh.information(np.array([0.7])))
-    assert lik.effective(x) == fresh.effective(np.array([0.7]))
+    again = lik.at(x, _DERIVATIVES)
+    fresh = _Batch([make_path(WORKED_STATES)], WORKED_CFG, WIDE).at(np.array([0.7]), _DERIVATIVES)
+    assert again.loglik[0] == fresh.loglik[0]
+    np.testing.assert_array_equal(again.score[0], fresh.score[0])
+    np.testing.assert_array_equal(again.information[0], fresh.information[0])
+    assert again.effective[0] == fresh.effective[0]
 
 
 def test_scan_sums_the_live_states_of_an_underflowed_row():
     # state 2 is left only downwards: past its underflow edge the row is
     # finite but has a state nobody joins; past state 1's it is -inf
     path = make_path([0, 1, 2, 1, 0, 1, 0])
-    thetas = _scan_thetas(_Likelihood(path, ANCHOR, WIDE))
+    thetas = _scan_thetas(_Batch([path], ANCHOR, WIDE))
     _assert_scan_matches_scalar(path, thetas)
-    scan = _Likelihood(path, ANCHOR, WIDE).scan(thetas[:, None])[0]
+    scan = _Batch([path], ANCHOR, WIDE).at(thetas[:, None]).loglik
     assert np.isfinite(scan[-1]) and np.isneginf(scan[-2])
 
 
@@ -418,10 +422,10 @@ def test_uniform_family_fits_through_the_row_by_row_scan(monkeypatch):
     # so the fit stays inside the box
     assert not fit.boundary and abs(fit.theta_hat[0] - 2.5) <= 0.2
     # the scan, row by row, scores each theta as log_likelihood does
-    lik = _Likelihood(path, cfg, fam)
+    lik = _Batch([path], cfg, fam)
     thetas = np.linspace(0.5, 5.0, 301)
     np.testing.assert_array_equal(
-        lik.scan(thetas[:, None])[0], [log_likelihood(path, [t], cfg, fam) for t in thetas]
+        lik.at(thetas[:, None]).loglik, [log_likelihood(path, [t], cfg, fam) for t in thetas]
     )
 
     # the same fit with every request answered one point at a time and a
@@ -493,7 +497,7 @@ def _grid_best(lik, n):
     """Best loglik over an n x n grid of the box, scored in one scan."""
     lower, upper = WEIBULL.param_space.lower, WEIBULL.param_space.upper
     a, b = np.meshgrid(np.linspace(lower[0], upper[0], n), np.linspace(lower[1], upper[1], n))
-    return lik.scan(np.column_stack([a.ravel(), b.ravel()]))[0].max()
+    return lik.at(np.column_stack([a.ravel(), b.ravel()])).loglik.max()
 
 
 def test_two_parameter_fit_and_information():
@@ -505,7 +509,7 @@ def test_two_parameter_fit_and_information():
     fit = fit_mle(path, WEIBULL_CFG, WEIBULL)
     assert not fit.boundary
     assert fit.score_norm <= 1e-6
-    assert fit.loglik >= _grid_best(_Likelihood(path, WEIBULL_CFG, WEIBULL), 61)
+    assert fit.loglik >= _grid_best(_Batch([path], WEIBULL_CFG, WEIBULL), 61)
     sigma = theoretical_sigma(theta0, WEIBULL_CFG, WEIBULL)
     np.testing.assert_array_equal(sigma, sigma.T)
     assert np.all(np.linalg.eigvalsh(sigma) > 0.0)
@@ -521,7 +525,7 @@ def test_two_parameter_fit_reaches_the_grid_optimum():
         SimOptions(steps=2000, seed=3, initial_state="stationary-warmup"),
     )
     fit = fit_mle(path, WEIBULL_CFG, WEIBULL)
-    assert fit.loglik >= _grid_best(_Likelihood(path, WEIBULL_CFG, WEIBULL), 61)
+    assert fit.loglik >= _grid_best(_Batch([path], WEIBULL_CFG, WEIBULL), 61)
     assert fit.score_norm <= SCORE_RTOL * max(1.0, abs(fit.loglik))
 
 
@@ -539,7 +543,7 @@ def test_two_parameter_fit_on_the_box_edge(theta0, k, seed):
     )
     fit = fit_mle(path, WEIBULL_CFG, WEIBULL)
     assert fit.boundary
-    assert fit.loglik >= _grid_best(_Likelihood(path, WEIBULL_CFG, WEIBULL), 61)
+    assert fit.loglik >= _grid_best(_Batch([path], WEIBULL_CFG, WEIBULL), 61)
 
 
 @pytest.mark.parametrize("price", [59.46427, 80.0])

@@ -9,6 +9,7 @@ from balkwise.model import (
     ExponentialFamily,
     ModelConfig,
     ParamSpace,
+    ValueFamily,
     grid_then_golden,
     is_informative,
     joining_rate,
@@ -22,7 +23,8 @@ from balkwise.pricing import PricingTrace, trace_metrics
 from balkwise.simulator import SimOptions, simulate_path
 from balkwise.stationary import (expected_revenue, optimal_price, price_upper_bound,
                                  revenue_curve, stationary_distribution, theoretical_sigma)
-from helpers import UniformValueFamily, golden_one_point_at_a_time, make_path
+from helpers import (UniformValueFamily, WeibullValueFamily, golden_one_point_at_a_time,
+                     make_path)
 
 
 def test_offered_reward_values():
@@ -199,9 +201,21 @@ def test_exponential_quantile(expo):
         assert expo.cdf(r, [0.25]) == pytest.approx(u, abs=1e-12)
 
 
-def test_generic_quantile_bisection(anchor_cfg):
-    fam = UniformValueFamily(width=2.0, lower=1.0, upper=10.0)
-    assert fam.quantile(0.25, [4.0]) == pytest.approx(4.5, abs=1e-9)
+def test_generic_quantile_bisection():
+    # the Weibull test family has no quantile of its own: ValueFamily's bisection runs
+    assert WeibullValueFamily.quantile is ValueFamily.quantile
+    fam = WeibullValueFamily([0.5, 2.0], [10.0, 60.0])
+    for shape, scale in ((2.0, 20.0), (0.5, 2.0), (10.0, 60.0), (0.7, 45.0)):
+        def closed(u):
+            return scale * (-math.log1p(-u)) ** (1.0 / shape)
+
+        # the closed form is 0 at u = 0; the bisection stops within 1e-14 of it
+        assert 0.0 <= fam.quantile(0.0, [shape, scale]) <= 1e-14
+        for u in (0.25, 0.5, 0.9):
+            assert fam.quantile(u, [shape, scale]) == pytest.approx(closed(u), rel=1e-13)
+        # near 1 the cdf resolves u to one rounding unit only, a relative error
+        # in the quantile of about 1e-16 / ((1 - u) shape log(1 / (1 - u)))
+        assert fam.quantile(1 - 1e-9, [shape, scale]) == pytest.approx(closed(1 - 1e-9), rel=1e-7)
 
 
 def test_is_informative(anchor_cfg, expo):

@@ -16,8 +16,12 @@ keep seeded results byte-identical can be checked with
     diff old.txt new.txt
 
 ``--dump DIR`` also writes each hashed output to DIR/<name>, so outputs that
-differ can be compared value by value.  Needs only the standard library and
-balkwise itself.
+differ can be compared value by value.  The lines are pinned in
+tests/data/output_digest.txt, which tests/test_output_digest.py checks;
+
+    PYTHONPATH=src python tools/output_digest.py > tests/data/output_digest.txt
+
+writes the pins anew.  Needs only the standard library and balkwise itself.
 """
 
 from __future__ import annotations
@@ -217,6 +221,16 @@ def outputs():
         yield f"price/worked-box-{bound}-bound", repr(optimal_price(theta, CFG, FAM_WORKED)).encode()
 
 
+def lines(dump=None):
+    """Yield the digest, one "sha256  name" line per output; with dump, also write each output."""
+    for name, data in outputs():
+        if dump is not None:
+            target = dump / name
+            target.parent.mkdir(parents=True, exist_ok=True)
+            target.write_bytes(data)
+        yield f"{hashlib.sha256(data).hexdigest()}  {name}"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--dump", type=Path, default=None,
@@ -224,12 +238,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     print(f"# balkwise {balkwise.__version__} from {Path(balkwise.__file__).parent}",
           file=sys.stderr)
-    for name, data in outputs():
-        if args.dump is not None:
-            target = args.dump / name
-            target.parent.mkdir(parents=True, exist_ok=True)
-            target.write_bytes(data)
-        print(f"{hashlib.sha256(data).hexdigest()}  {name}")
+    for line in lines(args.dump):
+        print(line)
     return 0
 
 
