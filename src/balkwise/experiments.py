@@ -222,7 +222,8 @@ def _pool_map(fn, jobs, workers: int):
 
 
 # Draws per walk chunk, the chains a job walks together: a chain of 10^5
-# steps is walked alone (measured, BENCH_count_walk.json)
+# steps is walked alone; two at a time ran faster but raised the peak
+# memory of the normality study (measured, BENCH_lean_walk.json)
 _CHUNK_DRAWS = 100_000
 # Replications per job, at most: a job fits all of its replications as one
 # batch, whose tables stay near 1 MB (measured, BENCH_batch_fit.json)

@@ -95,7 +95,7 @@ _Counts = tuple[np.ndarray, np.ndarray]
 
 def transition_counts(path: QueuePath) -> _Counts:
     """Per-state counts of up and down moves (indexed by pre-state)."""
-    return _state_counts(path.states)
+    return _state_counts(np.bincount(path.pre_states, minlength=1), path.states[0], path.states[-1])
 
 
 def _left(data: Union[QueuePath, _Counts]):
@@ -109,6 +109,9 @@ def _left(data: Union[QueuePath, _Counts]):
 # precision can register to the score and information; including them only
 # manufactures 0/0 from underflowed intermediates.
 _P_FLOOR = 1e-150
+# Points times states of the tables of one _Batch.evaluate step, at most: a
+# scan's tables then stay under 1 MB (measured, BENCH_lean_walk.json)
+_CELLS = 8192
 
 
 class _Values(NamedTuple):
@@ -186,8 +189,14 @@ class _Batch:
         bit: each point's terms are summed over its own states alone
         (_state_sums), over the states somebody joins when some are not,
         and over the floored states when some are not.  Points ordered by
-        state count form few runs.
+        state count form few runs.  Points are taken _CELLS table cells at
+        a time, which bounds the memory of a scan's tables.
         """
+        if len(thetas) > 1 and len(thetas) * self.thresholds.shape[1] > _CELLS:
+            step = max(1, _CELLS // self.thresholds.shape[1])
+            parts = [self.evaluate(reps[i:i + step], thetas[i:i + step], need)
+                     for i in range(0, len(thetas), step)]
+            return _Values(*(None if f[0] is None else np.concatenate(f) for f in zip(*parts)))
         cfg, fam = self.cfg, self.fam
         lengths = self.m[reps]
         if len(self.m) > 1:

@@ -180,6 +180,8 @@ class ValueFamily(ABC):
         theta = self.param_space.require(theta)
         if not 0.0 <= u < 1.0:
             raise ValueError("quantile level must lie in [0, 1)")
+        if self.cdf(0.0, theta) >= u:
+            return 0.0  # the lower end of the support
         lo, hi = 0.0, 1.0
         while self.cdf(hi, theta) < u:
             hi *= 2.0

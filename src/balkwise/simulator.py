@@ -9,16 +9,19 @@ return a QueuePath, which holds only what the manager observes: queue lengths,
 holding times and revenue.
 
 A long path is walked by predict-and-patch (``_walk``): its blocks are walked
-at once from guessed entries, then each is walked one step at a time from its
-true entry until it meets its prediction, so the guesses only set the speed.
-The same walk takes several chains at once as the blocks of one state vector;
-``_walk_counts`` reduces each chain to transition counts, all a fit needs.
+at once from guessed entries into one block-major table, then each block whose
+entry was wrong is walked one step at a time from its true entry until it
+meets the table's walk, so the guesses only set the speed.  The same walk
+takes several chains at once as the blocks of one table; ``_walk_counts``
+reduces each chain to transition counts, all a fit needs, from the states it
+visits (``_state_counts``).
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from itertools import repeat
 from numbers import Integral
 from typing import Optional, Sequence, Union
 
@@ -28,7 +31,9 @@ from .model import ModelConfig, StateTable, ValueFamily, _threshold
 
 STATIONARY_WARMUP = "stationary-warmup"
 DEFAULT_WARMUP_STEPS = 1000
-_BLOCK, _PREDICT_FROM = 128, 16384  # block size and fewest draws predicted, see _walk
+# block size and fewest draws predicted, see _walk (measured, BENCH_lean_walk.json)
+_BLOCK, _PREDICT_FROM = 64, 16384
+_PIECE = 64  # most blocks of uniforms drawn, or walked again, at a time
 
 
 class AbsorbingStateError(RuntimeError):
@@ -186,92 +191,146 @@ class SimOptions:
 def _walk(rngs, steps: int, start: int, theta, cfg: ModelConfig, fam: ValueFamily):
     """Run one jump chain of ``steps`` transitions from ``start`` per generator in ``rngs``.
 
-    Each chain draws its ``steps`` uniforms from its own generator.  Returns
-    the states, one row of ``steps + 1`` per chain, and the joining rate of
-    each state 0..at least the highest one visited.
-    A draw below p_up (1 at the empty queue) moves up.  From ``_PREDICT_FROM``
-    draws in all, ``_predict`` walks every ``_BLOCK``-step block of every chain
-    at once; each is then walked from its true entry only until it meets the
-    prediction, which from there moves from the same state on the same draws
-    and table: the true path.
+    Each chain draws its ``steps`` uniforms from its own generator.  A draw
+    below p_up (1 at the empty queue) moves up.  From ``_PREDICT_FROM`` draws
+    in all, the first ``blocks * _BLOCK`` steps of each chain are walked in
+    ``_BLOCK``-step blocks, whose uniforms go straight into a block-major
+    table (``_predict``).  The rest, the tail, takes the one-step walk.
+
+    Returns (table, tails, rates):
+    table -- int32, one column of ``_BLOCK + 1`` states per block, chain after
+             chain: column ``c * blocks + j`` holds the entry of block j of
+             chain c and the state after each of its steps;
+    tails -- per chain, the states from step ``blocks * _BLOCK`` to ``steps``;
+    rates -- the joining rate of each state 0..at least the highest visited.
     """
     lam_tab: list[float] = []
     pup: list[float] = []
 
-    def grow(upto: int) -> None:
-        lo = len(lam_tab)
-        tab = StateTable(np.arange(lo, max(upto, lo + 64)), theta, cfg, fam)
-        lam_tab.extend(tab.lam_q.tolist())
-        pup.extend(tab.p_up.tolist())
+    def cover(upto: int) -> None:
+        """Tabulate every state below ``upto``, in at least 64 more states at a time."""
+        if (lo := len(lam_tab)) < upto:
+            tab = StateTable(np.arange(lo, max(upto, lo + 64)), theta, cfg, fam)
+            lam_tab.extend(tab.lam_q.tolist())
+            pup.extend(tab.p_up.tolist())
 
-    grow(start + 2)
+    def walk(q: int, draws, ahead) -> list:
+        """The states after each draw from ``q``, up to the first one that ``ahead`` also has.
+
+        The caller covers every state the draws can reach from ``q``.
+        """
+        cover(q + len(draws) + 1)
+        walked = []
+        for u, predicted in zip(draws, ahead):
+            q = q + 1 if u < pup[q] else q - 1
+            if q == predicted:
+                break  # met the prediction, which from here on is the true path
+            walked.append(q)
+        return walked
+
+    cover(start + 2 * _BLOCK + 2)  # room for the first two blocks of steps
     if lam_tab[0] <= 0.0:
         raise AbsorbingStateError(
             "no customer ever joins the empty queue (joining rate 0 at state 0)"
         )
 
-    draws = np.empty((len(rngs), steps))
-    for rng, row in zip(rngs, draws):
-        rng.random(out=row)
-    states = np.empty((len(rngs), steps + 1), dtype=np.int64)
-    states[:, 0] = start
-    done = steps - steps % _BLOCK if draws.size >= _PREDICT_FROM else 0
-    entries = [[]] * len(rngs)  # predicted entry of each block, per chain
-    if done:
-        entries = _predict(draws[:, :done], start, states[:, 1:done + 1], pup, grow)
-    for row, chain_draws, chain_entries in zip(states, draws, entries):
-        for lo, guess in zip(range(0, done + 1, _BLOCK), chain_entries + [-1]):  # -1: not predicted
-            if (q := int(row[lo])) == guess:
-                continue  # predicted from its true entry
-            hi = lo + _BLOCK if lo < done else steps
-            span, walked = row[lo + 1:hi + 1], []
-            ahead = span.tolist() if lo < done else [-1] * (hi - lo)
-            for u, predicted in zip(chain_draws[lo:hi].tolist(), ahead):
-                if u < pup[q]:
-                    q += 1
-                    if q + 1 >= len(pup):
-                        grow(q + 2)
-                else:
-                    q -= 1
-                if q == predicted:
-                    break  # met the prediction, which from here on is the true path
-                walked.append(q)
-            span[:len(walked)] = walked
-    return states, np.asarray(lam_tab)
+    blocks = steps // _BLOCK if len(rngs) * steps >= _PREDICT_FROM else 0
+    table = np.full((_BLOCK + 1, len(rngs) * blocks), -1, dtype=np.int32)  # -1: not walked yet
+    draws = np.empty((_BLOCK, len(rngs) * blocks))
+    piece = np.empty(min(blocks, _PIECE) * _BLOCK)
+    tail_draws = []
+    for c, rng in enumerate(rngs):  # each chain's uniforms in path order, a piece at a time
+        for a in range(c * blocks, (c + 1) * blocks, _PIECE):
+            m = min(_PIECE, (c + 1) * blocks - a)
+            rng.random(out=piece[:m * _BLOCK])
+            draws[:, a:a + m] = piece[:m * _BLOCK].reshape(m, _BLOCK).T
+        tail_draws.append(memoryview(rng.random(steps - blocks * _BLOCK)))
+    if blocks:
+        _predict(draws, start, table, blocks, pup, cover)
+        # walk again from each block whose entry is not where the block before it ends,
+        # on through the blocks after it until the walk meets the table's
+        moved = table[0, 1:] != table[-1, :-1]
+        moved[blocks - 1::blocks] = False  # each chain's first block starts at its true entry
+        for j in (np.flatnonzero(moved) + 1).tolist():
+            width, last = 4, j - j % blocks + blocks  # blocks per call, 4, 8, ...; the chain's end
+            while j < last and (q := int(table[-1, j - 1])) != table[0, j]:
+                k = min(j + width, last)
+                ahead = table[1:, j:k].T.ravel()  # the table's walk over blocks j..k-1, in path order
+                walked = walk(q, memoryview(draws[:, j:k].T.ravel()), memoryview(ahead))
+                ahead[:len(walked)] = walked  # from where it met, the table's walk is the true one
+                table[1:, j:k] = ahead.reshape(k - j, _BLOCK).T
+                entered = min(len(walked) // _BLOCK, k - j - 1)  # blocks after j the walk reached
+                table[0, j] = q
+                table[0, j + 1:j + 1 + entered] = ahead[_BLOCK - 1:entered * _BLOCK:_BLOCK]
+                if len(walked) < len(ahead):
+                    break  # met the table's walk
+                j, width = k, min(2 * width, _PIECE)
+    ends = table[-1, blocks - 1::blocks].tolist() if blocks else [start] * len(rngs)
+    tails = []
+    for tail, chain_draws in zip(([q] for q in ends), tail_draws):
+        for a in range(0, len(chain_draws), _BLOCK):  # a block at a time: the table grows as it climbs
+            tail += walk(tail[-1], chain_draws[a:a + _BLOCK], repeat(-1))
+        tails.append(np.array(tail, dtype=np.int64))
+    return table, tails, np.asarray(lam_tab)
 
 
-def _predict(draws: np.ndarray, start: int, out: np.ndarray, pup: list, grow) -> list:
-    """Walk every ``_BLOCK``-step block of every row of ``draws`` at once into ``out``.
+def _predict(draws: np.ndarray, start: int, table: np.ndarray, blocks: int, pup: list, cover) -> None:
+    """Walk every block of ``table`` at once, each on its column of ``draws``.
 
-    Returns the entries used, one list per row.  Pass 1 enters block j > 0 of
-    a chain at ``(start + j*_BLOCK) % 2``, pass 2 where pass 1 left block j-1.
-    Walks of one parity on the same draws never cross (p_up does not rise
-    with the state), so pass 2 starts nearly every block at its true entry.
+    Pass 1 enters block j > 0 of a chain at ``(start + j*_BLOCK) % 2``, the
+    parity of its true entry.  Each later pass enters each block where the
+    pass before left the block before it.  Walks of one parity on the same
+    draws never cross (p_up does not rise with the state), and once they meet
+    they are one walk.  So a later pass walks only the blocks whose entry
+    moved, each only until it meets the walk the table holds, and leaves the
+    table as a full pass would.  At step 0, 1, 2, 4, ... a pass drops the
+    blocks that met, once they are at least half of those still walked.
+    After two passes, another follows while, at the last one's rate, it would
+    put at least ``_BLOCK`` more entries right.
     """
-    chains, blocks = draws.shape[0], draws.shape[1] // _BLOCK
-    u = np.ascontiguousarray(draws.reshape(-1, _BLOCK).T)
-    pred = np.empty((_BLOCK + 1, chains * blocks), dtype=np.int64)
-    pred[0] = np.tile(np.r_[start, (start + _BLOCK * np.arange(1, blocks)) % 2], chains)
-    for _ in range(2):
-        while len(pup) <= int(pred[0].max()) + _BLOCK + 1:  # past every state a block can reach
-            grow(len(pup) + 1)
+    n = table.shape[1]
+    q = np.tile((start + _BLOCK * np.arange(blocks, dtype=np.int32)) % 2, n // blocks)
+    q[::blocks] = start
+    moved, passes = n, 0  # blocks whose entry the pass moves
+    while moved:
+        cover(int(q.max()) + _BLOCK + 2)  # past every state a block can reach
         up_at = np.array(pup)
-        for i in range(_BLOCK):
-            pred[i + 1] = pred[i] - 1 + 2 * (u[i] < up_at.take(pred[i]))
-        entries = pred[0].copy()
-        pred[0, 1:], pred[0, ::blocks] = pred[-1, :-1], start  # each chain's first block: its start
-        if np.array_equal(pred[0], entries):
-            break  # each block was entered where the one before ended: all true entries
-    out[:] = pred[1:].T.reshape(chains, blocks * _BLOCK)
-    return entries.reshape(chains, blocks).tolist()
+        cols = slice(None)
+        for i in range(_BLOCK + 1):
+            row = table[i]
+            if i & (i - 1) == 0:
+                live = q != row[cols]  # not yet on the walk the table holds
+                count = np.count_nonzero(live)
+                if not count:
+                    break
+                if 2 * count <= len(q):
+                    q, cols = q[live], np.arange(n)[cols][live]
+            row[cols] = q
+            if i < _BLOCK:
+                q = q - 1 + 2 * (draws[i][cols] < up_at.take(q))
+        q = np.roll(table[-1], 1)
+        q[::blocks] = start
+        left, passes = np.count_nonzero(q != table[0]), passes + 1
+        if passes >= 2 and left * (moved - left) < _BLOCK * moved:
+            break  # at this pass's rate the next one would put fewer than _BLOCK entries right
+        moved = left
 
 
-def _state_counts(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-state counts of up and down moves of a state sequence (indexed by pre-state)."""
-    pre = states[:-1]
-    size = int(pre.max()) + 1 if len(pre) else 1
-    counts = np.bincount(2 * pre + (states[1:] > pre), minlength=2 * size)
-    return counts[1::2], counts[0::2]
+def _state_counts(visits: np.ndarray, first: int, last: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-state counts of up and down moves of a walk of unit steps on q >= 0 (indexed by pre-state).
+
+    ``visits[q]`` counts the walk's steps from q, and ``first`` and ``last``
+    are its end states.  The flows over each edge balance,
+    n_down[q+1] = n_up[q] - [last > q] + [first > q], and
+    n_up[q] + n_down[q] = visits[q], so n_up is an alternating cumulative sum.
+    """
+    flows = visits.copy()  # visits[q] + [last >= q] - [first >= q], the sign of q's parity
+    flows[:last + 1] += 1
+    flows[:first + 1] -= 1
+    flows[1::2] *= -1
+    n_up = np.cumsum(flows)
+    n_up[1::2] *= -1
+    return n_up, visits - n_up
 
 
 def build_path(
@@ -283,8 +342,8 @@ def build_path(
     times one standard exponential each, both from ``rng``; the caller owns
     the generator, so consecutive calls continue one random stream.
     """
-    all_states, lam_tab = _walk([rng], warmup + steps, start, theta, cfg, fam)
-    states = all_states[0, warmup:]
+    table, tails, lam_tab = _walk([rng], warmup + steps, start, theta, cfg, fam)
+    states = np.concatenate((table[:-1].T.ravel(), tails[0]), dtype=np.int64)[warmup:]
     pre = states[:-1]
     ups = states[1:] > pre
 
@@ -308,15 +367,26 @@ def _walk_counts(
 
     The runs differ only in their seeds.  Their chains are walked together,
     on the uniforms ``simulate_path`` draws first, and no holding times are
-    drawn: the counts are all a fit reads.
+    drawn: the counts are all a fit reads, and they follow from the states
+    each chain visits after its warm-up.
     """
     theta0 = fam.param_space.require(theta0)
     (start, warmup), steps = runs[0].resolve(), runs[0].steps
     if any((opts.resolve(), opts.steps) != ((start, warmup), steps) for opts in runs):
         raise ValueError("the runs of one walk must share their start, warm-up and length")
     rngs = [np.random.default_rng(opts.seed) for opts in runs]
-    states = _walk(rngs, warmup + steps, start, theta0, cfg, fam)[0]
-    return [_state_counts(row[warmup:]) for row in states]
+    table, tails, rates = _walk(rngs, warmup + steps, start, theta0, cfg, fam)
+    blocks, size = table.shape[1] // len(runs), len(rates)
+    done = blocks * _BLOCK
+    counts = []
+    for c, tail in enumerate(tails):
+        own = table[:-1, c * blocks:(c + 1) * blocks]  # each block step's pre-state
+        head = own[:, :-(-warmup // _BLOCK)].T.ravel()[:warmup]  # the warm-up's, in path order
+        visits = (np.bincount(own.ravel(), minlength=size) - np.bincount(head, minlength=size)
+                  + np.bincount(tail[max(warmup - done, 0):-1], minlength=size))
+        first = own[warmup % _BLOCK, warmup // _BLOCK] if warmup < done else tail[warmup - done]
+        counts.append(_state_counts(visits[:np.flatnonzero(visits)[-1] + 1], first, tail[-1]))
+    return counts
 
 
 def simulate_path(

@@ -176,6 +176,15 @@ def test_build_path_matches_the_one_step_walk(lam, cost_c, price, theta, start, 
 # many short chains: the chunk is block-walked although no chain is
 @example(lam=1.0, cost_c=1.0, price=15.0, theta=0.02, steps=BLOCK, warmup=37, start=7,
          chains=150, seed=4)
+# the warm-up ends exactly on a block boundary
+@example(lam=2.0, cost_c=0.5, price=0.0, theta=0.05, steps=PREDICT_FROM + 45, warmup=BLOCK,
+         start=7, chains=2, seed=6)
+# a warm-up of several blocks and a remainder
+@example(lam=3.0, cost_c=0.2, price=0.0, theta=0.05, steps=16_813, warmup=3 * BLOCK + 17,
+         start=0, chains=3, seed=7)
+# a chain of an exact multiple of the block: no tail
+@example(lam=1.0, cost_c=1.0, price=15.0, theta=0.02, steps=PREDICT_FROM, warmup=2 * BLOCK,
+         start=0, chains=2, seed=8)
 def test_count_walk_matches_the_counts_of_simulate_path(lam, cost_c, price, theta, steps, warmup,
                                                         start, chains, seed):
     """Each chain of a chunk is counted exactly as its own simulate_path, holds left out.
@@ -200,6 +209,27 @@ def test_count_walk_matches_the_counts_of_simulate_path(lam, cost_c, price, thet
             want_up, want_down = transition_counts(path)
             np.testing.assert_array_equal(n_up, want_up)
             np.testing.assert_array_equal(n_down, want_down)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(start=st.integers(0, 9), ups=st.lists(st.booleans(), min_size=1, max_size=400))
+# one step each: up from the empty queue, up and down from above it
+@example(start=0, ups=[False])
+@example(start=3, ups=[True])
+@example(start=3, ups=[False])
+# ends below the start, on the empty queue
+@example(start=5, ups=[False] * 5)
+def test_counts_from_visits_match_the_transitions(start, ups):
+    """The flow balance turns the visits of a walk reflected at 0 into its exact move counts."""
+    states = [start]
+    for up in ups:
+        states.append(states[-1] + 1 if up or states[-1] == 0 else states[-1] - 1)
+    states = np.array(states)
+    pre, post = states[:-1], states[1:]
+    size = int(pre.max()) + 1
+    n_up, n_down = simulator._state_counts(np.bincount(pre), states[0], states[-1])
+    np.testing.assert_array_equal(n_up, np.bincount(pre[post > pre], minlength=size))
+    np.testing.assert_array_equal(n_down, np.bincount(pre[post < pre], minlength=size))
 
 
 def test_count_walk_runs_share_their_settings(anchor_cfg, expo):
