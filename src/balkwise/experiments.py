@@ -465,14 +465,14 @@ TABLE_ROW_LABELS = (
 def _pricing_run(job):
     """Metrics of one seeded pricing run, or None when the run raises RuntimeError.
 
-    The job carries the optimum at theta0, found once per driver call.
+    The job carries the optimum at theta0 and a theta0 row function, made once per driver call.
     """
     cfg, fam, theta0, pcfg, seed, optimum = job
     try:
         trace = run_pricing(cfg, fam, pcfg, theta0=theta0, seed=seed)
     except RuntimeError:
         return None
-    m = _trace_metrics(trace, theta0, cfg, fam, *optimum)
+    m = _trace_metrics(trace, *optimum)
     return (
         m.iterations,
         m.total_observations,

@@ -39,8 +39,8 @@ from typing import NamedTuple, Optional, Union
 import numpy as np
 
 from .model import (ModelConfig, StateTable, ValueFamily, _d2p, _dp, _golden_search, _jump_law,
-                    _threshold)
-from .simulator import QueuePath, _state_counts
+                    _threshold, _varies)
+from .simulator import QueuePath
 
 
 @dataclass(frozen=True)
@@ -95,7 +95,10 @@ _Counts = tuple[np.ndarray, np.ndarray]
 
 def transition_counts(path: QueuePath) -> _Counts:
     """Per-state counts of up and down moves (indexed by pre-state)."""
-    return _state_counts(np.bincount(path.pre_states, minlength=1), path.states[0], path.states[-1])
+    pre = path.pre_states
+    size = int(pre.max()) + 1 if len(pre) else 1
+    counts = np.bincount(2 * pre + (path.states[1:] > pre), minlength=2 * size)
+    return counts[1::2], counts[0::2]
 
 
 def _left(data: Union[QueuePath, _Counts]):
@@ -139,7 +142,7 @@ def _state_sums(values, runs) -> np.ndarray:
     in the order of that row alone: a sum depends on no other point, and
     no padding enters it.
     """
-    sums = [values[a:b, :m].sum(axis=1) for a, b, m in runs]
+    sums = [np.add.reduce(values[a:b, :m], axis=1) for a, b, m in runs]
     return sums[0] if len(sums) == 1 else np.concatenate(sums)
 
 
@@ -157,8 +160,12 @@ class _Batch:
     tables.  The rest of its row repeats the threshold of its first state,
     with counts 0: it joins, is informative and is floored as that state
     is, so a test over a whole row is one over the datum's states.  Only
-    sums need the row's own m[i] columns.  theta is validated by the
-    family's row methods.
+    sums need the row's own m[i] columns.  All of that, and the run of a
+    single datum's points, is set up once; a round computes only what
+    depends on its points, and the informative mask only when it needs the
+    effective sample.  Points are in the box: the log-likelihood reads
+    the family's unvalidated ``_sf_rows``, the derivatives its validating
+    row methods.
     """
 
     def __init__(self, datas, cfg: ModelConfig, fam: ValueFamily):
@@ -174,6 +181,8 @@ class _Batch:
             self.thresholds[i] = thresholds[0] if m else _threshold(1, cfg)
             self.thresholds[i, :m] = thresholds
             self.up[i, :m], self.down[i, :m] = up, down
+        # one datum's row serves every point, which make one run of its state count
+        self.runs = [(0, None, int(self.m[0]))] if len(left) == 1 else None
 
     def at(self, thetas, need=_LOGLIK) -> _Values:
         """Datum 0's likelihood at theta, or at each row of an (n, dim) array."""
@@ -198,20 +207,20 @@ class _Batch:
                      for i in range(0, len(thetas), step)]
             return _Values(*(None if f[0] is None else np.concatenate(f) for f in zip(*parts)))
         cfg, fam = self.cfg, self.fam
-        lengths = self.m[reps]
-        if len(self.m) > 1:
+        if self.runs:  # one datum: its row broadcasts
+            r, up, down, runs = self.thresholds, self.up, self.down, self.runs
+        else:
             r, up, down = self.thresholds[reps], self.up[reps], self.down[reps]
-        else:  # one datum: its row broadcasts
-            r, up, down = self.thresholds, self.up, self.down
-        surv = fam.sf_rows(r, thetas)
+            runs = _runs(self.m[reps])
+        surv = fam._sf_rows(r, thetas)
         lam_q = cfg.lam * surv
-        p_up, p_down, informative = _jump_law(lam_q, surv, cfg.mu)
+        p_up, p_down = _jump_law(lam_q, cfg.mu)
         with np.errstate(divide="ignore", invalid="ignore"):
             terms_up, terms_down = up * np.log(p_up), down * np.log(p_down)
-        runs = _runs(lengths)
         loglik = _state_sums(terms_up, runs) + _state_sums(terms_down, runs)
         joins = p_up > 0.0
         if not joins.all():
+            lengths = self.m[reps]
             for i in np.flatnonzero(~joins.all(axis=1)):  # summed over the states somebody joins
                 states, some = slice(lengths[i]), joins[i, :lengths[i]]
                 loglik[i] = terms_up[i, states][some].sum() + terms_down[i, states][some].sum()
@@ -219,10 +228,12 @@ class _Batch:
             loglik[((p_up == 0.0) & (up > 0)).any(axis=1)] = -np.inf
         if need < _EFFECTIVE:
             return _Values(loglik)
+        informative = _varies(surv)
         effective = np.where(informative, up + down, 0).sum(axis=1)
         if need < _DERIVATIVES:
             return _Values(loglik, effective)
 
+        lengths = self.m[reps]
         grad = fam.grad_cdf_rows(r, thetas)
         denom = cfg.mu + lam_q
         dp, d2p = _dp(cfg, denom, grad), _d2p(cfg, denom, grad, fam.hess_cdf_rows(r, thetas))
@@ -450,9 +461,16 @@ def _fit_batch(datas, cfg: ModelConfig, fam: ValueFamily) -> list:
     for i in range(len(fits)):
         step(i, None)
     while asks:
-        asked, asks = asks, {}
-        for need in sorted({need for _, need in asked.values()}):
-            reps = [i for i in order if asked.get(i, (None, None))[1] == need]
+        asked, asks, needs = asks, {}, {}
+        for i in order:
+            if i in asked:
+                needs.setdefault(asked[i][1], []).append(i)
+        for need in sorted(needs):
+            reps = needs[need]
+            if len(reps) == 1:
+                i, points = reps[0], asked[reps[0]][0]
+                step(i, batch.evaluate(np.full(len(points), i), points, need))
+                continue
             points = [asked[i][0] for i in reps]
             sizes = [len(p) for p in points]
             values = batch.evaluate(np.repeat(reps, sizes), np.concatenate(points), need)

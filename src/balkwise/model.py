@@ -162,6 +162,13 @@ class ValueFamily(ABC):
         """Survival at each row of r under the matching parameter row: shape (n, m)."""
         return self._by_row(self.sf, r, thetas)
 
+    def _sf_rows(self, r, thetas):
+        """sf_rows at an (n, dim) array of rows in the box, for the likelihood rounds.
+
+        A family may override it to skip its own validation; by default it is sf_rows.
+        """
+        return self.sf_rows(r, thetas)
+
     def grad_cdf_rows(self, r, thetas):
         """grad_cdf at each row of r under the matching parameter row: shape (n, m, dim)."""
         return self._by_row(self.grad_cdf, r, thetas)
@@ -234,7 +241,10 @@ class ExponentialFamily(ValueFamily):
         return float(out) if out.ndim == 0 else out
 
     def sf_rows(self, r, thetas):
-        r, decay = self._decay(r, self.param_space.require_rows(thetas))
+        return self._sf_rows(r, self.param_space.require_rows(thetas))
+
+    def _sf_rows(self, r, thetas):
+        r, decay = self._decay(r, thetas)
         return np.where(r >= 0.0, decay, 1.0)
 
     def grad_cdf(self, r, theta):
@@ -278,11 +288,16 @@ def offered_reward(q, cfg: ModelConfig):
     return float(out) if out.ndim == 0 else out
 
 
-def _jump_law(lam_q, surv, mu):
-    """p_up, p_down and informativeness of jumps out of states q >= 1 with joining rates lam_q."""
-    # exactly 0 < surv < 1: bounded-support families attain 0 or 1 structurally
+def _jump_law(lam_q, mu):
+    """p_up and p_down of jumps out of states q >= 1 with joining rates lam_q."""
     denom = mu + lam_q
-    return lam_q / denom, mu / denom, (surv > 0.0) & (surv < 1.0)
+    return lam_q / denom, mu / denom
+
+
+def _varies(surv):
+    """Whether the balking probability at these survivals depends on theta: 0 < surv < 1."""
+    # exactly: bounded-support families attain 0 or 1 structurally
+    return (surv > 0.0) & (surv < 1.0)
 
 
 def _dp(cfg: ModelConfig, denom, grad):
@@ -325,12 +340,12 @@ class StateTable:
 
     @cached_property
     def _law(self):
-        return _jump_law(self.lam_q, self.surv, self.cfg.mu)
+        return _jump_law(self.lam_q, self.cfg.mu)
 
     @cached_property
     def informative(self) -> np.ndarray:
         """Transitions out of q depend on theta: q > 0 and 0 < surv < 1 exactly."""
-        return (self.q > 0) & self._law[2]
+        return (self.q > 0) & _varies(self.surv)
 
     @cached_property
     def _denom(self) -> np.ndarray:
@@ -426,20 +441,14 @@ def _golden_points(a: float, b: float, x1: float, x2: float, depth: int, tol: fl
     for _ in range(depth):
         deeper = []
         for a, b, x1, x2 in level:
-            if b - a <= _width_tol(a, b, tol):
-                continue
-            up = x1 + _INVPHI * (b - x1)  # f1 < f2: the bracket becomes (x1, b)
-            down = x2 - _INVPHI * (x2 - a)  # otherwise: (a, x2)
-            out += (up, down)
-            deeper += ((x1, b, x2, up), (a, x2, down, x1))
+            scale = abs(a) + abs(b)  # the stopping test, as _golden_search's
+            if b - a > tol * (scale if scale > 1.0 else 1.0):
+                up = x1 + _INVPHI * (b - x1)  # f1 < f2: the bracket becomes (x1, b)
+                down = x2 - _INVPHI * (x2 - a)  # otherwise: (a, x2)
+                out += (up, down)
+                deeper += ((x1, b, x2, up), (a, x2, down, x1))
         level = deeper
     return out
-
-
-def _width_tol(a: float, b: float, tol: float) -> float:
-    """tol * max(1, |a| + |b|): the golden phase stops once its bracket (a, b) is this narrow."""
-    scale = abs(a) + abs(b)
-    return tol * (scale if scale > 1.0 else 1.0)
 
 
 def grid_then_golden(scan, lo: float, hi: float, grid: int, tol: float, batch, depth: int) -> float:
@@ -475,32 +484,40 @@ def _golden_search(points, values, tol: float, depth: int):
 
     The generator yields each list of points it needs scored, takes their
     values back (as grid_then_golden's ``batch`` gives them) and returns
-    the maximizer.
+    the maximizer.  A step tests the bracket's width inline and reads the
+    value of its new point from the last batch; only a point that batch
+    did not score, or left NaN, makes it ask again.
     """
     best = int(np.argmax(values))
     a, b = float(points[max(best - 1, 0)]), float(points[min(best + 1, len(points) - 1)])
     x1, x2 = b - _INVPHI * (b - a), a + _INVPHI * (b - a)
     known = {}  # the last batch: no later step needs a point of an earlier one
 
-    def value(x, a, b, x1, x2, extra=()):
-        v = known.get(x, math.nan)
-        if v != v:  # not scored yet, or left NaN: one batch of x, extra and the next steps' points
-            ahead = [x, *extra, *_golden_points(a, b, x1, x2, depth - 1, tol)]
-            values = yield ahead
-            known.clear()
-            known.update(zip(ahead, values))
-            v = known[x]
-        return v
+    def ask(*xs):
+        """One batch of xs and every point the next steps can score; the value of xs[0]."""
+        ahead = [*xs, *_golden_points(a, b, x1, x2, depth - 1, tol)]
+        values = yield ahead
+        known.clear()
+        known.update(zip(ahead, values))
+        return known[xs[0]]
 
-    f1 = yield from value(x1, a, b, x1, x2, extra=[x2])
-    f2 = yield from value(x2, a, b, x1, x2)
-    while b - a > _width_tol(a, b, tol):
+    f1 = yield from ask(x1, x2)
+    f2 = known[x2]
+    if f2 != f2:  # left NaN
+        f2 = yield from ask(x2)
+    while True:
+        scale = abs(a) + abs(b)  # stop once b - a <= tol * max(1, |a| + |b|)
+        if b - a <= tol * (scale if scale > 1.0 else 1.0):
+            return np.float64(0.5 * (a + b))
         if f1 < f2:
             a, x1, f1 = x1, x2, f2
             x2 = a + _INVPHI * (b - a)
-            f2 = yield from value(x2, a, b, x1, x2)
+            f2 = known.get(x2, math.nan)
+            if f2 != f2:  # not scored yet, or left NaN
+                f2 = yield from ask(x2)
         else:
             b, x2, f2 = x2, x1, f1
             x1 = b - _INVPHI * (b - a)
-            f1 = yield from value(x1, a, b, x1, x2)
-    return np.float64(0.5 * (a + b))
+            f1 = known.get(x1, math.nan)
+            if f1 != f1:
+                f1 = yield from ask(x1)

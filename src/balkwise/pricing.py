@@ -108,7 +108,7 @@ class PricingConfig:
     boundary_policy: str = "retry"
 
     def __post_init__(self):
-        if self.initial_price < 0:
+        if not self.initial_price >= 0:
             raise ValueError("initial price must be nonnegative")
         if self.k1_min < 1:
             raise ValueError("k1_min must be >= 1")
@@ -369,35 +369,36 @@ def trace_metrics(
     whose estimate stayed out of the pool has no model prediction, so it is
     charged the true revenue gap at the price it held.
     """
-    return _trace_metrics(trace, theta0, cfg_base, fam, *_optimum(theta0, cfg_base, fam))
+    return _trace_metrics(trace, *_optimum(theta0, cfg_base, fam))
 
 
-def _optimum(theta0, cfg_base: ModelConfig, fam: ValueFamily) -> tuple[float, float]:
-    """The revenue-maximizing price at theta0 and its revenue."""
+def _optimum(theta0, cfg_base: ModelConfig, fam: ValueFamily) -> tuple:
+    """The revenue-maximizing price at theta0, and a theta0 row function for more prices."""
     p_star = optimal_price(theta0, cfg_base, fam)
-    return p_star, expected_revenue(p_star, theta0, cfg_base, fam)
+    return p_star, _Row(fam.param_space.require(theta0), cfg_base, fam, TRUNC_EPS)
 
 
-def _trace_metrics(trace: PricingTrace, theta0, cfg_base: ModelConfig, fam: ValueFamily,
-                   p_star: float, rev_star: float) -> TraceMetrics:
-    """trace_metrics given the optimum at theta0 (``_optimum``).
+def _trace_metrics(trace: PricingTrace, p_star: float, row: _Row) -> TraceMetrics:
+    """trace_metrics given the optimum at theta0 and a theta0 row function (``_optimum``).
 
-    The true revenue at the final price and at each price used comes from
-    one theta0 row function in one batch pass, equal to expected_revenue's.
+    The true revenues at the optimum, at the final price and at each price
+    used come from one batch pass of that row; the model revenues of the
+    pooled records from one pass over their (estimate, price used) rows.
+    Each equals expected_revenue's.
     """
-    row = _Row(fam.param_space.require(theta0), cfg_base, fam, TRUNC_EPS)
-    prices = [trace.final_price, *(r.price_used for r in trace.records)]
-    final_rev, *at_used = row.revenues(prices, len(prices))
+    prices = [p_star, trace.final_price, *(r.price_used for r in trace.records)]
+    rev_star, final_rev, *at_used = row.revenues(prices, len(prices))
+    pooled = [r for r in trace.records if r.pooled]
+    thetas = np.array([r.theta_i for r in pooled]).reshape(len(pooled), row.fam.dim)
+    model = iter(_Row(thetas, row.cfg, row.fam, TRUNC_EPS).revenues(
+        [r.price_used for r in pooled], len(pooled)))
     num = 0.0
     den = 0.0
     lost = 0.0
     for r, rev_at_used in zip(trace.records, at_used):
         num += r.time_ti * rev_at_used
         den += r.time_ti * rev_star
-        if r.pooled:
-            rev_model = expected_revenue(r.price_used, r.theta_i, cfg_base, fam)
-        else:
-            rev_model = rev_at_used
+        rev_model = next(model) if r.pooled else rev_at_used
         lost += r.time_ti * (rev_star - rev_model)
     return TraceMetrics(
         optimal_price=p_star,

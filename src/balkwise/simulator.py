@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from itertools import repeat
 from numbers import Integral
 from typing import Optional, Sequence, Union
 
@@ -214,13 +213,18 @@ def _walk(rngs, steps: int, start: int, theta, cfg: ModelConfig, fam: ValueFamil
             lam_tab.extend(tab.lam_q.tolist())
             pup.extend(tab.p_up.tolist())
 
-    def walk(q: int, draws, ahead) -> list:
+    def walk(q: int, draws, ahead=None) -> list:
         """The states after each draw from ``q``, up to the first one that ``ahead`` also has.
 
-        The caller covers every state the draws can reach from ``q``.
+        Without ``ahead``, the states after every draw.
         """
         cover(q + len(draws) + 1)
         walked = []
+        if ahead is None:
+            for u in draws:
+                q = q + 1 if u < pup[q] else q - 1
+                walked.append(q)
+            return walked
         for u, predicted in zip(draws, ahead):
             q = q + 1 if u < pup[q] else q - 1
             if q == predicted:
@@ -269,7 +273,7 @@ def _walk(rngs, steps: int, start: int, theta, cfg: ModelConfig, fam: ValueFamil
     tails = []
     for tail, chain_draws in zip(([q] for q in ends), tail_draws):
         for a in range(0, len(chain_draws), _BLOCK):  # a block at a time: the table grows as it climbs
-            tail += walk(tail[-1], chain_draws[a:a + _BLOCK], repeat(-1))
+            tail += walk(tail[-1], chain_draws[a:a + _BLOCK])
         tails.append(np.array(tail, dtype=np.int64))
     return table, tails, np.asarray(lam_tab)
 
@@ -343,7 +347,10 @@ def build_path(
     the generator, so consecutive calls continue one random stream.
     """
     table, tails, lam_tab = _walk([rng], warmup + steps, start, theta, cfg, fam)
-    states = np.concatenate((table[:-1].T.ravel(), tails[0]), dtype=np.int64)[warmup:]
+    if table.size:  # the blocks' states, then the tail's
+        states = np.concatenate((table[:-1].T.ravel(), tails[0]), dtype=np.int64)[warmup:]
+    else:
+        states = tails[0][warmup:]
     pre = states[:-1]
     ups = states[1:] > pre
 

@@ -31,8 +31,8 @@ GOLDEN_TOL = 1e-9  # relative bracket width at which a price search stops
 TRUNC_EPS = 1e-12  # tail mass left out when the stationary law is truncated
 PRICE_FLOOR = 0.01  # lowest price a price search considers
 PRICE_GRID = 256  # prices a search scores before its golden phase
-_NARROW = 32  # states a price scan's table starts with, doubled for the rows that need more
-_ROW = 128  # states a single price's row starts with
+_NARROW = 32  # states a price row or scan's table starts with, doubled for the rows that need more
+_ROW = 128  # states a single price's row widens to before the tables take over
 JOIN_FRAC = 1e-6  # price_upper_bound: share of lam still joining the empty queue
 # steps a speculative search settles per batched call (measured, BENCH_speculative_search.json)
 _PRICE_DEPTH = 3  # optimal_price's golden phase: 7 rows per call
@@ -86,16 +86,15 @@ def _weigh(lam_q, mu: float, eps: float):
     ratio = lam_q / mu
     weights = np.empty_like(lam_q)
     weights[:, 0] = 1.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        np.cumprod(ratio[:, :-1], axis=1, out=weights[:, 1:])
-        partial = np.cumsum(weights, axis=1)
-    big = ~np.isfinite(partial[:, -1])
-    if big.any():  # redo an overflowing row in logs, scaled by its largest weight
-        with np.errstate(divide="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        np.multiply.accumulate(ratio[:, :-1], axis=1, out=weights[:, 1:])  # cumprod, unwrapped
+        partial = np.add.accumulate(weights, axis=1)
+        if not partial[:, -1].max() < np.inf:  # redo an overflowing row in logs, scaled by its top
+            big = ~np.isfinite(partial[:, -1])
             logs = np.cumsum(np.log(ratio[big, :-1]), axis=1)
-        top = np.maximum(logs.max(axis=1, keepdims=True), 0.0)
-        weights[big] = np.exp(np.concatenate([np.zeros_like(top), logs], axis=1) - top)
-        partial[big] = np.cumsum(weights[big], axis=1)
+            top = np.maximum(logs.max(axis=1, keepdims=True), 0.0)
+            weights[big] = np.exp(np.concatenate([np.zeros_like(top), logs], axis=1) - top)
+            partial[big] = np.cumsum(weights[big], axis=1)
     return weights, partial, (ratio < 0.5) & (weights < eps * partial)
 
 
@@ -151,32 +150,66 @@ def _truncated_tables(prices, theta, cfg: ModelConfig, fam: ValueFamily, eps: fl
 class _Row:
     """price -> weights, joining rates and accumulated weight of its row, to its truncation state.
 
-    One _ROW-state pass serves a row cut within it at which somebody joins
-    the empty queue; any other row, and its errors, go to _truncated_tables
-    from double that width.  ``revenues`` makes that pass for many prices in
-    one call.  theta is validated by the callers.
+    A pass tabulates its rows _NARROW (32) states wide and doubles the
+    width of the rows it leaves unsettled, up to _ROW (128) states: at a
+    revenue-maximizing price a row ends within 4 to 25 states.
+    It settles a row cut within its states at which somebody joins the
+    empty queue; any other row, and its errors, go to _truncated_tables
+    from double _ROW.  Up to a state a row does not depend on the width
+    (_weigh), so each width gives the values of one _ROW-state pass.
+    ``revenues`` makes that pass for many prices in one call.  theta is one
+    parameter its callers validated, or an (n, dim) array of rows, row i
+    for the i-th price ``revenues`` scores (validated there by ``sf_rows``).
     """
 
     def __init__(self, theta, cfg: ModelConfig, fam: ValueFamily, eps: float):
         if not 0.0 < eps < 1.0:
             raise ValueError("tail tolerance must lie in (0, 1)")
-        self.theta, self.cfg, self.fam, self.eps = theta, cfg, fam, eps
+        self.theta, self.cfg, self.fam, self.eps = np.asarray(theta, dtype=float), cfg, fam, eps
         self.offsets = _threshold(np.arange(_ROW), cfg, price=0.0)  # price + offsets: the thresholds
 
-    def _pass(self, prices: np.ndarray):
-        """Weights, accumulated weights and joining rates of _ROW states at each price, and each
-        row's end: one past its truncation state, or 0 when the pass does not settle the row."""
-        surv = self.fam._sf(prices[:, None] + self.offsets, self.theta)
-        lam_q = self.cfg.lam * np.asarray(surv, dtype=float)
-        weights, partial, ok = _weigh(lam_q, self.cfg.mu, self.eps)
-        ends = np.where((lam_q[:, 0] > 0.0) & ok.any(axis=1), np.argmax(ok, axis=1) + 1, 0)
-        return weights, partial, lam_q, ends
+    def _groups(self, prices: np.ndarray, pending: np.ndarray) -> list:
+        """The rows of prices[pending] the pass settles: (rows, weights, lam_q, totals) per group.
+
+        A group's rows share a truncation state: rows are their indices
+        into prices, weights and lam_q their (rows, state + 1) tables up to
+        that state, and totals the accumulated weights there.  One sum over
+        a group's table then covers all its rows.
+        """
+        out, width = [], _NARROW
+        while len(pending):
+            thresholds = prices[pending, None] + self.offsets[:width]
+            if self.theta.ndim == 1:
+                surv = self.fam._sf(thresholds, self.theta)
+            else:
+                surv = self.fam.sf_rows(thresholds, self.theta[pending])
+            lam_q = self.cfg.lam * np.asarray(surv, dtype=float)
+            weights, partial, ok = _weigh(lam_q, self.cfg.mu, self.eps)
+            # each row's truncation state; 0 where nobody joins the empty queue, or where
+            # no state within the width cuts the row (_weigh never cuts at state 0)
+            qstar = (ok.argmax(axis=1) * (lam_q[:, 0] > 0.0)).tolist()
+            first = qstar[0]
+            if first and qstar.count(first) == len(qstar):  # one group, of every row
+                out.append((pending, weights[:, :first + 1], lam_q[:, :first + 1],
+                            partial[:, first]))
+                return out
+            groups = {}
+            for i, q in enumerate(qstar):
+                groups.setdefault(q, []).append(i)
+            unsettled = groups.pop(0, None)
+            for q, rows in groups.items():
+                out.append((pending[rows], weights[rows, :q + 1], lam_q[rows, :q + 1],
+                            partial[rows, q]))
+            if unsettled is None or width == _ROW:
+                break
+            pending, width = pending[unsettled], 2 * width
+        return out
 
     def __call__(self, price: float):
-        weights, partial, lam_q, ends = self._pass(np.array([price], dtype=float))
-        end = int(ends[0])
-        if end:
-            return weights[0, :end], lam_q[0, :end], partial[0, end - 1]
+        groups = self._groups(np.array([price], dtype=float), np.zeros(1, dtype=int))
+        if groups:
+            _, weights, lam_q, totals = groups[0]
+            return weights[0], lam_q[0], totals[0]
         _, weights, lam_q, totals, qstar = _truncated_tables(
             [price], self.theta, self.cfg, self.fam, self.eps, 2 * _ROW)[-1]
         return weights[0, : qstar[0] + 1], lam_q[0, : qstar[0] + 1], totals[0]
@@ -184,25 +217,22 @@ class _Row:
     def revenues(self, prices, settle: int) -> np.ndarray:
         """_revenue at each price, bit for bit, from one pass over all of them.
 
-        The rows are summed in groups that share a truncation state, so each
-        sum runs over the states _revenue sums, in its order.  The first
+        Each run of rows that share a truncation state is summed in one call,
+        each row over the states _revenue sums, in its order.  The first
         ``settle`` prices are always scored, in order, raising what
         expected_revenue raises; a later one whose row the pass does not
         settle, or that is not a nonnegative price, is NaN.
         """
         prices = np.asarray(prices, dtype=float)
-        weights, _, lam_q, ends = self._pass(prices)
-        ends[~(prices >= 0)] = 0
         out = np.full(len(prices), np.nan)
-        for end in set(ends.tolist()) - {0}:
-            rows = ends == end
-            w = weights[rows, :end]
-            out[rows] = (w * lam_q[rows, :end]).sum(axis=1) / w.sum(axis=1)
+        for rows, weights, lam_q, _ in self._groups(prices, np.flatnonzero(prices >= 0)):
+            out[rows] = np.add.reduce(weights * lam_q, axis=1) / np.add.reduce(weights, axis=1)
         out *= prices
-        for i in np.flatnonzero(ends[:settle] == 0):
+        for i in [i for i, value in enumerate(out[:settle].tolist()) if value != value]:
             if not prices[i] >= 0:
                 raise ValueError("price must be nonnegative")
-            out[i] = _revenue(self, prices[i])
+            row = self if self.theta.ndim == 1 else _Row(self.theta[i], self.cfg, self.fam, self.eps)
+            out[i] = _revenue(row, prices[i])
         return out
 
 
@@ -385,33 +415,46 @@ def optimal_price(theta, cfg: ModelConfig, fam: ValueFamily) -> float:
     the golden phase scores _PRICE_DEPTH steps ahead per call on
     expected_revenue's one-row function, built once per search, without its
     checks.  So the result is that of a scan by expected_revenue whenever
-    both pick the same grid point.
+    both pick the same grid point.  Raises TruncationError when nobody
+    effectively joins above PRICE_FLOOR (_price_ceiling).
     """
     theta = fam.param_space.require(theta)
     row = _Row(theta, cfg, fam, TRUNC_EPS)
     return grid_then_golden(
         lambda prices: _revenue_scan(prices, theta, cfg, fam),
         PRICE_FLOOR,
-        price_upper_bound(theta, cfg, fam),
+        _price_ceiling(theta, cfg, fam),
         PRICE_GRID,
         GOLDEN_TOL,
-        lambda prices: row.revenues(prices, 1),
+        lambda prices: row.revenues(prices, 1).tolist(),
         _PRICE_DEPTH,
     )
+
+
+def _price_ceiling(theta, cfg: ModelConfig, fam: ValueFamily) -> float:
+    """price_upper_bound, the top of a price search, which must lie above PRICE_FLOOR."""
+    hi = price_upper_bound(theta, cfg, fam)
+    if hi <= PRICE_FLOOR:
+        share = fam.sf(_threshold(0, cfg, price=0.0), theta)
+        raise TruncationError(
+            f"no price to search: the share of arrivals joining the empty queue is {share:.3g} "
+            f"at price 0 and falls below JOIN_FRAC ({JOIN_FRAC:g}) by price {hi:.3g}, "
+            f"not above PRICE_FLOOR ({PRICE_FLOOR:g})")
+    return hi
 
 
 def min_std_price(theta, cfg: ModelConfig, fam: ValueFamily) -> float:
     """Price that minimizes the asymptotic estimation standard deviation.
 
     Each point is one asymptotic_std call; the golden phase scores one
-    point at a time.
+    point at a time.  Raises TruncationError as optimal_price does.
     """
 
     def scores(prices):
         return [-float(asymptotic_std(p, theta, cfg, fam)[0]) for p in prices]
 
     return grid_then_golden(
-        scores, PRICE_FLOOR, price_upper_bound(theta, cfg, fam), PRICE_GRID, GOLDEN_TOL, scores, 1
+        scores, PRICE_FLOOR, _price_ceiling(theta, cfg, fam), PRICE_GRID, GOLDEN_TOL, scores, 1
     )
 
 

@@ -14,6 +14,7 @@ from balkwise.inference import (
     FitResult,
     _DERIVATIVES,
     _EFFECTIVE,
+    _LOGLIK,
     _Batch,
     _fit_batch,
     confidence_interval,
@@ -649,6 +650,32 @@ def test_batch_raises_the_error_of_its_first_failing_fit(tables, bad):
 @example(price=59.46427, tables=[PLATEAU, ALL_DOWN])
 def test_batched_two_parameter_fits_equal_one_fit_each(price, tables):
     _assert_batch_equals_one_fit_each(tables, WEIBULL_CFG.with_price(price), WEIBULL)
+
+
+@batch_settings
+@given(
+    setting=st.sampled_from(range(len(EXPONENTIAL_SETTINGS) + 1)),
+    tables=st.lists(st.one_of(count_tables(25), st.sampled_from([ALL_DOWN, ALL_UP, PLATEAU])),
+                    min_size=2, max_size=5),
+    fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6),
+)
+def test_one_datum_round_equals_its_row_of_a_shared_table(setting, tables, fractions):
+    # a one-datum _Batch sets its run up once and broadcasts its row; a shared
+    # table gathers rows per point and finds their runs per round
+    cfg, fam = [*EXPONENTIAL_SETTINGS, (WEIBULL_CFG, WEIBULL)][setting]
+    space = fam.param_space
+    thetas = space.clip(space.lower + np.array(fractions)[:, None] * space.width)
+    n = len(thetas)
+    shared = _Batch(tables, cfg, fam)
+    for need in (_LOGLIK, _EFFECTIVE, _DERIVATIVES):
+        together = shared.evaluate(np.repeat(np.arange(len(tables)), n),
+                                   np.tile(thetas, (len(tables), 1)), need)
+        for i, counts in enumerate(tables):
+            alone = _Batch([counts], cfg, fam).evaluate(np.zeros(n, dtype=int), thetas, need)
+            for one, row in zip(alone, together.rows(slice(i * n, (i + 1) * n))):
+                assert (one is None) == (row is None)
+                if one is not None:
+                    assert one.tobytes() == row.tobytes()
 
 
 def test_import_does_not_load_scipy():

@@ -5,12 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from balkwise.model import ModelConfig
+from balkwise.model import ExponentialFamily, ModelConfig, ParamSpace
 from balkwise.pricing import (
     IterationRecord,
     PricingConfig,
     PricingTrace,
     SimulatedSource,
+    TraceMetrics,
     pooled_theta,
     revenue_gap,
     run_pricing,
@@ -41,6 +42,8 @@ def _record(index, k, theta, price_used=15.0, price_next=20.0, rev=10.0, t=5.0, 
 def test_pricing_config_validation():
     with pytest.raises(ValueError):
         PricingConfig(initial_price=-1.0)
+    with pytest.raises(ValueError, match="initial price must be nonnegative"):
+        PricingConfig(initial_price=math.nan)
     with pytest.raises(ValueError):
         PricingConfig(initial_price=1.0, k1_min=0)
     with pytest.raises(ValueError):
@@ -355,3 +358,66 @@ def test_trace_metrics_lost_revenue_formula(expo):
     m = trace_metrics(trace, [0.02], BASE, expo)
     expected_lost += 3.0 * (rev_star - expected_revenue(25.0, [0.02], BASE, expo))
     assert m.total_lost_revenue == pytest.approx(expected_lost, rel=1e-9)
+
+
+def _metrics_by_expected_revenue(trace, theta0, cfg, fam):
+    """trace_metrics from one expected_revenue call per revenue it needs."""
+    p_star = optimal_price(theta0, cfg, fam)
+    rev_star = expected_revenue(p_star, theta0, cfg, fam)
+    num = den = lost = 0.0
+    for r in trace.records:
+        rev_at_used = expected_revenue(r.price_used, theta0, cfg, fam)
+        num += r.time_ti * rev_at_used
+        den += r.time_ti * rev_star
+        rev_model = expected_revenue(r.price_used, r.theta_i, cfg, fam) if r.pooled else rev_at_used
+        lost += r.time_ti * (rev_star - rev_model)
+    return TraceMetrics(
+        optimal_price=p_star,
+        optimal_revenue=rev_star,
+        final_price=trace.final_price,
+        final_fraction=expected_revenue(trace.final_price, theta0, cfg, fam) / rev_star,
+        cumulative_fraction=num / den,
+        total_lost_revenue=lost,
+        final_price_error=abs(trace.final_price - p_star),
+        iterations=len(trace.records),
+        total_observations=sum(r.k_i for r in trace.records),
+    )
+
+
+def _weibull_trace():
+    # seed 1 of test_two_parameter_pricing_run: plateau batches stay out of the pool
+    fam = WeibullValueFamily([0.5, 2.0], [10.0, 60.0])
+    base = ModelConfig(lam=1.0, mu=1.0, cost_c=1.0, price=5.0)
+    pcfg = PricingConfig(initial_price=5.0, k1_min=50, schedule="doubling",
+                         max_observations=6000, boundary_policy="skip")
+    return run_pricing(base, fam, pcfg, theta0=[2.0, 20.0], seed=1), [2.0, 20.0], base, fam
+
+
+def _exponential_trace():
+    # the run of test_boundary_skip_holds_price, skipped batches before and after the first pool
+    expo = ExponentialFamily(ParamSpace([0.01], [5.0]))
+    pcfg = PricingConfig(initial_price=120.0, k1_min=2, schedule="increment", tol=1e-9,
+                         max_observations=400, boundary_policy="skip")
+    return run_pricing(BASE, expo, pcfg, theta0=[0.02], seed=1), [0.02], BASE, expo
+
+
+def _hand_trace():
+    # low prices and a low estimate: rows past the row function's one pass (139 and 694
+    # states at theta 0.005 and 0.001, price 0)
+    records = (
+        _record(1, 50, 0.005, price_used=0.0, price_next=0.0, rev=1.0, t=2.0),
+        _record(2, 50, math.nan, price_used=0.0, price_next=0.0, rev=1.0, t=3.0, pooled=False),
+        _record(3, 60, 0.001, price_used=0.0, price_next=30.0, rev=2.0, t=4.0),
+        _record(4, 70, 0.04, price_used=30.0, price_next=30.0, rev=2.0, t=1.5),
+    )
+    expo = ExponentialFamily(ParamSpace([1e-3], [5.0]))
+    return PricingTrace(records, final_price=30.0, stopped_reason="budget"), [0.005], BASE, expo
+
+
+@pytest.mark.parametrize("make", [_exponential_trace, _hand_trace, _weibull_trace],
+                         ids=["exponential", "wide-rows", "weibull"])
+def test_trace_metrics_equal_one_expected_revenue_per_revenue(make):
+    trace, theta0, cfg, fam = make()
+    assert any(r.pooled for r in trace.records) and not all(r.pooled for r in trace.records)
+    assert trace_metrics(trace, theta0, cfg, fam) == _metrics_by_expected_revenue(
+        trace, theta0, cfg, fam)

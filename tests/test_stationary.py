@@ -577,3 +577,39 @@ def test_row_batch_raises_only_for_the_prices_it_must_score(model, prices, error
     single = _raised(lambda: expected_revenue(prices[0], theta, cfg, fam))
     assert type(batch) is type(single) is error
     assert str(batch) == str(single)
+
+
+@table_settings
+@given(
+    log_theta=st.floats(math.log(1e-3), math.log(5.0)),
+    fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=9),
+    settle=st.integers(0, 10),
+)
+# rows of 8, 694 and 556 states: the last two pass _ROW and are NaN unless settled
+@example(log_theta=math.log(1e-3), fractions=[0.3, 0.0, 0.01], settle=1)
+# rows of 51, 46, 19 and 5 states: the first two widen past the start width
+@example(log_theta=math.log(0.02), fractions=[0.0, 0.01, 0.1, 0.6], settle=2)
+# rows of 112, 139 and 4 states, all settled: the second through the tables
+@example(log_theta=math.log(0.005), fractions=[0.01, 0.0, 0.9], settle=3)
+@example(log_theta=math.log(5.0), fractions=[1.0, 0.0], settle=0)
+def test_row_batch_from_its_start_width_equals_expected_revenue(log_theta, fractions, settle):
+    theta = np.array([min(max(math.exp(log_theta), 1e-3), 5.0)])
+    prices = np.array(fractions) * price_upper_bound(theta, ANCHOR, EXPO)
+    row = _Row(theta, ANCHOR, EXPO, TRUNC_EPS)
+    batch = row.revenues(prices, settle)
+    for i, price in enumerate(prices):
+        if i >= settle and len(row(price)[0]) > _ROW:
+            assert np.isnan(batch[i])
+        else:
+            assert batch[i] == expected_revenue(price, theta, ANCHOR, EXPO)
+
+
+# lam = mu = 1, c = 3 and theta = 5: a share 3.06e-7 < JOIN_FRAC joins the empty queue even at
+# price 0, so price_upper_bound (8.3e-25) lies below PRICE_FLOOR and no search range is left
+@pytest.mark.parametrize("search", [optimal_price, min_std_price])
+def test_price_searches_on_a_collapsed_range_raise(search):
+    cfg, fam = ModelConfig(1.0, 1.0, 3.0, 1.0), ExponentialFamily(ParamSpace([0.01], [10.0]))
+    assert price_upper_bound([5.0], cfg, fam) <= PRICE_FLOOR
+    with pytest.raises(TruncationError, match=r"share of arrivals .* is 3\.06e-07 at price 0 .*"
+                                              r"JOIN_FRAC \(1e-06\)"):
+        search([5.0], cfg, fam)
