@@ -10,10 +10,10 @@ worker pool.  The BALKWISE_THREADS environment variable caps the pool size.
 The replication drivers (consistency, normality, score convergence and the
 std-vs-price overlay) split their replications into jobs: at least one per
 worker, and at most _FIT_BATCH replications each.  A job walks its
-replications in walk chunks of about _CHUNK_DRAWS draws, each chunk one
-lockstep walk that keeps only transition counts, and then fits all of its
-counts as one fit batch (inference._fit_batch), whose fits equal fit_mle's
-bit for bit.
+replications to transition counts (simulator._walk_counts, two chains of
+10^5 steps to a lockstep walk table, more of shorter ones), and then fits
+all of its counts as one fit batch (inference._fit_batch), whose fits equal
+fit_mle's bit for bit.
 """
 
 from __future__ import annotations
@@ -221,10 +221,6 @@ def _pool_map(fn, jobs, workers: int):
         return list(pool.map(fn, jobs, chunksize=max(1, len(jobs) // (4 * workers))))
 
 
-# Draws per walk chunk, the chains a job walks together: a chain of 10^5
-# steps is walked alone; two at a time ran faster but raised the peak
-# memory of the normality study (measured, BENCH_lean_walk.json)
-_CHUNK_DRAWS = 100_000
 # Replications per job, at most: a job fits all of its replications as one
 # batch, whose tables stay near 1 MB (measured, BENCH_batch_fit.json)
 _FIT_BATCH = 64
@@ -255,15 +251,13 @@ def _replications(config: ExperimentConfig, workers: int, k: int, reps: int, *ke
 def _fit_rep(job):
     """(theta_hat, boundary, signed normalized score at theta_hat) of each replication of a job.
 
-    The replications are walked in chunks of about _CHUNK_DRAWS draws, and
-    all their counts are fitted as one batch.
+    The replications are walked to transition counts, as many chains to a
+    walk table as simulator._TABLE_DRAWS admits (two at k = 10^5), and all
+    their counts are fitted as one batch.
     """
     cfg, fam, theta0, runs = job
-    per_chunk = max(1, _CHUNK_DRAWS // (runs[0].steps + runs[0].warmup_steps))
-    counts = [c for i in range(0, len(runs), per_chunk)
-              for c in _walk_counts(cfg, fam, theta0, runs[i:i + per_chunk])]
     return [(float(fit.theta_hat[0]), bool(fit.boundary), float(score[0]))
-            for fit, score in _fit_batch(counts, cfg, fam)]
+            for fit, score in _fit_batch(_walk_counts(cfg, fam, theta0, runs), cfg, fam)]
 
 
 def _out(config: ExperimentConfig, name: str) -> Path:

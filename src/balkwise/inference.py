@@ -163,9 +163,9 @@ class _Batch:
     sums need the row's own m[i] columns.  All of that, and the run of a
     single datum's points, is set up once; a round computes only what
     depends on its points, and the informative mask only when it needs the
-    effective sample.  Points are in the box: the log-likelihood reads
-    the family's unvalidated ``_sf_rows``, the derivatives its validating
-    row methods.
+    effective sample.  Points are in the box, so every round reads the
+    family's unvalidated row hooks, ``_sf_rows`` and
+    ``_cdf_derivative_rows``.
     """
 
     def __init__(self, datas, cfg: ModelConfig, fam: ValueFamily):
@@ -234,9 +234,9 @@ class _Batch:
             return _Values(loglik, effective)
 
         lengths = self.m[reps]
-        grad = fam.grad_cdf_rows(r, thetas)
+        grad, hess = fam._cdf_derivative_rows(r, thetas)
         denom = cfg.mu + lam_q
-        dp, d2p = _dp(cfg, denom, grad), _d2p(cfg, denom, grad, fam.hess_cdf_rows(r, thetas))
+        dp, d2p = _dp(cfg, denom, grad), _d2p(cfg, denom, grad, hess)
         outer = np.einsum("...j,...l->...jl", dp, dp)
         live = informative & (p_up > _P_FLOOR)
         up, down, p_up, p_down = up[..., None], down[..., None], p_up[..., None], p_down[..., None]

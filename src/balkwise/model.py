@@ -177,6 +177,13 @@ class ValueFamily(ABC):
         """hess_cdf at each row of r under the matching parameter row: shape (n, m, dim, dim)."""
         return self._by_row(self.hess_cdf, r, thetas)
 
+    def _cdf_derivative_rows(self, r, thetas):
+        """(grad_cdf_rows, hess_cdf_rows) at an (n, dim) array of rows in the box, for the fits.
+
+        A family may override it to skip its own validation; by default it is the two row methods.
+        """
+        return self.grad_cdf_rows(r, thetas), self.hess_cdf_rows(r, thetas)
+
     def _by_row(self, method, r, thetas):
         rows = self.param_space.require_rows(thetas)
         r = np.broadcast_to(np.asarray(r, dtype=float), (len(rows), np.shape(r)[-1]))
@@ -252,10 +259,6 @@ class ExponentialFamily(ValueFamily):
         g = np.where(r >= 0.0, r * decay, 0.0)
         return np.atleast_1d(g)[..., None] if g.ndim else np.array([float(g)])
 
-    def grad_cdf_rows(self, r, thetas):
-        r, decay = self._decay(r, self.param_space.require_rows(thetas))
-        return np.where(r >= 0.0, r * decay, 0.0)[..., None]
-
     def hess_cdf(self, r, theta):
         r, decay = self._decay(r, self.param_space.require(theta)[0])
         h = np.where(r >= 0.0, -(r**2) * decay, 0.0)
@@ -263,9 +266,11 @@ class ExponentialFamily(ValueFamily):
             return np.array([[float(h)]])
         return h[:, None, None]
 
-    def hess_cdf_rows(self, r, thetas):
-        r, decay = self._decay(r, self.param_space.require_rows(thetas))
-        return np.where(r >= 0.0, -(r**2) * decay, 0.0)[..., None, None]
+    def _cdf_derivative_rows(self, r, thetas):
+        r, decay = self._decay(r, thetas)
+        joins = r >= 0.0
+        return (np.where(joins, r * decay, 0.0)[..., None],
+                np.where(joins, -(r**2) * decay, 0.0)[..., None, None])
 
     def quantile(self, u: float, theta) -> float:
         theta = self.param_space.require(theta)[0]

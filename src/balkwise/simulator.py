@@ -13,8 +13,9 @@ at once from guessed entries into one block-major table, then each block whose
 entry was wrong is walked one step at a time from its true entry until it
 meets the table's walk, so the guesses only set the speed.  The same walk
 takes several chains at once as the blocks of one table; ``_walk_counts``
-reduces each chain to transition counts, all a fit needs, from the states it
-visits (``_state_counts``).
+walks up to ``_TABLE_DRAWS`` draws of chains to a table and reduces each
+chain to transition counts, all a fit needs, from the states it visits
+(``_state_counts``).
 """
 
 from __future__ import annotations
@@ -32,6 +33,9 @@ STATIONARY_WARMUP = "stationary-warmup"
 DEFAULT_WARMUP_STEPS = 1000
 # block size and fewest draws predicted, see _walk (measured, BENCH_lean_walk.json)
 _BLOCK, _PREDICT_FROM = 64, 16384
+# most draws walked to one table by _walk_counts: two chains of 10^5 steps after the default
+# warm-up, whose draws and table take about 2.4 MB (measured, BENCH_wide_tables.json)
+_TABLE_DRAWS = 2 * 101_000
 _PIECE = 64  # most blocks of uniforms drawn, or walked again, at a time
 
 
@@ -256,7 +260,15 @@ def _walk(rngs, steps: int, start: int, theta, cfg: ModelConfig, fam: ValueFamil
         moved = table[0, 1:] != table[-1, :-1]
         moved[blocks - 1::blocks] = False  # each chain's first block starts at its true entry
         for j in (np.flatnonzero(moved) + 1).tolist():
-            width, last = 4, j - j % blocks + blocks  # blocks per call, 4, 8, ...; the chain's end
+            if (q := int(table[-1, j - 1])) == table[0, j]:
+                continue  # a walk from an earlier block already put it right
+            # block j alone on views of its columns: most walks meet the table inside it
+            walked = walk(q, memoryview(draws[:, j]), memoryview(table[1:, j]))
+            table[0, j], table[1:len(walked) + 1, j] = q, walked
+            if len(walked) < _BLOCK:
+                continue  # met the table's walk
+            # on through the blocks after it, 4, 8, ... at a time, to the chain's end
+            j, width, last = j + 1, 4, j - j % blocks + blocks
             while j < last and (q := int(table[-1, j - 1])) != table[0, j]:
                 k = min(j + width, last)
                 ahead = table[1:, j:k].T.ravel()  # the table's walk over blocks j..k-1, in path order
@@ -373,17 +385,26 @@ def _walk_counts(
     """The transition counts of ``simulate_path(cfg, fam, theta0, opts)`` for each opts of ``runs``.
 
     The runs differ only in their seeds.  Their chains are walked together,
-    on the uniforms ``simulate_path`` draws first, and no holding times are
-    drawn: the counts are all a fit reads, and they follow from the states
-    each chain visits after its warm-up.
+    as many to a table as fit ``_TABLE_DRAWS`` draws (at least one), on the
+    uniforms ``simulate_path`` draws first, and no holding times are drawn:
+    the counts are all a fit reads, and they follow from the states each
+    chain visits after its warm-up.
     """
     theta0 = fam.param_space.require(theta0)
     (start, warmup), steps = runs[0].resolve(), runs[0].steps
     if any((opts.resolve(), opts.steps) != ((start, warmup), steps) for opts in runs):
         raise ValueError("the runs of one walk must share their start, warm-up and length")
-    rngs = [np.random.default_rng(opts.seed) for opts in runs]
-    table, tails, rates = _walk(rngs, warmup + steps, start, theta0, cfg, fam)
-    blocks, size = table.shape[1] // len(runs), len(rates)
+    per_table = max(1, _TABLE_DRAWS // (warmup + steps))
+    counts = []
+    for i in range(0, len(runs), per_table):  # a table is freed before the next is walked
+        rngs = [np.random.default_rng(opts.seed) for opts in runs[i:i + per_table]]
+        counts += _table_counts(*_walk(rngs, warmup + steps, start, theta0, cfg, fam), warmup)
+    return counts
+
+
+def _table_counts(table, tails, rates, warmup: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The transition counts of each chain of a ``_walk``, after its first ``warmup`` steps."""
+    blocks, size = table.shape[1] // len(tails), len(rates)
     done = blocks * _BLOCK
     counts = []
     for c, tail in enumerate(tails):

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -282,7 +283,7 @@ def test_parallel_matches_serial(tmp_path, monkeypatch):
     monkeypatch.delenv("BALKWISE_THREADS", raising=False)
     inputs = [
         (dict(experiment="consistency", k_list=(400,), replications=6), ["consistency.csv"]),
-        # 7 replications split 3 + 4; one chain per walk chunk at 10^5, many at 200
+        # 7 replications split 3 + 4; two chains per walk table at 10^5, many at 200
         (dict(experiment="consistency", k_list=(200, 100_000), replications=7),
          ["consistency.csv", "loglik_profile.csv"]),
         (dict(experiment="score-convergence", k_list=(200, 10_000), replications=7),
@@ -302,10 +303,12 @@ def test_parallel_matches_serial(tmp_path, monkeypatch):
     "k, reps", [(10_000, 20), (200, 100), (100_000, 7), (10_000, 7), (200, 131)]
 )
 def test_chunked_replications_match_one_path_per_replication(workers, k, reps):
-    """Walked in chunks (one chain at k = 10^5, up to 9 at 10^4, 83 at 200), fitted in batches.
+    """Walked in tables (two chains at k = 10^5, up to 18 at 10^4, 168 at 200), fitted in batches.
 
-    7 replications split 3 + 4 at two workers, and 131 into three jobs of
-    43 or 44 (at most experiments._FIT_BATCH each) at either.
+    (100_000, 7) at one worker is one job whose tables hold 2 + 2 + 2 + 1
+    chains: two-chain tables and a lone last chain.  7 replications split
+    3 + 4 at two workers, and 131 into three jobs of 43 or 44 (at most
+    experiments._FIT_BATCH each) at either.
     """
     config = ExperimentConfig(experiment="score-convergence", k=k, replications=reps, seed=5)
     cfg, fam = config.model, config.value_family
@@ -318,3 +321,25 @@ def test_chunked_replications_match_one_path_per_replication(workers, k, reps):
         want.append((float(fit.theta_hat[0]), bool(fit.boundary),
                      float(score(path, fit.theta_hat, cfg, fam)[0])))
     assert experiments._replications(config, workers, k, reps) == want
+
+
+def test_a_job_walks_and_fits_within_the_memory_of_two_chains():
+    """One job of 4 replications at k = 10^5 peaks under the traced memory two chains need.
+
+    A walk table holds each draw's uniform (8 bytes) and its int32 state (4
+    bytes, and one more entry per 64-step block).  Two chains of 10^5 steps
+    after a 1,000-step warm-up take 2 x 101,000 x 12.06 bytes, about 2.3 MiB;
+    the bound allows 0.5 MiB more for the rest of the walk and for the fit
+    (2.47 MiB measured).  A third chain per table would pass it.
+    """
+    config = ExperimentConfig(experiment="normality", k=100_000, replications=4, seed=2)
+    runs = [experiments._run_options(config, 100_000, rep) for rep in range(4)]
+    job = (config.model, config.value_family, [config.theta0], runs)
+    two_chains = 2 * 101_000 * (8 + 4 * 65 / 64)
+    tracemalloc.start()
+    try:
+        assert len(experiments._fit_rep(job)) == 4
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < two_chains + 0.5 * 2**20

@@ -261,6 +261,24 @@ def test_unvalidated_survival_equals_sf_bit_for_bit(at, r, table):
         assert np.float64(one).tobytes() == np.float64(expected).tobytes()
 
 
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(at=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5),
+       r=st.lists(THRESHOLDS, min_size=1, max_size=40), table=st.booleans())
+def test_unvalidated_derivative_rows_equal_the_row_methods_bit_for_bit(at, r, table):
+    # a fit's derivative rounds call _cdf_derivative_rows on rows validated
+    # once; it must be grad_cdf_rows and hess_cdf_rows there, on one shared
+    # row of thresholds or on a row of its own per parameter row
+    fam = ExponentialFamily(ParamSpace([1e-3], [5.0]))
+    space = fam.param_space
+    thetas = space.require_rows(space.clip(space.lower + np.array(at)[:, None] * space.width))
+    r = np.array([np.roll(r, i) for i in range(len(thetas))]) if table else np.array(r)
+    with np.errstate(over="ignore", invalid="ignore"):  # r**2 overflows past 1e154: NaN in both
+        grad, hess = fam._cdf_derivative_rows(r, thetas)
+        want = fam.grad_cdf_rows(r, thetas), fam.hess_cdf_rows(r, thetas)
+    for got, expected in zip((grad, hess), want):
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+
 def _entry_points():
     cfg = ModelConfig(1.0, 1.0, 1.0, 15.0)
     path = make_path([0, 1, 2, 1, 0, 1])
