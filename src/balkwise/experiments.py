@@ -21,7 +21,6 @@ from __future__ import annotations
 import csv
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -217,6 +216,8 @@ def resolve_workers(requested: int) -> int:
 def _pool_map(fn, jobs, workers: int):
     if workers <= 1 or len(jobs) <= 1:
         return [fn(job) for job in jobs]
+    from concurrent.futures import ProcessPoolExecutor  # here: its import costs about 20 ms
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, jobs, chunksize=max(1, len(jobs) // (4 * workers))))
 

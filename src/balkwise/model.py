@@ -261,7 +261,7 @@ class ExponentialFamily(ValueFamily):
 
     def hess_cdf(self, r, theta):
         r, decay = self._decay(r, self.param_space.require(theta)[0])
-        h = np.where(r >= 0.0, -(r**2) * decay, 0.0)
+        h = np.where(r >= 0.0, -(np.where(decay > 0.0, r, 0.0) ** 2) * decay, 0.0)  # 0 decay: -0
         if h.ndim == 0:
             return np.array([[float(h)]])
         return h[:, None, None]
@@ -270,7 +270,7 @@ class ExponentialFamily(ValueFamily):
         r, decay = self._decay(r, thetas)
         joins = r >= 0.0
         return (np.where(joins, r * decay, 0.0)[..., None],
-                np.where(joins, -(r**2) * decay, 0.0)[..., None, None])
+                np.where(joins, -(np.where(decay > 0.0, r, 0.0) ** 2) * decay, 0.0)[..., None, None])
 
     def quantile(self, u: float, theta) -> float:
         theta = self.param_space.require(theta)[0]
@@ -433,6 +433,7 @@ def is_informative(q: int, theta, cfg: ModelConfig, fam: ValueFamily) -> bool:
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # golden-section ratio
+_PREDICTED = 16  # predicted steps past a speculative call's tree (BENCH_predicted_branch.json)
 
 
 def _golden_points(a: float, b: float, x1: float, x2: float, depth: int, tol: float) -> list:
@@ -456,6 +457,26 @@ def _golden_points(a: float, b: float, x1: float, x2: float, depth: int, tol: fl
     return out
 
 
+def _golden_path(a: float, b: float, x1: float, x2: float, top: list, skip: int, tol: float):
+    """Points of golden steps skip + 1 .. skip + _PREDICTED from bracket (a, b), none at skip 0,
+    if the maximizer is the vertex of the parabola through top's three (value, point) pairs."""
+    (fa, xa), (fc, xc), (fb, xb) = top if len(top) == 3 else [(0.0, 0.0)] * 3
+    p, q = (xb - xa) * (fb - fc), (xb - xc) * (fb - fa)
+    vertex = xb - 0.5 * ((xb - xa) * p - (xb - xc) * q) / (p - q) if p != q else math.nan
+    out = []
+    for _ in range(skip + _PREDICTED if skip and math.isfinite(vertex) else 0):
+        scale = abs(a) + abs(b)  # the stopping test, as _golden_search's
+        if b - a <= tol * (scale if scale > 1.0 else 1.0):
+            break
+        if vertex > 0.5 * (x1 + x2):  # f1 < f2 on the parabola: the bracket becomes (x1, b)
+            a, x1, x2 = x1, x2, x1 + _INVPHI * (b - x1)
+            out.append(x2)
+        else:
+            b, x2, x1 = x2, x1, x2 - _INVPHI * (x2 - a)
+            out.append(x1)
+    return out[skip:]
+
+
 def grid_then_golden(scan, lo: float, hi: float, grid: int, tol: float, batch, depth: int) -> float:
     """Maximize on [lo, hi]: grid scan, then golden section in the best bracket.
 
@@ -463,8 +484,10 @@ def grid_then_golden(scan, lo: float, hi: float, grid: int, tol: float, batch, d
     against a misleading golden start.  The golden phase stops once the
     bracket is narrower than tol * max(1, |a| + |b|).  It is speculative
     (Kiefer 1953): each point it needs is scored in one ``batch`` call
-    together with every point its next ``depth - 1`` steps can score, and
-    the steps replay their comparisons from those values.  ``batch`` maps a
+    together with every point its next ``depth - 1`` steps can score and
+    (depth > 1) those of the _PREDICTED steps after them on the branch the
+    parabola through the three best values so far predicts, and the steps
+    replay their comparisons from those values.  ``batch`` maps a
     list of points to their values: the first always, a later one NaN when
     it cannot be had cheaply (a NaN is scored again, first, if the search
     reaches it).  When batch gives each point the value of one function,
@@ -487,23 +510,27 @@ def grid_then_golden(scan, lo: float, hi: float, grid: int, tol: float, batch, d
 def _golden_search(points, values, tol: float, depth: int):
     """grid_then_golden's golden phase as a generator, from its grid points and their values.
 
-    The generator yields each list of points it needs scored, takes their
-    values back (as grid_then_golden's ``batch`` gives them) and returns
-    the maximizer.  A step tests the bracket's width inline and reads the
-    value of its new point from the last batch; only a point that batch
-    did not score, or left NaN, makes it ask again.
+    The generator yields the points it needs scored (the tree and the
+    predicted branch), takes their values back as grid_then_golden's
+    ``batch`` gives them and returns the maximizer.  A step tests the
+    bracket's width inline and reads its new point's value from the last
+    batch; only a point that batch did not score, or left NaN, asks again.
     """
     best = int(np.argmax(values))
     a, b = float(points[max(best - 1, 0)]), float(points[min(best + 1, len(points) - 1)])
     x1, x2 = b - _INVPHI * (b - a), a + _INVPHI * (b - a)
     known = {}  # the last batch: no later step needs a point of an earlier one
+    near = max(min(best - 1, len(points) - 3), 0)  # the three grid points around the best
+    top = sorted(zip(np.asarray(values)[near:near + 3].tolist(), points[near:near + 3].tolist()))
 
     def ask(*xs):
         """One batch of xs and every point the next steps can score; the value of xs[0]."""
-        ahead = [*xs, *_golden_points(a, b, x1, x2, depth - 1, tol)]
+        ahead = [*xs, *_golden_points(a, b, x1, x2, depth - 1, tol),
+                 *_golden_path(a, b, x1, x2, top, depth - 1, tol)]
         values = yield ahead
         known.clear()
         known.update(zip(ahead, values))
+        top[:] = sorted([*top, *zip(values, ahead)])[-3:] if max(values) > top[0][0] else top
         return known[xs[0]]
 
     f1 = yield from ask(x1, x2)

@@ -11,20 +11,21 @@ continuous time; the score ergodics of the estimator live on the jump chain.
 
 The truncated tables have a price axis, one row per price, as wide as that
 price needs: the revenue-maximizing price search scores its whole grid on
-them, then refines the best grid point by a speculative golden section that
-scores several single-price rows per call, each exactly as expected_revenue
-scores it.  The numerical settings are the module constants below; only
-stationary_distribution takes its own truncation eps.
+them, then refines the best grid point by a speculative golden section whose
+calls score single-price rows, each as expected_revenue does, on every branch
+of the next steps and on a predicted one.  The settings are the module
+constants below; only stationary_distribution takes its own truncation eps.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelConfig, StateTable, ValueFamily, _threshold, grid_then_golden
+from .model import _PREDICTED, ModelConfig, StateTable, ValueFamily, _threshold, grid_then_golden
 
 STATE_CAP = 10**6
 GOLDEN_TOL = 1e-9  # relative bracket width at which a price search stops
@@ -34,9 +35,9 @@ PRICE_GRID = 256  # prices a search scores before its golden phase
 _NARROW = 32  # states a price row or scan's table starts with, doubled for the rows that need more
 _ROW = 128  # states a single price's row widens to before the tables take over
 JOIN_FRAC = 1e-6  # price_upper_bound: share of lam still joining the empty queue
-# steps a speculative search settles per batched call (measured, BENCH_speculative_search.json)
-_PRICE_DEPTH = 3  # optimal_price's golden phase: 7 rows per call
-_BISECTION_DEPTH = 8  # price_upper_bound: 255 midpoints per call
+# steps a speculative call settles on every branch (BENCH_speculative_search.json)
+_PRICE_DEPTH = 3  # optimal_price's golden phase: a tree of 7 rows, then model._PREDICTED steps
+_BISECTION_DEPTH = 8  # price_upper_bound: a tree of 255 midpoints, then model._PREDICTED steps
 # theoretical_sigma's accounting and the stationary weighting it averages over
 _SIGMA_WEIGHTING = {"transition": "jump", "occupancy": "time"}
 
@@ -373,11 +374,11 @@ def price_upper_bound(theta, cfg: ModelConfig, fam: ValueFamily) -> float:
     """Smallest price at which effectively nobody joins the empty queue.
 
     Doubling scores 1, 2, ..., 2**39 in one call; an 80-step bisection
-    narrows the last doubling, _BISECTION_DEPTH steps per call.  Each call
-    scores every midpoint those steps can visit: the bracket's width is a
-    power of two and its ends are multiples of it, so until the bisection
-    stops each midpoint it computes is exact, and those of the next n steps
-    are the inner points of 2**n equal cells of the bracket.
+    narrows the last doubling.  Each call scores every midpoint of its next
+    _BISECTION_DEPTH steps, the inner points of that many halvings' equal
+    cells (exact: the bracket's width is a power of two and its ends are
+    multiples of it), and those of the model._PREDICTED steps after them on
+    the branch that a log rate linear between the bracket's ends predicts.
     """
     theta = fam.param_space.require(theta)
     offset = _threshold(0, cfg, price=0.0)
@@ -386,37 +387,52 @@ def price_upper_bound(theta, cfg: ModelConfig, fam: ValueFamily) -> float:
         return cfg.lam * fam._sf(p + offset, theta)
 
     target = JOIN_FRAC * cfg.lam
-    joins = rate0(2.0 ** np.arange(40)) >= target
-    if joins.all():
+    rates = rate0(2.0 ** np.arange(40))
+    i = int(np.argmin(rates >= target))  # the first power of two nobody joins at, if any
+    if rates[i] >= target:
         raise TruncationError("joining rate does not vanish with price")
-    hi = 2.0 ** int(np.argmin(joins))
-    lo = hi / 2.0 if hi > 1.0 else 0.0
-    for done in range(0, 80, _BISECTION_DEPTH):
-        steps = min(_BISECTION_DEPTH, 80 - done)
-        cells = 2**steps
-        joins = (rate0(lo + (hi - lo) / cells * np.arange(1, cells)) >= target).tolist()
-        left, right = 0, cells  # lo and hi, in cells from lo
-        for _ in range(steps):
-            mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:
-                return hi  # rate0 is a function of the price: no later step moves lo or hi
-            half = (left + right) // 2
-            if joins[half - 1]:
-                lo, left = mid, half
-            else:
-                hi, right = mid, half
+    hi, r_hi = 2.0**i, rates[i]  # r_lo and r_hi: the joining rates at lo and hi
+    lo, r_lo = (hi / 2.0, rates[i - 1]) if i else (0.0, math.nan)
+    start, depth, path = 0, 0, []  # the last call's step, tree depth and predicted midpoints
+    for step in range(80):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return hi  # rate0 is a function of the price: no later step moves lo or hi
+        ahead = step - start - depth  # steps past the tree
+        if ahead >= 0 and not (ahead < len(path) and mid == path[ahead]):
+            start, depth, ahead = step, min(_BISECTION_DEPTH, 80 - step), -1
+            path = _bisection_path(lo, hi, r_lo, r_hi, target, depth, 80 - step)
+            tree = lo + (hi - lo) / 2**depth * np.arange(1, 2**depth)  # every branch's midpoints
+            rates = rate0(np.concatenate([tree, path]))
+            joins, left, right = (rates >= target).tolist(), 0, 2**depth  # lo and hi, in cells
+        half = (left + right) // 2  # past the tree, left and right are no longer read
+        i = half - 1 if ahead < 0 else 2**depth - 1 + ahead
+        left, right = (half, right) if joins[i] else (left, half)
+        lo, hi, r_lo, r_hi = (mid, hi, rates[i], r_hi) if joins[i] else (lo, mid, r_lo, rates[i])
     return hi
+
+
+def _bisection_path(lo, hi, r_lo, r_hi, target, skip: int, steps: int) -> list:
+    """Midpoints of steps skip + 1 .. skip + _PREDICTED (of steps) if the log rate is linear."""
+    fall = math.log(r_lo) - math.log(r_hi) if r_hi > 0.0 and r_lo == r_lo else 0.0
+    cross = lo + (hi - lo) * math.log(r_lo / target) / fall if fall > 0.0 else math.nan
+    out = []
+    for _ in range(min(skip + _PREDICTED, steps) if cross == cross else 0):
+        mid = 0.5 * (lo + hi)
+        out.append(mid)
+        lo, hi = (mid, hi) if mid <= cross else (lo, mid)
+    return out[skip:]
 
 
 def optimal_price(theta, cfg: ModelConfig, fam: ValueFamily) -> float:
     """Revenue-maximizing price for the given parameter.
 
     theta is validated once.  The grid is scored on (price x state) tables;
-    the golden phase scores _PRICE_DEPTH steps ahead per call on
-    expected_revenue's one-row function, built once per search, without its
-    checks.  So the result is that of a scan by expected_revenue whenever
-    both pick the same grid point.  Raises TruncationError when nobody
-    effectively joins above PRICE_FLOOR (_price_ceiling).
+    the golden phase scores _PRICE_DEPTH steps ahead on every branch and a
+    predicted branch past them per call, on expected_revenue's one-row
+    function built once per search, without its checks: the result is a
+    scan by expected_revenue's whenever both pick the same grid point.
+    Raises TruncationError when nobody effectively joins above PRICE_FLOOR.
     """
     theta = fam.param_space.require(theta)
     row = _Row(theta, cfg, fam, TRUNC_EPS)

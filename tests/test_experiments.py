@@ -1,6 +1,8 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -19,6 +21,13 @@ from balkwise.experiments import (
     resolve_workers,
     run_experiment,
 )
+
+
+def test_import_does_not_load_the_process_pool():
+    # only a pooled _pool_map needs concurrent.futures, which pulls in multiprocessing
+    code = "import sys, balkwise; print('concurrent.futures' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_jarque_bera_normal_calibration():

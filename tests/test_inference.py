@@ -171,11 +171,22 @@ def test_fit_on_simulated_path(anchor_cfg, expo):
     assert fit.sigma_plugin.shape == (1, 1)
 
 
-def test_all_down_data_hits_upper_bound(anchor_cfg, expo):
+def test_all_down_data_hits_upper_bound(anchor_cfg, expo, monkeypatch):
+    # the log-likelihood rises to 0, its top, which the scan reaches at its
+    # upper end (a floating-point plateau): the fit is then the upper bound,
+    # found with no golden phase, and its fields are the bound's
     path = make_path([0, 1, 0, 1, 0, 1, 0])
+    rounds, evaluate = [], inference._Batch.evaluate
+    monkeypatch.setattr(inference._Batch, "evaluate",
+                        lambda self, *args: rounds.append(args) or evaluate(self, *args))
     fit = fit_mle(path, anchor_cfg, expo)
-    assert fit.boundary
-    assert fit.theta_hat[0] == pytest.approx(expo.param_space.upper[0])
+    top = expo.param_space.upper
+    at = _Batch([path], anchor_cfg, expo).at(top, _DERIVATIVES)
+    assert fit.boundary and fit.theta_hat.tobytes() == top.tobytes()
+    assert fit.loglik == at.loglik[0] == 0.0
+    assert fit.score_norm == np.linalg.norm(at.score[0])
+    assert fit.sigma_plugin.tobytes() == at.information[0].tobytes()
+    assert len(rounds) <= 4  # the scan, Newton's first round and the bound's
 
 
 def test_all_up_data_hits_lower_bound(anchor_cfg, expo):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -272,11 +273,22 @@ def test_unvalidated_derivative_rows_equal_the_row_methods_bit_for_bit(at, r, ta
     space = fam.param_space
     thetas = space.require_rows(space.clip(space.lower + np.array(at)[:, None] * space.width))
     r = np.array([np.roll(r, i) for i in range(len(thetas))]) if table else np.array(r)
-    with np.errstate(over="ignore", invalid="ignore"):  # r**2 overflows past 1e154: NaN in both
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # past r = 1.3e154, where r**2 overflows, the Hessian is -0
         grad, hess = fam._cdf_derivative_rows(r, thetas)
         want = fam.grad_cdf_rows(r, thetas), fam.hess_cdf_rows(r, thetas)
     for got, expected in zip((grad, hess), want):
         assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+        assert np.isfinite(got).all()
+
+
+def test_far_tail_hessian_is_negative_zero():
+    # r**2 overflows past about 1.3e154, where the decay is already 0
+    fam = ExponentialFamily()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        hess = fam.hess_cdf(np.array([2e154, 1e300]), [0.02])
+    assert hess.shape == (2, 1, 1) and (hess == 0.0).all() and np.signbit(hess).all()
 
 
 def _entry_points():
@@ -323,20 +335,23 @@ def test_entry_points_reject_theta_outside_the_box(entry, theta, expo):
     tol=st.sampled_from([1e-12, 1e-9, 1e-4, 0.1]),
     depth=st.integers(1, 6),
     settled_below=st.one_of(st.just(math.inf), st.floats(0.0, 1.0)),
+    shape=st.sampled_from([2.0, 0.5, 1.0, 3.0, "ramp"]),
 )
 def test_speculative_golden_phase_equals_the_one_point_search(
-    lo, width, peak, step, hole, hole_width, grid, tol, depth, settled_below
+    lo, width, peak, step, hole, hole_width, grid, tol, depth, settled_below, shape
 ):
-    # a parabola cut into plateaus of height step (ties, f1 == f2), with a
-    # -inf hole; past settled_below the batch leaves every point but its
-    # first unscored (NaN), so those are scored again when the search needs them
+    # a peak -|t - peak|**shape (a parabola at 2; the skewed ones, and a
+    # one-sided exponential ramp, make the predicted branch miss) cut into
+    # plateaus of height step (ties, f1 == f2), with a -inf hole; past
+    # settled_below the batch leaves every point but its first unscored
+    # (NaN), so those are scored again when the search needs them
     hi = lo + width
 
     def f(x):
         t = (x - lo) / width
         if hole <= t <= hole + hole_width:
             return -math.inf
-        v = -((t - peak) ** 2)
+        v = math.expm1(8.0 * min(t - peak, 0.0)) if shape == "ramp" else -abs(t - peak) ** shape
         return math.floor(v / step) * step if step else v
 
     def scan(points):

@@ -15,6 +15,7 @@ from balkwise.model import (
     joining_rate,
 )
 from balkwise.simulator import SimOptions, path_stats, simulate_path
+from balkwise import stationary
 from balkwise.stationary import (
     GOLDEN_TOL,
     PRICE_FLOOR,
@@ -38,7 +39,7 @@ from balkwise.stationary import (
     theoretical_sigma,
     write_curve_csv,
 )
-from helpers import UniformValueFamily, golden_one_point_at_a_time
+from helpers import UniformValueFamily, WeibullValueFamily, golden_one_point_at_a_time
 
 
 def test_weights_start_at_one(anchor_cfg, expo):
@@ -245,6 +246,7 @@ def test_curve_csv_headers(anchor_cfg, expo):
 
 ANCHOR = ModelConfig(lam=1.0, mu=1.0, cost_c=1.0, price=15.0)
 EXPO = ExponentialFamily(ParamSpace([1e-3], [5.0]))
+WEIBULL = WeibullValueFamily([0.5, 2.0], [10.0, 60.0])
 
 # arrival rate at most the service rate: the unnormalized weights then stay
 # below 1 (heavier traffic, whose weights can overflow before the chain
@@ -350,13 +352,37 @@ def _price_upper_bound_80_steps(theta, cfg, fam):
 
 
 @table_settings
-@given(cfg=models, theta=st.floats(1e-3, 5.0))
+@given(cfg=models, theta=st.floats(1e-3, 5.0),
+       weibull=st.one_of(st.none(), st.tuples(st.floats(0.5, 10.0), st.floats(2.0, 60.0))))
 # nobody joins at price 1: the bisection runs its 80 steps down from [0, 1]
-@example(cfg=ModelConfig(1.0, 1.0, 10.0, 0.0), theta=5.0)
-@example(cfg=ANCHOR, theta=1e-3)
-def test_price_upper_bound_equals_full_bisection(cfg, theta):
-    expected = _price_upper_bound_80_steps([theta], cfg, EXPO)
-    assert price_upper_bound([theta], cfg, EXPO) == expected
+@example(cfg=ModelConfig(1.0, 1.0, 10.0, 0.0), theta=5.0, weibull=None)
+@example(cfg=ANCHOR, theta=1e-3, weibull=None)
+# Weibull values: the log of the joining rate is not linear in the price, so
+# the branch the bisection predicts from its ends is off
+@example(cfg=ANCHOR, theta=1e-3, weibull=(0.5, 60.0))
+@example(cfg=ANCHOR, theta=1e-3, weibull=(10.0, 2.0))
+def test_price_upper_bound_equals_full_bisection(cfg, theta, weibull):
+    fam, theta = (EXPO, [theta]) if weibull is None else (WEIBULL, list(weibull))
+    expected = _price_upper_bound_80_steps(theta, cfg, fam)
+    assert price_upper_bound(theta, cfg, fam) == expected
+
+
+def test_searches_at_the_anchor_take_few_calls(monkeypatch):
+    # the predicted branches settle most steps of the two exact searches
+    golden, sf, calls = stationary.grid_then_golden, ExponentialFamily._sf, []
+
+    def counted(scan, lo, hi, grid, tol, batch, depth):
+        return golden(scan, lo, hi, grid, tol, lambda points: calls.append(points) or batch(points),
+                      depth)
+
+    monkeypatch.setattr(stationary, "grid_then_golden", counted)
+    optimal_price([0.02], ANCHOR, EXPO)
+    assert 1 <= len(calls) <= 6
+    calls.clear()
+    monkeypatch.setattr(ExponentialFamily, "_sf",
+                        lambda self, r, theta: calls.append(r) or sf(self, r, theta))
+    price_upper_bound([0.02], ANCHOR, EXPO)
+    assert 2 <= len(calls) <= 4  # the doubling, then at most 3 bisection calls
 
 
 def test_grid_scan_grows_wide_tables_row_by_row():

@@ -1,0 +1,160 @@
+"""Print the batched calls of the exact searches, per op of a benchmark workload.
+
+Builds the workload with ``build`` from perfbench/workloads.py, which this
+only imports, runs its ops 0..N-1 one at a time and counts, by wrapping
+balkwise's private functions in this process only:
+
+- the golden phases of the price searches (``grid_then_golden`` at depth
+  greater than 1): their ``batch`` calls and the points of each;
+- ``price_upper_bound``: its calls of the family's ``_sf``, the first of
+  which is the doubling and the rest the bisection;
+- the fits (``_fit_batch``): ``_Batch.evaluate`` rounds (calls from a fit),
+  the table calls they split into (``_CELLS`` cells at a time) and their
+  points.
+
+Every count is deterministic.  It prints one JSON line per op, then one
+line of means per op and per search, bound or fit batch.  Point PYTHONPATH
+at a checkout's ``src`` to measure it, so two commits can be compared:
+
+    PYTHONPATH=src python tools/search_rounds.py --workload pricing-doubling --seed 101 --ops 50
+    PYTHONPATH=<other checkout>/src python tools/search_rounds.py --workload pricing-doubling --seed 101 --ops 50
+
+Needs only the standard library, numpy and balkwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import sys
+import tempfile
+from collections import Counter
+from pathlib import Path
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+import balkwise  # noqa: E402
+import workloads  # noqa: E402
+from balkwise import experiments, inference, model, stationary  # noqa: E402
+
+COUNTS = Counter()
+
+
+def _wrap_golden(inner):
+    def grid_then_golden(scan, lo, hi, grid, tol, batch, depth):
+        if depth == 1:
+            return inner(scan, lo, hi, grid, tol, batch, depth)
+        COUNTS["price_searches"] += 1
+
+        def counted(points):
+            COUNTS["golden_calls"] += 1
+            COUNTS["golden_points"] += len(points)
+            return batch(points)
+
+        return inner(scan, lo, hi, grid, tol, counted, depth)
+
+    return grid_then_golden
+
+
+def _wrap_bound(inner, family):
+    sf = family._sf
+
+    def price_upper_bound(theta, cfg, fam):
+        def counted(self, r, theta):
+            COUNTS["bound_sf_calls"] += 1
+            return sf(self, r, theta)
+
+        COUNTS["bounds"] += 1
+        family._sf = counted
+        try:
+            return inner(theta, cfg, fam)
+        finally:
+            family._sf = sf
+
+    return price_upper_bound
+
+
+def _wrap_fits(inner):
+    def _fit_batch(datas, cfg, fam):
+        COUNTS["fit_batches"] += 1
+        COUNTS["fits"] += len(datas)
+        COUNTS["in_fit"] += 1
+        try:
+            return inner(datas, cfg, fam)
+        finally:
+            COUNTS["in_fit"] -= 1
+
+    return _fit_batch
+
+
+def _wrap_evaluate(inner):
+    depth = [0]
+
+    def evaluate(self, reps, thetas, need=inference._LOGLIK):
+        if COUNTS["in_fit"]:
+            if depth[0] == 0:
+                COUNTS["rounds"] += 1
+                COUNTS["round_points"] += len(thetas)
+            parts = len(thetas) > 1 and len(thetas) * self.thresholds.shape[1] > inference._CELLS
+            COUNTS["table_calls"] += not parts
+        depth[0] += 1
+        try:
+            return inner(self, reps, thetas, need)
+        finally:
+            depth[0] -= 1
+
+    return evaluate
+
+
+def _ratio(a: str, b: str) -> float:
+    return round(COUNTS[a] / COUNTS[b], 3) if COUNTS[b] else float("nan")
+
+
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--workload", default="pricing-doubling")
+    parser.add_argument("--seed", type=int, default=101)
+    parser.add_argument("--ops", type=int, default=50)
+    args = parser.parse_args(argv)
+    print(f"# balkwise {balkwise.__version__} from {Path(balkwise.__file__).parent}")
+    stationary.grid_then_golden = _wrap_golden(model.grid_then_golden)
+    stationary.price_upper_bound = _wrap_bound(stationary.price_upper_bound,
+                                               model.ExponentialFamily)
+    inference._fit_batch = experiments._fit_batch = _wrap_fits(inference._fit_batch)
+    inference._Batch.evaluate = _wrap_evaluate(inference._Batch.evaluate)
+    keys = ("price_searches", "golden_calls", "golden_points", "bounds", "bound_sf_calls",
+            "fit_batches", "fits", "rounds", "table_calls", "round_points")
+    with tempfile.TemporaryDirectory() as out_root:
+        wl = workloads.build(args.workload, args.seed, Path(out_root))
+        try:
+            for op in range(args.ops):
+                before = {key: COUNTS[key] for key in keys}
+                try:
+                    wl.run(op)
+                    error = None
+                except Exception as exc:  # a failed op is counted as the benchmark counts it
+                    error = type(exc).__name__
+                print(json.dumps({"op": op, "error": error,
+                                  **{key: COUNTS[key] - before[key] for key in keys}}), flush=True)
+        finally:
+            wl.close()
+    print(json.dumps({
+        "ops": args.ops,
+        "per_op": {key: round(COUNTS[key] / args.ops, 3) for key in keys},
+        "golden_calls_per_search": _ratio("golden_calls", "price_searches"),
+        "points_per_golden_call": _ratio("golden_points", "golden_calls"),
+        "bisection_calls_per_bound": round(
+            (COUNTS["bound_sf_calls"] - COUNTS["bounds"]) / COUNTS["bounds"], 3)
+        if COUNTS["bounds"] else float("nan"),
+        "rounds_per_fit_batch": _ratio("rounds", "fit_batches"),
+        "table_calls_per_round": _ratio("table_calls", "rounds"),
+        "points_per_round": _ratio("round_points", "rounds"),
+    }))
+
+
+if __name__ == "__main__":
+    main()
