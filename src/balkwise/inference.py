@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from statistics import NormalDist
 from typing import NamedTuple, Optional, Union
 
@@ -164,8 +165,7 @@ class _Batch:
     single datum's points, is set up once; a round computes only what
     depends on its points, and the informative mask only when it needs the
     effective sample.  Points are in the box, so every round reads the
-    family's unvalidated row hooks, ``_sf_rows`` and
-    ``_cdf_derivative_rows``.
+    family's unvalidated kernels, ``_survival`` and ``_cdf_derivatives``.
     """
 
     def __init__(self, datas, cfg: ModelConfig, fam: ValueFamily):
@@ -212,7 +212,7 @@ class _Batch:
         else:
             r, up, down = self.thresholds[reps], self.up[reps], self.down[reps]
             runs = _runs(self.m[reps])
-        surv = fam._sf_rows(r, thetas)
+        surv = fam._survival(r, thetas)
         lam_q = cfg.lam * surv
         p_up, p_down = _jump_law(lam_q, cfg.mu)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -234,7 +234,7 @@ class _Batch:
             return _Values(loglik, effective)
 
         lengths = self.m[reps]
-        grad, hess = fam._cdf_derivative_rows(r, thetas)
+        grad, hess = fam._cdf_derivatives(r, thetas)
         denom = cfg.mu + lam_q
         dp, d2p = _dp(cfg, denom, grad), _d2p(cfg, denom, grad, hess)
         outer = np.einsum("...j,...l->...jl", dp, dp)
@@ -335,10 +335,13 @@ def _asked(search):
         values = (yield np.array(points)[:, None], _LOGLIK).loglik.tolist()
 
 
-def _scan_grid(space) -> np.ndarray:
-    """The fit's scan: 65 points per axis of the box, (65**dim, dim)."""
-    axes = np.linspace(space.lower, space.upper, 65)
-    return np.stack(np.meshgrid(*axes.T, indexing="ij"), axis=-1).reshape(-1, space.dim)
+@lru_cache(maxsize=8)
+def _scan_grid(lower: tuple, upper: tuple) -> np.ndarray:
+    """The fit's scan of a box, (65**dim, dim): 65 points per axis between its bounds, read-only."""
+    axes = np.linspace(lower, upper, 65)
+    grid = np.stack(np.meshgrid(*axes.T, indexing="ij"), axis=-1).reshape(-1, len(lower))
+    grid.flags.writeable = False
+    return grid
 
 
 def _fitting(k: int, fam: ValueFamily, grid: np.ndarray):
@@ -447,7 +450,8 @@ def _fit_batch(datas, cfg: ModelConfig, fam: ValueFamily) -> list:
     """
     batch = _Batch(datas, cfg, fam)
     order = np.argsort(batch.m, kind="stable").tolist()
-    grid = _scan_grid(fam.param_space)
+    space = fam.param_space
+    grid = _scan_grid(tuple(space.lower.tolist()), tuple(space.upper.tolist()))
     fits = [_fitting(int(k), fam, grid) for k in batch.k]
     results, asks = [None] * len(fits), {}
 
@@ -491,7 +495,7 @@ def fit_mle(data: Union[QueuePath, _Counts], cfg: ModelConfig, fam: ValueFamily)
     ``data`` is a path or its ``transition_counts``; both give the same fit.
 
     A scan of 65 points per axis (65**dim in all) is scored in one call
-    through ``fam.sf_rows``; its values equal log_likelihood's.  One
+    through ``fam._survival``; its values equal log_likelihood's.  One
     parameter refines the best point by golden section (_FIT_DEPTH steps on
     every branch and a predicted branch past them per call) unless an end
     of the scan is at 0, the top; more start from it.  A projected Newton

@@ -26,10 +26,10 @@ BOUNDARY_RTOL = 1e-6
 class ModelConfig:
     """Economic environment of the queue.
 
-    lam     -- arrival rate of (potential) customers, > 0
-    mu      -- service rate, > 0
-    cost_c  -- waiting cost per unit time in the system, > 0
-    price   -- admission price charged on joining, >= 0
+    lam     -- arrival rate of (potential) customers, > 0 and finite
+    mu      -- service rate, > 0 and finite
+    cost_c  -- waiting cost per unit time in the system, > 0 and finite
+    price   -- admission price charged on joining, >= 0 and finite
     """
 
     lam: float
@@ -38,14 +38,12 @@ class ModelConfig:
     price: float
 
     def __post_init__(self):
-        if not self.lam > 0:
-            raise ValueError(f"arrival rate must be positive, got {self.lam}")
-        if not self.mu > 0:
-            raise ValueError(f"service rate must be positive, got {self.mu}")
-        if not self.cost_c > 0:
-            raise ValueError(f"waiting cost must be positive, got {self.cost_c}")
-        if not self.price >= 0:
-            raise ValueError(f"price must be nonnegative, got {self.price}")
+        rates = ("arrival rate", self.lam), ("service rate", self.mu), ("waiting cost", self.cost_c)
+        for what, value in rates:
+            if not 0 < value < math.inf:
+                raise ValueError(f"{what} must be positive and finite, got {value}")
+        if not 0 <= self.price < math.inf:
+            raise ValueError(f"price must be nonnegative and finite, got {self.price}")
 
     def with_price(self, price: float) -> "ModelConfig":
         return ModelConfig(self.lam, self.mu, self.cost_c, price)
@@ -65,6 +63,8 @@ class ParamSpace:
         object.__setattr__(self, "upper", upper)
         if lower.ndim != 1 or lower.shape != upper.shape or lower.size < 1:
             raise ValueError("bounds must be 1-d arrays of equal, positive length")
+        if not (np.isfinite(lower).all() and np.isfinite(upper).all()):
+            raise ValueError(f"bounds must be finite, got [{lower}, {upper}]")
         if not np.all(lower < upper):
             raise ValueError("each lower bound must be strictly below its upper bound")
 
@@ -113,20 +113,22 @@ class ParamSpace:
 class ValueFamily(ABC):
     """Parametric distribution of the customers' service value.
 
-    Implementations must be immutable and safe to share across workers.
-    ``cdf`` and ``sf`` accept scalar ``r`` or an array of any shape (the
-    price search passes a (price x state) table) and evaluate elementwise;
-    ``grad_cdf``/``hess_cdf`` return shapes ``(dim,)`` / ``(dim, dim)`` for
-    scalar ``r`` and ``(m, dim)`` / ``(m, dim, dim)`` for an array of length
-    ``m``.  The cdf is 0 for r < 0 by convention, nondecreasing in r, and its
-    parameter derivatives must match finite differences (see the test suite).
-
-    ``sf_rows``, ``grad_cdf_rows`` and ``hess_cdf_rows`` evaluate a batch of
-    parameters: row i of an ``(n, dim)`` parameter array at row i of an
-    ``(n, m)`` array r, or at one row r of shape ``(m,)`` shared by all, in
-    shapes ``(n, m)``, ``(n, m, dim)`` and ``(n, m, dim, dim)``.  They call
-    the one-parameter method row by row unless a family overrides them with
-    one broadcast evaluation.  A row outside the box raises as in require.
+    Implementations must be immutable and safe to share across workers.  A
+    family defines two unvalidated, broadcasting kernels: ``_survival``,
+    P(value > r), and ``_cdf_derivatives``, the cdf's (gradient, Hessian)
+    in theta.  Each takes a float array r and a theta its caller validated:
+    one ``(dim,)`` parameter for all of r, or an ``(n, dim)`` array whose
+    row i pairs with row i of an ``(n, m)`` r or with one ``(m,)`` r shared
+    by all (``theta[..., j, None]``, coordinate j as a column, broadcasts
+    either way).  It returns the broadcast shape, plus ``(dim,)`` and
+    ``(dim, dim)`` for the derivatives.  ``cdf`` (1 - sf by default) and
+    ``quantile`` (bisection on the cdf) are optional overrides.  The cdf is
+    0 for r < 0, nondecreasing in r, and its derivatives must match finite
+    differences (see the test suite).  The public methods are require (or
+    require_rows, which raises as require does), a kernel call and a
+    reshape: ``sf``/``cdf`` give a float for a scalar r, ``grad_cdf``/
+    ``hess_cdf`` r's shape plus ``(dim,)``/``(dim, dim)``, and the row
+    forms ``(n, m)``, ``(n, m, dim)`` and ``(n, m, dim, dim)``.
     """
 
     param_space: ParamSpace
@@ -136,58 +138,48 @@ class ValueFamily(ABC):
         return self.param_space.dim
 
     @abstractmethod
-    def cdf(self, r, theta):
-        """P(value <= r) under parameter theta."""
+    def _survival(self, r, theta):
+        """P(value > r) at a validated theta, broadcast as the class docstring says."""
+
+    @abstractmethod
+    def _cdf_derivatives(self, r, theta):
+        """(gradient, Hessian) of the cdf in theta at a validated theta, broadcast likewise."""
 
     def sf(self, r, theta):
-        """Survival P(value > r); override when 1 - cdf loses precision."""
-        return 1.0 - self.cdf(r, theta)
+        """Survival P(value > r)."""
+        r = np.asarray(r, dtype=float)
+        out = self._survival(r, self.param_space.require(theta)).reshape(r.shape)
+        return float(out) if out.ndim == 0 else out
 
-    def _sf(self, r, theta):
-        """sf at a theta its caller validated (``param_space.require``), for the row kernels.
+    def cdf(self, r, theta):
+        """P(value <= r) under parameter theta; override when 1 - sf loses precision."""
+        return 1.0 - self.sf(r, theta)
 
-        A family may override it to skip its own validation; by default it is sf.
-        """
-        return self.sf(r, theta)
-
-    @abstractmethod
     def grad_cdf(self, r, theta):
         """Gradient of the cdf with respect to the parameter vector."""
+        r = np.asarray(r, dtype=float)
+        grad = self._cdf_derivatives(r, self.param_space.require(theta))[0]
+        return grad.reshape(r.shape + (self.dim,))
 
-    @abstractmethod
     def hess_cdf(self, r, theta):
         """Hessian of the cdf with respect to the parameter vector."""
+        r = np.asarray(r, dtype=float)
+        hess = self._cdf_derivatives(r, self.param_space.require(theta))[1]
+        return hess.reshape(r.shape + (self.dim, self.dim))
 
     def sf_rows(self, r, thetas):
         """Survival at each row of r under the matching parameter row: shape (n, m)."""
-        return self._by_row(self.sf, r, thetas)
-
-    def _sf_rows(self, r, thetas):
-        """sf_rows at an (n, dim) array of rows in the box, for the likelihood rounds.
-
-        A family may override it to skip its own validation; by default it is sf_rows.
-        """
-        return self.sf_rows(r, thetas)
+        return self._survival(np.asarray(r, dtype=float), self.param_space.require_rows(thetas))
 
     def grad_cdf_rows(self, r, thetas):
         """grad_cdf at each row of r under the matching parameter row: shape (n, m, dim)."""
-        return self._by_row(self.grad_cdf, r, thetas)
+        rows = self.param_space.require_rows(thetas)
+        return self._cdf_derivatives(np.asarray(r, dtype=float), rows)[0]
 
     def hess_cdf_rows(self, r, thetas):
         """hess_cdf at each row of r under the matching parameter row: shape (n, m, dim, dim)."""
-        return self._by_row(self.hess_cdf, r, thetas)
-
-    def _cdf_derivative_rows(self, r, thetas):
-        """(grad_cdf_rows, hess_cdf_rows) at an (n, dim) array of rows in the box, for the fits.
-
-        A family may override it to skip its own validation; by default it is the two row methods.
-        """
-        return self.grad_cdf_rows(r, thetas), self.hess_cdf_rows(r, thetas)
-
-    def _by_row(self, method, r, thetas):
         rows = self.param_space.require_rows(thetas)
-        r = np.broadcast_to(np.asarray(r, dtype=float), (len(rows), np.shape(r)[-1]))
-        return np.array([method(r_row, row) for r_row, row in zip(r, rows)], dtype=float)
+        return self._cdf_derivatives(np.asarray(r, dtype=float), rows)[1]
 
     def quantile(self, u: float, theta) -> float:
         """Inverse cdf by bisection; override when a closed form exists."""
@@ -203,10 +195,7 @@ class ValueFamily(ABC):
                 raise RuntimeError("quantile bisection failed to bracket")
         for _ in range(200):
             mid = 0.5 * (lo + hi)
-            if self.cdf(mid, theta) < u:
-                lo = mid
-            else:
-                hi = mid
+            lo, hi = (mid, hi) if self.cdf(mid, theta) < u else (lo, mid)
             if hi - lo <= 1e-14 * max(1.0, hi):
                 break
         return 0.5 * (lo + hi)
@@ -226,51 +215,21 @@ class ExponentialFamily(ValueFamily):
         if self.param_space.lower[0] <= 0:
             raise ValueError("the exponential rate must be positive")
 
+    # perfbench/spans.py rebinds these three names from this class's own namespace
+    sf, grad_cdf, hess_cdf = ValueFamily.sf, ValueFamily.grad_cdf, ValueFamily.hess_cdf
+
     def cdf(self, r, theta):
-        theta = self.param_space.require(theta)[0]
-        r = np.asarray(r, dtype=float)
-        out = np.where(r >= 0.0, -np.expm1(-theta * np.maximum(r, 0.0)), 0.0)
+        r, rate = np.asarray(r, dtype=float), self.param_space.require(theta)[0]
+        out = np.where(r >= 0.0, -np.expm1(-rate * np.maximum(r, 0.0)), 0.0)
         return float(out) if out.ndim == 0 else out
 
-    @staticmethod
-    def _decay(r, rate):
-        """r as an array, and exp(-rate r) on r >= 0: rate is a validated theta's entry, or a
-        column of validated rows paired with r's rows."""
-        r = np.asarray(r, dtype=float)
-        return r, np.exp(-rate * np.maximum(r, 0.0))
+    def _survival(self, r, theta):
+        return np.where(r >= 0.0, np.exp(-theta[..., 0, None] * np.maximum(r, 0.0)), 1.0)
 
-    def sf(self, r, theta):
-        return self._sf(r, self.param_space.require(theta))
-
-    def _sf(self, r, theta):
-        r, decay = self._decay(r, theta[0])
-        out = np.where(r >= 0.0, decay, 1.0)
-        return float(out) if out.ndim == 0 else out
-
-    def sf_rows(self, r, thetas):
-        return self._sf_rows(r, self.param_space.require_rows(thetas))
-
-    def _sf_rows(self, r, thetas):
-        r, decay = self._decay(r, thetas)
-        return np.where(r >= 0.0, decay, 1.0)
-
-    def grad_cdf(self, r, theta):
-        r, decay = self._decay(r, self.param_space.require(theta)[0])
-        g = np.where(r >= 0.0, r * decay, 0.0)
-        return np.atleast_1d(g)[..., None] if g.ndim else np.array([float(g)])
-
-    def hess_cdf(self, r, theta):
-        r, decay = self._decay(r, self.param_space.require(theta)[0])
-        h = np.where(r >= 0.0, -(np.where(decay > 0.0, r, 0.0) ** 2) * decay, 0.0)  # 0 decay: -0
-        if h.ndim == 0:
-            return np.array([[float(h)]])
-        return h[:, None, None]
-
-    def _cdf_derivative_rows(self, r, thetas):
-        r, decay = self._decay(r, thetas)
-        joins = r >= 0.0
-        return (np.where(joins, r * decay, 0.0)[..., None],
-                np.where(joins, -(np.where(decay > 0.0, r, 0.0) ** 2) * decay, 0.0)[..., None, None])
+    def _cdf_derivatives(self, r, theta):
+        decay, joins = np.exp(-theta[..., 0, None] * np.maximum(r, 0.0)), r >= 0.0
+        hess = np.where(joins, -(np.where(decay > 0.0, r, 0.0) ** 2) * decay, 0.0)  # 0 decay: -0
+        return np.where(joins, r * decay, 0.0)[..., None], hess[..., None, None]
 
     def quantile(self, u: float, theta) -> float:
         theta = self.param_space.require(theta)[0]
@@ -326,9 +285,9 @@ class StateTable:
     derivatives ``dp``/``d2p`` of the up-probability are computed on first
     access, so a caller that needs only joining rates never evaluates the
     rest.  From the empty queue every transition is a join: there p_up is 1
-    and its derivatives are 0.  theta is not validated here; callers do it
-    once.  For m states, ``grad`` and ``dp`` have shape ``(m, dim)`` and
-    ``d2p`` has shape ``(m, dim, dim)``.
+    and its derivatives are 0.  theta goes to the family's kernels as it
+    is: callers validate it once.  For m states, ``grad`` and ``dp`` have
+    shape ``(m, dim)`` and ``d2p`` has shape ``(m, dim, dim)``.
 
     ``price`` replaces ``cfg.price`` without building a new config.  A column
     of n prices (shape ``(n, 1)``) gives ``(n, m)`` thresholds, survivals and
@@ -338,9 +297,9 @@ class StateTable:
 
     def __init__(self, q, theta, cfg: ModelConfig, fam: ValueFamily, price=None):
         self.q = np.atleast_1d(q)
-        self.theta, self.cfg, self.fam = theta, cfg, fam
+        self.theta, self.cfg, self.fam = np.asarray(theta, dtype=float), cfg, fam
         self.thresholds = _threshold(self.q, cfg, price)
-        self.surv = np.asarray(fam._sf(self.thresholds, theta), dtype=float)
+        self.surv = fam._survival(self.thresholds, self.theta)
         self.lam_q = cfg.lam * self.surv
 
     @cached_property
@@ -365,9 +324,12 @@ class StateTable:
         return np.where(self.q == 0, 0.0, self._law[1])
 
     @cached_property
+    def _derivatives(self):
+        return self.fam._cdf_derivatives(self.thresholds, self.theta)
+
+    @cached_property
     def grad(self) -> np.ndarray:
-        g = self.fam.grad_cdf(self.thresholds, self.theta)
-        return np.asarray(g, dtype=float).reshape(self.q.size, self.fam.dim)
+        return self._derivatives[0]
 
     @cached_property
     def dp(self) -> np.ndarray:
@@ -377,9 +339,7 @@ class StateTable:
 
     @cached_property
     def d2p(self) -> np.ndarray:
-        dim = self.fam.dim
-        hess = np.asarray(self.fam.hess_cdf(self.thresholds, self.theta), dtype=float)
-        d2p = _d2p(self.cfg, self._denom, self.grad, hess.reshape(self.q.size, dim, dim))
+        d2p = _d2p(self.cfg, self._denom, self.grad, self._derivatives[1])
         d2p[self.q == 0] = 0.0
         return d2p
 

@@ -389,7 +389,7 @@ def _trace_metrics(trace: PricingTrace, p_star: float, row: _Row) -> TraceMetric
     prices = [p_star, trace.final_price, *(r.price_used for r in trace.records)]
     rev_star, final_rev, *at_used = row.revenues(prices, len(prices))
     pooled = [r for r in trace.records if r.pooled]
-    thetas = np.array([r.theta_i for r in pooled]).reshape(len(pooled), row.fam.dim)
+    thetas = row.fam.param_space.require_rows([r.theta_i for r in pooled])
     model = iter(_Row(thetas, row.cfg, row.fam, TRUNC_EPS).revenues(
         [r.price_used for r in pooled], len(pooled)))
     num = 0.0

@@ -159,8 +159,8 @@ class _Row:
     from double _ROW.  Up to a state a row does not depend on the width
     (_weigh), so each width gives the values of one _ROW-state pass.
     ``revenues`` makes that pass for many prices in one call.  theta is one
-    parameter its callers validated, or an (n, dim) array of rows, row i
-    for the i-th price ``revenues`` scores (validated there by ``sf_rows``).
+    parameter its callers validated, or an (n, dim) array of rows they
+    validated, row i for the i-th price ``revenues`` scores.
     """
 
     def __init__(self, theta, cfg: ModelConfig, fam: ValueFamily, eps: float):
@@ -180,11 +180,8 @@ class _Row:
         out, width = [], _NARROW
         while len(pending):
             thresholds = prices[pending, None] + self.offsets[:width]
-            if self.theta.ndim == 1:
-                surv = self.fam._sf(thresholds, self.theta)
-            else:
-                surv = self.fam.sf_rows(thresholds, self.theta[pending])
-            lam_q = self.cfg.lam * np.asarray(surv, dtype=float)
+            theta = self.theta if self.theta.ndim == 1 else self.theta[pending]
+            lam_q = self.cfg.lam * self.fam._survival(thresholds, theta)
             weights, partial, ok = _weigh(lam_q, self.cfg.mu, self.eps)
             # each row's truncation state; 0 where nobody joins the empty queue, or where
             # no state within the width cuts the row (_weigh never cuts at state 0)
@@ -384,7 +381,7 @@ def price_upper_bound(theta, cfg: ModelConfig, fam: ValueFamily) -> float:
     offset = _threshold(0, cfg, price=0.0)
 
     def rate0(p):
-        return cfg.lam * fam._sf(p + offset, theta)
+        return cfg.lam * fam._survival(p + offset, theta)
 
     target = JOIN_FRAC * cfg.lam
     rates = rate0(2.0 ** np.arange(40))
@@ -451,7 +448,7 @@ def _price_ceiling(theta, cfg: ModelConfig, fam: ValueFamily) -> float:
     """price_upper_bound, the top of a price search, which must lie above PRICE_FLOOR."""
     hi = price_upper_bound(theta, cfg, fam)
     if hi <= PRICE_FLOOR:
-        share = fam.sf(_threshold(0, cfg, price=0.0), theta)
+        share = fam._survival(np.array([_threshold(0, cfg, price=0.0)]), theta)[0]
         raise TruncationError(
             f"no price to search: the share of arrivals joining the empty queue is {share:.3g} "
             f"at price 0 and falls below JOIN_FRAC ({JOIN_FRAC:g}) by price {hi:.3g}, "
@@ -465,6 +462,7 @@ def min_std_price(theta, cfg: ModelConfig, fam: ValueFamily) -> float:
     Each point is one asymptotic_std call; the golden phase scores one
     point at a time.  Raises TruncationError as optimal_price does.
     """
+    theta = fam.param_space.require(theta)
 
     def scores(prices):
         return [-float(asymptotic_std(p, theta, cfg, fam)[0]) for p in prices]

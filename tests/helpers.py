@@ -59,27 +59,13 @@ class UniformValueFamily(ValueFamily):
         self.width = float(width)
         self.param_space = ParamSpace([lower], [upper])
 
-    def cdf(self, r, theta):
-        loc = self.param_space.require(theta)[0]
-        r = np.asarray(r, dtype=float)
-        out = np.clip((r - loc) / self.width, 0.0, 1.0)
-        return float(out) if out.ndim == 0 else out
+    def _survival(self, r, theta):
+        return 1.0 - np.clip((r - theta[..., 0, None]) / self.width, 0.0, 1.0)
 
-    def grad_cdf(self, r, theta):
-        loc = self.param_space.require(theta)[0]
-        r = np.asarray(r, dtype=float)
-        inside = (r > loc) & (r < loc + self.width)
-        g = np.where(inside, -1.0 / self.width, 0.0)
-        if g.ndim == 0:
-            return np.array([float(g)])
-        return g[:, None]
-
-    def hess_cdf(self, r, theta):
-        self.param_space.require(theta)
-        r = np.asarray(r, dtype=float)
-        if r.ndim == 0:
-            return np.zeros((1, 1))
-        return np.zeros((len(r), 1, 1))
+    def _cdf_derivatives(self, r, theta):
+        loc = theta[..., 0, None]
+        grad = np.where((r > loc) & (r < loc + self.width), -1.0 / self.width, 0.0)
+        return grad[..., None], np.zeros(grad.shape + (1, 1))
 
     def quantile(self, u, theta):
         loc = self.param_space.require(theta)[0]
@@ -97,40 +83,40 @@ class WeibullValueFamily(ValueFamily):
     def __init__(self, lower, upper):
         self.param_space = ParamSpace(lower, upper)
 
-    def _u(self, r, theta):
-        """shape, scale, r, u = (r/scale)^shape and log(r/scale), taken as 0 where u is 0."""
-        shape, scale = self.param_space.require(theta)
-        r = np.asarray(r, dtype=float)
+    @staticmethod
+    def _u(r, theta):
+        """shape, scale (columns), u = (r/scale)^shape and log(r/scale), taken as 0 where u is 0.
+
+        u is capped at e^7, past which exp(-u) is 0 and every derivative a
+        signed 0 anyway: u**2 stays finite up to r = 1e300.
+        """
+        shape, scale = theta[..., 0, None], theta[..., 1, None]
         ratio = r / scale
         positive = ratio > 0.0
         log_ratio = np.log(np.where(positive, ratio, 1.0))
-        u = np.where(positive, np.exp(shape * log_ratio), 0.0)
-        return shape, scale, r, u, log_ratio
+        u = np.where(positive, np.exp(np.minimum(shape * log_ratio, 7.0)), 0.0)
+        return shape, scale, u, log_ratio
 
     def cdf(self, r, theta):
-        out = -np.expm1(-self._u(r, theta)[3])
-        return float(out) if out.ndim == 0 else out
+        # -expm1 keeps the small values that 1 - sf rounds away, which quantile's bisection reads
+        out = -np.expm1(-self._u(np.asarray(r, dtype=float), self.param_space.require(theta))[2])
+        return float(out[0]) if np.ndim(r) == 0 else out
 
-    def sf(self, r, theta):
-        out = np.exp(-self._u(r, theta)[3])
-        return float(out) if out.ndim == 0 else out
+    def _survival(self, r, theta):
+        return np.exp(-self._u(r, theta)[2])
 
-    def grad_cdf(self, r, theta):
-        shape, scale, r, u, log_ratio = self._u(r, theta)
+    def _cdf_derivatives(self, r, theta):
+        shape, scale, u, log_ratio = self._u(r, theta)
         # d cdf = exp(-u) du, with du/dshape = u log(r/scale), du/dscale = -shape u / scale
-        g = np.exp(-u)[..., None] * np.stack([u * log_ratio, -shape * u / scale], axis=-1)
-        return g if r.ndim else g.reshape(2)
-
-    def hess_cdf(self, r, theta):
-        shape, scale, r, u, log_ratio = self._u(r, theta)
         du = np.stack([u * log_ratio, -shape * u / scale], axis=-1)
         d2u = np.empty(u.shape + (2, 2))
         d2u[..., 0, 0] = u * log_ratio**2
         d2u[..., 0, 1] = d2u[..., 1, 0] = -(u / scale) * (shape * log_ratio + 1.0)
         d2u[..., 1, 1] = shape * (shape + 1.0) * u / scale**2
         # d2 cdf = exp(-u) (d2u - du du^T)
-        h = np.exp(-u)[..., None, None] * (d2u - du[..., :, None] * du[..., None, :])
-        return h if r.ndim else h.reshape(2, 2)
+        decay = np.exp(-u)
+        hess = decay[..., None, None] * (d2u - du[..., :, None] * du[..., None, :])
+        return decay[..., None] * du, hess
 
 
 def golden_one_point_at_a_time(func, lo, hi, grid, tol, scan=None):

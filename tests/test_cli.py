@@ -157,6 +157,13 @@ def test_validation_errors_exit_one(tmp_path, capsys):
     assert run_cli(["simulate", "--k", "10"]) == 1  # missing theta0
     assert run_cli(["fit", "--input", str(tmp_path / "missing.csv")]) == 1
     assert run_cli(["simulate", "--theta0", "0.02", "--k", "10", "--lam", "-1"]) == 1
+    capsys.readouterr()
+    assert run_cli(["simulate", "--theta0", "0.02", "--k", "10", "--lam", "inf"]) == 1
+    assert "finite" in capsys.readouterr().err
+    assert run_cli(["simulate", "--theta0", "0.02", "--k", "10", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert run_cli(["fit", "--input", str(tmp_path / "path.csv"), "--theta-upper", "inf"]) == 1
+    assert "finite" in capsys.readouterr().err
     assert run_cli(["experiment", "consistency", "--config", str(tmp_path / "nope.json")]) == 1
     assert run_cli(["bogus-subcommand"]) == 1
     capsys.readouterr()

@@ -29,7 +29,6 @@ from balkwise.model import (
     ExponentialFamily,
     ModelConfig,
     ParamSpace,
-    ValueFamily,
     up_probability,
     up_prob_grad,
 )
@@ -424,16 +423,15 @@ def test_score_vanishes_at_an_interior_mle(theta0, k, seed):
     assert fit.score_norm <= SCORE_RTOL * max(1.0, abs(fit.loglik))
 
 
-def test_uniform_family_fits_through_the_row_by_row_scan(monkeypatch):
+def test_uniform_family_fits_through_its_kernels(monkeypatch):
     fam = UniformValueFamily(width=4.0, lower=0.5, upper=5.0)
-    assert UniformValueFamily.sf_rows is ValueFamily.sf_rows
     cfg = ModelConfig(lam=1.0, mu=1.0, cost_c=1.0, price=0.0)
     path = simulate_path(cfg, fam, [2.5], SimOptions(steps=3000, seed=2))
     fit = fit_mle(path, cfg, fam)
     # the states everybody joins stay in the likelihood whatever theta is,
     # so the fit stays inside the box
     assert not fit.boundary and abs(fit.theta_hat[0] - 2.5) <= 0.2
-    # the scan, row by row, scores each theta as log_likelihood does
+    # the scan, in one call of the survival kernel, scores each theta as log_likelihood does
     lik = _Batch([path], cfg, fam)
     thetas = np.linspace(0.5, 5.0, 301)
     np.testing.assert_array_equal(

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -46,10 +47,14 @@ def test_offered_reward_rejects_negative_state(anchor_cfg):
         dict(lam=1, mu=-1, cost_c=1, price=1),
         dict(lam=1, mu=1, cost_c=0, price=1),
         dict(lam=1, mu=1, cost_c=1, price=-0.5),
+        dict(lam=math.inf, mu=1, cost_c=1, price=1),
+        dict(lam=1, mu=math.inf, cost_c=1, price=1),
+        dict(lam=1, mu=1, cost_c=math.inf, price=1),
+        dict(lam=1, mu=1, cost_c=1, price=math.inf),
     ],
 )
 def test_model_config_validation(bad):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="must be" if math.inf not in bad.values() else "finite"):
         ModelConfig(**bad)
 
 
@@ -58,6 +63,9 @@ def test_param_space_validation():
         ParamSpace([1.0], [1.0])
     with pytest.raises(ValueError):
         ParamSpace([1.0, 2.0], [3.0])
+    for lower, upper in (([1.0], [math.inf]), ([-math.inf], [1.0]), ([0.0, 1.0], [1.0, math.inf])):
+        with pytest.raises(ValueError, match="finite"):
+            ParamSpace(lower, upper)
     space = ParamSpace([0.0, 1.0], [1.0, 2.0])
     assert space.dim == 2
     assert space.contains([0.5, 1.5])
@@ -237,49 +245,94 @@ def test_uniform_family_gradient_matches_fd(anchor_cfg):
     assert fam.grad_cdf(r, [theta])[0] == pytest.approx(fd, rel=1e-6)
 
 
-# --- the unvalidated survival hook and the validating entry points -----------
+# --- the family contract: two kernels, every public method derived from them --
 
 # thresholds below 0, at 0 and up to where every survival underflows
 THRESHOLDS = st.one_of(st.floats(-1e6, -1e-300), st.just(0.0), st.just(-0.0),
                        st.floats(0.0, 1e3), st.floats(1e3, 1e300))
+FAMILIES = {
+    "exponential": ExponentialFamily(ParamSpace([1e-3], [5.0])),
+    "uniform": UniformValueFamily(width=4.0, lower=0.5, upper=5.0),
+    "weibull": WeibullValueFamily([0.5, 2.0], [10.0, 60.0]),
+}
 
 
-@settings(derandomize=True, deadline=None, database=None, max_examples=200)
-@given(at=st.floats(0.0, 1.0), r=st.lists(THRESHOLDS, min_size=1, max_size=40),
-       table=st.booleans())
-def test_unvalidated_survival_equals_sf_bit_for_bit(at, r, table):
-    # the row kernels call _sf on a theta validated once; it must be sf there.
-    # Only the exponential family overrides _sf; elsewhere it is sf itself.
-    fam = ExponentialFamily(ParamSpace([1e-3], [5.0]))
-    space = fam.param_space
-    theta = space.require(space.clip(space.lower + at * space.width))
-    r = np.array(r).reshape(1, -1) if table else np.array(r)
-    got, want = fam._sf(r, theta), fam.sf(r, theta)
-    assert got.shape == want.shape and got.tobytes() == want.tobytes()
-    for scalar in (r.flat[0], -1.0, 0.0):
-        one, expected = fam._sf(scalar, theta), fam.sf(scalar, theta)
-        assert type(one) is type(expected)
-        assert np.float64(one).tobytes() == np.float64(expected).tobytes()
+def _same_bits(got, want):
+    return np.shape(got) == np.shape(want) and np.asarray(got).tobytes() == want.tobytes()
 
 
-@settings(derandomize=True, deadline=None, database=None, max_examples=200)
-@given(at=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5),
+@pytest.mark.parametrize("name", FAMILIES)
+@settings(derandomize=True, deadline=None, database=None, max_examples=100)
+@given(at=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8),
        r=st.lists(THRESHOLDS, min_size=1, max_size=40), table=st.booleans())
-def test_unvalidated_derivative_rows_equal_the_row_methods_bit_for_bit(at, r, table):
-    # a fit's derivative rounds call _cdf_derivative_rows on rows validated
-    # once; it must be grad_cdf_rows and hess_cdf_rows there, on one shared
-    # row of thresholds or on a row of its own per parameter row
-    fam = ExponentialFamily(ParamSpace([1e-3], [5.0]))
+def test_public_family_methods_are_their_kernels(name, at, r, table):
+    # sf, grad_cdf and hess_cdf and their row forms are require (require_rows),
+    # a kernel call and a reshape; the row kernels of the likelihood, the price
+    # searches and StateTable call the kernels on a theta validated once
+    fam = FAMILIES[name]
     space = fam.param_space
-    thetas = space.require_rows(space.clip(space.lower + np.array(at)[:, None] * space.width))
-    r = np.array([np.roll(r, i) for i in range(len(thetas))]) if table else np.array(r)
+    fractions = np.resize(np.array(at), (len(at), fam.dim))  # one box point per row
+    thetas = space.require_rows(space.clip(space.lower + fractions * space.width))
+    r = np.array(r)
+    rows = np.array([np.roll(r, i) for i in range(len(thetas))]) if table else r
     with warnings.catch_warnings():
-        warnings.simplefilter("error")  # past r = 1.3e154, where r**2 overflows, the Hessian is -0
-        grad, hess = fam._cdf_derivative_rows(r, thetas)
-        want = fam.grad_cdf_rows(r, thetas), fam.hess_cdf_rows(r, thetas)
-    for got, expected in zip((grad, hess), want):
-        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
-        assert np.isfinite(got).all()
+        warnings.simplefilter("error")  # past r = 1.3e154, where r**2 overflows, Hessians are -0
+        for shaped in (r, r[None, :]):  # a vector, and a (price x state) table
+            survival = fam._survival(shaped, thetas[0])
+            grad, hess = fam._cdf_derivatives(shaped, thetas[0])
+            assert _same_bits(fam.sf(shaped, thetas[0]), survival)
+            assert _same_bits(fam.grad_cdf(shaped, thetas[0]), grad)
+            assert _same_bits(fam.hess_cdf(shaped, thetas[0]), hess)
+            assert survival.shape == shaped.shape and grad.shape == shaped.shape + (fam.dim,)
+            assert hess.shape == shaped.shape + (fam.dim, fam.dim)
+        for scalar in (r[0], -1.0, 0.0):
+            one = np.array([scalar])
+            value = fam.sf(scalar, thetas[0])
+            assert type(value) is float and _same_bits(value, fam._survival(one, thetas[0])[0])
+            assert type(fam.cdf(scalar, thetas[0])) is float
+            grad_one, hess_one = fam._cdf_derivatives(one, thetas[0])
+            assert _same_bits(fam.grad_cdf(scalar, thetas[0]), grad_one[0])
+            assert _same_bits(fam.hess_cdf(scalar, thetas[0]), hess_one[0])
+        # row i of the parameters at row i of r, or at the one row r shared by all
+        survival, (grad, hess) = fam._survival(rows, thetas), fam._cdf_derivatives(rows, thetas)
+        assert survival.shape == (len(thetas), r.size)
+        assert _same_bits(fam.sf_rows(rows, thetas), survival)
+        assert _same_bits(fam.grad_cdf_rows(rows, thetas), grad)
+        assert _same_bits(fam.hess_cdf_rows(rows, thetas), hess)
+        for i, theta in enumerate(thetas):
+            r_i = rows[i] if table else r
+            np.testing.assert_allclose(survival[i], fam.sf(r_i, theta), rtol=1e-15, atol=0)
+            np.testing.assert_allclose(grad[i], fam.grad_cdf(r_i, theta), rtol=1e-12, atol=1e-300)
+            np.testing.assert_allclose(hess[i], fam.hess_cdf(r_i, theta), rtol=1e-12, atol=1e-300)
+        assert np.isfinite(grad).all() and np.isfinite(hess).all()
+
+    # a row outside the box raises as require does, in every public method
+    bad = space.upper + space.width
+    with pytest.raises(ValueError) as single:
+        space.require(bad)
+    for method in (fam.sf, fam.grad_cdf, fam.hess_cdf):
+        with pytest.raises(ValueError, match=re.escape(str(single.value))):
+            method(r, bad)
+    for method in (fam.sf_rows, fam.grad_cdf_rows, fam.hess_cdf_rows):
+        with pytest.raises(ValueError, match=re.escape(str(single.value))):
+            method(r, np.vstack([thetas, bad]))
+
+    # the derivatives match central differences of the cdf and of the gradient,
+    # at an interior parameter and wherever the cdf is smooth at two step sizes
+    theta = space.lower + (0.1 + 0.8 * fractions[0]) * space.width
+    grad, hess = fam.grad_cdf(r, theta), fam.hess_cdf(r, theta)
+    for j in range(fam.dim):
+        fds = []
+        for h in (1e-6 * theta[j], 0.5e-6 * theta[j]):
+            step = np.zeros(fam.dim)
+            step[j] = h
+            fds.append(((fam.cdf(r, theta + step) - fam.cdf(r, theta - step)) / (2 * h),
+                        (fam.grad_cdf(r, theta + step) - fam.grad_cdf(r, theta - step)) / (2 * h)))
+        (fd_grad, fd_hess), (half_grad, half_hess) = fds
+        smooth = np.isclose(fd_grad, half_grad, rtol=1e-4, atol=1e-8)
+        np.testing.assert_allclose(grad[smooth, j], fd_grad[smooth], rtol=1e-5, atol=1e-8)
+        smooth = np.isclose(fd_hess, half_hess, rtol=1e-4, atol=1e-8).all(axis=-1)
+        np.testing.assert_allclose(hess[smooth, :, j], fd_hess[smooth], rtol=1e-5, atol=1e-8)
 
 
 def test_far_tail_hessian_is_negative_zero():

@@ -1,0 +1,28 @@
+"""tools/search_rounds.py still counts what it names.
+
+The tool wraps private functions of balkwise (the family's survival kernel
+``_survival``, ``grid_then_golden``, ``_fit_batch``, ``_Batch.evaluate``), so
+renaming one of them would silently zero a count; two ops of
+``pricing-doubling`` must give every count.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_search_rounds_counts_every_search():
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "search_rounds.py"),
+         "--workload", "pricing-doubling", "--seed", "101", "--ops", "2"],
+        capture_output=True, text=True, env=env, timeout=120, check=True)
+    summary = json.loads(run.stdout.splitlines()[-1])
+    per_op = summary["per_op"]
+    assert summary["ops"] == 2
+    assert per_op["bounds"] > 0 and summary["bisection_calls_per_bound"] > 0
+    assert per_op["golden_calls"] > 0 and per_op["rounds"] > 0

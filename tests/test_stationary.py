@@ -369,7 +369,7 @@ def test_price_upper_bound_equals_full_bisection(cfg, theta, weibull):
 
 def test_searches_at_the_anchor_take_few_calls(monkeypatch):
     # the predicted branches settle most steps of the two exact searches
-    golden, sf, calls = stationary.grid_then_golden, ExponentialFamily._sf, []
+    golden, survival, calls = stationary.grid_then_golden, ExponentialFamily._survival, []
 
     def counted(scan, lo, hi, grid, tol, batch, depth):
         return golden(scan, lo, hi, grid, tol, lambda points: calls.append(points) or batch(points),
@@ -379,8 +379,8 @@ def test_searches_at_the_anchor_take_few_calls(monkeypatch):
     optimal_price([0.02], ANCHOR, EXPO)
     assert 1 <= len(calls) <= 6
     calls.clear()
-    monkeypatch.setattr(ExponentialFamily, "_sf",
-                        lambda self, r, theta: calls.append(r) or sf(self, r, theta))
+    monkeypatch.setattr(ExponentialFamily, "_survival",
+                        lambda self, r, theta: calls.append(r) or survival(self, r, theta))
     price_upper_bound([0.02], ANCHOR, EXPO)
     assert 2 <= len(calls) <= 4  # the doubling, then at most 3 bisection calls
 

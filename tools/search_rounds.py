@@ -6,8 +6,9 @@ balkwise's private functions in this process only:
 
 - the golden phases of the price searches (``grid_then_golden`` at depth
   greater than 1): their ``batch`` calls and the points of each;
-- ``price_upper_bound``: its calls of the family's ``_sf``, the first of
-  which is the doubling and the rest the bisection;
+- ``price_upper_bound``: its calls of the family's survival kernel
+  ``_survival``, the first of which is the doubling and the rest the
+  bisection;
 - the fits (``_fit_batch``): ``_Batch.evaluate`` rounds (calls from a fit),
   the table calls they split into (``_CELLS`` cells at a time) and their
   points.
@@ -61,19 +62,19 @@ def _wrap_golden(inner):
 
 
 def _wrap_bound(inner, family):
-    sf = family._sf
+    survival = family._survival
 
     def price_upper_bound(theta, cfg, fam):
         def counted(self, r, theta):
             COUNTS["bound_sf_calls"] += 1
-            return sf(self, r, theta)
+            return survival(self, r, theta)
 
         COUNTS["bounds"] += 1
-        family._sf = counted
+        family._survival = counted
         try:
             return inner(theta, cfg, fam)
         finally:
-            family._sf = sf
+            family._survival = survival
 
     return price_upper_bound
 
