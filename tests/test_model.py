@@ -335,6 +335,43 @@ def test_public_family_methods_are_their_kernels(name, at, r, table):
         np.testing.assert_allclose(hess[smooth, :, j], fd_hess[smooth], rtol=1e-5, atol=1e-8)
 
 
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(at=st.floats(0.0, 1.0), r=st.lists(THRESHOLDS, min_size=1, max_size=40),
+       table=st.booleans())
+def test_unvalidated_survival_equals_sf_bit_for_bit(at, r, table):
+    # the row kernels call _survival on a theta validated once; it must be sf there
+    fam = ExponentialFamily(ParamSpace([1e-3], [5.0]))
+    space = fam.param_space
+    theta = space.require(space.clip(space.lower + at * space.width))
+    r = np.array(r).reshape(1, -1) if table else np.array(r)
+    got, want = fam._survival(r, theta), fam.sf(r, theta)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    for scalar in (r.flat[0], -1.0, 0.0):
+        one, expected = fam._survival(np.array([scalar]), theta)[0], fam.sf(scalar, theta)
+        assert type(expected) is float
+        assert np.float64(one).tobytes() == np.float64(expected).tobytes()
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(at=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5),
+       r=st.lists(THRESHOLDS, min_size=1, max_size=40), table=st.booleans())
+def test_unvalidated_derivative_rows_equal_the_row_methods_bit_for_bit(at, r, table):
+    # a fit's derivative rounds call _cdf_derivatives on rows validated once;
+    # it must be grad_cdf_rows and hess_cdf_rows there, on one shared row of
+    # thresholds or on a row of its own per parameter row
+    fam = ExponentialFamily(ParamSpace([1e-3], [5.0]))
+    space = fam.param_space
+    thetas = space.require_rows(space.clip(space.lower + np.array(at)[:, None] * space.width))
+    r = np.array([np.roll(r, i) for i in range(len(thetas))]) if table else np.array(r)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # past r = 1.3e154, where r**2 overflows, the Hessian is -0
+        grad, hess = fam._cdf_derivatives(r, thetas)
+        want = fam.grad_cdf_rows(r, thetas), fam.hess_cdf_rows(r, thetas)
+    for got, expected in zip((grad, hess), want):
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+        assert np.isfinite(got).all()
+
+
 def test_far_tail_hessian_is_negative_zero():
     # r**2 overflows past about 1.3e154, where the decay is already 0
     fam = ExponentialFamily()
