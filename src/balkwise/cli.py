@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .experiments import EXPERIMENTS, ExperimentConfig, model_settings, run_experiment
+from .experiments import EXPERIMENTS, ExperimentConfig, config_int, model_settings, run_experiment
 from .inference import confidence_interval, fit_mle
 from .model import ExponentialFamily, ModelConfig, ParamSpace
 from .pricing import PricingConfig, run_pricing, trace_metrics
@@ -137,6 +137,13 @@ def _pick(flag, cfg: dict, key: str, default):
     return cfg.get(key, default)
 
 
+def _pick_int(flag, cfg: dict, key: str, default, block: str = ""):
+    """_pick for an integer setting: a config value that is not one raises ValueError naming it."""
+    if flag is not None or key not in cfg:
+        return _pick(flag, cfg, key, default)
+    return config_int(cfg[key], block + key, optional=default is None)
+
+
 def _model_from(args, cfg) -> tuple[ModelConfig, ExponentialFamily]:
     """The model and family of the config, each model flag given in place of its setting."""
     settings = model_settings(cfg)
@@ -159,16 +166,16 @@ def _cmd_simulate(args) -> int:
     theta0 = _pick(args.theta0, cfg_file, "theta0", None)
     if theta0 is None:
         raise ValueError("simulate needs --theta0 (true parameter)")
-    k = _pick(args.k, cfg_file, "k", None)
+    k = _pick_int(args.k, cfg_file, "k", None)
     if k is None:
         raise ValueError("simulate needs --k (number of transitions)")
     initial = _pick(args.initial_state, cfg_file, "initial_state", "0")
     initial = initial if initial == "stationary-warmup" else int(initial)
     opts = SimOptions(
-        steps=int(k),
-        seed=_pick(args.seed, cfg_file, "seed", 0),
+        steps=k,
+        seed=_pick_int(args.seed, cfg_file, "seed", 0),
         initial_state=initial,
-        warmup_steps=_pick(args.warmup, cfg_file, "warmup_steps", None),
+        warmup_steps=_pick_int(args.warmup, cfg_file, "warmup_steps", None),
     )
     path = simulate_path(cfg, fam, [theta0], opts)
     out = _out_dir(args, cfg_file)
@@ -286,13 +293,14 @@ def _cmd_autoprice(args) -> int:
         raise ValueError("autoprice needs --theta0 (true parameter for simulation)")
     pcfg = PricingConfig(
         initial_price=_pick(args.p1, pricing_cfg, "p1", 15.0),
-        k1_min=_pick(args.k1_min, pricing_cfg, "k1_min", 2),
+        k1_min=_pick_int(args.k1_min, pricing_cfg, "k1_min", 2, "pricing."),
         schedule=_pick(args.schedule, pricing_cfg, "schedule", "increment"),
         tol=_pick(args.tol, pricing_cfg, "tol", 0.01),
-        max_iterations=_pick(args.max_iterations, pricing_cfg, "max_iterations", 10_000),
-        max_observations=_pick(args.budget, pricing_cfg, "budget", None),
+        max_iterations=_pick_int(args.max_iterations, pricing_cfg, "max_iterations", 10_000,
+                                 "pricing."),
+        max_observations=_pick_int(args.budget, pricing_cfg, "budget", None, "pricing."),
     )
-    seed = _pick(args.seed, cfg_file, "seed", 0)
+    seed = _pick_int(args.seed, cfg_file, "seed", 0)
     trace = run_pricing(cfg, fam, pcfg, theta0=[theta0], seed=seed)
     out = _out_dir(args, cfg_file)
     with open(out / "pricing_trace.csv", "w", newline="") as fh:

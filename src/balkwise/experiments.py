@@ -132,23 +132,14 @@ class ExperimentConfig:
     @staticmethod
     def from_json(raw: dict) -> "ExperimentConfig":
         kwargs = dict(experiment=raw.get("experiment", ""), **model_settings(raw))
-        for key in (
-            "theta0",
-            "k",
-            "replications",
-            "seed",
-            "empirical_reps",
-            "out_dir",
-            "workers",
-            "warmup_steps",
-            "pricing_tol",
-            "pricing_budget",
-            "pricing_runs",
-        ):
+        kwargs.update((key, raw[key]) for key in ("theta0", "out_dir", "pricing_tol") if key in raw)
+        for key in ("k", "replications", "seed", "empirical_reps", "workers", "warmup_steps",
+                    "pricing_budget", "pricing_runs"):
             if key in raw:
-                kwargs[key] = raw[key]
+                kwargs[key] = config_int(raw[key], key, optional=key in ("k", "pricing_budget"))
         if "k_list" in raw:
-            kwargs["k_list"] = tuple(int(v) for v in raw["k_list"])
+            kwargs["k_list"] = tuple(config_int(k, f"k_list[{i}]")
+                                     for i, k in enumerate(raw["k_list"]))
         if "price_grid" in raw:
             lo, hi, n = raw["price_grid"]
             kwargs["price_grid"] = (float(lo), float(hi), int(n))
@@ -196,6 +187,15 @@ def model_settings(raw: dict) -> dict:
             raise ValueError(f"config key '{block}.{key}' must be a number, got {value!r}")
         settings[field] = value
     return settings
+
+
+def config_int(value, key: str, optional: bool = False):
+    """A JSON config's integer (or whole float; null if optional), else ValueError naming key."""
+    if (optional and value is None) or (isinstance(value, int) and not isinstance(value, bool)):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"config key {key!r} must be an integer, got {value!r}")
 
 
 def rep_seed(master: int, *key: int) -> np.random.SeedSequence:

@@ -277,7 +277,7 @@ def _d2p(cfg: ModelConfig, denom, grad, hess):
 
 
 class StateTable:
-    """The join rule tabulated over an array of queue lengths ``q``.
+    """The join rule at ``cfg.price``, tabulated over an array of queue lengths ``q``.
 
     ``thresholds`` -> survival ``surv`` -> joining rate ``lam_q`` are
     computed on construction; the up/down probabilities of the jump chain,
@@ -288,17 +288,12 @@ class StateTable:
     and its derivatives are 0.  theta goes to the family's kernels as it
     is: callers validate it once.  For m states, ``grad`` and ``dp`` have
     shape ``(m, dim)`` and ``d2p`` has shape ``(m, dim, dim)``.
-
-    ``price`` replaces ``cfg.price`` without building a new config.  A column
-    of n prices (shape ``(n, 1)``) gives ``(n, m)`` thresholds, survivals and
-    joining rates, one row per price; the jump-chain properties are defined
-    for a single price only.
     """
 
-    def __init__(self, q, theta, cfg: ModelConfig, fam: ValueFamily, price=None):
+    def __init__(self, q, theta, cfg: ModelConfig, fam: ValueFamily):
         self.q = np.atleast_1d(q)
         self.theta, self.cfg, self.fam = np.asarray(theta, dtype=float), cfg, fam
-        self.thresholds = _threshold(self.q, cfg, price)
+        self.thresholds = _threshold(self.q, cfg)
         self.surv = fam._survival(self.thresholds, self.theta)
         self.lam_q = cfg.lam * self.surv
 

@@ -77,10 +77,11 @@ class PricingConfig:
     count: "increment" (k+1) or "doubling" (2k); grow_on decides whether the
     rule is applied to the observations actually used (including boundary
     retries) or to the nominal minimum.  max_observations optionally caps the
-    total observations spent on learning: an iteration that would push the
-    total past the cap is not started.  delta_mode picks whether the stopping
-    gap compares the model prediction against the current iteration's revenue
-    rate or the cumulative rate over all iterations so far.
+    total observations spent on learning, at least k1_min: an iteration that
+    would push the total past the cap is not started.  delta_mode picks
+    whether the stopping gap compares the model prediction against the
+    current iteration's revenue rate or the cumulative rate over all
+    iterations so far.
 
     boundary_policy says what a batch without an interior estimate (a
     boundary fit, or no informative transition) does.  "retry", the default,
@@ -116,6 +117,8 @@ class PricingConfig:
             raise ValueError("tol must be positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
+        if self.max_observations is not None and self.max_observations < self.k1_min:
+            raise ValueError("max_observations must be >= k1_min")
         if self.schedule not in _SCHEDULES:
             raise ValueError(f"schedule must be one of {_SCHEDULES}")
         if self.delta_mode not in ("cumulative", "iteration"):
@@ -336,8 +339,6 @@ def run_pricing(
         price = record.price_next
         k_min = pcfg.grow(k_i if pcfg.grow_on == "actual" else k_min)
 
-    if not records:
-        raise RuntimeError("pricing loop produced no iterations (budget below k1_min?)")
     return PricingTrace(tuple(records), final_price=records[-1].price_next, stopped_reason=stopped)
 
 

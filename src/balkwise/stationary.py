@@ -9,12 +9,13 @@ space.  Two stationary weightings coexist: the continuous-time occupancy law
 the jump chain (product times the total exit rate).  Revenue accrues in
 continuous time; the score ergodics of the estimator live on the jump chain.
 
-The truncated tables have a price axis, one row per price, as wide as that
-price needs: the revenue-maximizing price search scores its whole grid on
-them, then refines the best grid point by a speculative golden section whose
-calls score single-price rows, each as expected_revenue does, on every branch
-of the next steps and on a predicted one.  The settings are the module
-constants below; only stationary_distribution takes its own truncation eps.
+One widening pass tabulates the truncated law's rows, one per price, each
+as wide as that price needs, and two reductions read it: the
+revenue-maximizing price search scans its whole grid on masked tables, then
+refines the best grid point by a speculative golden section whose calls
+score rows exactly as expected_revenue does, on every branch of the next
+steps and on a predicted one.  The settings are the module constants below;
+only stationary_distribution takes its own truncation eps.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ GOLDEN_TOL = 1e-9  # relative bracket width at which a price search stops
 TRUNC_EPS = 1e-12  # tail mass left out when the stationary law is truncated
 PRICE_FLOOR = 0.01  # lowest price a price search considers
 PRICE_GRID = 256  # prices a search scores before its golden phase
-_NARROW = 32  # states a price row or scan's table starts with, doubled for the rows that need more
-_ROW = 128  # states a single price's row widens to before the tables take over
+_NARROW = 32  # states every row starts with, doubled for the rows not yet cut
+_ROW = 128  # states a row widens to when the caller need not settle it
 JOIN_FRAC = 1e-6  # price_upper_bound: share of lam still joining the empty queue
 # steps a speculative call settles on every branch (BENCH_speculative_search.json)
 _PRICE_DEPTH = 3  # optimal_price's golden phase: a tree of 7 rows, then model._PREDICTED steps
@@ -99,68 +100,19 @@ def _weigh(lam_q, mu: float, eps: float):
     return weights, partial, (ratio < 0.5) & (weights < eps * partial)
 
 
-def _truncated_tables(prices, theta, cfg: ModelConfig, fam: ValueFamily, eps: float, width=_NARROW):
-    """Weights and joining rates up to the truncation state, one row per price.
-
-    Rows (``cfg.price`` is not used) start at ``width`` states and are cut at
-    the first state of ``_weigh``'s mask; only the rows not yet cut are
-    tabulated again at double the width.  Returns ``(rows, weights, lam_q,
-    totals, qstar)`` per width that cuts rows: the prices' indices, their
-    (n, width) tables, valid up to ``qstar``, the accumulated weight at
-    ``qstar``, and ``qstar``.  The rows are the leading ones, usually all:
-    they stop before the first price at which nobody joins the empty queue,
-    and before the first unfinished row once the unfinished rows reach
-    STATE_CAP states or would pass STATE_CAP entries at double the width;
-    the caller then calls again with the remaining prices.  Only a first row
-    raises (nobody joins, or no cut within STATE_CAP states), so a scan meets
-    the error of the first bad price, in order.  theta and eps are validated
-    by the callers.
-    """
-    prices = np.asarray(prices, dtype=float).reshape(-1, 1)
-    lam_q = StateTable(np.arange(width), theta, cfg, fam, price=prices).lam_q
-    zero = lam_q[:, 0] <= 0.0
-    if zero[0]:
-        raise ValueError("joining rate at the empty queue is zero")
-    pending = np.arange(int(np.argmax(zero)) if zero.any() else len(prices))
-    lam_q, out = lam_q[: len(pending)], []
-    while True:
-        weights, partial, ok = _weigh(lam_q, cfg.mu, eps)
-        done = ok.any(axis=1)
-        if done.any():
-            qstar = np.argmax(ok[done], axis=1)
-            totals = partial[done][np.arange(len(qstar)), qstar]
-            out.append((pending[done], weights[done], lam_q[done], totals, qstar))
-            pending, lam_q = pending[~done], lam_q[~done]
-        if not len(pending):
-            return out
-        size = lam_q.shape[1]
-        new_size = min(2 * size, STATE_CAP)
-        if size >= STATE_CAP or len(pending) * new_size > STATE_CAP:
-            first = pending[0]  # every row before it is truncated
-            out = [tuple(part[group[0] < first] for part in group) for group in out]
-            if first > 0:
-                return out
-            if size >= STATE_CAP:
-                raise TruncationError(f"no truncation state found within {STATE_CAP} states; "
-                                      "the chain does not appear to balk")
-            pending, lam_q = pending[:1], lam_q[:1]
-        more = StateTable(np.arange(size, new_size), theta, cfg, fam, price=prices[pending]).lam_q
-        lam_q = np.concatenate([lam_q, more], axis=1)
-
-
 class _Row:
-    """price -> weights, joining rates and accumulated weight of its row, to its truncation state.
+    """Rows of the truncated stationary law, one per price, from one widening pass.
 
-    A pass tabulates its rows _NARROW (32) states wide and doubles the
-    width of the rows it leaves unsettled, up to _ROW (128) states: at a
-    revenue-maximizing price a row ends within 4 to 25 states.
-    It settles a row cut within its states at which somebody joins the
-    empty queue; any other row, and its errors, go to _truncated_tables
-    from double _ROW.  Up to a state a row does not depend on the width
-    (_weigh), so each width gives the values of one _ROW-state pass.
-    ``revenues`` makes that pass for many prices in one call.  theta is one
-    parameter its callers validated, or an (n, dim) array of rows they
-    validated, row i for the i-th price ``revenues`` scores.
+    The pass (``_tables``) tabulates every row _NARROW (32) states wide and
+    gives the rows not yet cut new columns, at double the width: a row the
+    caller must settle widens up to STATE_CAP states, any other up to _ROW
+    (128), past which it is left unscored (at a revenue-maximizing price a
+    row ends within 4 to 25 states).  A widened table holds at most STATE_CAP
+    cells: past that its leading rows widen first.  Up to a state a row does not
+    depend on the width (_weigh).  ``scan`` sums each table masked past each
+    row's truncation state; ``revenues`` sums each group of rows that share
+    one over exactly its states, as expected_revenue does.  theta is one
+    parameter its callers validated, or (n, dim) rows, row i for price i.
     """
 
     def __init__(self, theta, cfg: ModelConfig, fam: ValueFamily, eps: float):
@@ -169,69 +121,107 @@ class _Row:
         self.theta, self.cfg, self.fam, self.eps = np.asarray(theta, dtype=float), cfg, fam, eps
         self.offsets = _threshold(np.arange(_ROW), cfg, price=0.0)  # price + offsets: the thresholds
 
-    def _groups(self, prices: np.ndarray, pending: np.ndarray) -> list:
-        """The rows of prices[pending] the pass settles: (rows, weights, lam_q, totals) per group.
+    def _rates(self, prices: np.ndarray, rows: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        """Joining rates of states lo .. hi - 1 at prices[rows], one row per price."""
+        offsets = (self.offsets[lo:hi] if hi <= _ROW
+                   else _threshold(np.arange(lo, hi), self.cfg, price=0.0))
+        theta = self.theta if self.theta.ndim == 1 else self.theta[rows]
+        return self.cfg.lam * self.fam._survival(prices[rows, None] + offsets, theta)
 
-        A group's rows share a truncation state: rows are their indices
-        into prices, weights and lam_q their (rows, state + 1) tables up to
-        that state, and totals the accumulated weights there.  One sum over
-        a group's table then covers all its rows.
+    def _tables(self, prices: np.ndarray, settle: int):
+        """The pass: (rows, weights, lam_q, partial, qstar) of the rows each table cuts.
+
+        rows index prices; weights, lam_q and partial (_weigh) are their
+        tables at the width that cut them, valid up to the truncation states
+        qstar.  The first ``settle`` prices are settled in order: once the
+        rows before it are cut, the pass raises what expected_revenue raises
+        at the first of them that is not a nonnegative price, at which nobody
+        joins the empty queue, or that no state within STATE_CAP cuts.
         """
-        out, width = [], _NARROW
-        while len(pending):
-            thresholds = prices[pending, None] + self.offsets[:width]
-            theta = self.theta if self.theta.ndim == 1 else self.theta[pending]
-            lam_q = self.cfg.lam * self.fam._survival(thresholds, theta)
-            weights, partial, ok = _weigh(lam_q, self.cfg.mu, self.eps)
-            # each row's truncation state; 0 where nobody joins the empty queue, or where
-            # no state within the width cuts the row (_weigh never cuts at state 0)
-            qstar = (ok.argmax(axis=1) * (lam_q[:, 0] > 0.0)).tolist()
-            first = qstar[0]
-            if first and qstar.count(first) == len(qstar):  # one group, of every row
-                out.append((pending, weights[:, :first + 1], lam_q[:, :first + 1],
-                            partial[:, first]))
-                return out
-            groups = {}
-            for i, q in enumerate(qstar):
-                groups.setdefault(q, []).append(i)
-            unsettled = groups.pop(0, None)
-            for q, rows in groups.items():
-                out.append((pending[rows], weights[rows, :q + 1], lam_q[rows, :q + 1],
-                            partial[rows, q]))
-            if unsettled is None or width == _ROW:
-                break
-            pending, width = pending[unsettled], 2 * width
-        return out
+        good = prices >= 0
+        rows = good.nonzero()[0]
+        lam_q = self._rates(prices, rows, 0, _NARROW)
+        if not lam_q[:, 0].all():  # nobody joins the empty queue
+            good[rows] = joins = lam_q[:, 0] > 0.0
+            rows, lam_q = rows[joins], lam_q[joins]
+        # the first price to settle that cannot be; only the rows before it widen past _ROW
+        bad = settle if good[:settle].all() else int(np.argmin(good[:settle]))
+        waiting = []  # (rows, lam_q) of later rows held back by the cell bound, the next one last
+        while True:
+            if len(rows):
+                weights, partial, ok = _weigh(lam_q, self.cfg.mu, self.eps)
+                qstar = ok.argmax(axis=1)  # 0 for a row not cut: _weigh never cuts at state 0
+                if 0 not in qstar.tolist():
+                    yield rows, weights, lam_q, partial, qstar
+                    rows = rows[:0]
+                elif qstar.any():
+                    cut = qstar > 0
+                    yield rows[cut], weights[cut], lam_q[cut], partial[cut], qstar[cut]
+                    rows, lam_q = rows[~cut], lam_q[~cut]
+            if lam_q.shape[1] >= _ROW and len(rows) and rows[-1] >= bad:
+                rows, lam_q = rows[rows < bad], lam_q[rows < bad]
+            if not len(rows) and waiting:
+                rows, lam_q = waiting.pop()
+            width = lam_q.shape[1]
+            if bad < settle and not (len(rows) and rows[0] < bad):
+                raise ValueError("price must be nonnegative" if not prices[bad] >= 0
+                                 else "joining rate at the empty queue is zero")
+            if not len(rows):
+                return
+            if width >= STATE_CAP:
+                raise TruncationError(f"no truncation state found within {STATE_CAP} states; "
+                                      "the chain does not appear to balk")
+            new_width = min(2 * width, STATE_CAP)
+            fit = max(1, STATE_CAP // new_width)
+            if len(rows) > fit:
+                waiting.append((rows[fit:], lam_q[fit:]))
+                rows, lam_q = rows[:fit], lam_q[:fit]
+            lam_q = np.concatenate([lam_q, self._rates(prices, rows, width, new_width)], axis=1)
 
     def __call__(self, price: float):
-        groups = self._groups(np.array([price], dtype=float), np.zeros(1, dtype=int))
-        if groups:
-            _, weights, lam_q, totals = groups[0]
-            return weights[0], lam_q[0], totals[0]
-        _, weights, lam_q, totals, qstar = _truncated_tables(
-            [price], self.theta, self.cfg, self.fam, self.eps, 2 * _ROW)[-1]
-        return weights[0, : qstar[0] + 1], lam_q[0, : qstar[0] + 1], totals[0]
+        """The row of one price: its weights, joining rates and accumulated weight."""
+        ((_, weights, lam_q, partial, qstar),) = self._tables(np.array([price], dtype=float), 1)
+        end = qstar[0] + 1
+        return weights[0, :end], lam_q[0, :end], partial[0, end - 1]
 
     def revenues(self, prices, settle: int) -> np.ndarray:
         """_revenue at each price, bit for bit, from one pass over all of them.
 
-        Each run of rows that share a truncation state is summed in one call,
-        each row over the states _revenue sums, in its order.  The first
-        ``settle`` prices are always scored, in order, raising what
-        expected_revenue raises; a later one whose row the pass does not
-        settle, or that is not a nonnegative price, is NaN.
+        Each group of rows that share a truncation state is summed in one
+        call, each row over the states _revenue sums, in its order.  The
+        first ``settle`` prices are always scored, in order, raising what
+        expected_revenue raises; a later one whose row passes _ROW states,
+        or that is not a nonnegative price, is NaN.
         """
         prices = np.asarray(prices, dtype=float)
         out = np.full(len(prices), np.nan)
-        for rows, weights, lam_q, _ in self._groups(prices, np.flatnonzero(prices >= 0)):
-            out[rows] = np.add.reduce(weights * lam_q, axis=1) / np.add.reduce(weights, axis=1)
-        out *= prices
-        for i in [i for i, value in enumerate(out[:settle].tolist()) if value != value]:
-            if not prices[i] >= 0:
-                raise ValueError("price must be nonnegative")
-            row = self if self.theta.ndim == 1 else _Row(self.theta[i], self.cfg, self.fam, self.eps)
-            out[i] = _revenue(row, prices[i])
-        return out
+        for rows, weights, lam_q, _, qstar in self._tables(prices, settle):
+            qstar, groups = qstar.tolist(), {}
+            if qstar.count(qstar[0]) == len(qstar):  # one group, of every row
+                groups[qstar[0]] = slice(None)
+            else:
+                for i, q in enumerate(qstar):
+                    groups.setdefault(q, []).append(i)
+            for q, group in groups.items():
+                w, lam = weights[group, :q + 1], lam_q[group, :q + 1]
+                out[rows[group]] = np.add.reduce(w * lam, axis=1) / np.add.reduce(w, axis=1)
+        return out * prices
+
+    def scan(self, prices) -> np.ndarray:
+        """expected_revenue at every price, for a search's grid, raising as ``revenues`` does.
+
+        Each table is summed over its width with the states past each row's
+        truncation state masked out, so a value can differ from
+        expected_revenue's in the last bits (the summation order differs).
+        """
+        prices = np.asarray(prices, dtype=float)
+        out = np.empty(len(prices))
+        # every table, then the sums: summing each as the pass went made the heap of a long
+        # run give back and fault in about 90 pages per scan (a pricing op scans about 5 times)
+        for rows, weights, lam_q, _, qstar in list(self._tables(prices, len(prices))):
+            weights = np.where(np.arange(weights.shape[1]) <= qstar[:, None], weights, 0.0)
+            out[rows] = (weights * lam_q).sum(axis=1) / weights.sum(axis=1)
+        return prices * out
 
 
 def _revenue(row: _Row, price: float) -> float:
@@ -283,28 +273,6 @@ def expected_revenue(price: float, theta, cfg: ModelConfig, fam: ValueFamily) ->
     if not price >= 0:
         raise ValueError("price must be nonnegative")
     return _revenue(_Row(fam.param_space.require(theta), cfg, fam, TRUNC_EPS), price)
-
-
-def _revenue_scan(prices, theta, cfg: ModelConfig, fam: ValueFamily) -> np.ndarray:
-    """expected_revenue at every price, from (price x state) tables.
-
-    Each row is summed over its table's width with the states past qstar
-    masked out, so a value can differ from expected_revenue's in the last
-    bits (the summation order differs).  A negative price raises
-    ValueError; otherwise the scan raises what the first price that cannot
-    be tabulated raises.
-    """
-    prices = np.asarray(prices, dtype=float)
-    if not (prices >= 0).all():
-        raise ValueError("price must be nonnegative")
-    out, start = np.empty(len(prices)), 0
-    while start < len(prices):
-        tables = _truncated_tables(prices[start:], theta, cfg, fam, TRUNC_EPS)
-        for rows, weights, lam_q, _, qstar in tables:
-            weights = np.where(np.arange(weights.shape[1]) <= qstar[:, None], weights, 0.0)
-            out[start + rows] = (weights * lam_q).sum(axis=1) / weights.sum(axis=1)
-        start += sum(len(rows) for rows, *_ in tables)
-    return prices * out
 
 
 def theoretical_sigma(
@@ -424,24 +392,18 @@ def _bisection_path(lo, hi, r_lo, r_hi, target, skip: int, steps: int) -> list:
 def optimal_price(theta, cfg: ModelConfig, fam: ValueFamily) -> float:
     """Revenue-maximizing price for the given parameter.
 
-    theta is validated once.  The grid is scored on (price x state) tables;
-    the golden phase scores _PRICE_DEPTH steps ahead on every branch and a
-    predicted branch past them per call, on expected_revenue's one-row
-    function built once per search, without its checks: the result is a
+    theta is validated once, and one row function serves the search: its
+    masked scan scores the grid, and the golden phase scores _PRICE_DEPTH
+    steps ahead on every branch and a predicted branch past them per call,
+    each point as expected_revenue does, without its checks: the result is a
     scan by expected_revenue's whenever both pick the same grid point.
     Raises TruncationError when nobody effectively joins above PRICE_FLOOR.
     """
     theta = fam.param_space.require(theta)
     row = _Row(theta, cfg, fam, TRUNC_EPS)
-    return grid_then_golden(
-        lambda prices: _revenue_scan(prices, theta, cfg, fam),
-        PRICE_FLOOR,
-        _price_ceiling(theta, cfg, fam),
-        PRICE_GRID,
-        GOLDEN_TOL,
-        lambda prices: row.revenues(prices, 1).tolist(),
-        _PRICE_DEPTH,
-    )
+    return grid_then_golden(row.scan, PRICE_FLOOR, _price_ceiling(theta, cfg, fam), PRICE_GRID,
+                            GOLDEN_TOL, lambda points: row.revenues(points, 1).tolist(),
+                            _PRICE_DEPTH)
 
 
 def _price_ceiling(theta, cfg: ModelConfig, fam: ValueFamily) -> float:

@@ -205,6 +205,32 @@ def test_config_of_the_wrong_shape_is_rejected(tmp_path, capsys, args, config, m
 
 
 @pytest.mark.parametrize(
+    "args, config, message",
+    [
+        (["simulate", "--theta0", "0.02", "--k", "10"], {"seed": 1.5},
+         "config key 'seed' must be an integer, got 1.5"),
+        (["experiment", "normality"], {"seed": 1.5, "k": 100},
+         "config key 'seed' must be an integer, got 1.5"),
+        (["autoprice", "--theta0", "0.02"], {"pricing": {"k1_min": "2"}},
+         "config key 'pricing.k1_min' must be an integer, got '2'"),
+        (["experiment", "consistency"], {"k_list": [100, 1000.5]},
+         "config key 'k_list[1]' must be an integer, got 1000.5"),
+    ],
+    ids=["seed-simulate", "seed-experiment", "k1-min-autoprice", "k-list-experiment"],
+)
+def test_config_integer_of_the_wrong_type_is_rejected(tmp_path, capsys, args, config, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**config, "out_dir": str(tmp_path)}))
+    assert run_cli(args + ["--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_autoprice_budget_below_k1_min_is_a_validation_error(tmp_path, capsys):
+    assert run_cli(["autoprice", "--theta0", "0.02", "--budget", "1", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == "error: max_observations must be >= k1_min\n"
+
+
+@pytest.mark.parametrize(
     "args, message",
     [
         (["fit", "--input", "path.csv", "--seed", "1"], "unrecognized arguments"),

@@ -56,6 +56,14 @@ def test_pricing_config_validation():
         PricingConfig(initial_price=1.0, boundary_policy="accept")
 
 
+def test_budget_below_k1_min_is_rejected(anchor_cfg, expo):
+    # such a run could start no iteration: the config fails, not the run
+    with pytest.raises(ValueError, match="max_observations must be >= k1_min"):
+        PricingConfig(initial_price=1.0, k1_min=5, max_observations=4)
+    pcfg = PricingConfig(initial_price=15.0, k1_min=5, max_observations=5, boundary_policy="skip")
+    trace = run_pricing(anchor_cfg, expo, pcfg, theta0=[0.02], seed=1)
+    assert [r.k_i for r in trace.records] == [5]
+
 def test_schedules_strictly_increase():
     inc = PricingConfig(initial_price=1.0, schedule="increment")
     dbl = PricingConfig(initial_price=1.0, schedule="doubling")

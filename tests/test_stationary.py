@@ -10,7 +10,7 @@ from balkwise.model import (
     ExponentialFamily,
     ModelConfig,
     ParamSpace,
-    StateTable,
+    _threshold,
     grid_then_golden,
     joining_rate,
 )
@@ -25,9 +25,7 @@ from balkwise.stationary import (
     _ROW,
     TruncationError,
     _revenue,
-    _revenue_scan,
     _Row,
-    _truncated_tables,
     asymptotic_std,
     expected_revenue,
     min_std_price,
@@ -268,17 +266,31 @@ def test_grid_scan_matches_expected_revenue(theta, lo, span):
     # bounds inside optimal_price's default range, where somebody joins the empty queue
     top = price_upper_bound([theta], ANCHOR, EXPO)
     prices = np.linspace(lo * top, (lo + span * (1.0 - lo)) * top, 64)
-    scan = _revenue_scan(prices, [theta], ANCHOR, EXPO)
+    scan = _Row([theta], ANCHOR, EXPO, TRUNC_EPS).scan(prices)
     scalar = np.array([expected_revenue(p, [theta], ANCHOR, EXPO) for p in prices])
     np.testing.assert_allclose(scan, scalar, rtol=1e-13, atol=0.0)
     assert np.argmax(scan) == np.argmax(scalar)
 
 
-def _rows(tables, n):
-    """The joining-rate row of each of the first n prices, at the width it was tabulated."""
-    rows = {int(i): lam for index, _, lam_q, _, _ in tables for i, lam in zip(index, lam_q)}
-    assert sorted(rows) == list(range(n))
-    return [rows[i] for i in range(n)]
+def _rows(prices, theta, cfg, fam):
+    """Each price's joining-rate row, at the width the pass cut it, and each table's shape."""
+    row, rows, weighed = _Row(np.asarray(theta, dtype=float), cfg, fam, TRUNC_EPS), {}, []
+    weigh = stationary._weigh
+    stationary._weigh = lambda lam_q, *rest: weighed.append(lam_q.shape) or weigh(lam_q, *rest)
+    try:
+        prices = np.asarray(prices, dtype=float)
+        for index, _, lam_q, _, _ in row._tables(prices, len(prices)):
+            rows.update((int(i), lam) for i, lam in zip(index, lam_q))
+    finally:
+        stationary._weigh = weigh
+    assert sorted(rows) == list(range(len(prices)))
+    return [rows[i] for i in range(len(prices))], weighed
+
+
+def _lam_q(prices, width, theta, cfg, fam):
+    """Joining rates of states 0 .. width - 1, one row per price, from the join threshold itself."""
+    thresholds = _threshold(np.arange(width), cfg, price=np.asarray(prices, dtype=float)[:, None])
+    return cfg.lam * fam.sf(thresholds, theta)
 
 
 @table_settings
@@ -286,8 +298,8 @@ def _rows(tables, n):
 def test_table_rows_follow_the_exponential_memoryless_oracle(theta, price):
     # sf(p + x) = sf(p) sf(x): the joining rates at price p are sf(p) times those at price 0,
     # over every state of each row at the width it was tabulated for
-    lam_q = _rows(_truncated_tables([0.0, price], [theta], ANCHOR, EXPO, 1e-12), 2)
-    at_zero = StateTable(np.arange(max(map(len, lam_q))), [theta], ANCHOR, EXPO, price=0.0).lam_q
+    lam_q, _ = _rows([0.0, price], [theta], ANCHOR, EXPO)
+    at_zero = _lam_q([0.0], max(map(len, lam_q)), [theta], ANCHOR, EXPO)[0]
     np.testing.assert_allclose(lam_q[0], at_zero[: len(lam_q[0])], rtol=1e-12)
     np.testing.assert_allclose(
         lam_q[1], EXPO.sf(price, [theta]) * at_zero[: len(lam_q[1])], rtol=1e-12
@@ -391,24 +403,25 @@ def test_grid_scan_grows_wide_tables_row_by_row():
     cfg = ModelConfig(lam=1.0, mu=1.0, cost_c=1.0, price=0.0)
     fam = ExponentialFamily(ParamSpace([1e-14], [1.0]))
     prices = np.linspace(0.01, 2e5, 16)
-    tables = _truncated_tables(prices, [1e-5], cfg, fam, 1e-12)
-    widths = [len(row) for row in _rows(tables, len(prices))]
+    lam_q, weighed = _rows(prices, [1e-5], cfg, fam)
+    widths = [len(row) for row in lam_q]
     assert len(prices) * max(widths) > STATE_CAP and min(widths) == 32
-    assert all(weights.size <= STATE_CAP for _, weights, _, _, _ in tables)
-    scan = _revenue_scan(prices, [1e-5], cfg, fam)
+    assert all(rows * width <= STATE_CAP for rows, width in weighed)
+    scan = _Row([1e-5], cfg, fam, TRUNC_EPS).scan(prices)
     scalar = [expected_revenue(p, [1e-5], cfg, fam) for p in prices]
     np.testing.assert_allclose(scan, scalar, rtol=1e-13, atol=0.0)
 
 
 def test_grid_scan_stops_before_rows_that_would_pass_state_cap():
     # eight low prices need ~7e4 states each: at double the width they would
-    # pass STATE_CAP, so a table returns the leading row and the rest follow
+    # pass STATE_CAP together, so the leading ones widen first and the rest follow
     cfg = ModelConfig(lam=1.0, mu=1.0, cost_c=1.0, price=0.0)
     fam = ExponentialFamily(ParamSpace([1e-14], [1.0]))
     prices = np.r_[2e5, np.linspace(0.01, 1e3, 8)]
-    tables = _truncated_tables(prices, [1e-5], cfg, fam, 1e-12)
-    assert [int(i) for index, *_ in tables for i in index] == [0]
-    scan = _revenue_scan(prices, [1e-5], cfg, fam)
+    lam_q, weighed = _rows(prices, [1e-5], cfg, fam)
+    assert len(lam_q[0]) == 32 and 8 * min(map(len, lam_q[1:])) > STATE_CAP
+    assert all(rows * width <= STATE_CAP for rows, width in weighed)
+    scan = _Row([1e-5], cfg, fam, TRUNC_EPS).scan(prices)
     scalar = [expected_revenue(p, [1e-5], cfg, fam) for p in prices]
     np.testing.assert_allclose(scan, scalar, rtol=1e-13, atol=0.0)
 
@@ -417,7 +430,7 @@ def _full_width_tables(prices, theta, cfg, fam):
     """Every price's row on one table, 128 states wide and doubled until every row is cut."""
     prices, width = np.asarray(prices, dtype=float), 128
     while True:
-        lam_q = StateTable(np.arange(width), theta, cfg, fam, price=prices[:, None]).lam_q
+        lam_q = _lam_q(prices, width, theta, cfg, fam)
         weights = np.empty_like(lam_q)
         weights[:, 0] = 1.0
         with np.errstate(over="ignore", invalid="ignore"):
@@ -478,9 +491,8 @@ def test_optimal_price_equals_the_search_on_full_width_tables(cfg, log_theta):
 
 @pytest.mark.parametrize("price", [40.0, 30.0, 20.0, 1.0])
 def test_one_row_equals_its_row_on_full_width_tables(price):
-    # heavy traffic: these rows are cut at 26 states, within the one-row
-    # pass, and at 210, 850 and 2,066 states (weights overflow), after the
-    # tables take over
+    # heavy traffic: these rows are cut at 26 states, within _ROW, and at
+    # 210, 850 and 2,066 states (weights overflow), past it
     cfg, theta = ModelConfig(4.0, 1.0, 1 / 64, 0.0), [0.0625]
     weights, lam_q, total = _Row(theta, cfg, EXPO, TRUNC_EPS)(price)
     full_weights, full_lam_q, qstar = _full_width_tables([price], theta, cfg, EXPO)
@@ -571,7 +583,7 @@ def test_grid_scan_raises_what_expected_revenue_raises(model, bounds, error):
     cfg, fam, theta = model
     grid = _raised(
         lambda: grid_then_golden(
-            lambda prices: _revenue_scan(prices, theta, cfg, fam), *bounds, 256, 1e-9,
+            _Row(theta, cfg, fam, TRUNC_EPS).scan, *bounds, 256, 1e-9,
             lambda prices: [expected_revenue(p, theta, cfg, fam) for p in prices], 1,
         )
     )
@@ -605,6 +617,24 @@ def test_row_batch_raises_only_for_the_prices_it_must_score(model, prices, error
     assert str(batch) == str(single)
 
 
+@pytest.mark.parametrize("score", ["scan", "revenues"])
+def test_first_error_in_order_is_raised_before_later_rows_widen(monkeypatch, score):
+    # nobody joins at the first price; the second's row is never cut: the first
+    # price's error, without tabulating the second row out to STATE_CAP states
+    cfg, fam, theta = NON_BALKING
+    widths = []
+    weigh = stationary._weigh
+    monkeypatch.setattr(stationary, "_weigh",
+                        lambda lam_q, *rest: widths.append(lam_q.shape[1]) or weigh(lam_q, *rest))
+    row = _Row(fam.param_space.require(theta), cfg, fam, TRUNC_EPS)
+    prices = [10.0**8, 1.0]
+    with pytest.raises(ValueError, match="joining rate at the empty queue is zero"):
+        row.scan(prices) if score == "scan" else row.revenues(prices, 2)
+    assert max(widths) <= _ROW
+    with pytest.raises(ValueError, match="joining rate at the empty queue is zero"):
+        expected_revenue(prices[0], theta, cfg, fam)
+
+
 @table_settings
 @given(
     log_theta=st.floats(math.log(1e-3), math.log(5.0)),
@@ -628,6 +658,28 @@ def test_row_batch_from_its_start_width_equals_expected_revenue(log_theta, fract
             assert np.isnan(batch[i])
         else:
             assert batch[i] == expected_revenue(price, theta, ANCHOR, EXPO)
+
+
+# (log theta, price as a share of price_upper_bound) rows of 694, 5, 139 and 556 states
+PAST_ROW = [(math.log(1e-3), 0.0), (math.log(0.02), 0.6), (math.log(0.005), 0.0),
+            (math.log(1e-3), 0.01)]
+
+
+@table_settings
+@given(rows=st.lists(st.tuples(st.floats(math.log(1e-3), math.log(5.0)), st.floats(0.0, 1.0)),
+                     min_size=1, max_size=8))
+@example(rows=PAST_ROW)
+def test_row_batch_of_parameter_rows_equals_expected_revenue(rows):
+    # the pricing loop's model revenues: price i scored at parameter row i, every row settled
+    thetas = np.array([[min(max(math.exp(log_theta), 1e-3), 5.0)] for log_theta, _ in rows])
+    prices = np.array([fraction * price_upper_bound(theta, ANCHOR, EXPO)
+                       for theta, (_, fraction) in zip(thetas, rows)])
+    batch = _Row(thetas, ANCHOR, EXPO, TRUNC_EPS).revenues(prices, len(prices))
+    scalar = [expected_revenue(price, theta, ANCHOR, EXPO) for price, theta in zip(prices, thetas)]
+    assert batch.tolist() == scalar
+    if rows == PAST_ROW:  # three rows pass _ROW, each at its own parameter
+        rows = [_Row(theta, ANCHOR, EXPO, TRUNC_EPS)(p)[0] for p, theta in zip(prices, thetas)]
+        assert [len(row) for row in rows] == [694, 5, 139, 556]
 
 
 # lam = mu = 1, c = 3 and theta = 5: a share 3.06e-7 < JOIN_FRAC joins the empty queue even at
