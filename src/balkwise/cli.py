@@ -11,11 +11,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from .experiments import EXPERIMENTS, ExperimentConfig, config_int, model_settings, run_experiment
+from .experiments import (CONFIG_KEYS, EXPERIMENTS, ExperimentConfig, check_family, config_value,
+                          run_experiment)
 from .inference import confidence_interval, fit_mle
 from .model import ExponentialFamily, ModelConfig, ParamSpace
 from .pricing import PricingConfig, run_pricing, trace_metrics
@@ -27,7 +29,6 @@ from .stationary import (
     optimal_price,
     revenue_curve,
     stationary_distribution,
-    std_curve,
     write_curve_csv,
 )
 
@@ -131,31 +132,19 @@ def _load_config(path):
     return raw
 
 
-def _pick(flag, cfg: dict, key: str, default):
-    if flag is not None:
-        return flag
-    return cfg.get(key, default)
-
-
-def _pick_int(flag, cfg: dict, key: str, default, block: str = ""):
-    """_pick for an integer setting: a config value that is not one raises ValueError naming it."""
-    if flag is not None or key not in cfg:
-        return _pick(flag, cfg, key, default)
-    return config_int(cfg[key], block + key, optional=default is None)
-
-
 def _model_from(args, cfg) -> tuple[ModelConfig, ExponentialFamily]:
     """The model and family of the config, each model flag given in place of its setting."""
-    settings = model_settings(cfg)
+    check_family(cfg)
     flags = {"lam": args.lam, "mu": args.mu, "cost_c": args.cost, "price": args.price,
              "theta_lower": args.theta_lower, "theta_upper": args.theta_upper}
-    settings.update((field, value) for field, value in flags.items() if value is not None)
+    settings = {field: config_value(cfg, *CONFIG_KEYS[field], getattr(ExperimentConfig, field),
+                                    flag) for field, flag in flags.items()}
     return (ModelConfig(settings["lam"], settings["mu"], settings["cost_c"], settings["price"]),
             ExponentialFamily(ParamSpace([settings["theta_lower"]], [settings["theta_upper"]])))
 
 
 def _out_dir(args, cfg) -> Path:
-    out = Path(_pick(args.out, cfg, "out_dir", "out"))
+    out = Path(config_value(cfg, *CONFIG_KEYS["out_dir"], "out", args.out))
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -163,19 +152,13 @@ def _out_dir(args, cfg) -> Path:
 def _cmd_simulate(args) -> int:
     cfg_file = _load_config(args.config)
     cfg, fam = _model_from(args, cfg_file)
-    theta0 = _pick(args.theta0, cfg_file, "theta0", None)
-    if theta0 is None:
-        raise ValueError("simulate needs --theta0 (true parameter)")
-    k = _pick_int(args.k, cfg_file, "k", None)
-    if k is None:
-        raise ValueError("simulate needs --k (number of transitions)")
-    initial = _pick(args.initial_state, cfg_file, "initial_state", "0")
-    initial = initial if initial == "stationary-warmup" else int(initial)
+    theta0 = config_value(cfg_file, *CONFIG_KEYS["theta0"], flag=args.theta0, required="--theta0")
+    initial = config_value(cfg_file, "initial_state", int | str, 0, args.initial_state)
     opts = SimOptions(
-        steps=k,
-        seed=_pick_int(args.seed, cfg_file, "seed", 0),
-        initial_state=initial,
-        warmup_steps=_pick_int(args.warmup, cfg_file, "warmup_steps", None),
+        steps=config_value(cfg_file, *CONFIG_KEYS["k"], flag=args.k, required="--k"),
+        seed=config_value(cfg_file, *CONFIG_KEYS["seed"], 0, args.seed),
+        initial_state=int(initial) if str(initial).isdigit() else initial,
+        warmup_steps=config_value(cfg_file, *CONFIG_KEYS["warmup_steps"], None, args.warmup),
     )
     path = simulate_path(cfg, fam, [theta0], opts)
     out = _out_dir(args, cfg_file)
@@ -225,9 +208,7 @@ def _cmd_fit(args) -> int:
 def _cmd_stationary(args) -> int:
     cfg_file = _load_config(args.config)
     cfg, fam = _model_from(args, cfg_file)
-    theta = _pick(args.theta, cfg_file, "theta0", None)
-    if theta is None:
-        raise ValueError("stationary needs --theta")
+    theta = config_value(cfg_file, *CONFIG_KEYS["theta0"], flag=args.theta, required="--theta")
     dist = stationary_distribution([theta], cfg, fam, eps=args.eps, weighting=args.weighting)
     out = _out_dir(args, cfg_file)
     target = out / f"stationary_{args.weighting}.csv"
@@ -242,17 +223,18 @@ def _cmd_stationary(args) -> int:
 def _parse_grid(spec: str):
     try:
         lo, hi, n = spec.split(":")
-        return np.linspace(float(lo), float(hi), int(n))
-    except Exception as exc:
+        lo, hi, n = float(lo), float(hi), int(n)
+    except ValueError as exc:
         raise ValueError(f"bad price grid {spec!r}; expected lo:hi:n") from exc
+    if n < 1:
+        raise ValueError(f"price_grid must have at least 1 point, got {n}")
+    return np.linspace(lo, hi, n)
 
 
 def _cmd_revenue(args) -> int:
     cfg_file = _load_config(args.config)
     cfg, fam = _model_from(args, cfg_file)
-    theta = _pick(args.theta, cfg_file, "theta0", None)
-    if theta is None:
-        raise ValueError("revenue needs --theta")
+    theta = config_value(cfg_file, *CONFIG_KEYS["theta0"], flag=args.theta, required="--theta")
     if args.price_grid is not None:
         prices = _parse_grid(args.price_grid)
         values = revenue_curve(prices, [theta], cfg, fam)
@@ -269,9 +251,7 @@ def _cmd_revenue(args) -> int:
 def _cmd_price_opt(args) -> int:
     cfg_file = _load_config(args.config)
     cfg, fam = _model_from(args, cfg_file)
-    theta = _pick(args.theta, cfg_file, "theta0", None)
-    if theta is None:
-        raise ValueError("price-opt needs --theta")
+    theta = config_value(cfg_file, *CONFIG_KEYS["theta0"], flag=args.theta, required="--theta")
     best = optimal_price([theta], cfg, fam)
     best_std = min_std_price([theta], cfg, fam)
     payload = {
@@ -287,20 +267,17 @@ def _cmd_price_opt(args) -> int:
 def _cmd_autoprice(args) -> int:
     cfg_file = _load_config(args.config)
     cfg, fam = _model_from(args, cfg_file)
-    pricing_cfg = cfg_file.get("pricing", {})
-    theta0 = _pick(args.theta0, cfg_file, "theta0", None)
-    if theta0 is None:
-        raise ValueError("autoprice needs --theta0 (true parameter for simulation)")
+    theta0 = config_value(cfg_file, *CONFIG_KEYS["theta0"], flag=args.theta0, required="--theta0")
     pcfg = PricingConfig(
-        initial_price=_pick(args.p1, pricing_cfg, "p1", 15.0),
-        k1_min=_pick_int(args.k1_min, pricing_cfg, "k1_min", 2, "pricing."),
-        schedule=_pick(args.schedule, pricing_cfg, "schedule", "increment"),
-        tol=_pick(args.tol, pricing_cfg, "tol", 0.01),
-        max_iterations=_pick_int(args.max_iterations, pricing_cfg, "max_iterations", 10_000,
-                                 "pricing."),
-        max_observations=_pick_int(args.budget, pricing_cfg, "budget", None, "pricing."),
+        initial_price=config_value(cfg_file, "pricing.p1", float, 15.0, args.p1),
+        k1_min=config_value(cfg_file, "pricing.k1_min", int, 2, args.k1_min),
+        schedule=config_value(cfg_file, "pricing.schedule", str, "increment", args.schedule),
+        tol=config_value(cfg_file, "pricing.tol", float, 0.01, args.tol),
+        max_iterations=config_value(cfg_file, "pricing.max_iterations", int, 10_000,
+                                    args.max_iterations),
+        max_observations=config_value(cfg_file, "pricing.budget", int | None, None, args.budget),
     )
-    seed = _pick_int(args.seed, cfg_file, "seed", 0)
+    seed = config_value(cfg_file, *CONFIG_KEYS["seed"], 0, args.seed)
     trace = run_pricing(cfg, fam, pcfg, theta0=[theta0], seed=seed)
     out = _out_dir(args, cfg_file)
     with open(out / "pricing_trace.csv", "w", newline="") as fh:
@@ -330,17 +307,9 @@ def _cmd_autoprice(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    raw = _load_config(args.config)
-    raw["experiment"] = args.name
-    if args.seed is not None:
-        raw["seed"] = args.seed
-    if args.out is not None:
-        raw["out_dir"] = args.out
-    if args.replications is not None:
-        raw["replications"] = args.replications
-    if args.fmt is not None:
-        raw["format"] = args.fmt
-    config = ExperimentConfig.from_json(raw)
+    config = ExperimentConfig.from_json({**_load_config(args.config), "experiment": args.name})
+    flags = dict(seed=args.seed, out_dir=args.out, replications=args.replications, fmt=args.fmt)
+    config = replace(config, **{field: flag for field, flag in flags.items() if flag is not None})
     summary = run_experiment(config)
     print(json.dumps(summary, indent=2, default=str))
     return 0

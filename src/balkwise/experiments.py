@@ -23,7 +23,8 @@ import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from types import UnionType
+from typing import Optional, get_args, get_origin
 
 import numpy as np
 
@@ -31,7 +32,7 @@ import numpy as np
 from .inference import _Batch, _fit_batch, fit_mle  # noqa: F401
 from .model import ExponentialFamily, ModelConfig, ParamSpace, ValueFamily
 from .pricing import PricingConfig, _optimum, _trace_metrics, run_pricing
-from .simulator import SimOptions, _walk_counts, simulate_path
+from .simulator import SimOptions, _walk_counts, simulate_path  # noqa: F401
 from .stationary import (TRUNC_EPS, _Row, asymptotic_std, expected_revenue, theoretical_sigma,
                          write_curve_csv)
 from . import svgplot
@@ -91,7 +92,7 @@ class ExperimentConfig:
     out_dir: str = "out"
     fmt: str = "csv"
     workers: int = 1
-    warmup_steps: int = 1000
+    warmup_steps: Optional[int] = 1000
     pricing_tol: float = 0.01
     pricing_budget: Optional[int] = 1530
     pricing_cells: tuple = (("increment", 2, 15.0), ("doubling", 100, 100.0))
@@ -106,6 +107,8 @@ class ExperimentConfig:
             raise ValueError("replications must be >= 1")
         if self.fmt not in ("csv", "svg"):
             raise ValueError("format must be csv or svg")
+        if self.price_grid[2] < 1:
+            raise ValueError(f"price_grid must have at least 1 point, got {self.price_grid[2]}")
         if not self.theta_lower < self.theta0 < self.theta_upper:
             raise ValueError(
                 f"theta0={self.theta0} must lie strictly inside "
@@ -131,71 +134,86 @@ class ExperimentConfig:
 
     @staticmethod
     def from_json(raw: dict) -> "ExperimentConfig":
-        kwargs = dict(experiment=raw.get("experiment", ""), **model_settings(raw))
-        kwargs.update((key, raw[key]) for key in ("theta0", "out_dir", "pricing_tol") if key in raw)
-        for key in ("k", "replications", "seed", "empirical_reps", "workers", "warmup_steps",
-                    "pricing_budget", "pricing_runs"):
-            if key in raw:
-                kwargs[key] = config_int(raw[key], key, optional=key in ("k", "pricing_budget"))
-        if "k_list" in raw:
-            kwargs["k_list"] = tuple(config_int(k, f"k_list[{i}]")
-                                     for i, k in enumerate(raw["k_list"]))
-        if "price_grid" in raw:
-            lo, hi, n = raw["price_grid"]
-            kwargs["price_grid"] = (float(lo), float(hi), int(n))
-        if "format" in raw:
-            kwargs["fmt"] = raw["format"]
-        if "pricing_cells" in raw:
-            kwargs["pricing_cells"] = tuple(
-                (str(s), int(k1), float(p1)) for s, k1, p1 in raw["pricing_cells"]
-            )
-        try:
-            return ExperimentConfig(**kwargs)
-        except TypeError as exc:
-            raise ValueError(f"bad experiment config: {exc}") from exc
+        """The config a JSON object gives: each field at its CONFIG_KEYS key, else its default."""
+        check_family(raw)
+        return ExperimentConfig(**{
+            field: config_value(raw, key, kind, getattr(ExperimentConfig, field, None))
+            for field, (key, kind) in CONFIG_KEYS.items()})
 
 
-# (block, key, ExperimentConfig field) of each model setting in a JSON config
-_MODEL_KEYS = (
-    ("model", "lambda", "lam"),
-    ("model", "mu", "mu"),
-    ("model", "cost_c", "cost_c"),
-    ("model", "price", "price"),
-    ("family", "lower", "theta_lower"),
-    ("family", "upper", "theta_upper"),
-)
+# Each ExperimentConfig field's key in a JSON config and the kind config_value checks it against
+CONFIG_KEYS = {
+    "experiment": ("experiment", str),
+    "lam": ("model.lambda", float), "mu": ("model.mu", float),
+    "cost_c": ("model.cost_c", float), "price": ("model.price", float),
+    "theta_lower": ("family.lower", float), "theta_upper": ("family.upper", float),
+    "theta0": ("theta0", float), "k": ("k", int | None), "k_list": ("k_list", list[int]),
+    "replications": ("replications", int), "seed": ("seed", int),
+    "price_grid": ("price_grid", tuple[float, float, int]),
+    "empirical_reps": ("empirical_reps", int), "out_dir": ("out_dir", str),
+    "fmt": ("format", str), "workers": ("workers", int),
+    "warmup_steps": ("warmup_steps", int | None), "pricing_tol": ("pricing_tol", float),
+    "pricing_budget": ("pricing_budget", int | None),
+    "pricing_cells": ("pricing_cells", list[tuple[str, int, float]]),
+    "pricing_runs": ("pricing_runs", int),
+}
+_KIND_NAMES = {float: "a number", int: "an integer", str: "a string", type(None): "null"}
 
 
-def model_settings(raw: dict) -> dict:
-    """ExperimentConfig's model fields, read from the "model" and "family" blocks of a JSON config.
+def _checked(value, key: str, kind):
+    """value as a setting of kind (see config_value), else ValueError naming key."""
+    origin, args = get_origin(kind), get_args(kind)
+    if origin is UnionType:
+        for option in args:
+            try:
+                return _checked(value, key, option)
+            except ValueError:
+                pass
+        name = " or ".join(_KIND_NAMES[option] for option in args)
+    elif origin in (list, tuple):
+        if isinstance(value, list) and (origin is list or len(value) == len(args)):
+            return tuple(_checked(item, f"{key}[{i}]", args[0] if origin is list else args[i])
+                         for i, item in enumerate(value))
+        name = "a list" if origin is list else f"a list of {len(args)}"
+    else:
+        name = _KIND_NAMES[kind]  # checked by type(): JSON true and false are not numbers
+        if kind is float and type(value) in (int, float):
+            return float(value)
+        if kind is int and type(value) is float and value.is_integer():
+            return int(value)
+        if type(value) is kind:
+            return value
+    raise ValueError(f"config key {key!r} must be {name}, got {value!r}")
 
-    A key left out takes its ExperimentConfig default.  "exponential" is the
-    only family a config can name; any other name, a block that is not an
-    object and a setting that is not a number raise ValueError naming it.
+
+def config_value(raw: dict, key: str, kind, default=None, flag=None, required: str = ""):
+    """The setting at key of a JSON config: flag if not None, else the config's value, else default.
+
+    key is dotted ("pricing.tol"); each block on its way must be an object.
+    kind is float (a number), int (an integer or whole float), str, a union
+    of these with None (null), list[kind] (a list of any length) or
+    tuple[kind1, kind2, ...] (a list of exactly those kinds); a list is
+    returned as a tuple.  The config's value is checked even when a flag is
+    given, and one not of kind raises ValueError naming key.  A result of
+    None raises ValueError when required names a flag.
     """
-    blocks = {block: raw.get(block, {}) for block in ("model", "family")}
-    for block, value in blocks.items():
-        if not isinstance(value, dict):
-            raise ValueError(f"config key {block!r} must be an object, got {value!r}")
-    name = blocks["family"].get("name", "exponential")
+    *blocks, name = key.split(".")
+    for n, block in enumerate(blocks, 1):
+        raw = raw.get(block, {})
+        if not isinstance(raw, dict):
+            raise ValueError(f"config key {'.'.join(blocks[:n])!r} must be an object, got {raw!r}")
+    value = _checked(raw[name], key, kind) if name in raw else default
+    value = value if flag is None else flag
+    if value is None and required:
+        raise ValueError(f"{required} is required (or config key {key!r})")
+    return value
+
+
+def check_family(raw: dict) -> None:
+    """Reject a JSON config whose "family" block names a family other than "exponential"."""
+    name = config_value(raw, "family.name", str, "exponential")
     if name != "exponential":
         raise ValueError(f"unknown value family {name!r}")
-    settings = {}
-    for block, key, field in _MODEL_KEYS:
-        value = blocks[block].get(key, getattr(ExperimentConfig, field))
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValueError(f"config key '{block}.{key}' must be a number, got {value!r}")
-        settings[field] = value
-    return settings
-
-
-def config_int(value, key: str, optional: bool = False):
-    """A JSON config's integer (or whole float; null if optional), else ValueError naming key."""
-    if (optional and value is None) or (isinstance(value, int) and not isinstance(value, bool)):
-        return value
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise ValueError(f"config key {key!r} must be an integer, got {value!r}")
 
 
 def rep_seed(master: int, *key: int) -> np.random.SeedSequence:
@@ -503,14 +521,7 @@ def exp_pricing_tables(config: ExperimentConfig) -> dict:
         std = [float(arr[:, j].std(ddof=1)) if n > 1 else nan for j in range(6)]
         key = f"{schedule},k1={k1},p1={p1:g}"
         cells[key] = {
-            "Iterations": mean[0],
-            "Total number of observations used for learning": mean[1],
-            "Final stationary fraction of max revenue": mean[2],
-            "Stationary cumulative fraction of max revenue": mean[3],
-            "Total lost revenue": mean[4],
-            "Mean error of final price": mean[5],
-            "Std of final price error": std[5],
-            "Failed runs": failed,
+            **dict(zip(TABLE_ROW_LABELS, [*mean, std[5], failed])),
             "unreliable": failed > 0.05 * config.pricing_runs,
             # Monte-Carlo standard errors of the two means the table is judged on
             "Std error of iterations": std[0] / max(n, 1) ** 0.5,

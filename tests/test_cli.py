@@ -194,8 +194,10 @@ def test_config_naming_another_value_family_is_rejected(tmp_path, capsys, args):
         ({"family": [1]}, "config key 'family' must be an object, got [1]"),
         ({"model": {"lambda": "fast"}}, "config key 'model.lambda' must be a number, got 'fast'"),
         ([1], "config file must hold a JSON object, got [1]"),
+        ({"theta0": "0.02"}, "config key 'theta0' must be a number, got '0.02'"),
     ],
-    ids=["model-not-object", "family-not-object", "lambda-not-number", "not-object"],
+    ids=["model-not-object", "family-not-object", "lambda-not-number", "not-object",
+         "theta0-not-number"],
 )
 def test_config_of_the_wrong_shape_is_rejected(tmp_path, capsys, args, config, message):
     cfg = tmp_path / "cfg.json"
@@ -215,14 +217,59 @@ def test_config_of_the_wrong_shape_is_rejected(tmp_path, capsys, args, config, m
          "config key 'pricing.k1_min' must be an integer, got '2'"),
         (["experiment", "consistency"], {"k_list": [100, 1000.5]},
          "config key 'k_list[1]' must be an integer, got 1000.5"),
+        (["experiment", "normality", "--seed", "3"], {"seed": 1.5, "k": 100, "replications": 20},
+         "config key 'seed' must be an integer, got 1.5"),
+        (["experiment", "revenue-vs-price"], {"price_grid": [1, 2, 3.5]},
+         "config key 'price_grid[2]' must be an integer, got 3.5"),
+        (["experiment", "pricing-tables"], {"pricing_cells": [["doubling", 2.5, 15]],
+                                            "pricing_runs": 1},
+         "config key 'pricing_cells[0][1]' must be an integer, got 2.5"),
+        (["simulate", "--theta0", "0.02", "--k", "10"], {"initial_state": 1.5},
+         "config key 'initial_state' must be an integer or a string, got 1.5"),
     ],
-    ids=["seed-simulate", "seed-experiment", "k1-min-autoprice", "k-list-experiment"],
+    ids=["seed-simulate", "seed-experiment", "k1-min-autoprice", "k-list-experiment",
+         "seed-experiment-with-flag", "price-grid-experiment", "pricing-cells-experiment",
+         "initial-state-simulate"],
 )
 def test_config_integer_of_the_wrong_type_is_rejected(tmp_path, capsys, args, config, message):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({**config, "out_dir": str(tmp_path)}))
     assert run_cli(args + ["--config", str(cfg)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "args, config, message",
+    [
+        (["autoprice", "--theta0", "0.02"], {"pricing": 3},
+         "config key 'pricing' must be an object, got 3"),
+        (["autoprice", "--theta0", "0.02", "--tol", "0.1"], {"pricing": {"tol": "0.1"}},
+         "config key 'pricing.tol' must be a number, got '0.1'"),
+        (["experiment", "consistency"], {"k_list": 5}, "config key 'k_list' must be a list, got 5"),
+        (["experiment", "revenue-vs-price"], {"price_grid": [1, 10, 0]},
+         "price_grid must have at least 1 point, got 0"),
+        (["experiment", "revenue-vs-price"], {"price_grid": [1, 10, -2]},
+         "price_grid must have at least 1 point, got -2"),
+        (["revenue", "--theta", "0.02", "--price-grid", "1:10:0"], {},
+         "price_grid must have at least 1 point, got 0"),
+    ],
+    ids=["pricing-not-object", "pricing-tol-not-number", "k-list-not-list",
+         "price-grid-no-points", "price-grid-negative-points", "price-grid-flag-no-points"],
+)
+def test_config_setting_of_the_wrong_kind_is_rejected(tmp_path, capsys, args, config, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**config, "out_dir": str(tmp_path)}))
+    assert run_cli(args + ["--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("initial", [2, "stationary-warmup"])
+def test_simulate_starts_from_the_configured_initial_state(tmp_path, capsys, initial):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"initial_state": initial, "theta0": 0.02, "k": 50}))
+    assert run_cli(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    rows = (tmp_path / "path.csv").read_text().splitlines()[1:]
+    assert len(rows) == 51 and rows[0].startswith("0,2,," if initial == 2 else "0,")
 
 
 def test_autoprice_budget_below_k1_min_is_a_validation_error(tmp_path, capsys):

@@ -1,19 +1,26 @@
 import csv
+import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
+from types import UnionType
+from typing import get_args, get_origin
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from balkwise import experiments
 from balkwise.inference import fit_mle, log_likelihood, score
 from balkwise.simulator import SimOptions, simulate_path
 from balkwise.experiments import (
+    CONFIG_KEYS,
     ExperimentConfig,
     TABLE_ROW_LABELS,
     jarque_bera,
@@ -88,6 +95,52 @@ def test_config_from_json():
     assert cfg.replications == 7
     with pytest.raises(ValueError):
         ExperimentConfig.from_json({"experiment": "consistency", "bogus_key_ok": 1})
+
+
+def _not_of(kind):
+    """JSON values no setting of kind accepts.
+
+    A string, true or an object for a number; a non-whole float, a string or
+    false for an integer; a number or an object for a string; an object, a
+    string or a number for a list; an object or a list of another length for
+    a fixed-length list.
+    """
+    origin, args = get_origin(kind), get_args(kind)
+    objects = st.dictionaries(st.text(max_size=3), st.integers(), max_size=2)
+    if origin is UnionType:  # int | None: what int rejects is not null either
+        return _not_of(args[0])
+    if origin is tuple:
+        return objects | st.lists(st.integers(), max_size=5).filter(lambda v: len(v) != len(args))
+    if origin is list:
+        return objects | st.text(max_size=3) | st.integers()
+    if kind is int:
+        return (st.floats().filter(lambda x: not x.is_integer()) | st.just(1.5)
+                | st.text(max_size=3) | st.just(False))
+    if kind is float:
+        return st.text(max_size=3) | st.just(True) | objects
+    assert kind is str
+    return st.integers() | st.floats() | objects
+
+
+@given(data=st.data())
+def test_every_config_key_rejects_a_value_of_the_wrong_kind(data):
+    field = data.draw(st.sampled_from(sorted(CONFIG_KEYS)), label="field")
+    key, kind = CONFIG_KEYS[field]
+    value = data.draw(_not_of(kind), label="value")
+    raw = {"experiment": "consistency", "k": 100}
+    *blocks, name = key.split(".")
+    block = raw
+    for part in blocks:
+        block = block.setdefault(part, {})
+    block[name] = value
+    with pytest.raises(ValueError, match=rf"^config key '{re.escape(key)}(\[\d+\])*' must be"):
+        ExperimentConfig.from_json(raw)
+
+
+def test_config_keys_name_every_field_once():
+    assert list(CONFIG_KEYS) == [field.name for field in dataclasses.fields(ExperimentConfig)]
+    keys = [key for key, _ in CONFIG_KEYS.values()]
+    assert len(set(keys)) == len(keys)
 
 
 def test_resolve_workers_env_cap(monkeypatch):
