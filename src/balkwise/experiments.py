@@ -178,7 +178,11 @@ def _checked(value, key: str, kind):
     else:
         name = _KIND_NAMES[kind]  # checked by type(): JSON true and false are not numbers
         if kind is float and type(value) in (int, float):
-            return float(value)
+            try:
+                return float(value)
+            except OverflowError:  # an integer of more than about 309 digits
+                raise ValueError(f"config key {key!r} must be a number, got an integer too large "
+                                 "for a float") from None
         if kind is int and type(value) is float and value.is_integer():
             return int(value)
         if type(value) is kind:

@@ -110,6 +110,33 @@ class ParamSpace:
         return bool(np.any(t - self.lower <= slack) or np.any(self.upper - t <= slack))
 
 
+_SPLIT = 1024  # cells each later call of _first_float splits its bracket into
+
+
+def _first_float(holds, guess: float, top: float) -> float:
+    """Smallest float in [0, top] at which ``holds`` is true, or inf if it is false at top.
+
+    ``holds`` maps a float array to bools, false and then true along [0, top].
+    Nonnegative floats are ordered as their int64 bit patterns, so the search
+    runs on patterns: its first call scores 0, top and those 2**j (j < 62)
+    above and below the guess's, bracketing the crossing wherever the guess
+    is; each later call scores _SPLIT - 1 evenly spaced ones in the bracket
+    (the last cell is wider by the remainder).
+    """
+    top_bits = int(np.float64(top).view(np.int64))
+    at = int(np.float64(min(guess, top) if guess >= 0 else 0.0).view(np.int64))  # NaN: 0
+    lo, hi = -1, top_bits + 1  # holds is false at lo and true at hi, past [0, top] by definition
+    jumps = 2 ** np.arange(62, dtype=np.int64)
+    bits = np.sort(np.concatenate([[lo, 0, at, top_bits, hi], at - np.minimum(jumps, at),
+                                   at + np.minimum(jumps, top_bits - at)]))
+    while hi - lo > 1:  # bits: lo, the patterns to score, hi
+        i = 1 + int(np.count_nonzero(~holds(bits[1:-1].view(np.float64))))  # false, then true
+        lo, hi = int(bits[i - 1]), int(bits[i])
+        cells = min(hi - lo, _SPLIT)
+        bits = np.append(lo + (hi - lo) // cells * np.arange(cells), hi)  # no product past hi
+    return math.inf if hi > top_bits else float(np.int64(hi).view(np.float64))
+
+
 class ValueFamily(ABC):
     """Parametric distribution of the customers' service value.
 
@@ -122,7 +149,7 @@ class ValueFamily(ABC):
     by all (``theta[..., j, None]``, coordinate j as a column, broadcasts
     either way).  It returns the broadcast shape, plus ``(dim,)`` and
     ``(dim, dim)`` for the derivatives.  ``cdf`` (1 - sf by default) and
-    ``quantile`` (bisection on the cdf) are optional overrides.  The cdf is
+    ``quantile`` (a float search on the cdf) are optional overrides.  The cdf is
     0 for r < 0, nondecreasing in r, and its derivatives must match finite
     differences (see the test suite).  The public methods are require (or
     require_rows, which raises as require does), a kernel call and a
@@ -182,23 +209,10 @@ class ValueFamily(ABC):
         return self._cdf_derivatives(np.asarray(r, dtype=float), rows)[1]
 
     def quantile(self, u: float, theta) -> float:
-        """Inverse cdf by bisection; override when a closed form exists."""
-        theta = self.param_space.require(theta)
+        """Smallest r with cdf(r) >= u, inf if none (_first_float); override with a closed form."""
         if not 0.0 <= u < 1.0:
             raise ValueError("quantile level must lie in [0, 1)")
-        if self.cdf(0.0, theta) >= u:
-            return 0.0  # the lower end of the support
-        lo, hi = 0.0, 1.0
-        while self.cdf(hi, theta) < u:
-            hi *= 2.0
-            if hi > 1e300:
-                raise RuntimeError("quantile bisection failed to bracket")
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            lo, hi = (mid, hi) if self.cdf(mid, theta) < u else (lo, mid)
-            if hi - lo <= 1e-14 * max(1.0, hi):
-                break
-        return 0.5 * (lo + hi)
+        return _first_float(lambda r: self.cdf(r, theta) >= u, 1.0, np.finfo(float).max)
 
 
 @dataclass(frozen=True)

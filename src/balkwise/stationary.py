@@ -26,7 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import _PREDICTED, ModelConfig, StateTable, ValueFamily, _threshold, grid_then_golden
+from .model import (ModelConfig, StateTable, ValueFamily, _first_float, _threshold,
+                    grid_then_golden)
 
 STATE_CAP = 10**6
 GOLDEN_TOL = 1e-9  # relative bracket width at which a price search stops
@@ -36,9 +37,7 @@ PRICE_GRID = 256  # prices a search scores before its golden phase
 _NARROW = 32  # states every row starts with, doubled for the rows not yet cut
 _ROW = 128  # states a row widens to when the caller need not settle it
 JOIN_FRAC = 1e-6  # price_upper_bound: share of lam still joining the empty queue
-# steps a speculative call settles on every branch (BENCH_speculative_search.json)
-_PRICE_DEPTH = 3  # optimal_price's golden phase: a tree of 7 rows, then model._PREDICTED steps
-_BISECTION_DEPTH = 8  # price_upper_bound: a tree of 255 midpoints, then model._PREDICTED steps
+_PRICE_DEPTH = 3  # steps each golden call settles on every branch (BENCH_speculative_search.json)
 # theoretical_sigma's accounting and the stationary weighting it averages over
 _SIGMA_WEIGHTING = {"transition": "jump", "occupancy": "time"}
 
@@ -338,55 +337,18 @@ def asymptotic_std(price: float, theta, cfg: ModelConfig, fam: ValueFamily) -> n
 def price_upper_bound(theta, cfg: ModelConfig, fam: ValueFamily) -> float:
     """Smallest price at which effectively nobody joins the empty queue.
 
-    Doubling scores 1, 2, ..., 2**39 in one call; an 80-step bisection
-    narrows the last doubling.  Each call scores every midpoint of its next
-    _BISECTION_DEPTH steps, the inner points of that many halvings' equal
-    cells (exact: the bracket's width is a power of two and its ends are
-    multiples of it), and those of the model._PREDICTED steps after them on
-    the branch that a log rate linear between the bracket's ends predicts.
+    The smallest float price in [0, 2**40] with lam * S(price + c/mu) below
+    JOIN_FRAC * lam (model._first_float from the (1 - JOIN_FRAC) quantile
+    less c/mu), rounded up to a multiple of 2**-80, at least 2**-80, as an
+    80-step bisection from [0, 1] ends.  Raises TruncationError if none is found.
     """
     theta = fam.param_space.require(theta)
     offset = _threshold(0, cfg, price=0.0)
-
-    def rate0(p):
-        return cfg.lam * fam._survival(p + offset, theta)
-
-    target = JOIN_FRAC * cfg.lam
-    rates = rate0(2.0 ** np.arange(40))
-    i = int(np.argmin(rates >= target))  # the first power of two nobody joins at, if any
-    if rates[i] >= target:
+    hi = _first_float(lambda p: cfg.lam * fam._survival(p + offset, theta) < JOIN_FRAC * cfg.lam,
+                      fam.quantile(1.0 - JOIN_FRAC, theta) - offset, 2.0**40)
+    if hi == math.inf:
         raise TruncationError("joining rate does not vanish with price")
-    hi, r_hi = 2.0**i, rates[i]  # r_lo and r_hi: the joining rates at lo and hi
-    lo, r_lo = (hi / 2.0, rates[i - 1]) if i else (0.0, math.nan)
-    start, depth, path = 0, 0, []  # the last call's step, tree depth and predicted midpoints
-    for step in range(80):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            return hi  # rate0 is a function of the price: no later step moves lo or hi
-        ahead = step - start - depth  # steps past the tree
-        if ahead >= 0 and not (ahead < len(path) and mid == path[ahead]):
-            start, depth, ahead = step, min(_BISECTION_DEPTH, 80 - step), -1
-            path = _bisection_path(lo, hi, r_lo, r_hi, target, depth, 80 - step)
-            tree = lo + (hi - lo) / 2**depth * np.arange(1, 2**depth)  # every branch's midpoints
-            rates = rate0(np.concatenate([tree, path]))
-            joins, left, right = (rates >= target).tolist(), 0, 2**depth  # lo and hi, in cells
-        half = (left + right) // 2  # past the tree, left and right are no longer read
-        i = half - 1 if ahead < 0 else 2**depth - 1 + ahead
-        left, right = (half, right) if joins[i] else (left, half)
-        lo, hi, r_lo, r_hi = (mid, hi, rates[i], r_hi) if joins[i] else (lo, mid, r_lo, rates[i])
-    return hi
-
-
-def _bisection_path(lo, hi, r_lo, r_hi, target, skip: int, steps: int) -> list:
-    """Midpoints of steps skip + 1 .. skip + _PREDICTED (of steps) if the log rate is linear."""
-    fall = math.log(r_lo) - math.log(r_hi) if r_hi > 0.0 and r_lo == r_lo else 0.0
-    cross = lo + (hi - lo) * math.log(r_lo / target) / fall if fall > 0.0 else math.nan
-    out = []
-    for _ in range(min(skip + _PREDICTED, steps) if cross == cross else 0):
-        mid = 0.5 * (lo + hi)
-        out.append(mid)
-        lo, hi = (mid, hi) if mid <= cross else (lo, mid)
-    return out[skip:]
+    return max(math.ceil(hi * 2.0**80), 1) * 2.0**-80
 
 
 def optimal_price(theta, cfg: ModelConfig, fam: ValueFamily) -> float:

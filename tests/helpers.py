@@ -98,7 +98,7 @@ class WeibullValueFamily(ValueFamily):
         return shape, scale, u, log_ratio
 
     def cdf(self, r, theta):
-        # -expm1 keeps the small values that 1 - sf rounds away, which quantile's bisection reads
+        # -expm1 keeps the small values that 1 - sf rounds away, which the generic quantile reads
         out = -np.expm1(-self._u(np.asarray(r, dtype=float), self.param_space.require(theta))[2])
         return float(out[0]) if np.ndim(r) == 0 else out
 

@@ -195,9 +195,11 @@ def test_config_naming_another_value_family_is_rejected(tmp_path, capsys, args):
         ({"model": {"lambda": "fast"}}, "config key 'model.lambda' must be a number, got 'fast'"),
         ([1], "config file must hold a JSON object, got [1]"),
         ({"theta0": "0.02"}, "config key 'theta0' must be a number, got '0.02'"),
+        ({"model": {"lambda": 10**400}},
+         "config key 'model.lambda' must be a number, got an integer too large for a float"),
     ],
     ids=["model-not-object", "family-not-object", "lambda-not-number", "not-object",
-         "theta0-not-number"],
+         "theta0-not-number", "lambda-too-large"],
 )
 def test_config_of_the_wrong_shape_is_rejected(tmp_path, capsys, args, config, message):
     cfg = tmp_path / "cfg.json"

@@ -211,7 +211,7 @@ def test_exponential_quantile(expo):
 
 
 def test_generic_quantile_bisection():
-    # the Weibull test family has no quantile of its own: ValueFamily's bisection runs
+    # the Weibull test family has no quantile of its own: ValueFamily's float search runs
     assert WeibullValueFamily.quantile is ValueFamily.quantile
     fam = WeibullValueFamily([0.5, 2.0], [10.0, 60.0])
     for shape, scale in ((2.0, 20.0), (0.5, 2.0), (10.0, 60.0), (0.7, 45.0)):

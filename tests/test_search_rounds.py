@@ -24,5 +24,5 @@ def test_search_rounds_counts_every_search():
     summary = json.loads(run.stdout.splitlines()[-1])
     per_op = summary["per_op"]
     assert summary["ops"] == 2
-    assert per_op["bounds"] > 0 and summary["bisection_calls_per_bound"] > 0
+    assert per_op["bounds"] > 0 and summary["survival_calls_per_bound"] >= 1
     assert per_op["golden_calls"] > 0 and per_op["rounds"] > 0

@@ -1,5 +1,6 @@
 import io
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from balkwise.model import (
     ExponentialFamily,
     ModelConfig,
     ParamSpace,
+    ValueFamily,
     _threshold,
     grid_then_golden,
     joining_rate,
@@ -227,7 +229,9 @@ def test_price_upper_bound(anchor_cfg, expo):
     from balkwise.model import joining_rate
 
     assert joining_rate(0, [0.02], anchor_cfg.with_price(hi), expo) < 1e-6 * anchor_cfg.lam
-    assert joining_rate(0, [0.02], anchor_cfg.with_price(hi * 0.98), expo) >= 1e-6 * anchor_cfg.lam
+    # the smallest such float: one step below it somebody still joins
+    below = anchor_cfg.with_price(float(np.nextafter(hi, 0.0)))
+    assert joining_rate(0, [0.02], below, expo) >= 1e-6 * anchor_cfg.lam
 
 
 def test_curve_csv_headers(anchor_cfg, expo):
@@ -379,8 +383,48 @@ def test_price_upper_bound_equals_full_bisection(cfg, theta, weibull):
     assert price_upper_bound(theta, cfg, fam) == expected
 
 
+@dataclass(frozen=True)
+class _GuessedQuantile(ExponentialFamily):
+    """Exponential values whose quantile returns a fixed guess, however wrong."""
+
+    guess: float = 0.0
+
+    def quantile(self, u, theta):
+        return self.guess
+
+
+# the search brackets the crossing from any guess: a far one leaves a bracket
+# 2**56 bit patterns wide, whose lattice must not overflow int64
+@pytest.mark.parametrize("guess", [0.0, 1e12, math.inf, math.nan])
+@pytest.mark.parametrize("cfg, theta", [(ANCHOR, 0.02), (ModelConfig(1.0, 1.0, 10.0, 0.0), 5.0)])
+def test_price_upper_bound_from_any_quantile_guess(guess, cfg, theta):
+    fam = _GuessedQuantile(guess=guess)
+    assert price_upper_bound([theta], cfg, fam) == _price_upper_bound_80_steps([theta], cfg, fam)
+
+
+class _FlooredFamily(ExponentialFamily):
+    """Half the customers value service without bound: the survival never falls below 0.5."""
+
+    def _survival(self, r, theta):
+        return 0.5 + 0.5 * super()._survival(r, theta)
+
+    def _cdf_derivatives(self, r, theta):
+        return tuple(0.5 * d for d in super()._cdf_derivatives(r, theta))
+
+    cdf = ValueFamily.cdf
+    quantile = ValueFamily.quantile
+
+
+def test_joining_rate_that_never_vanishes_has_no_price_bound():
+    fam = _FlooredFamily(ParamSpace([1e-3], [5.0]))
+    assert fam.quantile(0.9, [0.02]) == math.inf  # the cdf stays at most 0.5
+    for search in (price_upper_bound, optimal_price):
+        with pytest.raises(TruncationError, match="joining rate does not vanish with price"):
+            search([0.02], ANCHOR, fam)
+
+
 def test_searches_at_the_anchor_take_few_calls(monkeypatch):
-    # the predicted branches settle most steps of the two exact searches
+    # the predicted branch settles most golden steps, the quantile's guess most of the bound's
     golden, survival, calls = stationary.grid_then_golden, ExponentialFamily._survival, []
 
     def counted(scan, lo, hi, grid, tol, batch, depth):
@@ -394,7 +438,7 @@ def test_searches_at_the_anchor_take_few_calls(monkeypatch):
     monkeypatch.setattr(ExponentialFamily, "_survival",
                         lambda self, r, theta: calls.append(r) or survival(self, r, theta))
     price_upper_bound([0.02], ANCHOR, EXPO)
-    assert 2 <= len(calls) <= 4  # the doubling, then at most 3 bisection calls
+    assert 2 <= len(calls) <= 4  # the ladder around the quantile's guess, then the lattices
 
 
 def test_grid_scan_grows_wide_tables_row_by_row():

@@ -7,8 +7,8 @@ balkwise's private functions in this process only:
 - the golden phases of the price searches (``grid_then_golden`` at depth
   greater than 1): their ``batch`` calls and the points of each;
 - ``price_upper_bound``: its calls of the family's survival kernel
-  ``_survival``, the first of which is the doubling and the rest the
-  bisection;
+  ``_survival``, the first of which scores the ladder around the guess the
+  value quantile gives and the rest narrow the bracket;
 - the fits (``_fit_batch``): ``_Batch.evaluate`` rounds (calls from a fit),
   the table calls they split into (``_CELLS`` cells at a time) and their
   points.
@@ -148,9 +148,7 @@ def main(argv=None) -> None:
         "per_op": {key: round(COUNTS[key] / args.ops, 3) for key in keys},
         "golden_calls_per_search": _ratio("golden_calls", "price_searches"),
         "points_per_golden_call": _ratio("golden_points", "golden_calls"),
-        "bisection_calls_per_bound": round(
-            (COUNTS["bound_sf_calls"] - COUNTS["bounds"]) / COUNTS["bounds"], 3)
-        if COUNTS["bounds"] else float("nan"),
+        "survival_calls_per_bound": _ratio("bound_sf_calls", "bounds"),
         "rounds_per_fit_batch": _ratio("rounds", "fit_batches"),
         "table_calls_per_round": _ratio("table_calls", "rounds"),
         "points_per_round": _ratio("round_points", "rounds"),
