@@ -11,7 +11,8 @@ continuous time; the score ergodics of the estimator live on the jump chain.
 
 One widening pass tabulates the truncated law's rows, one per price, each
 as wide as that price needs, and two reductions read it: the
-revenue-maximizing price search scans its whole grid on masked tables, then
+revenue-maximizing price search scans, on masked tables, the grid prices
+whose revenue bound p * min(lam_0(p), mu) reaches the best value, then
 refines the best grid point by a speculative golden section whose calls
 score rows exactly as expected_revenue does, on every branch of the next
 steps and on a predicted one.  The settings are the module constants below;
@@ -33,7 +34,8 @@ STATE_CAP = 10**6
 GOLDEN_TOL = 1e-9  # relative bracket width at which a price search stops
 TRUNC_EPS = 1e-12  # tail mass left out when the stationary law is truncated
 PRICE_FLOOR = 0.01  # lowest price a price search considers
-PRICE_GRID = 256  # prices a search scores before its golden phase
+PRICE_GRID = 256  # prices a search's grid holds before its golden phase
+_PEAK_FIRST = 16  # grid prices optimal_price scores first: those of highest revenue bound
 _NARROW = 32  # states every row starts with, doubled for the rows not yet cut
 _ROW = 128  # states a row widens to when the caller need not settle it
 JOIN_FRAC = 1e-6  # price_upper_bound: share of lam still joining the empty queue
@@ -76,26 +78,30 @@ def stationary_weights(theta, cfg: ModelConfig, fam: ValueFamily, qmax: int) -> 
     return out
 
 
-def _weigh(lam_q, mu: float, eps: float):
+def _weigh(lam_q, cfg: ModelConfig, eps: float):
     """Weights, accumulated weights and truncation mask of (rows, width) joining rates.
 
     A row may be cut where its joining-to-service ratio is below 1/2 and its
     weight below eps times the accumulated weight: the rest is dominated by a
     geometric sequence with ratio < 1/2, a provable tail bound.  Weights are
-    running products, so up to a state they do not depend on the width.
+    running products, so up to a state they do not depend on the width.  A
+    row whose weights overflow is redone in logs, scaled by its top; one whose
+    revenue sum (at most weight times lam) could is scaled by 2**-512, exactly.
     """
-    ratio = lam_q / mu
+    ratio = lam_q / cfg.mu
     weights = np.empty_like(lam_q)
     weights[:, 0] = 1.0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         np.multiply.accumulate(ratio[:, :-1], axis=1, out=weights[:, 1:])  # cumprod, unwrapped
         partial = np.add.accumulate(weights, axis=1)
-        if not partial[:, -1].max() < np.inf:  # redo an overflowing row in logs, scaled by its top
+        if not partial[:, -1].max() * cfg.lam < 2.0**1023:
             big = ~np.isfinite(partial[:, -1])
             logs = np.cumsum(np.log(ratio[big, :-1]), axis=1)
             top = np.maximum(logs.max(axis=1, keepdims=True), 0.0)
             weights[big] = np.exp(np.concatenate([np.zeros_like(top), logs], axis=1) - top)
             partial[big] = np.cumsum(weights[big], axis=1)
+            over = ~(partial[:, -1] * cfg.lam < 2.0**1023)
+            weights[over], partial[over] = weights[over] * 2.0**-512, partial[over] * 2.0**-512
     return weights, partial, (ratio < 0.5) & (weights < eps * partial)
 
 
@@ -148,7 +154,7 @@ class _Row:
         waiting = []  # (rows, lam_q) of later rows held back by the cell bound, the next one last
         while True:
             if len(rows):
-                weights, partial, ok = _weigh(lam_q, self.cfg.mu, self.eps)
+                weights, partial, ok = _weigh(lam_q, self.cfg, self.eps)
                 qstar = ok.argmax(axis=1)  # 0 for a row not cut: _weigh never cuts at state 0
                 if 0 not in qstar.tolist():
                     yield rows, weights, lam_q, partial, qstar
@@ -215,12 +221,33 @@ class _Row:
         """
         prices = np.asarray(prices, dtype=float)
         out = np.empty(len(prices))
-        # every table, then the sums: summing each as the pass went made the heap of a long
-        # run give back and fault in about 90 pages per scan (a pricing op scans about 5 times)
-        for rows, weights, lam_q, _, qstar in list(self._tables(prices, len(prices))):
+        for rows, weights, lam_q, _, qstar in self._tables(prices, len(prices)):
             weights = np.where(np.arange(weights.shape[1]) <= qstar[:, None], weights, 0.0)
             out[rows] = (weights * lam_q).sum(axis=1) / weights.sum(axis=1)
         return prices * out
+
+    def peak_scan(self, prices) -> np.ndarray:
+        """``scan`` where a price can hold its maximum, -inf elsewhere: the same argmax, bit for bit.
+
+        Joining rates fall with the queue (Naor's rule) and the queue serves at
+        most mu, so expected_revenue(p) <= p * min(lam_0(p), mu).  Scored, with
+        two prices on either side: the _PEAK_FIRST highest bounds, every bound
+        that times 1 + 1e-9 reaches the best value so far and, to raise as
+        ``scan`` does, every bound not positive and finite and the lowest price
+        unless it joins below mu / 2 at state STATE_CAP - 64 (then every row is
+        cut within STATE_CAP).  A value depends only on its row.
+        """
+        prices = np.asarray(prices, dtype=float)
+        lam_0 = self._rates(prices, np.arange(len(prices)), 0, 1)[:, 0]
+        bound = prices * np.minimum(lam_0, self.cfg.mu)
+        out, scored = np.full(len(prices), -np.inf), np.zeros(len(prices), dtype=bool)
+        need = ~(bound > 0.0) | ~(bound < np.inf)
+        need[np.argsort(-bound)[:_PEAK_FIRST]] = True
+        need[0] |= not self._rates(prices, [0], STATE_CAP - 64, STATE_CAP - 63)[0, 0] < self.cfg.mu / 2
+        while (need := (np.convolve(need, np.ones(5), "same") > 0.0) & ~scored).any():
+            out[need], scored = self.scan(prices[need]), scored | need
+            need = ~(bound * (1.0 + 1e-9) < out.max())
+        return out
 
 
 def _revenue(row: _Row, price: float) -> float:
@@ -355,17 +382,19 @@ def optimal_price(theta, cfg: ModelConfig, fam: ValueFamily) -> float:
     """Revenue-maximizing price for the given parameter.
 
     theta is validated once, and one row function serves the search: its
-    masked scan scores the grid, and the golden phase scores _PRICE_DEPTH
-    steps ahead on every branch and a predicted branch past them per call,
-    each point as expected_revenue does, without its checks: the result is a
-    scan by expected_revenue's whenever both pick the same grid point.
-    Raises TruncationError when nobody effectively joins above PRICE_FLOOR.
+    masked grid scan scores only the prices whose revenue bound
+    p * min(lam_0(p), mu) can reach the grid's maximum (_Row.peak_scan), and
+    the golden phase scores _PRICE_DEPTH steps ahead on every branch and a
+    predicted branch past them per call, each point as expected_revenue
+    does, without its checks: the result is a scan by expected_revenue's
+    whenever both pick the same grid point.  Raises TruncationError when
+    nobody effectively joins above PRICE_FLOOR.
     """
     theta = fam.param_space.require(theta)
     row = _Row(theta, cfg, fam, TRUNC_EPS)
-    return grid_then_golden(row.scan, PRICE_FLOOR, _price_ceiling(theta, cfg, fam), PRICE_GRID,
-                            GOLDEN_TOL, lambda points: row.revenues(points, 1).tolist(),
-                            _PRICE_DEPTH)
+    return grid_then_golden(row.peak_scan, PRICE_FLOOR, _price_ceiling(theta, cfg, fam),
+                            PRICE_GRID, GOLDEN_TOL,
+                            lambda points: row.revenues(points, 1).tolist(), _PRICE_DEPTH)
 
 
 def _price_ceiling(theta, cfg: ModelConfig, fam: ValueFamily) -> float:

@@ -1,9 +1,9 @@
 """tools/search_rounds.py still counts what it names.
 
 The tool wraps private functions of balkwise (the family's survival kernel
-``_survival``, ``grid_then_golden``, ``_fit_batch``, ``_Batch.evaluate``), so
-renaming one of them would silently zero a count; two ops of
-``pricing-doubling`` must give every count.
+``_survival``, ``grid_then_golden``, ``_Row.scan``, ``_fit_batch``,
+``_Batch.evaluate``), so renaming one of them would silently zero a count;
+two ops of ``pricing-doubling`` must give every count.
 """
 
 import json
@@ -11,6 +11,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+from balkwise.stationary import PRICE_GRID
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -26,3 +28,5 @@ def test_search_rounds_counts_every_search():
     assert summary["ops"] == 2
     assert per_op["bounds"] > 0 and summary["survival_calls_per_bound"] >= 1
     assert per_op["golden_calls"] > 0 and per_op["rounds"] > 0
+    assert 1 <= summary["scan_rows_per_search"] <= PRICE_GRID
+    assert summary["scan_calls_per_search"] >= 1

@@ -24,6 +24,7 @@ from balkwise.stationary import (
     PRICE_GRID,
     STATE_CAP,
     TRUNC_EPS,
+    _PRICE_DEPTH,
     _ROW,
     TruncationError,
     _revenue,
@@ -638,6 +639,127 @@ def test_grid_scan_raises_what_expected_revenue_raises(model, bounds, error):
     )
     assert type(grid) is type(by_scalar_scan) is error
     assert str(grid) == str(by_scalar_scan)
+
+
+def _full_search(theta, cfg, fam, lo=PRICE_FLOOR, hi=None):
+    """optimal_price's search with every grid price scored, by the unpruned ``_Row.scan``."""
+    row = _Row(fam.param_space.require(theta), cfg, fam, TRUNC_EPS)
+    hi = price_upper_bound(theta, cfg, fam) if hi is None else hi
+    return grid_then_golden(row.scan, lo, hi, PRICE_GRID, GOLDEN_TOL,
+                            lambda points: row.revenues(points, 1).tolist(), _PRICE_DEPTH)
+
+
+def _searchable(theta, cfg, fam):
+    """A price range above PRICE_FLOOR whose rows are cut within 3,000 states (a test's cost)."""
+    try:
+        return (price_upper_bound(theta, cfg, fam) > PRICE_FLOOR and
+                stationary_distribution(theta, cfg.with_price(PRICE_FLOOR), fam).qstar < 3000)
+    except (TruncationError, ValueError):
+        return False
+
+
+# the three value families: exponential, Weibull (shape, scale) and uniform of a drawn width
+value_models = st.one_of(
+    st.builds(lambda theta: (EXPO, [theta]), st.floats(1e-3, 5.0)),
+    st.builds(lambda shape, scale: (WEIBULL, [shape, scale]),
+              st.floats(0.5, 10.0), st.floats(2.0, 60.0)),
+    st.builds(lambda width, offset: (UniformValueFamily(width, -10.0, 100.0), [offset]),
+              st.floats(0.1, 100.0), st.floats(-10.0, 100.0)),
+)
+search_models = st.builds(
+    lambda rho, mu, cost_c: ModelConfig(rho * mu, mu, cost_c, 0.0),
+    rho=st.floats(0.05, 6.0),
+    mu=st.floats(0.2, 20.0),
+    cost_c=st.floats(0.01, 5.0),
+)
+HEAVY = ModelConfig(4.0, 1.0, 1 / 64, 0.0)
+# Weibull values where a row's weights stay finite but its revenue products overflowed
+OVERFLOW = ModelConfig(41.865, 14.510, 0.784, 0.0), [2.026, 58.256]
+
+
+@table_settings
+@given(cfg=search_models, model=value_models, fraction=st.floats(0.0, 1.0))
+# heavy traffic: rows of 26 to 2,066 states, whose weights overflow past 26
+@example(cfg=HEAVY, model=(EXPO, [0.0625]), fraction=0.0)
+@example(cfg=HEAVY, model=(EXPO, [0.0625]), fraction=0.02)
+@example(cfg=HEAVY, model=(EXPO, [0.0625]), fraction=0.1)
+@example(cfg=OVERFLOW[0], model=(WEIBULL, OVERFLOW[1]), fraction=0.0)
+def test_revenue_is_at_most_price_times_empty_queue_join_rate_and_service_rate(cfg, model,
+                                                                                 fraction):
+    # joining rates fall with the queue, and the queue serves at most mu:
+    # R(p) <= p min(lam S(p + c/mu), mu), the bound the grid scan prunes by
+    fam, theta = model
+    assume(_searchable(theta, cfg, fam))
+    price = PRICE_FLOOR + fraction * (price_upper_bound(theta, cfg, fam) - PRICE_FLOOR)
+    bound = price * min(joining_rate(0, theta, cfg.with_price(price), fam), cfg.mu)
+    assert expected_revenue(price, theta, cfg, fam) <= bound * (1.0 + 1e-9)
+
+
+@table_settings
+@given(cfg=search_models, model=value_models)
+@example(cfg=HEAVY, model=(EXPO, [0.0625]))
+@example(cfg=OVERFLOW[0], model=(WEIBULL, OVERFLOW[1]))
+@example(cfg=ANCHOR, model=(EXPO, [0.02]))
+# a range of 0.01 to 0.54: revenue still rises at its top, the grid's argmax is its last point
+@example(cfg=ModelConfig(0.19, 0.55, 4.45, 0.0), model=(EXPO, [1.6]))
+def test_optimal_price_equals_the_search_that_scores_every_grid_price(cfg, model):
+    fam, theta = model
+    assume(_searchable(theta, cfg, fam))
+    assert optimal_price(theta, cfg, fam) == _full_search(theta, cfg, fam)
+    # the pruned grid: scan's values where it scores, the same argmax, and two
+    # scored prices on either side of it (grid_then_golden reads three around it)
+    row = _Row(fam.param_space.require(theta), cfg, fam, TRUNC_EPS)
+    points = np.linspace(PRICE_FLOOR, price_upper_bound(theta, cfg, fam), PRICE_GRID)
+    peak, full = row.peak_scan(points), row.scan(points)
+    scored = peak > -np.inf
+    assert peak[scored].tolist() == full[scored].tolist()
+    assert np.argmax(peak) == np.argmax(full) and scored.sum() >= 16
+    best = int(np.argmax(full))
+    assert scored[max(best - 2, 0):best + 3].all()
+
+
+@pytest.mark.parametrize(
+    "model, bounds",
+    [
+        ((ANCHOR, EXPO, [0.02]), (-1.0, 10.0)),
+        (NOBODY_JOINS, (0.01, 10.0)),
+        (NON_BALKING, (0.01, 100.0)),
+        (NON_BALKING, (0.01, 10.0**8)),
+        # survival floored at 0.5 with lam = mu: no row is ever cut
+        ((ANCHOR, _FlooredFamily(ParamSpace([1e-3], [5.0])), [0.02]), (0.01, 100.0)),
+        # only the low prices' rows pass STATE_CAP; the highest bounds lie near price 1,000
+        ((ModelConfig(1.0, 1.0, 1e-4, 0.0), EXPO, [1e-3]), (0.01, 2000.0)),
+    ],
+    ids=["negative-price", "nobody-joins", "non-balking", "non-balking-then-nobody-joins",
+         "floored", "non-balking-low-prices"],
+)
+def test_pruned_grid_scan_raises_what_the_full_scan_raises(model, bounds):
+    cfg, fam, theta = model
+    pruned = _raised(lambda: grid_then_golden(
+        _Row(fam.param_space.require(theta), cfg, fam, TRUNC_EPS).peak_scan, *bounds, PRICE_GRID,
+        GOLDEN_TOL, lambda prices: [expected_revenue(p, theta, cfg, fam) for p in prices], 1))
+    full = _raised(lambda: _full_search(theta, cfg, fam, *bounds))
+    assert type(pruned) is type(full) and str(pruned) == str(full)
+
+
+def test_revenue_products_that_would_overflow_are_scaled_exactly():
+    # one grid row's weights stay finite but its sum of weights times joining
+    # rates overflowed, so the grid picked that row's inf; the row is scaled by
+    # a power of 2, and every grid value that was finite keeps its bits
+    cfg, theta = OVERFLOW
+    prices = np.linspace(PRICE_FLOOR, price_upper_bound(theta, cfg, WEIBULL), PRICE_GRID)
+    grid = _Row(np.array(theta), cfg, WEIBULL, TRUNC_EPS).scan(prices)
+    with np.errstate(over="ignore"):
+        unguarded = _full_width_scan(prices, theta, cfg, WEIBULL)
+    finite = np.isfinite(unguarded)
+    assert finite.sum() == PRICE_GRID - 1 and np.isfinite(grid).all()
+    assert grid[finite].tolist() == unguarded[finite].tolist()
+    price = float(prices[~finite][0])
+    assert math.isfinite(expected_revenue(price, theta, cfg, WEIBULL))
+    dist = stationary_distribution(theta, cfg.with_price(price), WEIBULL)
+    assert abs(dist.probs.sum() - 1.0) <= 1e-12
+    assert optimal_price(theta, cfg, WEIBULL) == _full_search(theta, cfg, WEIBULL)
+    assert abs(optimal_price(theta, cfg, WEIBULL) - 59.115) < 1e-3
 
 
 @pytest.mark.parametrize(

@@ -2,10 +2,11 @@
 
 Builds the workload with ``build`` from perfbench/workloads.py, which this
 only imports, runs its ops 0..N-1 one at a time with one numeric thread (as
-perfbench/run.py does) and prints ``op peak_rss_mb`` after each: the
-process's ``ru_maxrss`` in MB (2^20 bytes).  A first line names the
-balkwise that was imported.  Point PYTHONPATH at a checkout's ``src`` to
-measure it, so two commits can be compared, each in a fresh process:
+perfbench/run.py does) and prints ``op peak_rss_mb minflt`` after each: the
+process's ``ru_maxrss`` in MB (2^20 bytes) and the minor page faults
+(``ru_minflt``) the op took.  A first line names the balkwise that was
+imported.  Point PYTHONPATH at a checkout's ``src`` to measure it, so two
+commits can be compared, each in a fresh process:
 
     PYTHONPATH=src python tools/rss_series.py --workload study-normality --seed 2 --ops 40
     PYTHONPATH=<other checkout>/src python tools/rss_series.py --workload study-normality --seed 2 --ops 40
@@ -42,10 +43,12 @@ def main(argv=None) -> None:
     with tempfile.TemporaryDirectory() as out_root:
         wl = workloads.build(args.workload, args.seed, Path(out_root))
         try:
+            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             for op in range(args.ops):
                 wl.run(op)
-                print(op, f"{resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0:.2f}",
-                      flush=True)
+                usage = resource.getrusage(resource.RUSAGE_SELF)
+                print(op, f"{usage.ru_maxrss / 1024.0:.2f}", usage.ru_minflt - faults, flush=True)
+                faults = usage.ru_minflt
         finally:
             wl.close()
 

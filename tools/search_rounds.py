@@ -4,8 +4,9 @@ Builds the workload with ``build`` from perfbench/workloads.py, which this
 only imports, runs its ops 0..N-1 one at a time and counts, by wrapping
 balkwise's private functions in this process only:
 
-- the golden phases of the price searches (``grid_then_golden`` at depth
-  greater than 1): their ``batch`` calls and the points of each;
+- the price searches (``grid_then_golden`` at depth greater than 1): the
+  calls of their grid scans (``_Row.scan``) and the prices those score, and
+  their golden phases' ``batch`` calls and the points of each;
 - ``price_upper_bound``: its calls of the family's survival kernel
   ``_survival``, the first of which scores the ladder around the guess the
   value quantile gives and the rest narrow the bracket;
@@ -59,6 +60,15 @@ def _wrap_golden(inner):
         return inner(scan, lo, hi, grid, tol, counted, depth)
 
     return grid_then_golden
+
+
+def _wrap_scan(inner):
+    def scan(self, prices):  # only optimal_price's grid calls it
+        COUNTS["scan_calls"] += 1
+        COUNTS["scan_rows"] += len(prices)
+        return inner(self, prices)
+
+    return scan
 
 
 def _wrap_bound(inner, family):
@@ -123,12 +133,14 @@ def main(argv=None) -> None:
     args = parser.parse_args(argv)
     print(f"# balkwise {balkwise.__version__} from {Path(balkwise.__file__).parent}")
     stationary.grid_then_golden = _wrap_golden(model.grid_then_golden)
+    stationary._Row.scan = _wrap_scan(stationary._Row.scan)
     stationary.price_upper_bound = _wrap_bound(stationary.price_upper_bound,
                                                model.ExponentialFamily)
     inference._fit_batch = experiments._fit_batch = _wrap_fits(inference._fit_batch)
     inference._Batch.evaluate = _wrap_evaluate(inference._Batch.evaluate)
-    keys = ("price_searches", "golden_calls", "golden_points", "bounds", "bound_sf_calls",
-            "fit_batches", "fits", "rounds", "table_calls", "round_points")
+    keys = ("price_searches", "scan_calls", "scan_rows", "golden_calls", "golden_points",
+            "bounds", "bound_sf_calls", "fit_batches", "fits", "rounds", "table_calls",
+            "round_points")
     with tempfile.TemporaryDirectory() as out_root:
         wl = workloads.build(args.workload, args.seed, Path(out_root))
         try:
@@ -146,6 +158,8 @@ def main(argv=None) -> None:
     print(json.dumps({
         "ops": args.ops,
         "per_op": {key: round(COUNTS[key] / args.ops, 3) for key in keys},
+        "scan_rows_per_search": _ratio("scan_rows", "price_searches"),
+        "scan_calls_per_search": _ratio("scan_calls", "price_searches"),
         "golden_calls_per_search": _ratio("golden_calls", "price_searches"),
         "points_per_golden_call": _ratio("golden_points", "golden_calls"),
         "survival_calls_per_bound": _ratio("bound_sf_calls", "bounds"),
