@@ -123,8 +123,6 @@ def _load_config(path):
     try:
         with open(path) as fh:
             raw = json.load(fh)
-    except FileNotFoundError as exc:
-        raise ValueError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ValueError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
@@ -185,11 +183,8 @@ def _cmd_simulate(args) -> int:
 def _cmd_fit(args) -> int:
     cfg_file = _load_config(args.config)
     cfg, fam = _model_from(args, cfg_file)
-    try:
-        with open(args.input) as fh:
-            path = QueuePath.from_csv(fh, cfg=cfg)
-    except FileNotFoundError as exc:
-        raise ValueError(f"input path file not found: {args.input}") from exc
+    with open(args.input) as fh:
+        path = QueuePath.from_csv(fh, cfg=cfg)
     fit = fit_mle(path, cfg, fam)
     payload = json.loads(fit.to_json())
     if args.level is not None:
@@ -331,7 +326,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _HANDLERS[args.command](args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # OSError: a path that cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (RuntimeError, np.linalg.LinAlgError) as exc:

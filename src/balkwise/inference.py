@@ -214,13 +214,12 @@ class _Batch:
             runs = _runs(self.m[reps])
         surv = fam._survival(r, thetas)
         lam_q = cfg.lam * surv
-        p_up, p_down = _jump_law(lam_q, cfg.mu)
+        p_up, p_down, denom = _jump_law(lam_q, cfg.mu)
         with np.errstate(divide="ignore", invalid="ignore"):
             terms_up, terms_down = up * np.log(p_up), down * np.log(p_down)
         loglik = _state_sums(terms_up, runs) + _state_sums(terms_down, runs)
-        joins = p_up > 0.0
-        if not joins.all():
-            lengths = self.m[reps]
+        if np.count_nonzero(p_up) < p_up.size:  # a state nobody joins
+            joins, lengths = p_up > 0.0, self.m[reps]
             for i in np.flatnonzero(~joins.all(axis=1)):  # summed over the states somebody joins
                 states, some = slice(lengths[i]), joins[i, :lengths[i]]
                 loglik[i] = terms_up[i, states][some].sum() + terms_down[i, states][some].sum()
@@ -229,33 +228,31 @@ class _Batch:
         if need < _EFFECTIVE:
             return _Values(loglik)
         informative = _varies(surv)
-        effective = np.where(informative, up + down, 0).sum(axis=1)
+        effective = np.add.reduce(informative * (up + down), axis=1)
         if need < _DERIVATIVES:
             return _Values(loglik, effective)
 
         lengths = self.m[reps]
         grad, hess = fam._cdf_derivatives(r, thetas)
-        denom = cfg.mu + lam_q
         dp, d2p = _dp(cfg, denom, grad), _d2p(cfg, denom, grad, hess)
         outer = np.einsum("...j,...l->...jl", dp, dp)
         live = informative & (p_up > _P_FLOOR)
         up, down, p_up, p_down = up[..., None], down[..., None], p_up[..., None], p_down[..., None]
+        some, k = live.any(axis=1) & (lengths > 0), self.k[reps]
         with np.errstate(all="ignore"):  # at states below the floor, dropped below
             terms = (
                 up * (dp / p_up) - down * (dp / p_down),
                 up[..., None] * (d2p / p_up[..., None] - outer / p_up[..., None]**2)
                 - down[..., None] * (d2p / p_down[..., None] + outer / p_down[..., None]**2),
             )
-        sums = [_state_sums(t, runs) for t in terms]
-        for i in np.flatnonzero(live.any(axis=1) & ~live.all(axis=1)):
-            keep = live[i, :lengths[i]]
-            for total, t in zip(sums, terms):
-                total[i] = t[i, :lengths[i]][keep].sum(axis=0)
-        # a point with no floored state keeps score and information 0
-        some, k = live.any(axis=1) & (lengths > 0), self.k[reps]
-        score, information = np.zeros(sums[0].shape), np.zeros(sums[1].shape)
-        score[some] = sums[0][some] / k[some, None]
-        information[some] = -(sums[1][some] / k[some, None, None])
+            sums = [_state_sums(t, runs) for t in terms]
+            for i in np.flatnonzero(some & ~live.all(axis=1)):
+                keep = live[i, :lengths[i]]
+                for total, t in zip(sums, terms):
+                    total[i] = t[i, :lengths[i]][keep].sum(axis=0)
+            # a point with no floored state keeps score and information 0
+            score = np.where(some[:, None], sums[0] / k[:, None], 0.0)
+            information = np.where(some[:, None, None], -(sums[1] / k[:, None, None]), 0.0)
         return _Values(loglik, effective, score, information)
 
 

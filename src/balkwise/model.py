@@ -51,22 +51,33 @@ class ModelConfig:
 
 @dataclass(frozen=True)
 class ParamSpace:
-    """Compact box of admissible parameter vectors."""
+    """Compact box of admissible parameter vectors: read-only copies of its bounds, equal by value."""
 
     lower: np.ndarray
     upper: np.ndarray
 
     def __post_init__(self):
-        lower = np.atleast_1d(np.asarray(self.lower, dtype=float))
-        upper = np.atleast_1d(np.asarray(self.upper, dtype=float))
+        lower = np.array(self.lower, dtype=float, ndmin=1)  # copies
+        upper = np.array(self.upper, dtype=float, ndmin=1)
+        lower.flags.writeable = upper.flags.writeable = False
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
+        object.__setattr__(self, "_bounds", (tuple(lower.tolist()), tuple(upper.tolist())))
         if lower.ndim != 1 or lower.shape != upper.shape or lower.size < 1:
             raise ValueError("bounds must be 1-d arrays of equal, positive length")
         if not (np.isfinite(lower).all() and np.isfinite(upper).all()):
             raise ValueError(f"bounds must be finite, got [{lower}, {upper}]")
         if not np.all(lower < upper):
             raise ValueError("each lower bound must be strictly below its upper bound")
+
+    def __eq__(self, other):
+        return isinstance(other, ParamSpace) and self._bounds == other._bounds
+
+    def __hash__(self):
+        return hash(self._bounds)
+
+    def __reduce__(self):  # a pickled or copied box is built anew: its bounds read-only again
+        return ParamSpace, (self.lower, self.upper)
 
     @property
     def dim(self) -> int:
@@ -111,6 +122,7 @@ class ParamSpace:
 
 
 _SPLIT = 1024  # cells each later call of _first_float splits its bracket into
+_LADDER = 2 ** np.arange(62, dtype=np.int64)  # the steps of _first_float's first call
 
 
 def _first_float(holds, guess: float, top: float) -> float:
@@ -126,11 +138,10 @@ def _first_float(holds, guess: float, top: float) -> float:
     top_bits = int(np.float64(top).view(np.int64))
     at = int(np.float64(min(guess, top) if guess >= 0 else 0.0).view(np.int64))  # NaN: 0
     lo, hi = -1, top_bits + 1  # holds is false at lo and true at hi, past [0, top] by definition
-    jumps = 2 ** np.arange(62, dtype=np.int64)
-    bits = np.sort(np.concatenate([[lo, 0, at, top_bits, hi], at - np.minimum(jumps, at),
-                                   at + np.minimum(jumps, top_bits - at)]))
+    bits = np.concatenate([[lo, 0], at - np.minimum(_LADDER[::-1], at), [at],
+                           at + np.minimum(_LADDER, top_bits - at), [top_bits, hi]])  # ascending
     while hi - lo > 1:  # bits: lo, the patterns to score, hi
-        i = 1 + int(np.count_nonzero(~holds(bits[1:-1].view(np.float64))))  # false, then true
+        i = len(bits) - 1 - int(np.count_nonzero(holds(bits[1:-1].view(np.float64))))  # 1st true
         lo, hi = int(bits[i - 1]), int(bits[i])
         cells = min(hi - lo, _SPLIT)
         bits = np.append(lo + (hi - lo) // cells * np.arange(cells), hi)  # no product past hi
@@ -238,10 +249,10 @@ class ExponentialFamily(ValueFamily):
         return float(out) if out.ndim == 0 else out
 
     def _survival(self, r, theta):
-        return np.where(r >= 0.0, np.exp(-theta[..., 0, None] * np.maximum(r, 0.0)), 1.0)
+        return np.exp(-theta[..., 0, None] * np.fmax(r, 0.0))  # fmax: NaN and r < 0 give 1
 
     def _cdf_derivatives(self, r, theta):
-        decay, joins = np.exp(-theta[..., 0, None] * np.maximum(r, 0.0)), r >= 0.0
+        decay, joins = np.exp(-theta[..., 0, None] * np.fmax(r, 0.0)), r >= 0.0
         hess = np.where(joins, -(np.where(decay > 0.0, r, 0.0) ** 2) * decay, 0.0)  # 0 decay: -0
         return np.where(joins, r * decay, 0.0)[..., None], hess[..., None, None]
 
@@ -267,9 +278,9 @@ def offered_reward(q, cfg: ModelConfig):
 
 
 def _jump_law(lam_q, mu):
-    """p_up and p_down of jumps out of states q >= 1 with joining rates lam_q."""
+    """p_up, p_down and their denominator mu + lam_q, for jumps out of states q >= 1."""
     denom = mu + lam_q
-    return lam_q / denom, mu / denom
+    return lam_q / denom, mu / denom, denom
 
 
 def _varies(surv):
@@ -321,10 +332,6 @@ class StateTable:
         return (self.q > 0) & _varies(self.surv)
 
     @cached_property
-    def _denom(self) -> np.ndarray:
-        return self.cfg.mu + self.lam_q
-
-    @cached_property
     def p_up(self) -> np.ndarray:
         return np.where(self.q == 0, 1.0, self._law[0])
 
@@ -342,13 +349,13 @@ class StateTable:
 
     @cached_property
     def dp(self) -> np.ndarray:
-        dp = _dp(self.cfg, self._denom, self.grad)
+        dp = _dp(self.cfg, self._law[2], self.grad)
         dp[self.q == 0] = 0.0
         return dp
 
     @cached_property
     def d2p(self) -> np.ndarray:
-        d2p = _d2p(self.cfg, self._denom, self.grad, self._derivatives[1])
+        d2p = _d2p(self.cfg, self._law[2], self.grad, self._derivatives[1])
         d2p[self.q == 0] = 0.0
         return d2p
 

@@ -143,14 +143,13 @@ class _Row:
         at the first of them that is not a nonnegative price, at which nobody
         joins the empty queue, or that no state within STATE_CAP cuts.
         """
-        good = prices >= 0
-        rows = good.nonzero()[0]
+        rows = (prices >= 0).nonzero()[0]
         lam_q = self._rates(prices, rows, 0, _NARROW)
-        if not lam_q[:, 0].all():  # nobody joins the empty queue
-            good[rows] = joins = lam_q[:, 0] > 0.0
+        if np.count_nonzero(lam_q[:, 0]) < len(rows):  # nobody joins the empty queue
+            joins = lam_q[:, 0] > 0.0
             rows, lam_q = rows[joins], lam_q[joins]
         # the first price to settle that cannot be; only the rows before it widen past _ROW
-        bad = settle if good[:settle].all() else int(np.argmin(good[:settle]))
+        bad = min(set(range(len(prices[:settle]))) - set(rows[:settle].tolist()), default=settle)
         waiting = []  # (rows, lam_q) of later rows held back by the cell bound, the next one last
         while True:
             if len(rows):
@@ -190,10 +189,10 @@ class _Row:
         return weights[0, :end], lam_q[0, :end], partial[0, end - 1]
 
     def revenues(self, prices, settle: int) -> np.ndarray:
-        """_revenue at each price, bit for bit, from one pass over all of them.
+        """expected_revenue at each price, bit for bit, from one pass over all of them.
 
         Each group of rows that share a truncation state is summed in one
-        call, each row over the states _revenue sums, in its order.  The
+        call, each row over the states expected_revenue sums, in its order.  The
         first ``settle`` prices are always scored, in order, raising what
         expected_revenue raises; a later one whose row passes _ROW states,
         or that is not a nonnegative price, is NaN.
@@ -223,37 +222,35 @@ class _Row:
         out = np.empty(len(prices))
         for rows, weights, lam_q, _, qstar in self._tables(prices, len(prices)):
             weights = np.where(np.arange(weights.shape[1]) <= qstar[:, None], weights, 0.0)
-            out[rows] = (weights * lam_q).sum(axis=1) / weights.sum(axis=1)
+            out[rows] = np.add.reduce(weights * lam_q, axis=1) / np.add.reduce(weights, axis=1)
         return prices * out
 
     def peak_scan(self, prices) -> np.ndarray:
         """``scan`` where a price can hold its maximum, -inf elsewhere: the same argmax, bit for bit.
 
         Joining rates fall with the queue (Naor's rule) and the queue serves at
-        most mu, so expected_revenue(p) <= p * min(lam_0(p), mu).  Scored, with
-        two prices on either side: the _PEAK_FIRST highest bounds, every bound
-        that times 1 + 1e-9 reaches the best value so far and, to raise as
-        ``scan`` does, every bound not positive and finite and the lowest price
-        unless it joins below mu / 2 at state STATE_CAP - 64 (then every row is
-        cut within STATE_CAP).  A value depends only on its row.
+        most mu, so expected_revenue(p) <= p * min(lam_0(p), mu).  Scored: the
+        _PEAK_FIRST highest bounds, then every bound that times 1 + 1e-9 reaches
+        the best value so far, with the two prices on either side of the best
+        (grid_then_golden reads the three values around its maximum) and, to
+        raise as ``scan`` does, every bound not positive and finite and the
+        lowest price unless it joins below mu / 2 at state STATE_CAP - 64 (then
+        every row is cut within STATE_CAP).  A value depends only on its row.
         """
-        prices = np.asarray(prices, dtype=float)
-        lam_0 = self._rates(prices, np.arange(len(prices)), 0, 1)[:, 0]
+        prices, half = np.asarray(prices, dtype=float), self.cfg.mu / 2
+        lam_0 = self._rates(prices, slice(None), 0, 1)[:, 0]
         bound = prices * np.minimum(lam_0, self.cfg.mu)
-        out, scored = np.full(len(prices), -np.inf), np.zeros(len(prices), dtype=bool)
-        need = ~(bound > 0.0) | ~(bound < np.inf)
+        out, need = np.full(len(prices), -np.inf), ~(bound > 0.0) | ~(bound < np.inf)
         need[np.argsort(-bound)[:_PEAK_FIRST]] = True
-        need[0] |= not self._rates(prices, [0], STATE_CAP - 64, STATE_CAP - 63)[0, 0] < self.cfg.mu / 2
-        while (need := (np.convolve(need, np.ones(5), "same") > 0.0) & ~scored).any():
-            out[need], scored = self.scan(prices[need]), scored | need
-            need = ~(bound * (1.0 + 1e-9) < out.max())
+        probe = STATE_CAP - 64  # rates fall with the queue: below mu / 2 at 0, below it here
+        need[0] |= lam_0[0] >= half and not self._rates(prices, [0], probe, probe + 1)[0, 0] < half
+        while need.any():
+            out[need] = self.scan(prices[need])
+            best = int(out.argmax())
+            need = ~(bound * (1.0 + 1e-9) < out[best])
+            need[max(best - 2, 0):best + 3] = True
+            need &= out == -np.inf  # not scored yet: a scored value is finite
         return out
-
-
-def _revenue(row: _Row, price: float) -> float:
-    """expected_revenue from a _Row."""
-    weights, lam_q, _ = row(price)
-    return price * float((weights * lam_q).sum() / weights.sum())
 
 
 def stationary_distribution(
@@ -298,7 +295,8 @@ def expected_revenue(price: float, theta, cfg: ModelConfig, fam: ValueFamily) ->
     """
     if not price >= 0:
         raise ValueError("price must be nonnegative")
-    return _revenue(_Row(fam.param_space.require(theta), cfg, fam, TRUNC_EPS), price)
+    weights, lam_q, _ = _Row(fam.param_space.require(theta), cfg, fam, TRUNC_EPS)(price)
+    return price * float((weights * lam_q).sum() / weights.sum())
 
 
 def theoretical_sigma(

@@ -142,3 +142,15 @@ def golden_one_point_at_a_time(func, lo, hi, grid, tol, scan=None):
             x1 = b - invphi * (b - a)
             f1 = func(x1)
     return 0.5 * (a + b)
+
+
+def exponential_survival_oracle(r, theta):
+    """ExponentialFamily._survival in its masked form, the oracle its kernel must equal bit for bit."""
+    return np.where(r >= 0.0, np.exp(-theta[..., 0, None] * np.maximum(r, 0.0)), 1.0)
+
+
+def exponential_cdf_derivatives_oracle(r, theta):
+    """ExponentialFamily._cdf_derivatives with its decay in the masked form, likewise."""
+    decay, joins = np.exp(-theta[..., 0, None] * np.maximum(r, 0.0)), r >= 0.0
+    hess = np.where(joins, -(np.where(decay > 0.0, r, 0.0) ** 2) * decay, 0.0)  # 0 decay: -0
+    return np.where(joins, r * decay, 0.0)[..., None], hess[..., None, None]

@@ -356,3 +356,20 @@ def test_console_script_installed():
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
     assert abs(payload["optimal_price"] - 13.0) <= 0.3
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [(["fit", "--input", "{dir}"], "Is a directory"),
+     (["price-opt", "--theta", "0.02", "--config", "{dir}"], "Is a directory"),
+     (["stationary", "--theta", "0.02", "--out", "{file}"], "File exists"),
+     (["experiment", "revenue-vs-price", "--out", "{file}"], "File exists")],
+    ids=["input-directory", "config-directory", "out-file", "experiment-out-file"],
+)
+def test_a_path_that_cannot_be_read_or_written_is_one_error_line(tmp_path, capsys, args, message):
+    taken = tmp_path / "taken.txt"
+    taken.write_text("")
+    argv = [a.format(dir=tmp_path, file=taken) for a in args]
+    assert run_cli(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err

@@ -1,6 +1,8 @@
 import math
+import pickle
 import re
 import warnings
+from copy import deepcopy
 
 import numpy as np
 import pytest
@@ -25,8 +27,9 @@ from balkwise.pricing import PricingTrace, trace_metrics
 from balkwise.simulator import SimOptions, simulate_path
 from balkwise.stationary import (expected_revenue, optimal_price, price_upper_bound,
                                  revenue_curve, stationary_distribution, theoretical_sigma)
-from helpers import (UniformValueFamily, WeibullValueFamily, golden_one_point_at_a_time,
-                     make_path)
+from balkwise.inference import fit_mle
+from helpers import (UniformValueFamily, WeibullValueFamily, exponential_cdf_derivatives_oracle,
+                     exponential_survival_oracle, golden_one_point_at_a_time, make_path)
 
 
 def test_offered_reward_values():
@@ -72,6 +75,35 @@ def test_param_space_validation():
     assert not space.contains([0.5, 2.5])
     with pytest.raises(ValueError):
         space.require([2.0, 1.5])
+
+
+def test_param_space_keeps_read_only_copies_of_its_bounds():
+    lower, upper = np.array([0.01]), np.array([5.0])
+    fam = ExponentialFamily(ParamSpace(lower, upper))
+    lower[0], upper[0] = -1.0, 50.0  # the caller's arrays no longer move the box
+    space = fam.param_space
+    assert space.lower.tolist() == [0.01] and space.upper.tolist() == [5.0]
+    for copy in (space, pickle.loads(pickle.dumps(fam)).param_space, deepcopy(space)):
+        assert copy == space
+        with pytest.raises(ValueError, match="read-only"):
+            copy.lower[0] = -1.0
+    cfg = ModelConfig(1.0, 1.0, 1.0, 15.0)
+    with pytest.raises(ValueError, match="outside the parameter space"):
+        optimal_price([-0.5], cfg, fam)
+    fit = fit_mle(make_path([0, 1, 2, 1, 2, 3, 2, 1, 0, 1] * 5), cfg, fam)
+    assert 0.01 <= fit.theta_hat[0] <= 5.0
+
+
+def test_param_space_is_equal_and_hashed_by_value():
+    space = ParamSpace([0.0, 1.0], [1.0, 2.0])
+    same = ParamSpace(np.array([0.0, 1.0]), (1, 2))
+    assert space == same and hash(space) == hash(same) and len({space, same}) == 1
+    assert space != ParamSpace([0.0, 1.0], [1.0, 3.0]) and space != ParamSpace([0.0], [1.0])
+    assert space != (space.lower, space.upper)
+    fam = ExponentialFamily(ParamSpace([0.01], [5.0]))
+    twin = ExponentialFamily(ParamSpace(np.array([0.01]), np.array([5.0])))
+    assert fam == twin and hash(fam) == hash(twin)
+    assert fam != ExponentialFamily(ParamSpace([0.01], [4.0]))
 
 
 def test_joining_rate_exponential(anchor_cfg, expo):
@@ -370,6 +402,27 @@ def test_unvalidated_derivative_rows_equal_the_row_methods_bit_for_bit(at, r, ta
     for got, expected in zip((grad, hess), want):
         assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
         assert np.isfinite(got).all()
+
+
+EDGE_THRESHOLDS = st.one_of(st.floats(-1e300, 1e300), st.floats(-1e-300, 1e-300),
+                            st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(at=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5),
+       r=st.lists(EDGE_THRESHOLDS, min_size=1, max_size=40), rows=st.sampled_from([0, 1, 2]))
+def test_exponential_kernels_equal_their_masked_oracles_bit_for_bit(at, r, rows):
+    # rows 0: one theta for all of r; 1: (n, dim) rows sharing r; 2: a row of r per theta row
+    fam = ExponentialFamily(ParamSpace([1e-3], [5.0]))
+    space = fam.param_space
+    thetas = space.clip(space.lower + np.array(at)[:, None] * space.width)
+    theta = thetas[0] if rows == 0 else thetas
+    r = np.array([np.roll(r, i) for i in range(len(thetas))]) if rows == 2 else np.array(r)
+    with np.errstate(all="ignore"):  # inf * 0 at r = inf is NaN in both
+        got = (fam._survival(r, theta), *fam._cdf_derivatives(r, theta))
+        want = (exponential_survival_oracle(r, theta), *exponential_cdf_derivatives_oracle(r, theta))
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.tobytes() == w.tobytes()
 
 
 def test_far_tail_hessian_is_negative_zero():

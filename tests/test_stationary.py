@@ -27,7 +27,6 @@ from balkwise.stationary import (
     _PRICE_DEPTH,
     _ROW,
     TruncationError,
-    _revenue,
     _Row,
     asymptotic_std,
     expected_revenue,
@@ -548,8 +547,8 @@ def test_one_row_equals_its_row_on_full_width_tables(price):
 
 
 def _assert_batch_equals_rows(row, prices):
-    """row.revenues equals _revenue, bit for bit; a row it need not settle may be NaN."""
-    scalar = np.array([_revenue(row, p) for p in prices])
+    """row.revenues equals expected_revenue, bit for bit; a row it need not settle may be NaN."""
+    scalar = np.array([expected_revenue(p, row.theta, row.cfg, row.fam) for p in prices])
     np.testing.assert_array_equal(row.revenues(prices, len(prices)), scalar)
     # the one pass settles exactly the rows cut within its states
     settled = np.array([len(row(p)[0]) <= _ROW for p in prices])

@@ -12,7 +12,11 @@ balkwise's private functions in this process only:
   value quantile gives and the rest narrow the bracket;
 - the fits (``_fit_batch``): ``_Batch.evaluate`` rounds (calls from a fit),
   the table calls they split into (``_CELLS`` cells at a time) and their
-  points.
+  points;
+- the row tabulations of the stationary law: the passes of ``_Row._tables``
+  (one per ``revenues``, ``scan`` or single-price call), the tables they
+  weigh (``_weigh``, one per width a pass reaches) and, in ``table_rows``,
+  how many rows they tabulate at each width.
 
 Every count is deterministic.  It prints one JSON line per op, then one
 line of means per op and per search, bound or fit batch.  Point PYTHONPATH
@@ -44,6 +48,7 @@ import workloads  # noqa: E402
 from balkwise import experiments, inference, model, stationary  # noqa: E402
 
 COUNTS = Counter()
+WIDTHS = Counter()  # rows tabulated at each width
 
 
 def _wrap_golden(inner):
@@ -121,6 +126,23 @@ def _wrap_evaluate(inner):
     return evaluate
 
 
+def _wrap_passes(inner):
+    def _tables(self, prices, settle):
+        COUNTS["table_passes"] += 1
+        return inner(self, prices, settle)
+
+    return _tables
+
+
+def _wrap_weigh(inner):
+    def _weigh(lam_q, cfg, eps):
+        COUNTS["tables"] += 1
+        WIDTHS[lam_q.shape[1]] += lam_q.shape[0]
+        return inner(lam_q, cfg, eps)
+
+    return _weigh
+
+
 def _ratio(a: str, b: str) -> float:
     return round(COUNTS[a] / COUNTS[b], 3) if COUNTS[b] else float("nan")
 
@@ -138,21 +160,25 @@ def main(argv=None) -> None:
                                                model.ExponentialFamily)
     inference._fit_batch = experiments._fit_batch = _wrap_fits(inference._fit_batch)
     inference._Batch.evaluate = _wrap_evaluate(inference._Batch.evaluate)
+    stationary._Row._tables = _wrap_passes(stationary._Row._tables)
+    stationary._weigh = _wrap_weigh(stationary._weigh)
     keys = ("price_searches", "scan_calls", "scan_rows", "golden_calls", "golden_points",
             "bounds", "bound_sf_calls", "fit_batches", "fits", "rounds", "table_calls",
-            "round_points")
+            "round_points", "table_passes", "tables")
     with tempfile.TemporaryDirectory() as out_root:
         wl = workloads.build(args.workload, args.seed, Path(out_root))
         try:
             for op in range(args.ops):
-                before = {key: COUNTS[key] for key in keys}
+                before, widths = {key: COUNTS[key] for key in keys}, WIDTHS.copy()
                 try:
                     wl.run(op)
                     error = None
                 except Exception as exc:  # a failed op is counted as the benchmark counts it
                     error = type(exc).__name__
+                rows = {str(w): n for w, n in sorted((WIDTHS - widths).items())}
                 print(json.dumps({"op": op, "error": error,
-                                  **{key: COUNTS[key] - before[key] for key in keys}}), flush=True)
+                                  **{key: COUNTS[key] - before[key] for key in keys},
+                                  "table_rows": rows}), flush=True)
         finally:
             wl.close()
     print(json.dumps({
@@ -166,6 +192,8 @@ def main(argv=None) -> None:
         "rounds_per_fit_batch": _ratio("rounds", "fit_batches"),
         "table_calls_per_round": _ratio("table_calls", "rounds"),
         "points_per_round": _ratio("round_points", "rounds"),
+        "tables_per_pass": _ratio("tables", "table_passes"),
+        "table_rows_per_op": {str(w): round(n / args.ops, 3) for w, n in sorted(WIDTHS.items())},
     }))
 
 
