@@ -103,8 +103,9 @@ class ExperimentConfig:
             raise ValueError(
                 f"unknown experiment {self.experiment!r}; choose one of {', '.join(EXPERIMENTS)}"
             )
-        if self.replications < 1:
-            raise ValueError("replications must be >= 1")
+        for field in ("replications", "empirical_reps", "pricing_runs"):
+            if getattr(self, field) < 1:
+                raise ValueError(f"{field} must be >= 1")
         if self.fmt not in ("csv", "svg"):
             raise ValueError("format must be csv or svg")
         if self.price_grid[2] < 1:

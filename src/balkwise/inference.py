@@ -313,7 +313,6 @@ def score_outer_product(
 
 PARAM_TOL = 1e-10
 SCORE_RTOL = 1e-8
-_FIT_DEPTH = 4  # golden steps a fit settles per round on every branch: 15 points (measured)
 
 
 def _round_off(f: float) -> float:
@@ -359,7 +358,7 @@ def _fitting(k: int, fam: ValueFamily, grid: np.ndarray):
     tol = PARAM_TOL * space.width
     # an end of the scan at 0, the log-likelihood's top, is the fit (the plateau check below)
     if fam.dim == 1 and not (scan.loglik[[0, -1]] >= 0.0).any():
-        search = _golden_search(grid[:, 0], scan.loglik, tol[0], _FIT_DEPTH)
+        search = _golden_search(grid[:, 0], scan.loglik, tol[0])
         x = np.array([(yield from _asked(search))])
     else:
         x = grid[np.argmax(scan.loglik)].copy()
@@ -493,10 +492,11 @@ def fit_mle(data: Union[QueuePath, _Counts], cfg: ModelConfig, fam: ValueFamily)
 
     A scan of 65 points per axis (65**dim in all) is scored in one call
     through ``fam._survival``; its values equal log_likelihood's.  One
-    parameter refines the best point by golden section (_FIT_DEPTH steps on
-    every branch and a predicted branch past them per call) unless an end
-    of the scan is at 0, the top; more start from it.  A projected Newton
-    polish on the score and information follows.  A coordinate whose bound
+    parameter refines the best point by speculative golden section (each
+    round also scores both points of each of the next steps along a
+    predicted branch, as model.grid_then_golden does) unless an end of the
+    scan is at 0, the top; more start from it.  A projected Newton polish
+    on the score and information follows.  A coordinate whose bound
     does as well up to round-off is moved there, and a solution within
     model.BOUNDARY_RTOL (1e-6) of the box width of any bound is flagged as a
     boundary fit.  The search takes no starting point; it is _fit_batch for one replication.

@@ -409,71 +409,56 @@ def is_informative(q: int, theta, cfg: ModelConfig, fam: ValueFamily) -> bool:
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # golden-section ratio
-_PREDICTED = 16  # predicted steps past a speculative call's tree (BENCH_predicted_branch.json)
+_AHEAD = 20  # golden steps a speculative call scores along its predicted branch
 
 
-def _golden_points(a: float, b: float, x1: float, x2: float, depth: int, tol: float) -> list:
-    """Every point the next ``depth`` golden steps from bracket (a, b) can score.
+def _ahead(a: float, b: float, x1: float, x2: float, top: list, tol: float) -> list:
+    """Both points each of the next _AHEAD golden steps from bracket (a, b) can score.
 
-    x1 < x2 are its inner points, both values unknown.  Both outcomes of
-    each step's comparison are followed, with the loop's own arithmetic and
-    stopping test: at most 2 + 4 + ... + 2**depth points.
+    x1 < x2 are its inner points, both values unknown.  The steps follow
+    the branch on which the maximizer is the vertex of the parabola through
+    top's three (value, point) pairs, the lower one when it has no finite
+    vertex, with the loop's own arithmetic and stopping test.
     """
-    out, level = [], [(a, b, x1, x2)]
-    for _ in range(depth):
-        deeper = []
-        for a, b, x1, x2 in level:
-            scale = abs(a) + abs(b)  # the stopping test, as _golden_search's
-            if b - a > tol * (scale if scale > 1.0 else 1.0):
-                up = x1 + _INVPHI * (b - x1)  # f1 < f2: the bracket becomes (x1, b)
-                down = x2 - _INVPHI * (x2 - a)  # otherwise: (a, x2)
-                out += (up, down)
-                deeper += ((x1, b, x2, up), (a, x2, down, x1))
-        level = deeper
-    return out
-
-
-def _golden_path(a: float, b: float, x1: float, x2: float, top: list, skip: int, tol: float):
-    """Points of golden steps skip + 1 .. skip + _PREDICTED from bracket (a, b), none at skip 0,
-    if the maximizer is the vertex of the parabola through top's three (value, point) pairs."""
-    (fa, xa), (fc, xc), (fb, xb) = top if len(top) == 3 else [(0.0, 0.0)] * 3
+    (fa, xa), (fc, xc), (fb, xb) = top
     p, q = (xb - xa) * (fb - fc), (xb - xc) * (fb - fa)
     vertex = xb - 0.5 * ((xb - xa) * p - (xb - xc) * q) / (p - q) if p != q else math.nan
+    vertex = vertex if math.isfinite(vertex) else -math.inf  # none: the lower branch
     out = []
-    for _ in range(skip + _PREDICTED if skip and math.isfinite(vertex) else 0):
+    for _ in range(_AHEAD):
         scale = abs(a) + abs(b)  # the stopping test, as _golden_search's
         if b - a <= tol * (scale if scale > 1.0 else 1.0):
             break
-        if vertex > 0.5 * (x1 + x2):  # f1 < f2 on the parabola: the bracket becomes (x1, b)
-            a, x1, x2 = x1, x2, x1 + _INVPHI * (b - x1)
-            out.append(x2)
+        up = x1 + _INVPHI * (b - x1)  # f1 < f2: the bracket becomes (x1, b)
+        down = x2 - _INVPHI * (x2 - a)  # otherwise: (a, x2)
+        out += (up, down)
+        if vertex > 0.5 * (x1 + x2):  # f1 < f2 on the parabola
+            a, x1, x2 = x1, x2, up
         else:
-            b, x2, x1 = x2, x1, x2 - _INVPHI * (x2 - a)
-            out.append(x1)
-    return out[skip:]
+            b, x2, x1 = x2, x1, down
+    return out
 
 
-def grid_then_golden(scan, lo: float, hi: float, grid: int, tol: float, batch, depth: int) -> float:
+def grid_then_golden(scan, lo: float, hi: float, grid: int, tol: float, batch) -> float:
     """Maximize on [lo, hi]: grid scan, then golden section in the best bracket.
 
     ``scan`` maps the array of grid points to their values; the grid guards
     against a misleading golden start.  The golden phase stops once the
     bracket is narrower than tol * max(1, |a| + |b|).  It is speculative
     (Kiefer 1953): each point it needs is scored in one ``batch`` call
-    together with every point its next ``depth - 1`` steps can score and
-    (depth > 1) those of the _PREDICTED steps after them on the branch the
-    parabola through the three best values so far predicts, and the steps
-    replay their comparisons from those values.  ``batch`` maps a
-    list of points to their values: the first always, a later one NaN when
-    it cannot be had cheaply (a NaN is scored again, first, if the search
-    reaches it).  When batch gives each point the value of one function,
-    the result is that of the one-point-at-a-time search on it; at depth 1
-    the points scored are that search's too.  The golden phase itself is
-    ``_golden_search``, which a caller that gathers the batches of many
-    searches steps directly.
+    together with both points of each of the next _AHEAD steps along the
+    branch that the parabola through the three best values so far predicts
+    (Brent 1973), and the steps replay their comparisons from those values.
+    ``batch`` maps a list of points to their values: the first always, a
+    later one NaN when it cannot be had cheaply (a NaN is scored again,
+    first, if the search reaches it).  When batch gives each point the
+    value of one function, the result is that of the one-point-at-a-time
+    search on it, and a batch that scores only its first point scores that
+    search's points.  The golden phase itself is ``_golden_search``, which
+    a caller that gathers the batches of many searches steps directly.
     """
     points = np.linspace(lo, hi, grid)
-    search = _golden_search(points, scan(points), tol, depth)
+    search = _golden_search(points, scan(points), tol)
     values = None
     while True:
         try:
@@ -483,30 +468,34 @@ def grid_then_golden(scan, lo: float, hi: float, grid: int, tol: float, batch, d
         values = batch(points)
 
 
-def _golden_search(points, values, tol: float, depth: int):
+def _golden_search(points, values, tol: float):
     """grid_then_golden's golden phase as a generator, from its grid points and their values.
 
-    The generator yields the points it needs scored (the tree and the
-    predicted branch), takes their values back as grid_then_golden's
-    ``batch`` gives them and returns the maximizer.  A step tests the
-    bracket's width inline and reads its new point's value from the last
-    batch; only a point that batch did not score, or left NaN, asks again.
+    The generator yields the points it needs scored (one, or both inner
+    points at the start, then _ahead's), takes their values back as
+    grid_then_golden's ``batch`` gives them and returns the maximizer.  A
+    step tests the bracket's width inline and reads its new point's value
+    from the last batch; only a point that batch did not score, or left
+    NaN, asks again.  The parabola's three points are the best scored so
+    far, never a NaN.
     """
     best = int(np.argmax(values))
     a, b = float(points[max(best - 1, 0)]), float(points[min(best + 1, len(points) - 1)])
     x1, x2 = b - _INVPHI * (b - a), a + _INVPHI * (b - a)
     known = {}  # the last batch: no later step needs a point of an earlier one
     near = max(min(best - 1, len(points) - 3), 0)  # the three grid points around the best
-    top = sorted(zip(np.asarray(values)[near:near + 3].tolist(), points[near:near + 3].tolist()))
+    top = sorted((v, x) for v, x in zip(np.asarray(values)[near:near + 3].tolist(),
+                                        points[near:near + 3].tolist()) if v == v)
+    top[:0] = [(-math.inf, math.nan)] * (3 - len(top))  # no parabola until three are known
 
     def ask(*xs):
-        """One batch of xs and every point the next steps can score; the value of xs[0]."""
-        ahead = [*xs, *_golden_points(a, b, x1, x2, depth - 1, tol),
-                 *_golden_path(a, b, x1, x2, top, depth - 1, tol)]
+        """One batch of xs and the points _ahead predicts; the value of xs[0]."""
+        ahead = [*xs, *_ahead(a, b, x1, x2, top, tol)]
         values = yield ahead
         known.clear()
         known.update(zip(ahead, values))
-        top[:] = sorted([*top, *zip(values, ahead)])[-3:] if max(values) > top[0][0] else top
+        if max(values) > top[0][0]:  # never when values[0] is NaN
+            top[:] = sorted([*top, *[p for p in zip(values, ahead) if p[0] == p[0]]])[-3:]
         return known[xs[0]]
 
     f1 = yield from ask(x1, x2)

@@ -14,9 +14,9 @@ as wide as that price needs, and two reductions read it: the
 revenue-maximizing price search scans, on masked tables, the grid prices
 whose revenue bound p * min(lam_0(p), mu) reaches the best value, then
 refines the best grid point by a speculative golden section whose calls
-score rows exactly as expected_revenue does, on every branch of the next
-steps and on a predicted one.  The settings are the module constants below;
-only stationary_distribution takes its own truncation eps.
+score rows exactly as expected_revenue does: both points of each of the
+next steps along a predicted branch.  The settings are the module
+constants below; only stationary_distribution takes its own truncation eps.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ _PEAK_FIRST = 16  # grid prices optimal_price scores first: those of highest rev
 _NARROW = 32  # states every row starts with, doubled for the rows not yet cut
 _ROW = 128  # states a row widens to when the caller need not settle it
 JOIN_FRAC = 1e-6  # price_upper_bound: share of lam still joining the empty queue
-_PRICE_DEPTH = 3  # steps each golden call settles on every branch (BENCH_speculative_search.json)
 # theoretical_sigma's accounting and the stationary weighting it averages over
 _SIGMA_WEIGHTING = {"transition": "jump", "occupancy": "time"}
 
@@ -382,17 +381,16 @@ def optimal_price(theta, cfg: ModelConfig, fam: ValueFamily) -> float:
     theta is validated once, and one row function serves the search: its
     masked grid scan scores only the prices whose revenue bound
     p * min(lam_0(p), mu) can reach the grid's maximum (_Row.peak_scan), and
-    the golden phase scores _PRICE_DEPTH steps ahead on every branch and a
-    predicted branch past them per call, each point as expected_revenue
-    does, without its checks: the result is a scan by expected_revenue's
-    whenever both pick the same grid point.  Raises TruncationError when
-    nobody effectively joins above PRICE_FLOOR.
+    each call of the golden phase scores the point it needs and both points
+    of each of the next model._AHEAD steps along a predicted branch, each
+    as expected_revenue does, without its checks: the result is a scan by
+    expected_revenue's whenever both pick the same grid point.  Raises
+    TruncationError when nobody effectively joins above PRICE_FLOOR.
     """
     theta = fam.param_space.require(theta)
     row = _Row(theta, cfg, fam, TRUNC_EPS)
     return grid_then_golden(row.peak_scan, PRICE_FLOOR, _price_ceiling(theta, cfg, fam),
-                            PRICE_GRID, GOLDEN_TOL,
-                            lambda points: row.revenues(points, 1).tolist(), _PRICE_DEPTH)
+                            PRICE_GRID, GOLDEN_TOL, lambda points: row.revenues(points, 1).tolist())
 
 
 def _price_ceiling(theta, cfg: ModelConfig, fam: ValueFamily) -> float:
@@ -410,17 +408,18 @@ def _price_ceiling(theta, cfg: ModelConfig, fam: ValueFamily) -> float:
 def min_std_price(theta, cfg: ModelConfig, fam: ValueFamily) -> float:
     """Price that minimizes the asymptotic estimation standard deviation.
 
-    Each point is one asymptotic_std call; the golden phase scores one
-    point at a time.  Raises TruncationError as optimal_price does.
+    Each point is one asymptotic_std call.  The golden phase's batch scores
+    only the point the search needs and leaves the speculative ones NaN, so
+    the search scores one point at a time.  Raises TruncationError as
+    optimal_price does.
     """
     theta = fam.param_space.require(theta)
 
     def scores(prices):
         return [-float(asymptotic_std(p, theta, cfg, fam)[0]) for p in prices]
 
-    return grid_then_golden(
-        scores, PRICE_FLOOR, _price_ceiling(theta, cfg, fam), PRICE_GRID, GOLDEN_TOL, scores, 1
-    )
+    return grid_then_golden(scores, PRICE_FLOOR, _price_ceiling(theta, cfg, fam), PRICE_GRID,
+                            GOLDEN_TOL, lambda ps: scores(ps[:1]) + [math.nan] * (len(ps) - 1))
 
 
 def revenue_curve(prices, theta, cfg: ModelConfig, fam: ValueFamily):

@@ -254,9 +254,13 @@ def test_config_integer_of_the_wrong_type_is_rejected(tmp_path, capsys, args, co
          "price_grid must have at least 1 point, got -2"),
         (["revenue", "--theta", "0.02", "--price-grid", "1:10:0"], {},
          "price_grid must have at least 1 point, got 0"),
+        # no replications: a division by zero (std-vs-price), a table of NaN (pricing-tables)
+        (["experiment", "std-vs-price"], {"empirical_reps": 0}, "empirical_reps must be >= 1"),
+        (["experiment", "pricing-tables"], {"pricing_runs": 0}, "pricing_runs must be >= 1"),
     ],
     ids=["pricing-not-object", "pricing-tol-not-number", "k-list-not-list",
-         "price-grid-no-points", "price-grid-negative-points", "price-grid-flag-no-points"],
+         "price-grid-no-points", "price-grid-negative-points", "price-grid-flag-no-points",
+         "empirical-reps-zero", "pricing-runs-zero"],
 )
 def test_config_setting_of_the_wrong_kind_is_rejected(tmp_path, capsys, args, config, message):
     cfg = tmp_path / "cfg.json"

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from balkwise import inference
+from balkwise import inference, model
 from balkwise.inference import (
     SCORE_RTOL,
     FitResult,
@@ -448,7 +448,7 @@ def test_uniform_family_fits_through_its_kernels(monkeypatch):
                                    for field in zip(*each)))
 
     monkeypatch.setattr(inference._Batch, "evaluate", one_at_a_time)
-    monkeypatch.setattr(inference, "_FIT_DEPTH", 1)
+    monkeypatch.setattr(model, "_AHEAD", 0)
     assert fit_mle(path, cfg, fam).to_json() == fit.to_json()
 
 

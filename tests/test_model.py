@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from balkwise import model
 from balkwise.model import (
     ExponentialFamily,
     ModelConfig,
@@ -476,12 +477,12 @@ def test_entry_points_reject_theta_outside_the_box(entry, theta, expo):
     hole_width=st.sampled_from([0.0, 0.01, 0.3, 1.0]),
     grid=st.integers(2, 65),
     tol=st.sampled_from([1e-12, 1e-9, 1e-4, 0.1]),
-    depth=st.integers(1, 6),
+    ahead=st.integers(0, 24),
     settled_below=st.one_of(st.just(math.inf), st.floats(0.0, 1.0)),
     shape=st.sampled_from([2.0, 0.5, 1.0, 3.0, "ramp"]),
 )
 def test_speculative_golden_phase_equals_the_one_point_search(
-    lo, width, peak, step, hole, hole_width, grid, tol, depth, settled_below, shape
+    lo, width, peak, step, hole, hole_width, grid, tol, ahead, settled_below, shape
 ):
     # a peak -|t - peak|**shape (a parabola at 2; the skewed ones, and a
     # one-sided exponential ramp, make the predicted branch miss) cut into
@@ -513,13 +514,18 @@ def test_speculative_golden_phase_equals_the_one_point_search(
         return f(x)
 
     expected = golden_one_point_at_a_time(one, lo, hi, grid, tol, scan=scan)
-    result = grid_then_golden(scan, lo, hi, grid, tol, batch, depth)
+    saved, model._AHEAD = model._AHEAD, ahead
+    try:
+        result = grid_then_golden(scan, lo, hi, grid, tol, batch)
+    finally:
+        model._AHEAD = saved
     assert type(result) is np.float64 and result == expected
     if settled_below == math.inf:
-        # the first call scores both inner points and the next depth - 1
-        # steps, every later call the next depth steps (or more: some points
-        # of a golden-section tree recur deeper in another branch)
+        # the first call scores both inner points and both points of the
+        # next step; a later call, the point it asks for and both points of
+        # the step after it, so each settles at least two steps
         steps = len(reference_scored) - 2
-        assert len(calls) <= 1 + math.ceil(max(steps - depth + 1, 0) / depth)
-        if depth == 1:
+        if ahead:
+            assert len(calls) <= 1 + math.ceil(max(steps - 1, 0) / 2)
+        else:
             assert scored == reference_scored

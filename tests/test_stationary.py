@@ -24,7 +24,6 @@ from balkwise.stationary import (
     PRICE_GRID,
     STATE_CAP,
     TRUNC_EPS,
-    _PRICE_DEPTH,
     _ROW,
     TruncationError,
     _Row,
@@ -154,6 +153,25 @@ def test_revenue_argmax_anchors(anchor_cfg, expo):
 def test_std_argmin_anchors(anchor_cfg, expo):
     assert abs(min_std_price([0.02], anchor_cfg, expo) - 121.0) <= 2.0
     assert abs(min_std_price([0.08], anchor_cfg, expo) - 29.0) <= 1.0
+
+
+def test_min_std_price_scores_the_one_point_search(anchor_cfg, expo, monkeypatch):
+    # its batch scores only the point the search needs, so the search scores
+    # the grid, then one point per golden step, as the one-point search does
+    theta, std, scored, reference = [0.02], asymptotic_std, [], []
+
+    def one(p):
+        reference.append(p)
+        return -float(std(p, theta, anchor_cfg, expo)[0])
+
+    hi = price_upper_bound(theta, anchor_cfg, expo)
+    expected = golden_one_point_at_a_time(one, PRICE_FLOOR, hi, PRICE_GRID, GOLDEN_TOL)
+    monkeypatch.setattr(stationary, "asymptotic_std",
+                        lambda p, *args: scored.append(p) or std(p, *args))
+    result = min_std_price(theta, anchor_cfg, expo)
+    assert np.float64(result).tobytes() == np.float64(expected).tobytes()
+    assert len(scored) == len(reference) > PRICE_GRID
+    assert scored == reference
 
 
 def test_std_positive_on_grid(anchor_cfg, expo):
@@ -427,9 +445,8 @@ def test_searches_at_the_anchor_take_few_calls(monkeypatch):
     # the predicted branch settles most golden steps, the quantile's guess most of the bound's
     golden, survival, calls = stationary.grid_then_golden, ExponentialFamily._survival, []
 
-    def counted(scan, lo, hi, grid, tol, batch, depth):
-        return golden(scan, lo, hi, grid, tol, lambda points: calls.append(points) or batch(points),
-                      depth)
+    def counted(scan, lo, hi, grid, tol, batch):
+        return golden(scan, lo, hi, grid, tol, lambda points: calls.append(points) or batch(points))
 
     monkeypatch.setattr(stationary, "grid_then_golden", counted)
     optimal_price([0.02], ANCHOR, EXPO)
@@ -628,7 +645,7 @@ def test_grid_scan_raises_what_expected_revenue_raises(model, bounds, error):
     grid = _raised(
         lambda: grid_then_golden(
             _Row(theta, cfg, fam, TRUNC_EPS).scan, *bounds, 256, 1e-9,
-            lambda prices: [expected_revenue(p, theta, cfg, fam) for p in prices], 1,
+            lambda prices: [expected_revenue(p, theta, cfg, fam) for p in prices],
         )
     )
     by_scalar_scan = _raised(
@@ -645,7 +662,7 @@ def _full_search(theta, cfg, fam, lo=PRICE_FLOOR, hi=None):
     row = _Row(fam.param_space.require(theta), cfg, fam, TRUNC_EPS)
     hi = price_upper_bound(theta, cfg, fam) if hi is None else hi
     return grid_then_golden(row.scan, lo, hi, PRICE_GRID, GOLDEN_TOL,
-                            lambda points: row.revenues(points, 1).tolist(), _PRICE_DEPTH)
+                            lambda points: row.revenues(points, 1).tolist())
 
 
 def _searchable(theta, cfg, fam):
@@ -736,7 +753,7 @@ def test_pruned_grid_scan_raises_what_the_full_scan_raises(model, bounds):
     cfg, fam, theta = model
     pruned = _raised(lambda: grid_then_golden(
         _Row(fam.param_space.require(theta), cfg, fam, TRUNC_EPS).peak_scan, *bounds, PRICE_GRID,
-        GOLDEN_TOL, lambda prices: [expected_revenue(p, theta, cfg, fam) for p in prices], 1))
+        GOLDEN_TOL, lambda prices: [expected_revenue(p, theta, cfg, fam) for p in prices]))
     full = _raised(lambda: _full_search(theta, cfg, fam, *bounds))
     assert type(pruned) is type(full) and str(pruned) == str(full)
 

@@ -4,9 +4,10 @@ Builds the workload with ``build`` from perfbench/workloads.py, which this
 only imports, runs its ops 0..N-1 one at a time and counts, by wrapping
 balkwise's private functions in this process only:
 
-- the price searches (``grid_then_golden`` at depth greater than 1): the
-  calls of their grid scans (``_Row.scan``) and the prices those score, and
-  their golden phases' ``batch`` calls and the points of each;
+- the price searches (``grid_then_golden``; no workload runs
+  ``min_std_price``): the calls of their grid scans (``_Row.scan``) and the
+  prices those score, and their golden phases' ``batch`` calls and the
+  points of each;
 - ``price_upper_bound``: its calls of the family's survival kernel
   ``_survival``, the first of which scores the ladder around the guess the
   value quantile gives and the rest narrow the bracket;
@@ -52,9 +53,7 @@ WIDTHS = Counter()  # rows tabulated at each width
 
 
 def _wrap_golden(inner):
-    def grid_then_golden(scan, lo, hi, grid, tol, batch, depth):
-        if depth == 1:
-            return inner(scan, lo, hi, grid, tol, batch, depth)
+    def grid_then_golden(scan, lo, hi, grid, tol, batch):
         COUNTS["price_searches"] += 1
 
         def counted(points):
@@ -62,7 +61,7 @@ def _wrap_golden(inner):
             COUNTS["golden_points"] += len(points)
             return batch(points)
 
-        return inner(scan, lo, hi, grid, tol, counted, depth)
+        return inner(scan, lo, hi, grid, tol, counted)
 
     return grid_then_golden
 
@@ -108,20 +107,20 @@ def _wrap_fits(inner):
 
 
 def _wrap_evaluate(inner):
-    depth = [0]
+    nesting = [0]
 
     def evaluate(self, reps, thetas, need=inference._LOGLIK):
         if COUNTS["in_fit"]:
-            if depth[0] == 0:
+            if nesting[0] == 0:
                 COUNTS["rounds"] += 1
                 COUNTS["round_points"] += len(thetas)
             parts = len(thetas) > 1 and len(thetas) * self.thresholds.shape[1] > inference._CELLS
             COUNTS["table_calls"] += not parts
-        depth[0] += 1
+        nesting[0] += 1
         try:
             return inner(self, reps, thetas, need)
         finally:
-            depth[0] -= 1
+            nesting[0] -= 1
 
     return evaluate
 
