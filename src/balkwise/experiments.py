@@ -31,10 +31,10 @@ import numpy as np
 # fit_mle and simulate_path stay names of this module: perfbench/spans.py wraps them
 from .inference import _Batch, _fit_batch, fit_mle  # noqa: F401
 from .model import ExponentialFamily, ModelConfig, ParamSpace, ValueFamily
-from .pricing import PricingConfig, _optimum, _trace_metrics, run_pricing
+from .pricing import PricingConfig, _trace_metrics, run_pricing
 from .simulator import SimOptions, _walk_counts, simulate_path  # noqa: F401
-from .stationary import (TRUNC_EPS, _Row, asymptotic_std, expected_revenue, theoretical_sigma,
-                         write_curve_csv)
+from .stationary import (TRUNC_EPS, _Row, asymptotic_std, expected_revenue, optimal_price,
+                         theoretical_sigma)
 from . import svgplot
 
 EXPERIMENTS = (
@@ -103,9 +103,14 @@ class ExperimentConfig:
             raise ValueError(
                 f"unknown experiment {self.experiment!r}; choose one of {', '.join(EXPERIMENTS)}"
             )
-        for field in ("replications", "empirical_reps", "pricing_runs"):
-            if getattr(self, field) < 1:
+        sizes = {field: getattr(self, field)
+                 for field in ("replications", "empirical_reps", "pricing_runs", "k")}
+        sizes.update((f"k_list[{i}]", k) for i, k in enumerate(self.k_list))
+        for field, value in sizes.items():
+            if value is not None and value < 1:
                 raise ValueError(f"{field} must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.fmt not in ("csv", "svg"):
             raise ValueError("format must be csv or svg")
         if self.price_grid[2] < 1:
@@ -337,16 +342,14 @@ def exp_consistency(config: ExperimentConfig) -> dict:
 
     # likelihood profile on one fixed path per sample size
     cfg, fam = config.model, config.value_family
-    curve_path = _out(config, "loglik_profile.csv")
     thetas = np.linspace(config.theta_lower, min(config.theta_upper, 10 * config.theta0), 201)
-    with open(curve_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["k", "theta", "loglik"])
-        for k in config.sizes:
-            # replication 0's counts, scored at every theta in one table
-            counts = _walk_counts(cfg, fam, [config.theta0], [_run_options(config, k, 0)])[0]
-            values = _Batch([counts], cfg, fam).at(thetas[:, None]).loglik
-            w.writerows([k, repr(float(t)), repr(float(v))] for t, v in zip(thetas, values))
+    profile = []
+    for k in config.sizes:
+        # replication 0's counts, scored at every theta in one table
+        counts = _walk_counts(cfg, fam, [config.theta0], [_run_options(config, k, 0)])[0]
+        values = _Batch([counts], cfg, fam).at(thetas[:, None]).loglik
+        profile += ([k, repr(float(t)), repr(float(v))] for t, v in zip(thetas, values))
+    _write_csv(_out(config, "loglik_profile.csv"), ["k", "theta", "loglik"], profile)
     _write_csv(_out(config, "consistency_summary.csv"), ["k", "median_abs_error"],
                [(k, medians[k]) for k in config.sizes])
     return {"file": str(path), "median_abs_error_by_k": medians}
@@ -416,8 +419,7 @@ def exp_std_vs_price(config: ExperimentConfig) -> dict:
         except (ValueError, RuntimeError):
             theory.append(float("nan"))
     path = _out(config, "std_vs_price.csv")
-    with open(path, "w", newline="") as fh:
-        write_curve_csv(fh, prices, theory, "std")
+    _write_csv(path, ["price", "std"], zip(prices.tolist(), theory))
 
     empirical_rows = []
     for k in config.sizes if (config.k or config.k_list) else (1000,):
@@ -456,8 +458,7 @@ def exp_revenue_vs_price(config: ExperimentConfig) -> dict:
             pass
     values = values.tolist()
     path = _out(config, "revenue_vs_price.csv")
-    with open(path, "w", newline="") as fh:
-        write_curve_csv(fh, prices, values, "revenue")
+    _write_csv(path, ["price", "revenue"], zip(prices.tolist(), values))
     if config.fmt == "svg":
         svgplot.line(
             list(zip(prices.tolist(), values)),
@@ -483,29 +484,23 @@ TABLE_ROW_LABELS = (
 def _pricing_run(job):
     """Metrics of one seeded pricing run, or None when the run raises RuntimeError.
 
-    The job carries the optimum at theta0 and a theta0 row function, made once per driver call.
+    The job carries the revenue-maximizing price at theta0, found once per driver call.
     """
-    cfg, fam, theta0, pcfg, seed, optimum = job
+    cfg, fam, theta0, pcfg, seed, p_star = job
     try:
         trace = run_pricing(cfg, fam, pcfg, theta0=theta0, seed=seed)
     except RuntimeError:
         return None
-    m = _trace_metrics(trace, *optimum)
-    return (
-        m.iterations,
-        m.total_observations,
-        m.final_fraction,
-        m.cumulative_fraction,
-        m.total_lost_revenue,
-        m.final_price_error,
-    )
+    m = _trace_metrics(trace, p_star, theta0, cfg, fam)
+    return (m.iterations, m.total_observations, m.final_fraction, m.cumulative_fraction,
+            m.total_lost_revenue, m.final_price_error)
 
 
 def exp_pricing_tables(config: ExperimentConfig) -> dict:
     """Summary metrics of seeded pricing runs over a grid of loop settings."""
     workers = resolve_workers(config.workers)
     cfg, fam = config.model, config.value_family
-    optimum = _optimum([config.theta0], cfg, fam)
+    p_star = optimal_price([config.theta0], cfg, fam)
     cells = {}
     for cell_idx, (schedule, k1, p1) in enumerate(config.pricing_cells):
         pcfg = PricingConfig(initial_price=p1, k1_min=k1, schedule=schedule,
@@ -513,7 +508,7 @@ def exp_pricing_tables(config: ExperimentConfig) -> dict:
                              grow_on="nominal", delta_mode="cumulative", boundary_policy="skip")
         jobs = [
             (cfg, fam, [config.theta0], pcfg,
-             int(rep_seed(config.seed, cell_idx, rep).generate_state(1)[0]), optimum)
+             int(rep_seed(config.seed, cell_idx, rep).generate_state(1)[0]), p_star)
             for rep in range(config.pricing_runs)
         ]
         results = _pool_map(_pricing_run, jobs, workers)
@@ -533,13 +528,10 @@ def exp_pricing_tables(config: ExperimentConfig) -> dict:
             "Std error of final stationary fraction": std[2] / max(n, 1) ** 0.5,
         }
     path = _out(config, "pricing_tables.csv")
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["schedule", "k1_min", "p1", "metric", "value"])
-        for cell_idx, (schedule, k1, p1) in enumerate(config.pricing_cells):
-            key = f"{schedule},k1={k1},p1={p1:g}"
-            for label in TABLE_ROW_LABELS:
-                w.writerow([schedule, k1, repr(float(p1)), label, repr(float(cells[key][label]))])
+    _write_csv(path, ["schedule", "k1_min", "p1", "metric", "value"],
+               [[schedule, k1, repr(float(p1)), label,
+                 repr(float(cells[f"{schedule},k1={k1},p1={p1:g}"][label]))]
+                for schedule, k1, p1 in config.pricing_cells for label in TABLE_ROW_LABELS])
     with open(_out(config, "pricing_tables.json"), "w") as fh:
         json.dump(cells, fh, indent=2)
     return {"file": str(path), "cells": cells}

@@ -162,11 +162,11 @@ class ValueFamily(ABC):
     ``(dim, dim)`` for the derivatives.  ``cdf`` (1 - sf by default) and
     ``quantile`` (a float search on the cdf) are optional overrides.  The cdf is
     0 for r < 0, nondecreasing in r, and its derivatives must match finite
-    differences (see the test suite).  The public methods are require (or
-    require_rows, which raises as require does), a kernel call and a
-    reshape: ``sf``/``cdf`` give a float for a scalar r, ``grad_cdf``/
-    ``hess_cdf`` r's shape plus ``(dim,)``/``(dim, dim)``, and the row
-    forms ``(n, m)``, ``(n, m, dim)`` and ``(n, m, dim, dim)``.
+    differences (see the test suite).  The public methods take one theta,
+    each a require, a kernel call and a reshape: ``sf``/``cdf`` give a float
+    for a scalar r, ``grad_cdf``/``hess_cdf`` r's shape plus ``(dim,)``/
+    ``(dim, dim)``.  Callers with (n, dim) rows validate them once
+    (ParamSpace.require_rows) and call the kernels.
     """
 
     param_space: ParamSpace
@@ -204,20 +204,6 @@ class ValueFamily(ABC):
         r = np.asarray(r, dtype=float)
         hess = self._cdf_derivatives(r, self.param_space.require(theta))[1]
         return hess.reshape(r.shape + (self.dim, self.dim))
-
-    def sf_rows(self, r, thetas):
-        """Survival at each row of r under the matching parameter row: shape (n, m)."""
-        return self._survival(np.asarray(r, dtype=float), self.param_space.require_rows(thetas))
-
-    def grad_cdf_rows(self, r, thetas):
-        """grad_cdf at each row of r under the matching parameter row: shape (n, m, dim)."""
-        rows = self.param_space.require_rows(thetas)
-        return self._cdf_derivatives(np.asarray(r, dtype=float), rows)[0]
-
-    def hess_cdf_rows(self, r, thetas):
-        """hess_cdf at each row of r under the matching parameter row: shape (n, m, dim, dim)."""
-        rows = self.param_space.require_rows(thetas)
-        return self._cdf_derivatives(np.asarray(r, dtype=float), rows)[1]
 
     def quantile(self, u: float, theta) -> float:
         """Smallest r with cdf(r) >= u, inf if none (_first_float); override with a closed form."""

@@ -47,6 +47,8 @@ class SimulatedSource:
     """
 
     def __init__(self, cfg_base: ModelConfig, fam: ValueFamily, theta0, seed: int = 0):
+        if seed < 0:
+            raise ValueError("seed must be >= 0")
         self.cfg_base = cfg_base
         self.fam = fam
         self.theta0 = fam.param_space.require(theta0)
@@ -370,33 +372,25 @@ def trace_metrics(
     whose estimate stayed out of the pool has no model prediction, so it is
     charged the true revenue gap at the price it held.
     """
-    return _trace_metrics(trace, *_optimum(theta0, cfg_base, fam))
+    return _trace_metrics(trace, optimal_price(theta0, cfg_base, fam), theta0, cfg_base, fam)
 
 
-def _optimum(theta0, cfg_base: ModelConfig, fam: ValueFamily) -> tuple:
-    """The revenue-maximizing price at theta0, and a theta0 row function for more prices."""
-    p_star = optimal_price(theta0, cfg_base, fam)
-    return p_star, _Row(fam.param_space.require(theta0), cfg_base, fam, TRUNC_EPS)
+def _trace_metrics(trace: PricingTrace, p_star: float, theta0, cfg_base: ModelConfig,
+                   fam: ValueFamily) -> TraceMetrics:
+    """trace_metrics given the revenue-maximizing price at theta0.
 
-
-def _trace_metrics(trace: PricingTrace, p_star: float, row: _Row) -> TraceMetrics:
-    """trace_metrics given the optimum at theta0 and a theta0 row function (``_optimum``).
-
-    The true revenues at the optimum, at the final price and at each price
-    used come from one batch pass of that row; the model revenues of the
-    pooled records from one pass over their (estimate, price used) rows.
-    Each equals expected_revenue's.
+    Every revenue comes from one batch pass of one row function over
+    (parameter, price) rows: theta0 at the optimum, at the final price and
+    at each price used, then each pooled record's estimate at its price
+    used.  Each equals expected_revenue's.
     """
-    prices = [p_star, trace.final_price, *(r.price_used for r in trace.records)]
-    rev_star, final_rev, *at_used = row.revenues(prices, len(prices))
-    pooled = [r for r in trace.records if r.pooled]
-    thetas = row.fam.param_space.require_rows([r.theta_i for r in pooled])
-    model = iter(_Row(thetas, row.cfg, row.fam, TRUNC_EPS).revenues(
-        [r.price_used for r in pooled], len(pooled)))
-    num = 0.0
-    den = 0.0
-    lost = 0.0
-    for r, rev_at_used in zip(trace.records, at_used):
+    n, pooled = len(trace.records), [r for r in trace.records if r.pooled]
+    prices = [p_star, trace.final_price, *(r.price_used for r in [*trace.records, *pooled])]
+    thetas = [*[np.ravel(theta0)] * (n + 2), *(r.theta_i for r in pooled)]
+    row = _Row(fam.param_space.require_rows(thetas), cfg_base, fam, TRUNC_EPS)
+    rev_star, final_rev, *revenues = row.revenues(prices, len(prices))
+    model, num, den, lost = iter(revenues[n:]), 0.0, 0.0, 0.0
+    for r, rev_at_used in zip(trace.records, revenues):
         num += r.time_ti * rev_at_used
         den += r.time_ti * rev_star
         rev_model = next(model) if r.pooled else rev_at_used

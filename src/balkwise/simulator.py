@@ -76,7 +76,8 @@ class QueuePath:
             (np.all(np.abs(steps) == 1), "each transition moves the state by exactly 1"),
             (np.all(self.states >= 0), "states are nonnegative"),
             (np.all(self.ups == (steps > 0)), "each up flag matches its state change"),
-            (np.all(self.holds >= 0), "holding times are nonnegative"),
+            (np.all((self.holds >= 0) & (self.holds < np.inf)),
+             "holding times are nonnegative and finite"),
             (np.isclose(self.total_time, float(self.holds.sum())), "total time is the sum of holds"),
         )
         for ok, invariant in checks:
@@ -175,6 +176,8 @@ class SimOptions:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
+        if isinstance(self.seed, Integral) and self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.warmup_steps is not None and self.warmup_steps < 0:
             raise ValueError("warmup_steps must be >= 0")
         if isinstance(self.initial_state, str):
@@ -363,20 +366,15 @@ def build_path(
         states = np.concatenate((table[:-1].T.ravel(), tails[0]), dtype=np.int64)[warmup:]
     else:
         states = tails[0][warmup:]
-    pre = states[:-1]
-    ups = states[1:] > pre
-
     rate = lam_tab + cfg.mu  # exit rate per state; the empty queue is left by arrivals only
     rate[0] = lam_tab[0]
-    holds = rng.standard_exponential(steps) / rate[pre]
+    return _observed(states, rng.standard_exponential(steps) / rate[states[:-1]], cfg)
 
-    return QueuePath(
-        states=states,
-        ups=ups,
-        holds=holds,
-        revenue=cfg.price * int(ups.sum()),
-        total_time=float(holds.sum()),
-    )
+
+def _observed(states: np.ndarray, holds: np.ndarray, cfg: ModelConfig) -> QueuePath:
+    """The path of a walk's states and holding times: its up moves, revenue and total time."""
+    ups = states[1:] > states[:-1]
+    return QueuePath(states, ups, holds, cfg.price * int(ups.sum()), float(holds.sum()))
 
 
 def _walk_counts(
@@ -485,16 +483,7 @@ def simulate_full_arrivals(
         last_transition = now
         recorded += 1
 
-    states = states[warmup:]
-    holds = holds[warmup:]
-    ups = states[1:] > states[:-1]
-    return QueuePath(
-        states=states,
-        ups=ups,
-        holds=holds,
-        revenue=cfg.price * int(ups.sum()),
-        total_time=float(holds.sum()),
-    )
+    return _observed(states[warmup:], holds[warmup:], cfg)
 
 
 @dataclass(frozen=True)

@@ -416,7 +416,7 @@ def min_std_price(theta, cfg: ModelConfig, fam: ValueFamily) -> float:
     theta = fam.param_space.require(theta)
 
     def scores(prices):
-        return [-float(asymptotic_std(p, theta, cfg, fam)[0]) for p in prices]
+        return (-std_curve(prices, theta, cfg, fam)).tolist()
 
     return grid_then_golden(scores, PRICE_FLOOR, _price_ceiling(theta, cfg, fam), PRICE_GRID,
                             GOLDEN_TOL, lambda ps: scores(ps[:1]) + [math.nan] * (len(ps) - 1))
@@ -429,6 +429,7 @@ def revenue_curve(prices, theta, cfg: ModelConfig, fam: ValueFamily):
 
 
 def std_curve(prices, theta, cfg: ModelConfig, fam: ValueFamily):
+    """asymptotic_std's first coordinate at each price."""
     return np.array([float(asymptotic_std(p, theta, cfg, fam)[0]) for p in prices])
 
 

@@ -36,19 +36,21 @@ def _frame(x_label: str, y_label: str, x_lo, x_hi, y_lo, y_hi) -> list[str]:
     ]
 
 
+def _write(parts: list[str], path) -> None:
+    """Close the figure's elements and write them to path, one per line."""
+    with open(path, "w") as fh:
+        fh.write("\n".join([*parts, "</svg>"]))
+
+
 def line(points, path, x_label: str = "x", y_label: str = "y") -> None:
     """Polyline plot of (x, y) pairs; NaNs break the line."""
     pts = [(x, y) for x, y in points if math.isfinite(x)]
     to_x, x_lo, x_hi = _scale([p[0] for p in pts], PAD, WIDTH - PAD)
     to_y, y_lo, y_hi = _scale([p[1] for p in pts if math.isfinite(p[1])], HEIGHT - PAD, PAD)
     parts = _frame(x_label, y_label, x_lo, x_hi, y_lo, y_hi)
-    coords = " ".join(
-        f"{to_x(x):.1f},{to_y(y):.1f}" for x, y in pts if math.isfinite(y)
-    )
+    coords = " ".join(f"{to_x(x):.1f},{to_y(y):.1f}" for x, y in pts if math.isfinite(y))
     parts.append(f'<polyline points="{coords}" fill="none" stroke="steelblue" stroke-width="1.5"/>')
-    parts.append("</svg>")
-    with open(path, "w") as fh:
-        fh.write("\n".join(parts))
+    _write(parts, path)
 
 
 def scatter(points, path, x_label: str = "x", y_label: str = "y") -> None:
@@ -58,9 +60,7 @@ def scatter(points, path, x_label: str = "x", y_label: str = "y") -> None:
     parts = _frame(x_label, y_label, x_lo, x_hi, y_lo, y_hi)
     for x, y in pts:
         parts.append(f'<circle cx="{to_x(x):.1f}" cy="{to_y(y):.1f}" r="2" fill="steelblue" fill-opacity="0.5"/>')
-    parts.append("</svg>")
-    with open(path, "w") as fh:
-        fh.write("\n".join(parts))
+    _write(parts, path)
 
 
 def histogram(values, path, bins: int = 30, x_label: str = "value", y_label: str = "count") -> None:
@@ -83,6 +83,4 @@ def histogram(values, path, bins: int = 30, x_label: str = "value", y_label: str
             f'<rect x="{x0:.1f}" y="{to_y(c):.1f}" width="{x1-x0:.1f}" '
             f'height="{to_y(0)-to_y(c):.1f}" fill="steelblue" stroke="white"/>'
         )
-    parts.append("</svg>")
-    with open(path, "w") as fh:
-        fh.write("\n".join(parts))
+    _write(parts, path)

@@ -257,10 +257,20 @@ def test_config_integer_of_the_wrong_type_is_rejected(tmp_path, capsys, args, co
         # no replications: a division by zero (std-vs-price), a table of NaN (pricing-tables)
         (["experiment", "std-vs-price"], {"empirical_reps": 0}, "empirical_reps must be >= 1"),
         (["experiment", "pricing-tables"], {"pricing_runs": 0}, "pricing_runs must be >= 1"),
+        # a negative seed or sample size: numpy's "expected non-negative integer" otherwise
+        (["simulate", "--theta0", "0.02", "--k", "10", "--seed", "-1"], {}, "seed must be >= 0"),
+        (["autoprice", "--theta0", "0.02", "--seed", "-1"], {}, "seed must be >= 0"),
+        (["experiment", "normality"], {"seed": -1}, "seed must be >= 0"),
+        (["experiment", "normality", "--seed", "-1"], {"k": 100}, "seed must be >= 0"),
+        (["experiment", "normality"], {"k_list": [100, -5]}, "k_list[1] must be >= 1"),
+        (["experiment", "normality"], {"k_list": [0]}, "k_list[0] must be >= 1"),
+        (["experiment", "normality"], {"k": 0}, "k must be >= 1"),
     ],
     ids=["pricing-not-object", "pricing-tol-not-number", "k-list-not-list",
          "price-grid-no-points", "price-grid-negative-points", "price-grid-flag-no-points",
-         "empirical-reps-zero", "pricing-runs-zero"],
+         "empirical-reps-zero", "pricing-runs-zero", "seed-negative-simulate",
+         "seed-negative-autoprice", "seed-negative-experiment", "seed-negative-experiment-flag",
+         "k-list-negative", "k-list-zero", "k-zero"],
 )
 def test_config_setting_of_the_wrong_kind_is_rejected(tmp_path, capsys, args, config, message):
     cfg = tmp_path / "cfg.json"

@@ -460,14 +460,14 @@ def test_uniform_family_fits_through_its_kernels(monkeypatch):
 def test_batch_survival_rejects_rows_outside_the_box(fam):
     lower, upper = fam.param_space.lower[0], fam.param_space.upper[0]
     thresholds = np.array([1.0, 2.0, 3.0])
-    inside = np.array([[lower], [upper]])
+    inside = fam.param_space.require_rows([[lower], [upper]])
     np.testing.assert_array_equal(
-        fam.sf_rows(thresholds, inside), [fam.sf(thresholds, row) for row in inside]
+        fam._survival(thresholds, inside), [fam.sf(thresholds, row) for row in inside]
     )
     for bad in (upper * 1.5, lower - 1.0, np.nan):
         rows = np.array([[lower], [bad], [upper]])
         with pytest.raises(ValueError) as batch:
-            fam.sf_rows(thresholds, rows)
+            fam.param_space.require_rows(rows)
         with pytest.raises(ValueError) as single:
             fam.param_space.require(rows[1])
         assert str(batch.value) == str(single.value)

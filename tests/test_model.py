@@ -299,9 +299,9 @@ def _same_bits(got, want):
 @given(at=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8),
        r=st.lists(THRESHOLDS, min_size=1, max_size=40), table=st.booleans())
 def test_public_family_methods_are_their_kernels(name, at, r, table):
-    # sf, grad_cdf and hess_cdf and their row forms are require (require_rows),
-    # a kernel call and a reshape; the row kernels of the likelihood, the price
-    # searches and StateTable call the kernels on a theta validated once
+    # sf, grad_cdf and hess_cdf are require, a kernel call and a reshape; the
+    # likelihood, the price searches and StateTable call the kernels on a theta
+    # validated once, or on (n, dim) rows require_rows validated once
     fam = FAMILIES[name]
     space = fam.param_space
     fractions = np.resize(np.array(at), (len(at), fam.dim))  # one box point per row
@@ -326,17 +326,15 @@ def test_public_family_methods_are_their_kernels(name, at, r, table):
             grad_one, hess_one = fam._cdf_derivatives(one, thetas[0])
             assert _same_bits(fam.grad_cdf(scalar, thetas[0]), grad_one[0])
             assert _same_bits(fam.hess_cdf(scalar, thetas[0]), hess_one[0])
-        # row i of the parameters at row i of r, or at the one row r shared by all
+        # row i of the parameters at row i of r, or at the one row r shared by all:
+        # row i of each kernel is the public method at parameter row i
         survival, (grad, hess) = fam._survival(rows, thetas), fam._cdf_derivatives(rows, thetas)
         assert survival.shape == (len(thetas), r.size)
-        assert _same_bits(fam.sf_rows(rows, thetas), survival)
-        assert _same_bits(fam.grad_cdf_rows(rows, thetas), grad)
-        assert _same_bits(fam.hess_cdf_rows(rows, thetas), hess)
         for i, theta in enumerate(thetas):
             r_i = rows[i] if table else r
-            np.testing.assert_allclose(survival[i], fam.sf(r_i, theta), rtol=1e-15, atol=0)
-            np.testing.assert_allclose(grad[i], fam.grad_cdf(r_i, theta), rtol=1e-12, atol=1e-300)
-            np.testing.assert_allclose(hess[i], fam.hess_cdf(r_i, theta), rtol=1e-12, atol=1e-300)
+            assert _same_bits(survival[i], fam.sf(r_i, theta))
+            assert _same_bits(grad[i], fam.grad_cdf(r_i, theta))
+            assert _same_bits(hess[i], fam.hess_cdf(r_i, theta))
         assert np.isfinite(grad).all() and np.isfinite(hess).all()
 
     # a row outside the box raises as require does, in every public method
@@ -346,9 +344,8 @@ def test_public_family_methods_are_their_kernels(name, at, r, table):
     for method in (fam.sf, fam.grad_cdf, fam.hess_cdf):
         with pytest.raises(ValueError, match=re.escape(str(single.value))):
             method(r, bad)
-    for method in (fam.sf_rows, fam.grad_cdf_rows, fam.hess_cdf_rows):
-        with pytest.raises(ValueError, match=re.escape(str(single.value))):
-            method(r, np.vstack([thetas, bad]))
+    with pytest.raises(ValueError, match=re.escape(str(single.value))):
+        space.require_rows(np.vstack([thetas, bad]))
 
     # the derivatives match central differences of the cdf and of the gradient,
     # at an interior parameter and wherever the cdf is smooth at two step sizes
@@ -389,9 +386,9 @@ def test_unvalidated_survival_equals_sf_bit_for_bit(at, r, table):
 @given(at=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5),
        r=st.lists(THRESHOLDS, min_size=1, max_size=40), table=st.booleans())
 def test_unvalidated_derivative_rows_equal_the_row_methods_bit_for_bit(at, r, table):
-    # a fit's derivative rounds call _cdf_derivatives on rows validated once;
-    # it must be grad_cdf_rows and hess_cdf_rows there, on one shared row of
-    # thresholds or on a row of its own per parameter row
+    # a fit's derivative rounds call _cdf_derivatives on rows require_rows
+    # validated once; row i must be grad_cdf and hess_cdf at parameter row i,
+    # on one shared row of thresholds or on a row of its own per parameter row
     fam = ExponentialFamily(ParamSpace([1e-3], [5.0]))
     space = fam.param_space
     thetas = space.require_rows(space.clip(space.lower + np.array(at)[:, None] * space.width))
@@ -399,7 +396,8 @@ def test_unvalidated_derivative_rows_equal_the_row_methods_bit_for_bit(at, r, ta
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # past r = 1.3e154, where r**2 overflows, the Hessian is -0
         grad, hess = fam._cdf_derivatives(r, thetas)
-        want = fam.grad_cdf_rows(r, thetas), fam.hess_cdf_rows(r, thetas)
+        want = [np.array([method(r[i] if table else r, theta) for i, theta in enumerate(thetas)])
+                for method in (fam.grad_cdf, fam.hess_cdf)]
     for got, expected in zip((grad, hess), want):
         assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
         assert np.isfinite(got).all()

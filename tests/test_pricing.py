@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from balkwise import pricing
 from balkwise.model import ExponentialFamily, ModelConfig, ParamSpace
 from balkwise.pricing import (
     IterationRecord,
@@ -422,10 +423,31 @@ def _hand_trace():
     return PricingTrace(records, final_price=30.0, stopped_reason="budget"), [0.005], BASE, expo
 
 
-@pytest.mark.parametrize("make", [_exponential_trace, _hand_trace, _weibull_trace],
-                         ids=["exponential", "wide-rows", "weibull"])
-def test_trace_metrics_equal_one_expected_revenue_per_revenue(make):
+def _unpooled_trace():
+    # no batch entered the pool: the pass has no estimate rows
+    records = (
+        _record(1, 40, math.nan, price_used=25.0, price_next=25.0, rev=3.0, t=4.0, pooled=False),
+        _record(2, 40, 5.0, price_used=25.0, price_next=25.0, rev=1.0, t=2.5, pooled=False),
+    )
+    expo = ExponentialFamily(ParamSpace([0.01], [5.0]))
+    return PricingTrace(records, final_price=25.0, stopped_reason="budget"), [0.02], BASE, expo
+
+
+@pytest.mark.parametrize("make", [_exponential_trace, _hand_trace, _weibull_trace, _unpooled_trace],
+                         ids=["exponential", "wide-rows", "weibull", "none-pooled"])
+def test_trace_metrics_equal_one_expected_revenue_per_revenue(make, monkeypatch):
     trace, theta0, cfg, fam = make()
-    assert any(r.pooled for r in trace.records) and not all(r.pooled for r in trace.records)
-    assert trace_metrics(trace, theta0, cfg, fam) == _metrics_by_expected_revenue(
-        trace, theta0, cfg, fam)
+    assert not all(r.pooled for r in trace.records)
+    assert any(r.pooled for r in trace.records) == (make is not _unpooled_trace)
+    built = []  # every revenue of one call comes from one row function's pass
+
+    class CountedRow(pricing._Row):
+        def __init__(self, *args):
+            built.append(args[0].shape)
+            super().__init__(*args)
+
+    monkeypatch.setattr(pricing, "_Row", CountedRow)
+    got = trace_metrics(trace, theta0, cfg, fam)
+    n_pooled = sum(r.pooled for r in trace.records)
+    assert built == [(len(trace.records) + 2 + n_pooled, fam.dim)]
+    assert got == _metrics_by_expected_revenue(trace, theta0, cfg, fam)

@@ -400,6 +400,7 @@ def _raw_path(states=(0, 1, 2, 1), ups=(True, True, False), holds=(0.5, 0.2, 0.3
         (dict(ups=(True, False, False)), "up flag matches its state change"),
         (dict(holds=(0.5, -0.2, 0.3)), "holding times are nonnegative"),
         (dict(total_time=5.0), "total time is the sum of holds"),
+        (dict(holds=(0.5, math.inf, 0.3)), "holding times are nonnegative and finite"),
     ],
 )
 def test_validate_names_broken_invariant(change, invariant):
@@ -411,6 +412,12 @@ def test_validate_names_broken_invariant(change, invariant):
 def test_csv_import_validates():
     rows = "step,state,up,hold\n0,0,,\n1,1,1,0.5\n2,3,1,0.2\n"
     with pytest.raises(ValueError, match="exactly 1"):
+        QueuePath.from_csv(io.StringIO(rows))
+
+
+def test_csv_import_rejects_an_infinite_holding_time():
+    rows = "step,state,up,hold\n0,0,,\n1,1,1,0.5\n2,0,0,inf\n"
+    with pytest.raises(ValueError, match="holding times are nonnegative and finite"):
         QueuePath.from_csv(io.StringIO(rows))
 
 
