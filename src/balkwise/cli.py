@@ -152,8 +152,11 @@ def _cmd_simulate(args) -> int:
     cfg, fam = _model_from(args, cfg_file)
     theta0 = config_value(cfg_file, *CONFIG_KEYS["theta0"], flag=args.theta0, required="--theta0")
     initial = config_value(cfg_file, "initial_state", int | str, 0, args.initial_state)
+    k = config_value(cfg_file, *CONFIG_KEYS["k"], flag=args.k, required="--k")
+    if k < 1:
+        raise ValueError("k must be >= 1")
     opts = SimOptions(
-        steps=config_value(cfg_file, *CONFIG_KEYS["k"], flag=args.k, required="--k"),
+        steps=k,
         seed=config_value(cfg_file, *CONFIG_KEYS["seed"], 0, args.seed),
         initial_state=int(initial) if str(initial).isdigit() else initial,
         warmup_steps=config_value(cfg_file, *CONFIG_KEYS["warmup_steps"], None, args.warmup),

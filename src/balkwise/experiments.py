@@ -9,11 +9,12 @@ worker pool.  The BALKWISE_THREADS environment variable caps the pool size.
 
 The replication drivers (consistency, normality, score convergence and the
 std-vs-price overlay) split their replications into jobs: at least one per
-worker, and at most _FIT_BATCH replications each.  A job walks its
-replications to transition counts (simulator._walk_counts, two chains of
-10^5 steps to a lockstep walk table, more of shorter ones), and then fits
-all of its counts as one fit batch (inference._fit_batch), whose fits equal
-fit_mle's bit for bit.
+worker, and at most _FIT_BATCH replications each.  A job draws the
+transition counts of each replication from its own seed
+(simulator._walk_counts: a walked warm-up, then excursions from the empty
+queue drawn as branching processes, with no path), and then fits all of its
+counts as one fit batch (inference._fit_batch), whose fits equal fit_mle's
+bit for bit.
 """
 
 from __future__ import annotations
@@ -280,9 +281,8 @@ def _replications(config: ExperimentConfig, workers: int, k: int, reps: int, *ke
 def _fit_rep(job):
     """(theta_hat, boundary, signed normalized score at theta_hat) of each replication of a job.
 
-    The replications are walked to transition counts, as many chains to a
-    walk table as simulator._TABLE_DRAWS admits (two at k = 10^5), and all
-    their counts are fitted as one batch.
+    Each replication's transition counts are drawn from its own seed
+    (simulator._walk_counts), and all of them are fitted as one batch.
     """
     cfg, fam, theta0, runs = job
     return [(float(fit.theta_hat[0]), bool(fit.boundary), float(score[0]))

@@ -256,8 +256,8 @@ class _Batch:
         return _Values(loglik, effective, score, information)
 
 
-def log_likelihood(path: QueuePath, theta, cfg: ModelConfig, fam: ValueFamily) -> float:
-    """Log-likelihood of the parameter given an observed path.
+def log_likelihood(data: Union[QueuePath, _Counts], theta, cfg: ModelConfig, fam: ValueFamily) -> float:
+    """Log-likelihood of the parameter given an observed path or its ``transition_counts``.
 
     Sum of the Bernoulli up/down terms of the transitions out of states
     q >= 1 that somebody joins, a state everybody joins (balking probability
@@ -269,7 +269,7 @@ def log_likelihood(path: QueuePath, theta, cfg: ModelConfig, fam: ValueFamily) -
     the path is impossible under the parameter.
     """
     theta = fam.param_space.require(theta)
-    return float(_Batch([path], cfg, fam).at(theta).loglik[0])
+    return float(_Batch([data], cfg, fam).at(theta).loglik[0])
 
 
 def score(data: Union[QueuePath, _Counts], theta, cfg: ModelConfig, fam: ValueFamily) -> np.ndarray:

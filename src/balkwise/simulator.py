@@ -8,14 +8,14 @@ second exists so tests can verify the thinning equivalence end to end.  Both
 return a QueuePath, which holds only what the manager observes: queue lengths,
 holding times and revenue.
 
-A long path is walked by predict-and-patch (``_walk``): its blocks are walked
-at once from guessed entries into one block-major table, then each block whose
-entry was wrong is walked one step at a time from its true entry until it
-meets the table's walk, so the guesses only set the speed.  The same walk
-takes several chains at once as the blocks of one table; ``_walk_counts``
-walks up to ``_TABLE_DRAWS`` draws of chains to a table and reduces each
-chain to transition counts, all a fit needs, from the states it visits
-(``_state_counts``).
+A path is walked one step at a time, on a state table grown as the chain
+climbs (``build_path``).  A fit reads a path only through its per-state
+counts of up and down moves, so the replication studies draw just those
+counts (``_walk_counts``).  Past the warm-up and the first return to the
+empty queue, a path is a run of excursions from it, each a Galton-Watson
+tree of up moves with geometric offspring (Harris 1952, *First passage and
+recurrence distributions*), whose generation sizes, the up moves from each
+state, form a chain of negative binomials (``_excursions``).
 """
 
 from __future__ import annotations
@@ -31,12 +31,6 @@ from .model import ModelConfig, StateTable, ValueFamily, _threshold
 
 STATIONARY_WARMUP = "stationary-warmup"
 DEFAULT_WARMUP_STEPS = 1000
-# block size and fewest draws predicted, see _walk (measured, BENCH_lean_walk.json)
-_BLOCK, _PREDICT_FROM = 64, 16384
-# most draws walked to one table by _walk_counts: two chains of 10^5 steps after the default
-# warm-up, whose draws and table take about 2.4 MB (measured, BENCH_wide_tables.json)
-_TABLE_DRAWS = 2 * 101_000
-_PIECE = 64  # most blocks of uniforms drawn, or walked again, at a time
 
 
 class AbsorbingStateError(RuntimeError):
@@ -194,162 +188,37 @@ class SimOptions:
         return int(self.initial_state), int(self.warmup_steps or 0)
 
 
-def _walk(rngs, steps: int, start: int, theta, cfg: ModelConfig, fam: ValueFamily):
-    """Run one jump chain of ``steps`` transitions from ``start`` per generator in ``rngs``.
+class _Rates:
+    """Joining rates and up and down probabilities by state: those below ``upto``, then as needed."""
 
-    Each chain draws its ``steps`` uniforms from its own generator.  A draw
-    below p_up (1 at the empty queue) moves up.  From ``_PREDICT_FROM`` draws
-    in all, the first ``blocks * _BLOCK`` steps of each chain are walked in
-    ``_BLOCK``-step blocks, whose uniforms go straight into a block-major
-    table (``_predict``).  The rest, the tail, takes the one-step walk.
+    def __init__(self, theta, cfg: ModelConfig, fam: ValueFamily, upto: int):
+        self.theta, self.cfg, self.fam = theta, cfg, fam
+        self.lam: list[float] = []
+        self.up: list[float] = []
+        self.down: list[float] = []
+        self.cover(upto)
+        if self.lam[0] <= 0.0:
+            raise AbsorbingStateError(
+                "no customer ever joins the empty queue (joining rate 0 at state 0)"
+            )
 
-    Returns (table, tails, rates):
-    table -- int32, one column of ``_BLOCK + 1`` states per block, chain after
-             chain: column ``c * blocks + j`` holds the entry of block j of
-             chain c and the state after each of its steps;
-    tails -- per chain, the states from step ``blocks * _BLOCK`` to ``steps``;
-    rates -- the joining rate of each state 0..at least the highest visited.
-    """
-    lam_tab: list[float] = []
-    pup: list[float] = []
-
-    def cover(upto: int) -> None:
+    def cover(self, upto: int) -> None:
         """Tabulate every state below ``upto``, in at least 64 more states at a time."""
-        if (lo := len(lam_tab)) < upto:
-            tab = StateTable(np.arange(lo, max(upto, lo + 64)), theta, cfg, fam)
-            lam_tab.extend(tab.lam_q.tolist())
-            pup.extend(tab.p_up.tolist())
+        if (lo := len(self.lam)) < upto:
+            tab = StateTable(np.arange(lo, max(upto, lo + 64)), self.theta, self.cfg, self.fam)
+            self.lam += tab.lam_q.tolist()
+            self.up += tab.p_up.tolist()
+            self.down += tab.p_down.tolist()
 
-    def walk(q: int, draws, ahead=None) -> list:
-        """The states after each draw from ``q``, up to the first one that ``ahead`` also has.
-
-        Without ``ahead``, the states after every draw.
-        """
-        cover(q + len(draws) + 1)
-        walked = []
-        if ahead is None:
-            for u in draws:
-                q = q + 1 if u < pup[q] else q - 1
+    def walk(self, q: int, draws) -> list:
+        """The states after each of ``draws`` from ``q``: a draw below p_up (1 at 0) moves up."""
+        walked, up = [], self.up
+        for a in range(0, len(draws), 64):  # 64 draws at a time: the table grows as the chain climbs
+            self.cover(q + 64)
+            for u in draws[a:a + 64]:
+                q = q + 1 if u < up[q] else q - 1
                 walked.append(q)
-            return walked
-        for u, predicted in zip(draws, ahead):
-            q = q + 1 if u < pup[q] else q - 1
-            if q == predicted:
-                break  # met the prediction, which from here on is the true path
-            walked.append(q)
         return walked
-
-    cover(start + 2 * _BLOCK + 2)  # room for the first two blocks of steps
-    if lam_tab[0] <= 0.0:
-        raise AbsorbingStateError(
-            "no customer ever joins the empty queue (joining rate 0 at state 0)"
-        )
-
-    blocks = steps // _BLOCK if len(rngs) * steps >= _PREDICT_FROM else 0
-    table = np.full((_BLOCK + 1, len(rngs) * blocks), -1, dtype=np.int32)  # -1: not walked yet
-    draws = np.empty((_BLOCK, len(rngs) * blocks))
-    piece = np.empty(min(blocks, _PIECE) * _BLOCK)
-    tail_draws = []
-    for c, rng in enumerate(rngs):  # each chain's uniforms in path order, a piece at a time
-        for a in range(c * blocks, (c + 1) * blocks, _PIECE):
-            m = min(_PIECE, (c + 1) * blocks - a)
-            rng.random(out=piece[:m * _BLOCK])
-            draws[:, a:a + m] = piece[:m * _BLOCK].reshape(m, _BLOCK).T
-        tail_draws.append(memoryview(rng.random(steps - blocks * _BLOCK)))
-    if blocks:
-        _predict(draws, start, table, blocks, pup, cover)
-        # walk again from each block whose entry is not where the block before it ends,
-        # on through the blocks after it until the walk meets the table's
-        moved = table[0, 1:] != table[-1, :-1]
-        moved[blocks - 1::blocks] = False  # each chain's first block starts at its true entry
-        for j in (np.flatnonzero(moved) + 1).tolist():
-            if (q := int(table[-1, j - 1])) == table[0, j]:
-                continue  # a walk from an earlier block already put it right
-            # block j alone on views of its columns: most walks meet the table inside it
-            walked = walk(q, memoryview(draws[:, j]), memoryview(table[1:, j]))
-            table[0, j], table[1:len(walked) + 1, j] = q, walked
-            if len(walked) < _BLOCK:
-                continue  # met the table's walk
-            # on through the blocks after it, 4, 8, ... at a time, to the chain's end
-            j, width, last = j + 1, 4, j - j % blocks + blocks
-            while j < last and (q := int(table[-1, j - 1])) != table[0, j]:
-                k = min(j + width, last)
-                ahead = table[1:, j:k].T.ravel()  # the table's walk over blocks j..k-1, in path order
-                walked = walk(q, memoryview(draws[:, j:k].T.ravel()), memoryview(ahead))
-                ahead[:len(walked)] = walked  # from where it met, the table's walk is the true one
-                table[1:, j:k] = ahead.reshape(k - j, _BLOCK).T
-                entered = min(len(walked) // _BLOCK, k - j - 1)  # blocks after j the walk reached
-                table[0, j] = q
-                table[0, j + 1:j + 1 + entered] = ahead[_BLOCK - 1:entered * _BLOCK:_BLOCK]
-                if len(walked) < len(ahead):
-                    break  # met the table's walk
-                j, width = k, min(2 * width, _PIECE)
-    ends = table[-1, blocks - 1::blocks].tolist() if blocks else [start] * len(rngs)
-    tails = []
-    for tail, chain_draws in zip(([q] for q in ends), tail_draws):
-        for a in range(0, len(chain_draws), _BLOCK):  # a block at a time: the table grows as it climbs
-            tail += walk(tail[-1], chain_draws[a:a + _BLOCK])
-        tails.append(np.array(tail, dtype=np.int64))
-    return table, tails, np.asarray(lam_tab)
-
-
-def _predict(draws: np.ndarray, start: int, table: np.ndarray, blocks: int, pup: list, cover) -> None:
-    """Walk every block of ``table`` at once, each on its column of ``draws``.
-
-    Pass 1 enters block j > 0 of a chain at ``(start + j*_BLOCK) % 2``, the
-    parity of its true entry.  Each later pass enters each block where the
-    pass before left the block before it.  Walks of one parity on the same
-    draws never cross (p_up does not rise with the state), and once they meet
-    they are one walk.  So a later pass walks only the blocks whose entry
-    moved, each only until it meets the walk the table holds, and leaves the
-    table as a full pass would.  At step 0, 1, 2, 4, ... a pass drops the
-    blocks that met, once they are at least half of those still walked.
-    After two passes, another follows while, at the last one's rate, it would
-    put at least ``_BLOCK`` more entries right.
-    """
-    n = table.shape[1]
-    q = np.tile((start + _BLOCK * np.arange(blocks, dtype=np.int32)) % 2, n // blocks)
-    q[::blocks] = start
-    moved, passes = n, 0  # blocks whose entry the pass moves
-    while moved:
-        cover(int(q.max()) + _BLOCK + 2)  # past every state a block can reach
-        up_at = np.array(pup)
-        cols = slice(None)
-        for i in range(_BLOCK + 1):
-            row = table[i]
-            if i & (i - 1) == 0:
-                live = q != row[cols]  # not yet on the walk the table holds
-                count = np.count_nonzero(live)
-                if not count:
-                    break
-                if 2 * count <= len(q):
-                    q, cols = q[live], np.arange(n)[cols][live]
-            row[cols] = q
-            if i < _BLOCK:
-                q = q - 1 + 2 * (draws[i][cols] < up_at.take(q))
-        q = np.roll(table[-1], 1)
-        q[::blocks] = start
-        left, passes = np.count_nonzero(q != table[0]), passes + 1
-        if passes >= 2 and left * (moved - left) < _BLOCK * moved:
-            break  # at this pass's rate the next one would put fewer than _BLOCK entries right
-        moved = left
-
-
-def _state_counts(visits: np.ndarray, first: int, last: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-state counts of up and down moves of a walk of unit steps on q >= 0 (indexed by pre-state).
-
-    ``visits[q]`` counts the walk's steps from q, and ``first`` and ``last``
-    are its end states.  The flows over each edge balance,
-    n_down[q+1] = n_up[q] - [last > q] + [first > q], and
-    n_up[q] + n_down[q] = visits[q], so n_up is an alternating cumulative sum.
-    """
-    flows = visits.copy()  # visits[q] + [last >= q] - [first >= q], the sign of q's parity
-    flows[:last + 1] += 1
-    flows[:first + 1] -= 1
-    flows[1::2] *= -1
-    n_up = np.cumsum(flows)
-    n_up[1::2] *= -1
-    return n_up, visits - n_up
 
 
 def build_path(
@@ -361,13 +230,11 @@ def build_path(
     times one standard exponential each, both from ``rng``; the caller owns
     the generator, so consecutive calls continue one random stream.
     """
-    table, tails, lam_tab = _walk([rng], warmup + steps, start, theta, cfg, fam)
-    if table.size:  # the blocks' states, then the tail's
-        states = np.concatenate((table[:-1].T.ravel(), tails[0]), dtype=np.int64)[warmup:]
-    else:
-        states = tails[0][warmup:]
-    rate = lam_tab + cfg.mu  # exit rate per state; the empty queue is left by arrivals only
-    rate[0] = lam_tab[0]
+    rates = _Rates(theta, cfg, fam, start + 64)
+    walked = rates.walk(start, memoryview(rng.random(warmup + steps)))
+    states = np.array([start, *walked][warmup:], dtype=np.int64)
+    rate = np.array(rates.lam) + cfg.mu  # exit rate per state; the empty queue is left by arrivals only
+    rate[0] = rates.lam[0]
     return _observed(states, rng.standard_exponential(steps) / rate[states[:-1]], cfg)
 
 
@@ -380,39 +247,98 @@ def _observed(states: np.ndarray, holds: np.ndarray, cfg: ModelConfig) -> QueueP
 def _walk_counts(
     cfg: ModelConfig, fam: ValueFamily, theta0, runs: Sequence[SimOptions]
 ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The transition counts of ``simulate_path(cfg, fam, theta0, opts)`` for each opts of ``runs``.
+    """Transition counts with the law of ``simulate_path(cfg, fam, theta0, opts)``'s, per opts of ``runs``.
 
-    The runs differ only in their seeds.  Their chains are walked together,
-    as many to a table as fit ``_TABLE_DRAWS`` draws (at least one), on the
-    uniforms ``simulate_path`` draws first, and no holding times are drawn:
-    the counts are all a fit reads, and they follow from the states each
-    chain visits after its warm-up.
+    The runs differ only in their seeds.  Each run's counts come from its
+    own generator alone (``_counts``), and no path or holding time is made:
+    the counts are all a fit reads.
     """
     theta0 = fam.param_space.require(theta0)
     (start, warmup), steps = runs[0].resolve(), runs[0].steps
     if any((opts.resolve(), opts.steps) != ((start, warmup), steps) for opts in runs):
         raise ValueError("the runs of one walk must share their start, warm-up and length")
-    per_table = max(1, _TABLE_DRAWS // (warmup + steps))
-    counts = []
-    for i in range(0, len(runs), per_table):  # a table is freed before the next is walked
-        rngs = [np.random.default_rng(opts.seed) for opts in runs[i:i + per_table]]
-        counts += _table_counts(*_walk(rngs, warmup + steps, start, theta0, cfg, fam), warmup)
-    return counts
+    rates = _Rates(theta0, cfg, fam, start + 64)
+    return [_counts(np.random.default_rng(opts.seed), start, warmup, steps, rates) for opts in runs]
 
 
-def _table_counts(table, tails, rates, warmup: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The transition counts of each chain of a ``_walk``, after its first ``warmup`` steps."""
-    blocks, size = table.shape[1] // len(tails), len(rates)
-    done = blocks * _BLOCK
-    counts = []
-    for c, tail in enumerate(tails):
-        own = table[:-1, c * blocks:(c + 1) * blocks]  # each block step's pre-state
-        head = own[:, :-(-warmup // _BLOCK)].T.ravel()[:warmup]  # the warm-up's, in path order
-        visits = (np.bincount(own.ravel(), minlength=size) - np.bincount(head, minlength=size)
-                  + np.bincount(tail[max(warmup - done, 0):-1], minlength=size))
-        first = own[warmup % _BLOCK, warmup // _BLOCK] if warmup < done else tail[warmup - done]
-        counts.append(_state_counts(visits[:np.flatnonzero(visits)[-1] + 1], first, tail[-1]))
-    return counts
+def _counts(rng, start: int, warmup: int, steps: int, rates: _Rates) -> tuple[np.ndarray, np.ndarray]:
+    """Per-state counts of up and down moves (by pre-state) of ``steps`` transitions after a warm-up.
+
+    The warm-up, and the path on to its first return to the empty queue,
+    take the one-step walk; the rest is drawn as excursions (``_excursions``).
+    """
+    head = [rates.walk(start, memoryview(rng.random(warmup)))[-1] if warmup else start]
+    while head[-1] and len(head) <= steps:  # on to the first return to 0, 64 steps at a time
+        walked = rates.walk(head[-1], memoryview(rng.random(min(64, steps + 1 - len(head)))))
+        head += walked[:walked.index(0) + 1] if 0 in walked else walked
+    trees, end = _excursions(rng, steps + 1 - len(head), rates)
+    size = len(rates.lam) + 1
+    pre, post = np.array(head[:-1], dtype=np.int64), np.array(head[1:], dtype=np.int64)
+    n_up = np.bincount(pre[post > pre], minlength=size)
+    n_down = np.bincount(pre[post < pre], minlength=size)
+    n_up[:len(trees)] += trees
+    n_down[1:len(trees) + 1] += trees  # a whole tree moves down from q + 1 once per up move from q
+    n_up[:end] += 1  # the up moves into the tree the path ends in, one per state below its end
+    last = np.flatnonzero(n_up + n_down)[-1] + 1
+    return n_up[:last], n_down[:last]
+
+
+def _excursions(rng, steps: int, rates: _Rates) -> tuple[np.ndarray, int]:
+    """The first ``steps`` transitions from the empty queue, drawn as trees of up moves.
+
+    An excursion above q is a Galton-Watson tree: each up move from q starts
+    a visit to q + 1 that moves up a geometric number of times before it
+    moves down.  So the generation sizes of a forest of them, its up moves
+    from q, q + 1, ..., follow u_{j+1} ~ NegBin(u_j, p_down(q + j + 1)), and
+    it takes 2 * sum(u) transitions.  A forest is drawn a generation at a
+    time until it dies out or outgrows the steps left.  One that outgrows
+    them is halved (``_split``), its later half put back to follow the
+    first; a single tree that does is entered: its root's up move is taken
+    and its children, a forest one level higher, come next.  So no draw
+    outgrows the steps left by much, whatever the drift.
+
+    Returns (trees, end): the up moves of the whole trees the path runs
+    through, by state, and the state the path ends in.
+    """
+    trees, end, left = [], 0, steps
+    todo = [(0, [-(-steps // 2)])]  # ceil(steps / 2) excursions take at least ``steps`` transitions
+    while left:
+        level, gens = todo.pop()
+        length = 2 * sum(gens)
+        while gens[-1] and length <= left:
+            rates.cover(level + len(gens) + 1)
+            gens.append(int(rng.negative_binomial(gens[-1], rates.down[level + len(gens)])))
+            length += 2 * gens[-1]
+        if length <= left:
+            trees += [0] * (level + len(gens) - len(trees))
+            for q, ups in enumerate(gens, level):
+                trees[q] += ups
+            left -= length
+        elif gens[0] == 1:  # its children outlast the steps left after its up move, so it ends in them
+            todo.append((level + 1, gens[1:]))
+            left, end = left - 1, level + 1
+        else:
+            first = _split(rng, gens, gens[0] // 2)
+            todo += [(level, [g - f for g, f in zip(gens, first)]), (level, first)]
+    return np.array(trees, dtype=np.int64), end
+
+
+def _split(rng, gens: list, trees: int) -> list:
+    """The generation sizes of the first ``trees`` trees of a forest whose generation sizes are ``gens``.
+
+    Given the first trees' share of one generation, their share of the next
+    is Beta-binomial, whatever p_down is: the next generation sums one
+    geometric number of children per node.
+    """
+    first = [trees]
+    for above, size in zip(gens, gens[1:]):
+        share = first[-1]
+        if size and 0 < share < above:
+            share = int(rng.binomial(size, rng.beta(share, above - share)))
+        else:
+            share = size if share else 0  # all of the generation above, or none of it
+        first.append(share)
+    return first
 
 
 def simulate_path(

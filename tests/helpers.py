@@ -1,4 +1,4 @@
-"""Shared test utilities: hand-built paths, a reference walk, a reference golden
+"""Shared test utilities: hand-built paths, reference walks, a reference golden
 section and extra value families."""
 
 from __future__ import annotations
@@ -45,6 +45,26 @@ def reference_path(rng, start: int, warmup: int, steps: int, theta, cfg, fam) ->
     holds = rng.standard_exponential(steps) / exit_rates
     ups = states[1:] > pre
     return QueuePath(states, ups, holds, cfg.price * int(ups.sum()), float(holds.sum()))
+
+
+def reference_walks(rng, chains: int, start: int, warmup: int, steps: int, theta, cfg, fam) -> np.ndarray:
+    """``reference_path``'s walk for ``chains`` chains at once; row i holds chain i's Q_0..Q_steps.
+
+    Chain i walks on row i of one (chains, warmup + steps) array of
+    uniforms, so chain 0 walks exactly as ``reference_path`` does on the
+    same generator.  All chains take each step together, one numpy step
+    per transition.
+    """
+    draws = rng.random((chains, warmup + steps)).T.copy()  # one row per step
+    p_up = StateTable(np.arange(start + warmup + steps + 1), theta, cfg, fam).p_up  # 1 at q = 0
+    q = np.full(chains, start, dtype=np.int64)
+    states = np.empty((steps + 1, chains), dtype=np.int64)
+    for i, u in enumerate(draws):
+        if i >= warmup:
+            states[i - warmup] = q
+        q += np.where(u < p_up[q], 1, -1)
+    states[steps] = q
+    return states.T
 
 
 class UniformValueFamily(ValueFamily):

@@ -265,12 +265,14 @@ def test_config_integer_of_the_wrong_type_is_rejected(tmp_path, capsys, args, co
         (["experiment", "normality"], {"k_list": [100, -5]}, "k_list[1] must be >= 1"),
         (["experiment", "normality"], {"k_list": [0]}, "k_list[0] must be >= 1"),
         (["experiment", "normality"], {"k": 0}, "k must be >= 1"),
+        (["simulate", "--theta0", "0.02", "--k", "0"], {}, "k must be >= 1"),
+        (["simulate", "--theta0", "0.02"], {"k": -3}, "k must be >= 1"),
     ],
     ids=["pricing-not-object", "pricing-tol-not-number", "k-list-not-list",
          "price-grid-no-points", "price-grid-negative-points", "price-grid-flag-no-points",
          "empirical-reps-zero", "pricing-runs-zero", "seed-negative-simulate",
          "seed-negative-autoprice", "seed-negative-experiment", "seed-negative-experiment-flag",
-         "k-list-negative", "k-list-zero", "k-zero"],
+         "k-list-negative", "k-list-zero", "k-zero", "k-zero-simulate", "k-negative-simulate"],
 )
 def test_config_setting_of_the_wrong_kind_is_rejected(tmp_path, capsys, args, config, message):
     cfg = tmp_path / "cfg.json"

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from balkwise import experiments
 from balkwise.inference import fit_mle, log_likelihood, score
-from balkwise.simulator import SimOptions, simulate_path
+from balkwise.simulator import SimOptions
 from balkwise.experiments import (
     CONFIG_KEYS,
     ExperimentConfig,
@@ -205,7 +205,7 @@ def test_consistency_driver(tmp_path):
     with open(prof) as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["k", "theta", "loglik"]
-    # the profile is computed on the replication-0 path, so its peak must sit
+    # the profile is computed on replication 0's counts, so its peak must sit
     # at that replication's fitted value
     data = [(float(r[1]), float(r[2])) for r in rows[1:] if int(r[0]) == 5000]
     thetas = [d[0] for d in data]
@@ -216,11 +216,11 @@ def test_consistency_driver(tmp_path):
         fit_rows = list(csv.reader(fh))
     theta_rep0 = next(float(r[2]) for r in fit_rows[1:] if r[0] == "5000" and r[1] == "0")
     assert abs(thetas[best] - theta_rep0) <= 0.005
-    # each value is log_likelihood's on that path
-    path = simulate_path(cfg.model, cfg.value_family, [cfg.theta0],
-                         experiments._run_options(cfg, 5000, 0))
+    # each value is log_likelihood's on those counts
+    counts = experiments._walk_counts(cfg.model, cfg.value_family, [cfg.theta0],
+                                      [experiments._run_options(cfg, 5000, 0)])[0]
     assert [r[2] for r in rows[1:] if r[0] == "5000"] == [
-        repr(log_likelihood(path, [t], cfg.model, cfg.value_family)) for t in thetas]
+        repr(log_likelihood(counts, [t], cfg.model, cfg.value_family)) for t in thetas]
     summary_file = Path(cfg.out_dir) / "consistency_summary.csv"
     assert summary_file.exists()
 
@@ -345,7 +345,7 @@ def test_parallel_matches_serial(tmp_path, monkeypatch):
     monkeypatch.delenv("BALKWISE_THREADS", raising=False)
     inputs = [
         (dict(experiment="consistency", k_list=(400,), replications=6), ["consistency.csv"]),
-        # 7 replications split 3 + 4; two chains per walk table at 10^5, many at 200
+        # 7 replications split 3 + 4
         (dict(experiment="consistency", k_list=(200, 100_000), replications=7),
          ["consistency.csv", "loglik_profile.csv"]),
         (dict(experiment="score-convergence", k_list=(200, 10_000), replications=7),
@@ -365,12 +365,10 @@ def test_parallel_matches_serial(tmp_path, monkeypatch):
     "k, reps", [(10_000, 20), (200, 100), (100_000, 7), (10_000, 7), (200, 131)]
 )
 def test_chunked_replications_match_one_path_per_replication(workers, k, reps):
-    """Walked in tables (two chains at k = 10^5, up to 18 at 10^4, 168 at 200), fitted in batches.
+    """Drawn in jobs and fitted in batches, each replication as its counts drawn and fitted alone.
 
-    (100_000, 7) at one worker is one job whose tables hold 2 + 2 + 2 + 1
-    chains: two-chain tables and a lone last chain.  7 replications split
-    3 + 4 at two workers, and 131 into three jobs of 43 or 44 (at most
-    experiments._FIT_BATCH each) at either.
+    7 replications split 3 + 4 at two workers, and 131 into three jobs of
+    43 or 44 (at most experiments._FIT_BATCH each) at either.
     """
     config = ExperimentConfig(experiment="score-convergence", k=k, replications=reps, seed=5)
     cfg, fam = config.model, config.value_family
@@ -378,21 +376,21 @@ def test_chunked_replications_match_one_path_per_replication(workers, k, reps):
     for rep in range(reps):
         opts = SimOptions(steps=k, seed=rep_seed(5, k, rep), initial_state="stationary-warmup",
                           warmup_steps=1000)
-        path = simulate_path(cfg, fam, [0.02], opts)
-        fit = fit_mle(path, cfg, fam)
+        counts = experiments._walk_counts(cfg, fam, [0.02], [opts])[0]
+        fit = fit_mle(counts, cfg, fam)
         want.append((float(fit.theta_hat[0]), bool(fit.boundary),
-                     float(score(path, fit.theta_hat, cfg, fam)[0])))
+                     float(score(counts, fit.theta_hat, cfg, fam)[0])))
     assert experiments._replications(config, workers, k, reps) == want
 
 
 def test_a_job_walks_and_fits_within_the_memory_of_two_chains():
     """One job of 4 replications at k = 10^5 peaks under the traced memory two chains need.
 
-    A walk table holds each draw's uniform (8 bytes) and its int32 state (4
-    bytes, and one more entry per 64-step block).  Two chains of 10^5 steps
-    after a 1,000-step warm-up take 2 x 101,000 x 12.06 bytes, about 2.3 MiB;
-    the bound allows 0.5 MiB more for the rest of the walk and for the fit
-    (2.47 MiB measured).  A third chain per table would pass it.
+    Two chains of 10^5 steps after a 1,000-step warm-up, walked into a
+    table of each draw's uniform (8 bytes) and its int32 state (4 bytes, and
+    one more entry per 64-step block), take 2 x 101,000 x 12.06 bytes, about
+    2.3 MiB; the bound allows 0.5 MiB more.  The counts are drawn, not
+    walked, and the job peaks at 0.61 MiB (2.47 MiB when they were walked).
     """
     config = ExperimentConfig(experiment="normality", k=100_000, replications=4, seed=2)
     runs = [experiments._run_options(config, 100_000, rep) for rep in range(4)]

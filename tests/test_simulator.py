@@ -1,5 +1,6 @@
 import io
 import math
+import time
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from balkwise.simulator import (
     simulate_full_arrivals,
     simulate_path,
 )
-from helpers import UniformValueFamily, make_path, reference_path
+from helpers import UniformValueFamily, make_path, reference_path, reference_walks
 
 
 def test_sim_options_validation():
@@ -111,10 +112,8 @@ def test_up_frequency_matches_model(anchor_cfg, expo):
         assert abs(path.ups[sel].mean() - p) <= 3 * se
 
 
-BLOCK, PREDICT_FROM = simulator._BLOCK, simulator._PREDICT_FROM
-# walk lengths: below one block, an exact multiple of the block, one step past
-# it, and a longer one ending in a partial block
-WALK_LENGTHS = [1, BLOCK - 1, PREDICT_FROM, PREDICT_FROM + 1, PREDICT_FROM + 3 * BLOCK + 45]
+# walk lengths: short walks and long ones, over which the state table grows
+WALK_LENGTHS = [1, 63, 16_384, 16_385, 16_621]
 
 
 def _assert_same_path(got: QueuePath, want: QueuePath) -> None:
@@ -133,19 +132,18 @@ def _assert_same_path(got: QueuePath, want: QueuePath) -> None:
     start=st.sampled_from([0, 1, 7, 40]),
     warmup=st.sampled_from([0, 37]),
     walk=st.sampled_from(WALK_LENGTHS),
-    next_steps=st.sampled_from([1, 300, PREDICT_FROM + 1]),
+    next_steps=st.sampled_from([1, 300, 16_385]),
     seed=st.integers(0, 2**32 - 1),
 )
-# heavy traffic: the chain climbs to thousands, so predictions outgrow the first 64-state table
-@example(lam=20.0, cost_c=1.0, price=0.0, theta=1e-3, start=0, warmup=0, walk=PREDICT_FROM + 1,
-         next_steps=PREDICT_FROM + 1, seed=3)
-# low traffic: every block is walked from 0 or 1, so the parity guesses are the
-# true entries and the second prediction pass is skipped
-@example(lam=0.3, cost_c=1.0, price=10.0, theta=0.5, start=0, warmup=0,
-         walk=PREDICT_FROM + 3 * BLOCK + 45, next_steps=PREDICT_FROM + 1, seed=5)
+# heavy traffic: the chain climbs to thousands, far past the first 64-state table
+@example(lam=20.0, cost_c=1.0, price=0.0, theta=1e-3, start=0, warmup=0, walk=16_385,
+         next_steps=16_385, seed=3)
+# low traffic: the chain stays near the empty queue
+@example(lam=0.3, cost_c=1.0, price=10.0, theta=0.5, start=0, warmup=0, walk=16_621,
+         next_steps=16_385, seed=5)
 def test_build_path_matches_the_one_step_walk(lam, cost_c, price, theta, start, warmup, walk,
                                               next_steps, seed):
-    """The block walk is exact: equal to the reference walk over two calls on one generator."""
+    """build_path is exact: equal to the reference walk over two calls on one generator."""
     cfg = ModelConfig(lam=lam, mu=1.0, cost_c=cost_c, price=price)
     fam = ExponentialFamily(ParamSpace([1e-3], [5.0]))
     warmup = min(warmup, walk - 1)
@@ -158,78 +156,162 @@ def test_build_path_matches_the_one_step_walk(lam, cost_c, price, theta, start, 
                       reference_path(want_rng, end, 0, next_steps, [theta], cfg, fam))
 
 
-@settings(derandomize=True, deadline=None, database=None, max_examples=40)
+# (cfg, theta): the anchor, heavy balking, light balking (the chain wanders far
+# from the empty queue) and arrivals at twice the service rate
+LAW_MODELS = {
+    "anchor": (ModelConfig(lam=1.0, mu=1.0, cost_c=1.0, price=15.0), 0.02),
+    "heavy-balking": (ModelConfig(lam=1.0, mu=1.0, cost_c=1.0, price=15.0), 0.2),
+    "light-balking": (ModelConfig(lam=1.0, mu=1.0, cost_c=1.0, price=2.0), 0.005),
+    "lam-2mu": (ModelConfig(lam=2.0, mu=1.0, cost_c=1.0, price=15.0), 0.08),
+}
+
+
+def _assert_same_law(a: np.ndarray, b: np.ndarray, label) -> None:
+    """Columns of two samples (one draw a row) with equal means and variances, within |z| <= 4.
+
+    Only columns with at least 30 nonzero entries a side are compared; the
+    standard error of each sample variance comes from its fourth central
+    moment.
+    """
+    n = len(a)
+    for j in range(a.shape[1]):
+        x, y = a[:, j], b[:, j]
+        if min(np.count_nonzero(x), np.count_nonzero(y)) < 30:
+            continue
+        z_mean = (x.mean() - y.mean()) / np.sqrt((x.var(ddof=1) + y.var(ddof=1)) / n)
+        se_var = np.sqrt(sum((((v - v.mean()) ** 4).mean() - v.var() ** 2) / n for v in (x, y)))
+        z_var = (x.var(ddof=1) - y.var(ddof=1)) / se_var
+        assert abs(z_mean) <= 4 and abs(z_var) <= 4, (label, j, z_mean, z_var)
+
+
+@pytest.mark.parametrize("model", LAW_MODELS)
+def test_drawn_counts_have_the_law_of_the_walk(model):
+    """Each state's up-move count has the walk's mean and variance, at k = 1, 2, 3, 10 and 2,000.
+
+    2,000 draws a side, after a 30-step warm-up from state 3, so that the
+    walk on to the first return to the empty queue takes part.  The
+    reference counts are the first k transitions of one set of walks of
+    2,000 steps.  Compared by two-sample z scores (``_assert_same_law``).
+    """
+    cfg, theta = LAW_MODELS[model]
+    fam = ExponentialFamily(ParamSpace([1e-3], [5.0]))
+    draws, start, warmup, longest = 2000, 3, 30, 2000
+    walks = reference_walks(np.random.default_rng(41), draws, start, warmup, longest, [theta], cfg, fam)
+    # the first chain is reference_path's walk
+    first = reference_path(np.random.default_rng(41), start, warmup, longest, [theta], cfg, fam)
+    np.testing.assert_array_equal(walks[0], first.states)
+    rates = simulator._Rates(np.array([theta]), cfg, fam, start + 64)
+    rng = np.random.default_rng(42)
+    for k in (1, 2, 3, 10, longest):
+        drawn = [simulator._counts(rng, start, warmup, k, rates)[0] for _ in range(draws)]
+        pre, post = walks[:, :k], walks[:, 1:k + 1]
+        size = max(int(walks.max()), max(map(len, drawn)))
+        rows = np.arange(draws)[:, None] * size + pre  # (draw, pre-state) cells
+        want = np.bincount(rows[post > pre], minlength=draws * size).reshape(draws, size)
+        got = np.zeros((draws, size))
+        for row, n_up in zip(got, drawn):
+            row[:len(n_up)] = n_up
+        _assert_same_law(got, want, (model, k))
+
+
+def test_a_split_forest_has_the_law_of_its_first_trees():
+    """The first 2 of 5 trees split off a drawn forest have the generation sizes of 2 trees drawn alone.
+
+    4,000 forests a side, compared generation by generation (``_assert_same_law``).
+    """
+    cfg = ModelConfig(lam=1.0, mu=1.0, cost_c=1.0, price=15.0)
+    rates = simulator._Rates(np.array([0.02]), cfg, ExponentialFamily(ParamSpace([1e-3], [5.0])), 64)
+    rng = np.random.default_rng(43)
+
+    def forest(trees: int) -> list:
+        gens = [trees]  # up moves from 0, 1, ...: the generation chain
+        while gens[-1]:
+            rates.cover(len(gens) + 1)
+            gens.append(int(rng.negative_binomial(gens[-1], rates.down[len(gens)])))
+        return gens
+
+    draws = 4000
+    split = [simulator._split(rng, forest(5), 2) for _ in range(draws)]
+    alone = [forest(2) for _ in range(draws)]
+    depth = max(map(len, split + alone))
+    # generation 0 holds the 2 roots on both sides
+    _assert_same_law(*(np.array([gens[1:] + [0] * (depth - len(gens)) for gens in side], dtype=float)
+                       for side in (split, alone)), "split")
+
+
+def _assert_moves_of_one_walk(n_up: np.ndarray, n_down: np.ndarray, steps: int) -> None:
+    """Counts of a walk of ``steps`` unit moves on q >= 0 from some Q_0 to some Q_k.
+
+    None is negative, nothing moves down from 0, and the flows over each
+    edge balance: n_up[q] - n_down[q+1] = [Q_k > q] - [Q_0 > q], all +1 or
+    all -1 over one run of states and 0 elsewhere.
+    """
+    assert n_up.shape == n_down.shape
+    assert (n_up >= 0).all() and (n_down >= 0).all() and n_down[0] == 0
+    assert int(n_up.sum() + n_down.sum()) == steps
+    flow = n_up - np.append(n_down[1:], 0)
+    moved = np.flatnonzero(flow)
+    assert set(flow[moved].tolist()) in ({1}, {-1}, set())
+    np.testing.assert_array_equal(moved, np.arange(len(moved)) + (moved[0] if len(moved) else 0))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
 @given(
-    lam=st.floats(0.3, 20.0),
+    lam=st.floats(0.3, 4.0),
     cost_c=st.floats(0.05, 2.0),
     price=st.floats(0.0, 40.0),
     theta=st.floats(1e-3, 0.5),
-    steps=st.sampled_from([1, BLOCK - 1, BLOCK, PREDICT_FROM - 1, PREDICT_FROM, 16_813]),
-    warmup=st.sampled_from([0, 37, "default"]),
-    start=st.sampled_from([0, 7]),
-    chains=st.integers(1, 150),
+    steps=st.integers(1, 3000),
+    start=st.integers(0, 20),
+    warmup=st.integers(0, 50),
     seed=st.integers(0, 2**32 - 1),
 )
-# heavy traffic: the chains climb to thousands, past the first 64-state table
-@example(lam=20.0, cost_c=1.0, price=0.0, theta=1e-3, steps=16_813, warmup="default", start=0,
-         chains=11, seed=3)
-# many short chains: the chunk is block-walked although no chain is
-@example(lam=1.0, cost_c=1.0, price=15.0, theta=0.02, steps=BLOCK, warmup=37, start=7,
-         chains=150, seed=4)
-# the warm-up ends exactly on a block boundary
-@example(lam=2.0, cost_c=0.5, price=0.0, theta=0.05, steps=PREDICT_FROM + 45, warmup=BLOCK,
-         start=7, chains=2, seed=6)
-# a warm-up of several blocks and a remainder
-@example(lam=3.0, cost_c=0.2, price=0.0, theta=0.05, steps=16_813, warmup=3 * BLOCK + 17,
-         start=0, chains=3, seed=7)
-# a chain of an exact multiple of the block: no tail
-@example(lam=1.0, cost_c=1.0, price=15.0, theta=0.02, steps=PREDICT_FROM, warmup=2 * BLOCK,
-         start=0, chains=2, seed=8)
-def test_count_walk_matches_the_counts_of_simulate_path(lam, cost_c, price, theta, steps, warmup,
-                                                        start, chains, seed):
-    """Each chain of a chunk is counted exactly as its own simulate_path, holds left out.
-
-    The one-step reference walk is the oracle that does not share the walk's code.
-    """
+# one step: the root's up move alone
+@example(lam=1.0, cost_c=1.0, price=15.0, theta=0.02, steps=1, start=0, warmup=0, seed=1)
+def test_drawn_counts_are_the_moves_of_one_walk(lam, cost_c, price, theta, steps, start, warmup,
+                                                 seed):
     cfg = ModelConfig(lam=lam, mu=1.0, cost_c=cost_c, price=price)
     fam = ExponentialFamily(ParamSpace([1e-3], [5.0]))
-    if warmup == "default":
-        options = dict(initial_state="stationary-warmup")
-    else:
-        options = dict(initial_state=start, warmup_steps=warmup)
-    chains = min(chains, max(1, 200_000 // steps))  # keep an example under 200,000 steps
-    runs = [SimOptions(steps=steps, seed=np.random.SeedSequence((seed, i)), **options)
-            for i in range(chains)]
-    counts = simulator._walk_counts(cfg, fam, [theta], runs)
-    assert len(counts) == chains
-    for opts, (n_up, n_down) in zip(runs, counts):
-        rng = np.random.default_rng(opts.seed)
-        for path in (simulate_path(cfg, fam, [theta], opts),
-                     reference_path(rng, *opts.resolve(), steps, [theta], cfg, fam)):
-            want_up, want_down = transition_counts(path)
+    runs = [SimOptions(steps=steps, seed=np.random.SeedSequence((seed, i)), initial_state=start,
+                       warmup_steps=warmup) for i in range(3)]
+    for n_up, n_down in simulator._walk_counts(cfg, fam, [theta], runs):
+        _assert_moves_of_one_walk(n_up, n_down, steps)
+
+
+def test_a_runs_counts_do_not_depend_on_the_runs_beside_it():
+    # the chains climb past the first 64 states, so a shared state table grows inside a run
+    cfg = ModelConfig(lam=3.0, mu=1.0, cost_c=0.2, price=0.0)
+    fam = ExponentialFamily(ParamSpace([1e-3], [5.0]))
+    runs = [SimOptions(steps=3000, seed=seed, initial_state="stationary-warmup", warmup_steps=200)
+            for seed in range(6)]
+    alone = [simulator._walk_counts(cfg, fam, [0.05], [opts])[0] for opts in runs]
+    assert max(len(n_up) for n_up, _ in alone) > 64
+    for shared in (simulator._walk_counts(cfg, fam, [0.05], runs),
+                   simulator._walk_counts(cfg, fam, [0.05], runs[::-1])[::-1]):
+        for (n_up, n_down), (want_up, want_down) in zip(shared, alone):
             np.testing.assert_array_equal(n_up, want_up)
             np.testing.assert_array_equal(n_down, want_down)
 
 
-@settings(derandomize=True, deadline=None, database=None, max_examples=200)
-@given(start=st.integers(0, 9), ups=st.lists(st.booleans(), min_size=1, max_size=400))
-# one step each: up from the empty queue, up and down from above it
-@example(start=0, ups=[False])
-@example(start=3, ups=[True])
-@example(start=3, ups=[False])
-# ends below the start, on the empty queue
-@example(start=5, ups=[False] * 5)
-def test_counts_from_visits_match_the_transitions(start, ups):
-    """The flow balance turns the visits of a walk reflected at 0 into its exact move counts."""
-    states = [start]
-    for up in ups:
-        states.append(states[-1] + 1 if up or states[-1] == 0 else states[-1] - 1)
-    states = np.array(states)
-    pre, post = states[:-1], states[1:]
-    size = int(pre.max()) + 1
-    n_up, n_down = simulator._state_counts(np.bincount(pre), states[0], states[-1])
-    np.testing.assert_array_equal(n_up, np.bincount(pre[post > pre], minlength=size))
-    np.testing.assert_array_equal(n_down, np.bincount(pre[post < pre], minlength=size))
+@pytest.mark.parametrize("theta, options, departures", [
+    # p_up = 2/3 on states 1..5: the chain climbs, and still returns to the empty queue now and
+    # then, so excursions are drawn after the walk's first return
+    (6.0, dict(initial_state="stationary-warmup"), 2),
+    # p_up = 2/3 on states 1..79, drawn from the empty queue: a generation of 5 * 10^4
+    # excursions drawn whole would grow about 2^79-fold, past int64
+    (80.0, dict(initial_state=0), 1),
+])
+def test_counts_of_a_chain_that_does_not_balk_stay_within_the_steps(theta, options, departures):
+    cfg = ModelConfig(lam=2.0, mu=1.0, cost_c=1.0, price=0.0)
+    fam = UniformValueFamily(width=12.0, lower=0.0, upper=100.0)
+    steps = 10**5
+    runs = [SimOptions(steps=steps, seed=seed, **options) for seed in range(3)]
+    began = time.perf_counter()
+    counts = simulator._walk_counts(cfg, fam, [theta], runs)
+    assert time.perf_counter() - began < 1.0
+    for n_up, n_down in counts:
+        _assert_moves_of_one_walk(n_up, n_down, steps)
+        assert n_up[0] >= departures
 
 
 def test_count_walk_runs_share_their_settings(anchor_cfg, expo):
@@ -336,6 +418,8 @@ def test_absorbing_empty_state(anchor_cfg):
         simulate_path(anchor_cfg, blocked, [1.0], SimOptions(steps=10, seed=0))
     with pytest.raises(AbsorbingStateError):
         simulate_full_arrivals(anchor_cfg, blocked, [1.0], SimOptions(steps=10, seed=0))
+    with pytest.raises(AbsorbingStateError):
+        simulator._walk_counts(anchor_cfg, blocked, [1.0], [SimOptions(steps=10, seed=0)])
 
 
 def test_path_stats_two_step():

@@ -79,8 +79,8 @@ DRIVER_CONFIGS = {
     "std-vs-price": dict(k=500, price_grid=(5.0, 60.0, 6), empirical_reps=5),
     "revenue-vs-price": dict(),
     "pricing-tables": dict(pricing_runs=3),
-    # replications long enough for the block walk, one of them a chain of 10^5
-    # steps, and many short replications of one length
+    # long replications, with many excursions from the empty queue, one of
+    # them of 10^5 steps, and many short replications of one length
     "consistency-long": dict(experiment="consistency", k_list=(20_000, 100_000), replications=4),
     "normality-k10000": dict(experiment="normality", k=10_000, replications=30),
     "score-convergence-k10000": dict(experiment="score-convergence", k=10_000, replications=30),
@@ -128,8 +128,8 @@ def outputs():
             yield f"path/theta{theta0}-seed{seed}", _path_bytes(path)
     yield "path/full-arrivals", _path_bytes(
         simulate_full_arrivals(CFG, FAM, [0.02], SimOptions(steps=500, seed=4, warmup_steps=50)))
-    # long enough for the block walk: heavy traffic (states in the thousands)
-    # and a length that leaves a partial last block
+    # a long path in heavy traffic (states in the thousands): the state table
+    # grows many times
     yield "path/heavy-traffic-steps60000", _path_bytes(simulate_path(
         ModelConfig(lam=20.0, mu=1.0, cost_c=1.0, price=0.0), FAM, [1e-3], SimOptions(steps=60_000, seed=7)))
     yield "path/theta0.02-steps20001", _path_bytes(
